@@ -1,0 +1,67 @@
+"""Golden geometry: placements and identity-demand plans are frozen byte for byte.
+
+Every placement and every identity-demand plan on a small grid is serialised
+as explicit tuples (never ``repr``), in placement and plan order, and hashed.
+Any change to the construction that moves a single subfile boundary, reorders
+a subfile or a transmission, or changes a target changes the digest.  The
+digest does not depend on ``PYTHONHASHSEED``: nothing here iterates a set.
+"""
+
+import hashlib
+from fractions import Fraction
+
+from cachecast.simulator import SchemeInstance
+
+GRID_N = (4, 5)
+GRID_K = (3, 4)
+
+GOLDEN_INSTANCES = 1996
+GOLDEN_SHA256 = "c527e9267bc957afe87104ccdce5f24219c702ab1b38b56a772316db324b31a2"
+
+
+def _q(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _instance_text(inst: SchemeInstance) -> str:
+    placement = [
+        (sf.file, sf.layer, sf.stage1_set, sf.owners,
+         [(_q(s.start), _q(s.length)) for s in sf.segments])
+        for sf in inst.placement.subfiles
+    ]
+    plan = [
+        [(p.segment.file, _q(p.segment.start), _q(p.segment.length), p.target)
+         for p in tx.parts]
+        for tx in inst.plan(tuple(range(1, inst.K + 1))).transmissions
+    ]
+    return f"{placement}|{plan}\n"
+
+
+def _grid():
+    for N in GRID_N:
+        ms = [Fraction(q, 4) for q in range(0, 4 * N + 1)]
+        for K in GRID_K:
+            for M in ms:
+                yield SchemeInstance("equal", N, K, M)
+            for L in range(1, K):
+                for M in ms:
+                    for Mhat in ms:
+                        if Mhat >= M:
+                            yield SchemeInstance("proposed", N, K, M, L=L, Mhat=Mhat)
+
+
+def grid_digest() -> tuple[int, str]:
+    """(instance count, SHA-256) over the whole grid."""
+    digest = hashlib.sha256()
+    count = 0
+    for inst in _grid():
+        header = (inst.scheme, inst.N, inst.K, inst.L, _q(inst.M),
+                  None if inst.Mhat is None else _q(inst.Mhat))
+        digest.update(f"{header}:".encode())
+        digest.update(_instance_text(inst).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_golden_geometry_digest():
+    assert grid_digest() == (GOLDEN_INSTANCES, GOLDEN_SHA256)

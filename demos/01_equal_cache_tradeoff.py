@@ -9,7 +9,7 @@ neighbouring integer schemes, which is why the curve is piecewise linear.
 
 from fractions import Fraction
 
-from cachecast import equal_scheme, rate_eq
+from cachecast import SchemeInstance, rate_eq
 
 N, K = 10, 4
 
@@ -24,8 +24,9 @@ while M <= N:
 # The corner at t = 1: every file is split into C(4,1) = 4 subfiles and each
 # transmission serves t + 1 = 2 users at once.
 M = Fraction(N, K)
-placement, plan = equal_scheme(N, K, M, d=(1, 2, 3, 4))
-print(f"\nat M = {M} (t = 1): {len(placement.subfiles)} placed subfiles,")
+inst = SchemeInstance("equal", N, K, M)
+plan = inst.plan((1, 2, 3, 4))
+print(f"\nat M = {M} (t = 1): {len(inst.placement.subfiles)} placed subfiles,")
 print(f"{len(plan.transmissions)} transmissions of length "
       f"{plan.transmissions[0].length} each, total load {plan.total_load}")
 

@@ -5,109 +5,19 @@ equal-cache scheme and its two-level extension, a layered memory-sharing
 baseline, and a bit-exact simulator that proves decodability.
 """
 
-from .baselines import (
-    BetaAllocation,
-    import_external_rates,
-    scheme1_optimize,
-    scheme1_rate_at,
-)
-from .core import (
-    Rational,
-    UserSet,
-    binom,
-    enumerate_subsets,
-    format_rational,
-    lcm_denominators,
-    parse_rational,
-    user_set,
-)
-from .equal_cache import (
-    ALPHA,
-    BETA,
-    DeliveryPlan,
-    EqualCacheParams,
-    Part,
-    Placement,
-    Segment,
-    Subfile,
-    Transmission,
-    equal_params,
-    equal_placement,
-    equal_scheme,
-    man_delivery,
-    man_placement,
-    rate_eq,
-)
-from .incremental import refine_placement, refine_placement_restricted
-from .simulator import (
-    CacheImage,
-    FileStore,
-    SchemeInstance,
-    TransmissionLog,
-    VerificationReport,
-    decode_all,
-    execute_delivery,
-    materialize,
-    verify_demands,
-    worst_case_load,
-)
-from .unequal import (
-    RateReport,
-    UnequalConfig,
-    UnequalParams,
-    rate_ueq,
-    two_stage_delivery,
-    two_stage_placement,
-    unequal_params,
-)
+from .equal_cache import rate_eq
+from .simulator import SchemeInstance, decode_all, execute_delivery, materialize
+from .unequal import UnequalConfig, rate_ueq, unequal_params
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA",
-    "BETA",
-    "BetaAllocation",
-    "CacheImage",
-    "DeliveryPlan",
-    "EqualCacheParams",
-    "FileStore",
-    "Part",
-    "Placement",
-    "Rational",
-    "RateReport",
     "SchemeInstance",
-    "Segment",
-    "Subfile",
-    "Transmission",
-    "TransmissionLog",
     "UnequalConfig",
-    "UnequalParams",
-    "UserSet",
-    "VerificationReport",
-    "binom",
     "decode_all",
-    "enumerate_subsets",
-    "equal_params",
-    "equal_placement",
-    "equal_scheme",
     "execute_delivery",
-    "format_rational",
-    "import_external_rates",
-    "lcm_denominators",
-    "man_delivery",
-    "man_placement",
     "materialize",
-    "parse_rational",
     "rate_eq",
     "rate_ueq",
-    "refine_placement",
-    "refine_placement_restricted",
-    "scheme1_optimize",
-    "scheme1_rate_at",
-    "two_stage_delivery",
-    "two_stage_placement",
     "unequal_params",
-    "user_set",
-    "verify_demands",
-    "worst_case_load",
 ]

@@ -8,6 +8,17 @@ and cached by the other members.  Non-integer t is realized by memory
 sharing: the first alpha fraction of every file runs the scheme with
 parameter t_int, the rest with t_int + 1.
 
+This module holds the one builder of each basic step, shared by both schemes:
+
+- ``man_placement`` lays out one memory-sharing layer over a ground set of
+  users; ``equal_placement`` stacks the layers.  It is the two-level scheme's
+  stage 1, and over the small users its scenario-2 remainder.
+- ``xor_delivery`` serves one layer over the user subsets a caller picks;
+  ``equal_delivery`` runs it over both layers of an equal-cache layout, be it
+  a placement's or the refined pool's (see ``incremental.PoolIndex``).
+- ``split_segments`` cuts an ordered list of tagged segments at offsets; it
+  aligns XOR parts here and splits subfiles in the pooled refinement.
+
 All offsets and lengths are fractions of the file size F, so a later
 bit-level realization only has to scale by one common denominator.
 """
@@ -18,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .core import Rational, UserSet, binom, enumerate_subsets, users_range
 
@@ -29,6 +40,8 @@ BETA = "beta"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Tag = TypeVar("Tag")
 
 
 @dataclass(frozen=True)
@@ -220,31 +233,29 @@ class DeliveryPlan:
 
 
 def split_segments(
-    segments: Sequence[Segment], cuts: Sequence[Rational]
-) -> list[list[Segment]]:
-    """Cut the concatenation of ``segments`` at the given content offsets.
+    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[Rational]
+) -> list[list[tuple[Tag, Segment]]]:
+    """Cut the concatenation of ``items``' segments at the given content offsets.
 
-    ``cuts`` must be strictly increasing and lie strictly inside the total
-    length; returns len(cuts)+1 ordered groups that tile the input.
+    Each item is a (tag, segment) pair; both halves of a cut segment keep its
+    tag, so a caller can tell where every piece came from without searching.
+    ``cuts`` must be strictly increasing and at most the total length;
+    returns len(cuts)+1 ordered groups that tile the input.
     """
-    groups: list[list[Segment]] = [[]]
-    pending = list(segments)
+    groups: list[list[tuple[Tag, Segment]]] = [[]]
     pos = ZERO
     cut_iter = iter(cuts)
     cut = next(cut_iter, None)
-    for seg in pending:
-        seg_left = seg
-        while cut is not None and pos < cut < pos + seg_left.length:
+    for tag, seg in items:
+        while cut is not None and pos < cut < pos + seg.length:
             head_len = cut - pos
-            groups[-1].append(replace(seg_left, length=head_len))
-            seg_left = Segment(
-                seg_left.file, seg_left.start + head_len, seg_left.length - head_len
-            )
+            groups[-1].append((tag, Segment(seg.file, seg.start, head_len)))
+            seg = Segment(seg.file, seg.start + head_len, seg.length - head_len)
             pos = cut
             groups.append([])
             cut = next(cut_iter, None)
-        groups[-1].append(seg_left)
-        pos += seg_left.length
+        groups[-1].append((tag, seg))
+        pos += seg.length
         if cut is not None and cut == pos:
             groups.append([])
             cut = next(cut_iter, None)
@@ -275,14 +286,19 @@ def aligned_transmissions(
             acc += seg.length
             boundaries.add(acc)
     cuts = sorted(boundaries)
-    pieces = [split_segments(segs, cuts) for segs, _ in components]
+    pieces = [
+        split_segments([(target, seg) for seg in segs], cuts)
+        for segs, target in components
+    ]
     out: list[Transmission] = []
     for idx in range(len(cuts) + 1):
         parts = []
-        for comp_pieces, (_, target) in zip(pieces, components):
+        for comp_pieces in pieces:
             group = comp_pieces[idx]
-            assert len(group) == 1, "cut groups must be single segments"
-            parts.append(Part(group[0], target))
+            if len(group) != 1:
+                raise ValueError("cut groups must be single segments")
+            target, seg = group[0]
+            parts.append(Part(seg, target))
         out.append(Transmission(tuple(parts)))
     return out
 
@@ -292,23 +308,24 @@ def aligned_transmissions(
 # ---------------------------------------------------------------------------
 
 
-def man_placement_over(
+def man_placement(
     N: int,
-    ground: UserSet,
+    K: int,
     t: int,
     layer: str = ALPHA,
     layer_fraction: Rational = ONE,
     layer_start: Rational = ZERO,
-    K: int | None = None,
+    ground: UserSet | None = None,
 ) -> Placement:
-    """Owner-subset placement of one layer over an arbitrary ground user set.
+    """Owner-subset placement of one memory-sharing layer.
 
-    The layer of each file is split into C(|ground|, t) equal subfiles, one
-    per size-t subset, laid out in subset-lexicographic order.
+    The layer [layer_start, layer_start + layer_fraction) of each file is split
+    into C(|ground|, t) equal subfiles, one per size-t subset of ``ground``
+    (all K users by default), laid out in subset-lexicographic order.
     """
+    ground = users_range(K) if ground is None else ground
     if t < 0 or t > len(ground):
         raise ValueError(f"need 0 <= t <= |ground|, got t={t}")
-    K = K if K is not None else (max(ground) if ground else 0)
     subsets = enumerate_subsets(ground, t)
     sub_len = Fraction(layer_fraction, len(subsets))
     subfiles = []
@@ -320,18 +337,22 @@ def man_placement_over(
     return Placement(N=N, K=K, subfiles=tuple(subfiles))
 
 
-def man_placement(
-    N: int,
-    K: int,
-    t: int,
-    layer: str = ALPHA,
-    layer_fraction: Rational = ONE,
-    layer_start: Rational = ZERO,
-) -> Placement:
-    """MAN placement of one layer over the full user set {1..K}."""
-    return man_placement_over(
-        N, users_range(K), t, layer, Fraction(layer_fraction), Fraction(layer_start), K=K
-    )
+def equal_placement(N: int, K: int, M, ground: UserSet | None = None) -> Placement:
+    """Both memory-sharing layers of the equal-cache placement for cache size M.
+
+    ``ground`` restricts the placement to a subset of the K users (all of
+    them by default); the scheme is then the one for |ground| users.
+    """
+    ground = users_range(K) if ground is None else ground
+    p = equal_params(N, len(ground), M)
+    subfiles: list[Subfile] = []
+    for layer in p.layers:
+        lp = man_placement(
+            N, K, p.layer_t(layer), layer,
+            p.layer_fraction(layer), p.layer_start(layer), ground,
+        )
+        subfiles.extend(lp.subfiles)
+    return Placement(N=N, K=K, subfiles=tuple(subfiles))
 
 
 def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
@@ -344,68 +365,41 @@ def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
     return d
 
 
-def man_delivery_over(
-    placement: Placement,
-    ground: UserSet,
-    d: dict[int, int],
-    t: int,
-    layer: str = ALPHA,
+def xor_delivery(
+    content: Mapping[tuple[int, str, UserSet], Sequence[Segment]],
+    layer: str,
+    subsets: Iterable[UserSet],
+    demand: Sequence[int],
 ) -> list[Transmission]:
-    """XOR delivery for one layer restricted to ``ground`` users.
+    """XOR delivery of one layer over the given user subsets.
 
-    One transmission per (t+1)-subset S of ground: the XOR over s in S of the
-    subfile of file d[s] owned by S minus s.
+    For each subset S, in order: the XOR over s in S of the piece of file
+    demand[s-1] owned by S - {s}, looked up as content[(file, layer, S - {s})].
     """
-    content = placement.stage1_content
     out: list[Transmission] = []
-    for S in enumerate_subsets(ground, t + 1):
-        components = []
-        for s in S:
-            T = tuple(u for u in S if u != s)
-            segs = content[(d[s], layer, T)]
-            components.append((segs, s))
-        out.extend(aligned_transmissions(components))
+    for S in subsets:
+        out.extend(aligned_transmissions([
+            (content[(demand[s - 1], layer, S[:i] + S[i + 1:])], s)
+            for i, s in enumerate(S)
+        ]))
     return out
 
 
-def man_delivery(
-    placement: Placement, d: Sequence[int], t: int, layer: str = ALPHA
-) -> DeliveryPlan:
-    """Full-ground XOR delivery for an integer-t placement layer."""
-    d = check_demands(d, placement.N, placement.K)
-    demand = {i + 1: f for i, f in enumerate(d)}
-    txs = man_delivery_over(placement, users_range(placement.K), demand, t, layer)
-    return DeliveryPlan(tuple(txs))
+def equal_delivery(
+    content: Mapping[tuple[int, str, UserSet], Sequence[Segment]],
+    ground: UserSet,
+    t_int: int,
+    alpha: Rational,
+    demand: Sequence[int],
+) -> list[Transmission]:
+    """XOR delivery of an equal-cache layout with parameters (t_int, alpha).
 
-
-def equal_placement(N: int, K: int, M) -> Placement:
-    """Both memory-sharing layers of the equal-cache placement."""
-    p = equal_params(N, K, M)
-    subfiles: list[Subfile] = []
-    for layer in p.layers:
-        lp = man_placement(
-            N, K, p.layer_t(layer), layer, p.layer_fraction(layer), p.layer_start(layer)
-        )
-        subfiles.extend(lp.subfiles)
-    return Placement(N=N, K=K, subfiles=tuple(subfiles))
-
-
-def equal_delivery(placement: Placement, params: EqualCacheParams, d: Sequence[int]) -> DeliveryPlan:
-    d = check_demands(d, params.N, params.K)
-    demand = {i + 1: f for i, f in enumerate(d)}
-    txs: list[Transmission] = []
-    for layer in params.layers:
+    The alpha layer is served over the (t_int+1)-subsets of ``ground``, the
+    beta layer (present when alpha < 1) over the (t_int+2)-subsets.
+    """
+    txs = xor_delivery(content, ALPHA, enumerate_subsets(ground, t_int + 1), demand)
+    if alpha != 1:
         txs.extend(
-            man_delivery_over(
-                placement, users_range(params.K), demand, params.layer_t(layer), layer
-            )
+            xor_delivery(content, BETA, enumerate_subsets(ground, t_int + 2), demand)
         )
-    return DeliveryPlan(tuple(txs))
-
-
-def equal_scheme(N: int, K: int, M, d: Sequence[int]) -> tuple[Placement, DeliveryPlan]:
-    """Placement plus delivery plan for (N, K, M); total load equals rate_eq."""
-    p = equal_params(N, K, M)
-    placement = equal_placement(N, K, M)
-    plan = equal_delivery(placement, p, d)
-    return placement, plan
+    return txs

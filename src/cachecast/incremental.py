@@ -1,10 +1,13 @@
-"""Incremental placement refinement: grow a cache layout without moving bits.
+"""The pooled refinement: grow a cache layout without moving bits.
 
-A subfile owned by user set T can be split into equal parts, one per user
-outside T; handing part j to user j yields, after regrouping by T + {j}, the
-owner-subset placement with parameter t+1 while every already-placed bit stays
-where it was.  Repeating the step, and splitting a final level into a kept and
-a promoted share, reaches any memory-sharing target (t2_int, alpha2).
+``refine_pool`` is the only refinement.  A subfile owned by user set T can be
+split into equal parts, one per user of the pool outside T; handing part j to
+user j yields, after regrouping by T + {j}, the owner-subset placement with
+parameter t+1 while every already-placed bit stays where it was.  Repeating
+the step, and splitting a final level into a kept and a promoted share,
+reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
+runs it on the large-cache group; with the pool set to every user it is one
+plain refinement step of an equal-cache placement.
 
 The kept/promoted split uses a uniform keep fraction across the merged level
 content; the source only fixes sizes, so the specific byte choice is ours and
@@ -14,64 +17,36 @@ parts go to candidate users in increasing index order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Rational, UserSet, user_set, users_range
-from .equal_cache import Placement, Segment, Subfile, ZERO
+from .core import Rational, UserSet, user_set
+from .equal_cache import ALPHA, BETA, ZERO, Placement, Segment, Subfile, split_segments
 
-Pieces = list[Subfile]
-State = dict[UserSet, Pieces]
+# A refinement piece: one contiguous segment, tagged with the stage-1 subfile
+# it was cut from.  Its owner set is the key it is filed under in a State.
+Piece = tuple[Subfile, Segment]
+State = dict[UserSet, list[Piece]]
 
 
 @dataclass(frozen=True)
 class PoolIndex:
-    """Second-level structure of a refined pool, used to build its delivery.
+    """The refined pool as an equal-cache layout over the pool users.
 
-    ``x_content`` maps (file, owner set of size t2_int) to the ordered pieces
-    of that second-level subfile; ``y_content`` likewise at size t2_int + 1.
+    ``content`` maps (file, layer, owner set) to the ordered segments of that
+    second-level subfile.  The layer is the pool's own memory-sharing layer:
+    ALPHA holds the owner sets of size t2_int, BETA those of size t2_int + 1
+    (present when alpha2 < 1), whatever stage-1 layer the bits came from.
     """
 
     pool_users: UserSet
     t2_int: int
     alpha2: Rational
-    x_content: dict[tuple[int, UserSet], tuple[Segment, ...]]
-    y_content: dict[tuple[int, UserSet], tuple[Segment, ...]]
+    content: dict[tuple[int, str, UserSet], tuple[Segment, ...]]
 
 
-def _pieces_length(pieces: Pieces) -> Rational:
-    return sum((p.segments[0].length for p in pieces), ZERO)
-
-
-def _cut_pieces(pieces: Pieces, cuts: list[Rational]) -> list[Pieces]:
-    """Cut an ordered piece list at content offsets, slicing segments as needed.
-
-    Engine pieces hold exactly one segment each, so cutting stays piecewise.
-    """
-    groups: list[Pieces] = [[]]
-    cut_iter = iter(cuts)
-    cut = next(cut_iter, None)
-    pos = ZERO
-    for piece in pieces:
-        assert len(piece.segments) == 1
-        seg = piece.segments[0]
-        while cut is not None and pos < cut < pos + seg.length:
-            head = cut - pos
-            groups[-1].append(
-                replace(piece, segments=(Segment(seg.file, seg.start, head),))
-            )
-            seg = Segment(seg.file, seg.start + head, seg.length - head)
-            pos = cut
-            groups.append([])
-            cut = next(cut_iter, None)
-        groups[-1].append(replace(piece, segments=(seg,)))
-        pos += seg.length
-        if cut is not None and cut == pos:
-            groups.append([])
-            cut = next(cut_iter, None)
-    if cut is not None:
-        raise ValueError("cut offsets exceed the pool content length")
-    return groups
+def _pieces_length(pieces: list[Piece]) -> Rational:
+    return sum((seg.length for _, seg in pieces), ZERO)
 
 
 def _promote_once(
@@ -92,17 +67,14 @@ def _promote_once(
             continue
         rest = pieces
         if keep_fraction > 0:
-            head, rest = _cut_pieces(pieces, [keep_fraction * total])
-            kept[T] = head
+            kept[T], rest = split_segments(pieces, [keep_fraction * total])
         others = [u for u in ground if u not in T]
         if not others:
             raise ValueError("nothing to refine: owner sets already cover the pool")
         rest_total = total - keep_fraction * total
         cuts = [rest_total * Fraction(i, len(others)) for i in range(1, len(others))]
-        parts = _cut_pieces(rest, cuts)
-        for j, part in zip(others, parts):
-            T2 = user_set(T + (j,))
-            promoted.setdefault(T2, []).extend(replace(p, owners=T2) for p in part)
+        for j, part in zip(others, split_segments(rest, cuts)):
+            promoted.setdefault(user_set(T + (j,)), []).extend(part)
     return kept, promoted
 
 
@@ -111,35 +83,6 @@ def _merge_states(base: State, additions: State) -> State:
     for T, pieces in additions.items():
         out.setdefault(T, []).extend(pieces)
     return out
-
-
-def refine_placement(placement: Placement, N: int, K: int, t: int) -> Placement:
-    """One refinement step of a full-ground owner-subset placement.
-
-    Each subfile with |owners| = t is split into K - t equal parts and part j
-    joins user j's cache; regrouping the result by owner set reproduces the
-    (t+1)-parameter placement without touching any placed bit.
-    """
-    if (N, K) != (placement.N, placement.K):
-        raise ValueError("placement dimensions do not match")
-    if t >= K:
-        raise ValueError(f"nothing to refine: t={t} already covers all {K} users")
-    ground = users_range(K)
-    new_subfiles: list[Subfile] = []
-    for file in range(1, N + 1):
-        state: State = {}
-        for sf in placement.subfiles:
-            if sf.file != file:
-                continue
-            if len(sf.owners) != t:
-                raise ValueError(f"not a t={t} placement: owner set {sf.owners}")
-            state.setdefault(sf.owners, []).extend(
-                replace(sf, segments=(seg,)) for seg in sf.segments
-            )
-        _, promoted = _promote_once(state, ground, ZERO)
-        for T2 in sorted(promoted):
-            new_subfiles.extend(promoted[T2])
-    return Placement(N=N, K=K, subfiles=tuple(new_subfiles))
 
 
 def refine_pool(
@@ -157,25 +100,27 @@ def refine_pool(
     Content never moves; each user in the pool gains exactly the same length.
     """
     pool = user_set(pool_users)
+    members = set(pool)
     rest: list[Subfile] = []
-    pool_sfs: list[Subfile] = []
+    pool_sfs: dict[int, list[Subfile]] = {}
     for sf in placement.subfiles:
-        (pool_sfs if set(sf.owners) <= set(pool) else rest).append(sf)
+        if members.issuperset(sf.owners):
+            pool_sfs.setdefault(sf.file, []).append(sf)
+        else:
+            rest.append(sf)
     if not pool_sfs:
         raise ValueError("empty pool: no subfile is owned entirely inside the pool")
 
-    levels = sorted({len(sf.owners) for sf in pool_sfs})
+    levels = sorted({len(sf.owners) for sfs in pool_sfs.values() for sf in sfs})
     if len(levels) > 2 or (len(levels) == 2 and levels[1] != levels[0] + 1):
         raise ValueError(f"pool is not a memory-sharing placement, levels {levels}")
     s0 = levels[0]
     if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
         raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
 
-    per_file_total = sum((sf.length for sf in pool_sfs if sf.file == 1), ZERO)
-    low0 = sum(
-        (sf.length for sf in pool_sfs if sf.file == 1 and len(sf.owners) == s0),
-        ZERO,
-    )
+    first = pool_sfs.get(1, [])
+    per_file_total = sum((sf.length for sf in first), ZERO)
+    low0 = sum((sf.length for sf in first if len(sf.owners) == s0), ZERO)
     t_pool = s0 + (1 - low0 / per_file_total)
     t_target = t2_int + 1 - alpha2
     if t_target < t_pool:
@@ -184,18 +129,13 @@ def refine_pool(
         )
 
     new_subfiles: list[Subfile] = []
-    x_content: dict[tuple[int, UserSet], tuple[Segment, ...]] = {}
-    y_content: dict[tuple[int, UserSet], tuple[Segment, ...]] = {}
+    content: dict[tuple[int, str, UserSet], tuple[Segment, ...]] = {}
     for file in range(1, placement.N + 1):
         low: State = {}
         high: State = {}
-        for sf in pool_sfs:
-            if sf.file != file:
-                continue
+        for sf in pool_sfs.get(file, ()):
             target = low if len(sf.owners) == s0 else high
-            target.setdefault(sf.owners, []).extend(
-                replace(sf, segments=(seg,)) for seg in sf.segments
-            )
+            target.setdefault(sf.owners, []).extend((sf, seg) for seg in sf.segments)
         s = s0
         while s < t2_int:
             _, promoted = _promote_once(low, pool, ZERO)
@@ -210,35 +150,17 @@ def refine_pool(
             kept, promoted = _promote_once(low, pool, alpha2 / p_frac)
             low = kept
             high = _merge_states(high, promoted)
-        for T in sorted(low):
-            new_subfiles.extend(low[T])
-            x_content[(file, T)] = tuple(pc.segments[0] for pc in low[T])
-        for T in sorted(high):
-            new_subfiles.extend(high[T])
-            y_content[(file, T)] = tuple(pc.segments[0] for pc in high[T])
+        for layer, state in ((ALPHA, low), (BETA, high)):
+            for T in sorted(state):
+                pieces = state[T]
+                new_subfiles.extend(
+                    Subfile(sf.file, sf.layer, sf.stage1_set, T, (seg,))
+                    for sf, seg in pieces
+                )
+                content[(file, layer, T)] = tuple(seg for _, seg in pieces)
 
     refined = Placement(
         N=placement.N, K=placement.K, subfiles=tuple(rest) + tuple(new_subfiles)
     )
-    index = PoolIndex(
-        pool_users=pool,
-        t2_int=t2_int,
-        alpha2=alpha2,
-        x_content=x_content,
-        y_content=y_content,
-    )
+    index = PoolIndex(pool_users=pool, t2_int=t2_int, alpha2=alpha2, content=content)
     return refined, index
-
-
-def refine_placement_restricted(
-    placement: Placement,
-    pool_users: UserSet,
-    N: int,
-    target_tprime: tuple[int, Rational],
-) -> Placement:
-    """Pool-restricted refinement to a (t2_int, alpha2) memory-sharing target."""
-    if N != placement.N:
-        raise ValueError("placement dimensions do not match")
-    t2_int, alpha2 = target_tprime
-    refined, _ = refine_pool(placement, user_set(pool_users), t2_int, Fraction(alpha2))
-    return refined

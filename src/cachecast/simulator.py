@@ -10,6 +10,7 @@ file is compared bit-for-bit against the server's copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Rational, format_rational, lcm_denominators
+from .core import Rational, format_rational, lcm_denominators, users_range
 from .equal_cache import (
     DeliveryPlan,
     Part,
@@ -214,10 +215,13 @@ def decode_all(
             np.array_equal(assembled, store.bits[want - 1])
         )
         user_ok.append(ok)
-    formula_bits = -1
     if formula_rate is not None:
         scaled = formula_rate * F
-        assert scaled.denominator == 1, "F_bits must realize the formula rate"
+        if scaled.denominator != 1:
+            raise ValueError(
+                f"F_bits={F} cannot realize the formula rate "
+                f"{format_rational(formula_rate)}: {scaled} bits is not an integer"
+            )
         formula_bits = int(scaled)
     else:
         formula_bits = log.total_bits
@@ -257,7 +261,10 @@ class SchemeInstance:
         if self.scheme == "equal":
             params = equal_params(self.N, self.K, self.M)
             placement = equal_placement(self.N, self.K, self.M)
-            template = equal_delivery(placement, params, ident)
+            template = DeliveryPlan(tuple(equal_delivery(
+                placement.stage1_content, users_range(self.K),
+                params.t_int, params.alpha, ident,
+            )))
             rate = rate_eq(self.N, self.K, self.M)
             report = equal_rate_report(self.N, self.K, self.M)
         elif self.scheme == "proposed":
@@ -273,7 +280,11 @@ class SchemeInstance:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for tx in template.transmissions:
             for part in tx.parts:
-                assert part.segment.file == part.target, "template must be retargetable"
+                if part.segment.file != part.target:
+                    raise ValueError(
+                        f"template is not retargetable: part for user {part.target} "
+                        f"carries file {part.segment.file}"
+                    )
         return placement, template, rate, report
 
     @property
@@ -301,17 +312,27 @@ class SchemeInstance:
 
 
 def enumerate_demands(
-    N: int, K: int, mode: str, max_exhaustive: int = 10**6
+    N: int, K: int, mode: str, max_demands: int = 10**6
 ) -> Iterator[tuple[int, ...]]:
-    """Demand vectors to test: all N^K of them, or all distinct assignments."""
+    """Demand vectors to test: all N^K of them, or all distinct assignments.
+
+    Either way the count is checked against ``max_demands`` before anything
+    is enumerated, so an oversized request fails at once.
+    """
     if mode == "exhaustive":
-        if N**K > max_exhaustive:
+        if N**K > max_demands:
             raise ValueError(
-                f"N^K = {N**K} demands is too many for exhaustive mode; "
-                "use distinct-demand mode"
+                f"N^K = {N**K} demands is too many for exhaustive mode "
+                f"(limit {max_demands}); use distinct-demand mode"
             )
         return product(range(1, N + 1), repeat=K)
     if mode == "distinct":
+        count = math.perm(N, K)
+        if count > max_demands:
+            raise ValueError(
+                f"N!/(N-K)! = {count} distinct demands is too many "
+                f"(limit {max_demands})"
+            )
         return permutations(range(1, N + 1), K)
     raise ValueError(f"unknown demand mode {mode!r}")
 
@@ -320,13 +341,14 @@ def worst_case_load(
     inst: SchemeInstance,
     mode: str = "distinct",
     seed: int = 0,
-    max_exhaustive: int = 10**6,
+    max_demands: int = 10**6,
 ) -> Rational:
     """Max over enumerated demands of actually-transmitted bits / F_bits.
 
     Transmissions are executed for real (bits XORed out of the store); only
     decoding is skipped, since the load does not depend on it.
     """
+    demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
     placement = inst.placement
     template = inst.plan(tuple(range(1, inst.K + 1)))
     store, _ = materialize(placement, template, seed=seed)
@@ -337,7 +359,7 @@ def worst_case_load(
         for tx in template.transmissions
     ]
     worst = None
-    for d in enumerate_demands(inst.N, inst.K, mode, max_exhaustive):
+    for d in demands:
         bits = 0
         for parts in geometry:
             acc: np.ndarray | None = None
@@ -357,7 +379,7 @@ def verify_demands(
     inst: SchemeInstance,
     mode: str = "distinct",
     seed: int = 0,
-    max_exhaustive: int = 10**6,
+    max_demands: int = 10**6,
     flip_bit: tuple[int, int] | None = None,
 ) -> list[VerificationReport]:
     """Full decode verification over enumerated demands.
@@ -365,11 +387,12 @@ def verify_demands(
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
     """
+    demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
     placement = inst.placement
     template = inst.plan(tuple(range(1, inst.K + 1)))
     store, caches = materialize(placement, template, seed=seed)
     reports = []
-    for d in enumerate_demands(inst.N, inst.K, mode, max_exhaustive):
+    for d in demands:
         plan = inst.plan(d)
         log = execute_delivery(store, plan)
         if flip_bit is not None:

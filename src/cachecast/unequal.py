@@ -1,18 +1,21 @@
 """Two-level caching: L users with a large cache, K - L with a small one.
 
-The placement runs in two stages.  Stage one ignores the extra cache and
-lays out the equal-cache placement for (N, K, M).  Stage two pools, per
-file, the subfiles owned entirely inside the large-cache group: that pool
-behaves like a single file of length F' placed over L users, and the extra
-cache is filled by incrementally refining it to the equal-cache layout for
-the derived cache size M' (see ``unequal_params``).  Delivery keeps every
-stage-one transmission that serves at least one small-cache user and
-replaces the rest with the pool's own second-level delivery.
+The placement runs in two stages (``build_two_stage``).  Stage one ignores
+the extra cache and lays out the equal-cache placement for (N, K, M)
+(``equal_cache.equal_placement``).  Stage two pools, per file, the subfiles
+owned entirely inside the large-cache group: that pool behaves like a single
+file of length F' placed over L users, and the extra cache is filled by the
+pooled refinement (``incremental.refine_pool``) to the equal-cache layout for
+the derived cache size M' (see ``unequal_params``).  Delivery
+(``TwoStageContext.plan``) keeps every stage-one transmission that serves at
+least one small-cache user and replaces the rest with the pool's own
+equal-cache delivery; both go through ``equal_cache.xor_delivery``.
 
-When M' would exceed N (scenario 2), files are split: a gamma share runs
-the construction at the boundary cache size Phi (where M' = N and the pool
-delivery disappears), and on the remaining share the large users store
-everything and drop out, leaving an equal-cache system over K - L users.
+When M' would exceed N (scenario 2, the last branch of ``build_two_stage``),
+files are split: a gamma share runs the construction at the boundary cache
+size Phi (where M' = N and the pool delivery disappears), and on the
+remaining share the large users store everything and drop out, leaving an
+equal-cache system over the K - L small users.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from .equal_cache import (
     Segment,
     Subfile,
     Transmission,
-    aligned_transmissions,
     check_demands,
+    equal_delivery,
     equal_params,
     equal_placement,
-    man_delivery_over,
-    man_placement_over,
     rate_eq,
+    xor_delivery,
 )
 from .incremental import PoolIndex, refine_pool
 
@@ -190,18 +192,17 @@ def _scale_segment(seg: Segment, factor: Rational, offset: Rational) -> Segment:
     return Segment(seg.file, offset + factor * seg.start, factor * seg.length)
 
 
-def _scale_placement(
-    placement: Placement, factor: Rational, offset: Rational,
-    add_owners: UserSet = (), K: int | None = None,
-) -> Placement:
+def _scale_subfiles(
+    placement: Placement, factor: Rational, offset: Rational, add_owners: UserSet = ()
+) -> list[Subfile]:
     if factor == 0:
-        return Placement(N=placement.N, K=K or placement.K, subfiles=())
+        return []
     subfiles = []
     for sf in placement.subfiles:
         owners = user_set(sf.owners + add_owners) if add_owners else sf.owners
         segs = tuple(_scale_segment(s, factor, offset) for s in sf.segments)
         subfiles.append(replace(sf, owners=owners, segments=segs))
-    return Placement(N=placement.N, K=K or placement.K, subfiles=tuple(subfiles))
+    return subfiles
 
 
 def _scale_plan(
@@ -215,19 +216,6 @@ def _scale_plan(
         ))
         for tx in txs
     ]
-
-
-def _equal_placement_over(N: int, ground: UserSet, M, K: int) -> tuple[EqualCacheParams, Placement]:
-    """Equal-cache placement for |ground| users addressed by their real ids."""
-    p = equal_params(N, len(ground), M)
-    subfiles: list[Subfile] = []
-    for layer in p.layers:
-        lp = man_placement_over(
-            N, ground, p.layer_t(layer), layer,
-            p.layer_fraction(layer), p.layer_start(layer), K=K,
-        )
-        subfiles.extend(lp.subfiles)
-    return p, Placement(N=N, K=K, subfiles=tuple(subfiles))
 
 
 @dataclass(frozen=True)
@@ -248,72 +236,41 @@ class TwoStageContext:
 
     def _transmissions(self, d: tuple[int, ...]) -> list[Transmission]:
         cfg, p = self.cfg, self.params
-        demand = {i + 1: f for i, f in enumerate(d)}
         if p.scenario == 2:
-            gamma = p.gamma
-            txs = _scale_plan(self.sub_full._transmissions(d), gamma, ZERO)
-            rest = man_layers_delivery(
-                self.rest_placement, cfg.small_users, demand, self.rest_params
+            txs = _scale_plan(self.sub_full._transmissions(d), p.gamma, ZERO)
+            rest = equal_delivery(
+                self.rest_placement.stage1_content, cfg.small_users,
+                self.rest_params.t_int, self.rest_params.alpha, d,
             )
-            txs.extend(_scale_plan(rest, 1 - gamma, gamma))
+            txs.extend(_scale_plan(rest, 1 - p.gamma, p.gamma))
             return txs
 
+        # Stage 1: every transmission that serves a small-cache user, i.e. whose
+        # (sorted) subset S ends above L.  Those inside the large-cache group
+        # are replaced by the pool's delivery.
         base = p.base
-        large = set(cfg.large_users)
-        txs: list[Transmission] = []
         content = self.placement.stage1_content
+        txs: list[Transmission] = []
         for layer in base.layers:
-            size = base.layer_t(layer) + 1
-            for S in enumerate_subsets(users_range(cfg.K), size):
-                if set(S) <= large:
-                    continue  # replaced by the second-level pool delivery
-                components = []
-                for s in S:
-                    T = tuple(u for u in S if u != s)
-                    components.append((content[(demand[s], layer, T)], s))
-                txs.extend(aligned_transmissions(components))
+            subsets = enumerate_subsets(users_range(cfg.K), base.layer_t(layer) + 1)
+            txs.extend(xor_delivery(
+                content, layer, [S for S in subsets if S[-1] > cfg.L], d
+            ))
         if self.pool is not None:
-            txs.extend(_pool_delivery(self.pool, demand, self.pool.t2_int,
-                                      self.pool.x_content))
-            if self.pool.alpha2 != 1:
-                txs.extend(_pool_delivery(self.pool, demand, self.pool.t2_int + 1,
-                                          self.pool.y_content))
+            pool = self.pool
+            txs.extend(equal_delivery(
+                pool.content, pool.pool_users, pool.t2_int, pool.alpha2, d
+            ))
         return txs
-
-
-def man_layers_delivery(
-    placement: Placement, ground: UserSet, demand: dict[int, int],
-    params: EqualCacheParams,
-) -> list[Transmission]:
-    txs: list[Transmission] = []
-    for layer in params.layers:
-        txs.extend(
-            man_delivery_over(placement, ground, demand, params.layer_t(layer), layer)
-        )
-    return txs
-
-
-def _pool_delivery(
-    pool: PoolIndex, demand: dict[int, int], level: int,
-    index: dict[tuple[int, UserSet], tuple[Segment, ...]],
-) -> list[Transmission]:
-    txs: list[Transmission] = []
-    for S in enumerate_subsets(pool.pool_users, level + 1):
-        components = []
-        for s in S:
-            T = tuple(u for u in S if u != s)
-            components.append((index[(demand[s], T)], s))
-        txs.extend(aligned_transmissions(components))
-    return txs
 
 
 def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
     """Construct the canonical two-stage placement and its plan builder."""
     p = unequal_params(cfg)
-    stage1 = equal_placement(cfg.N, cfg.K, cfg.M)
-    if p.pool_empty:
-        return TwoStageContext(cfg=cfg, params=p, placement=stage1)
     if p.scenario == 1:
+        stage1 = equal_placement(cfg.N, cfg.K, cfg.M)
+        if p.pool_empty:
+            return TwoStageContext(cfg=cfg, params=p, placement=stage1)
         second = equal_params(cfg.N, cfg.L, p.Mprime)
         refined, pool = refine_pool(
             stage1, cfg.large_users, second.t_int, second.alpha
@@ -324,33 +281,14 @@ def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
     # with the large users caching everything and an equal-cache system left
     # over the small users.
     sub_full = build_two_stage(replace(cfg, Mhat=p.Phi))
-    rest_params, rest_placement = _equal_placement_over(
-        cfg.N, cfg.small_users, cfg.M, K=cfg.K
-    )
+    rest_params = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
+    rest_placement = equal_placement(cfg.N, cfg.K, cfg.M, ground=cfg.small_users)
     gamma = p.gamma
-    subfiles = list(_scale_placement(sub_full.placement, gamma, ZERO).subfiles)
-    subfiles.extend(
-        _scale_placement(
-            rest_placement, 1 - gamma, gamma, add_owners=cfg.large_users
-        ).subfiles
+    subfiles = _scale_subfiles(sub_full.placement, gamma, ZERO) + _scale_subfiles(
+        rest_placement, 1 - gamma, gamma, add_owners=cfg.large_users
     )
     merged = Placement(N=cfg.N, K=cfg.K, subfiles=tuple(subfiles))
     return TwoStageContext(
         cfg=cfg, params=p, placement=merged,
         sub_full=sub_full, rest_params=rest_params, rest_placement=rest_placement,
     )
-
-
-def two_stage_placement(cfg: UnequalConfig) -> Placement:
-    """Final caches of the two-level scheme (both stages applied)."""
-    return build_two_stage(cfg).placement
-
-
-def two_stage_delivery(
-    cfg: UnequalConfig, placement: Placement, d: Sequence[int]
-) -> DeliveryPlan:
-    """Delivery plan for a two-stage placement; total load equals rate_ueq."""
-    ctx = build_two_stage(cfg)
-    if set(placement.subfiles) != set(ctx.placement.subfiles):
-        raise ValueError("placement does not match the two-stage construction")
-    return ctx.plan(d)

@@ -9,8 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from cachecast.baselines import scheme1_optimize
+from cachecast.core import users_range
 from cachecast.equal_cache import man_placement, rate_eq
-from cachecast.incremental import refine_placement
+from cachecast.incremental import refine_pool
 from cachecast.simulator import SchemeInstance, verify_demands, worst_case_load
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
 
@@ -119,7 +120,9 @@ def test_criterion_5_incremental_merge_equivalence():
     for N in range(1, 6):
         for K in range(1, 6):
             for t in range(0, K):
-                refined = refine_placement(man_placement(N, K, t), N, K, t)
+                refined, _ = refine_pool(
+                    man_placement(N, K, t), users_range(K), t + 1, Fraction(1)
+                )
                 direct = man_placement(N, K, t + 1)
                 for user in range(1, K + 1):
                     if content_sets(refined, user) != content_sets(direct, user):

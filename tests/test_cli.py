@@ -201,6 +201,21 @@ class TestVerify:
         assert len(lines) == 24
         assert lines[0].startswith("demand=1,2,3,4 status=ok")
 
+    def test_refuses_oversized_distinct_enumeration(self, capsys, monkeypatch):
+        # 30!/20! distinct demands: refused with the count before any bits exist
+        import cachecast.simulator
+
+        def no_materialize(*args, **kwargs):
+            raise AssertionError("materialize called before the demand count check")
+
+        monkeypatch.setattr(cachecast.simulator, "materialize", no_materialize)
+        code, _, err = run(
+            capsys, "verify", "--N", "30", "--K", "10", "--L", "2",
+            "--Mhat", "2", "--M", "1",
+        )
+        assert code == 1
+        assert "109027350432000" in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):

@@ -6,11 +6,10 @@ from cachecast.core import binom
 from cachecast.equal_cache import (
     equal_params,
     equal_placement,
-    equal_scheme,
-    man_delivery,
     man_placement,
     rate_eq,
 )
+from cachecast.simulator import SchemeInstance
 
 
 def grid_M(N, step=Fraction(1, 2)):
@@ -153,9 +152,11 @@ class TestEqualPlacement:
 
 
 class TestManDelivery:
+    # At integer t the equal-cache scheme is a single man_placement layer.
     def test_worked_example_transmissions(self):
-        pl = man_placement(4, 4, 1)
-        plan = man_delivery(pl, (1, 2, 3, 4), 1)
+        inst = SchemeInstance("equal", 4, 4, 1)
+        assert inst.placement == man_placement(4, 4, 1)
+        plan = inst.plan((1, 2, 3, 4))
         assert len(plan.transmissions) == 6
         assert plan.total_load == Fraction(3, 2)
         # A2 xor B1: segment [1/4,1/2) of file 1 to user 1, [0,1/4) of file 2 to user 2
@@ -164,14 +165,12 @@ class TestManDelivery:
         assert got == {(1, Fraction(1, 4), 1), (2, Fraction(0), 2)}
 
     def test_t_equals_K_empty_plan(self):
-        pl = man_placement(3, 3, 3)
-        plan = man_delivery(pl, (1, 2, 3), 3)
+        plan = SchemeInstance("equal", 3, 3, 3).plan((1, 2, 3))
         assert plan.transmissions == ()
         assert plan.total_load == 0
 
     def test_repeated_demand_two_users(self):
-        pl = man_placement(2, 2, 1)
-        plan = man_delivery(pl, (1, 1), 1)
+        plan = SchemeInstance("equal", 2, 2, 1).plan((1, 1))
         assert plan.total_load == Fraction(1, 2)
         # brute-force decode: each user holds half of file 1 and the single
         # transmission supplies the other half
@@ -181,35 +180,35 @@ class TestManDelivery:
         assert {by_target[1].start, by_target[2].start} == {Fraction(0), Fraction(1, 2)}
 
     def test_demand_out_of_range(self):
-        pl = man_placement(3, 3, 1)
         with pytest.raises(ValueError, match="demand"):
-            man_delivery(pl, (1, 2, 4), 1)
+            SchemeInstance("equal", 3, 3, 1).plan((1, 2, 4))
 
 
 class TestEqualScheme:
     def test_worked_example(self):
-        _, plan = equal_scheme(4, 4, 1, (1, 2, 3, 4))
+        plan = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4))
         assert plan.total_load == Fraction(3, 2)
 
     def test_single_user_memory_sharing(self):
         # alpha layer is unicast (3/4 of the file), beta layer fully cached
-        placement, plan = equal_scheme(4, 1, 1, (2,))
+        inst = SchemeInstance("equal", 4, 1, 1)
+        plan = inst.plan((2,))
         assert plan.total_load == Fraction(3, 4)
         assert all(len(tx.parts) == 1 for tx in plan.transmissions)
-        assert placement.user_load(1) == 1
+        assert inst.placement.user_load(1) == 1
 
     def test_full_cache_empty_plan(self):
-        _, plan = equal_scheme(5, 3, 5, (1, 2, 3))
+        plan = SchemeInstance("equal", 5, 3, 5).plan((1, 2, 3))
         assert plan.transmissions == ()
 
     @pytest.mark.parametrize("N,K", [(4, 4), (5, 3), (6, 4)])
     def test_plan_load_matches_formula(self, N, K):
         d = tuple(range(1, K + 1))
         for M in grid_M(N, Fraction(1, 4)):
-            _, plan = equal_scheme(N, K, M, d)
+            plan = SchemeInstance("equal", N, K, M).plan(d)
             assert plan.total_load == rate_eq(N, K, M)
 
     def test_transmission_parts_have_equal_length(self):
-        _, plan = equal_scheme(5, 4, Fraction(7, 4), (1, 2, 3, 4))
+        plan = SchemeInstance("equal", 5, 4, Fraction(7, 4)).plan((1, 2, 3, 4))
         for tx in plan.transmissions:
             assert len({p.segment.length for p in tx.parts}) == 1

@@ -2,12 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cachecast.equal_cache import equal_params, equal_placement, man_placement
-from cachecast.incremental import (
-    refine_placement,
-    refine_placement_restricted,
-    refine_pool,
-)
+from cachecast.core import users_range
+from cachecast.equal_cache import ALPHA, equal_params, equal_placement, man_placement
+from cachecast.incremental import refine_pool
 from cachecast.unequal import UnequalConfig, unequal_params
 
 
@@ -25,17 +22,23 @@ def coverage(placement, user):
     return placement.user_intervals(user)
 
 
+def refine_step(placement, t):
+    """One refinement step of a t-placement over all K users: t -> t + 1."""
+    refined, _ = refine_pool(placement, users_range(placement.K), t + 1, Fraction(1))
+    return refined
+
+
 class TestRefinePlacement:
     @pytest.mark.parametrize("N,K,t", [(3, 3, 1), (2, 4, 2), (4, 4, 1), (5, 5, 3)])
     def test_merge_equivalence(self, N, K, t):
-        refined = refine_placement(man_placement(N, K, t), N, K, t)
+        refined = refine_step(man_placement(N, K, t), t)
         direct = man_placement(N, K, t + 1)
         for user in range(1, K + 1):
             assert content_sets(refined, user) == content_sets(direct, user)
 
     def test_nondestructive(self):
         base = man_placement(3, 3, 1)
-        refined = refine_placement(base, 3, 3, 1)
+        refined = refine_step(base, 1)
         for user in range(1, 4):
             before = coverage(base, user)
             after = coverage(refined, user)
@@ -48,13 +51,13 @@ class TestRefinePlacement:
         # refinement adds N/K per unit file to every cache
         N, K, t = 4, 4, 1
         base = man_placement(N, K, t)
-        refined = refine_placement(base, N, K, t)
+        refined = refine_step(base, t)
         for user in range(1, K + 1):
             assert refined.user_load(user) - base.user_load(user) == Fraction(N, K)
 
     def test_single_part_at_t_K_minus_1(self):
         base = man_placement(3, 3, 2)
-        refined = refine_placement(base, 3, 3, 2)
+        refined = refine_step(base, 2)
         # each subfile splits into exactly one part, same segment geometry
         assert {sf.segments for sf in refined.subfiles} == {
             sf.segments for sf in base.subfiles
@@ -63,7 +66,7 @@ class TestRefinePlacement:
     def test_nothing_to_refine_at_t_K(self):
         base = man_placement(3, 3, 3)
         with pytest.raises(ValueError, match="nothing to refine"):
-            refine_placement(base, 3, 3, 3)
+            refine_pool(base, users_range(3), 3, Fraction(1, 2))
 
 
 class TestRefinePool:
@@ -72,17 +75,17 @@ class TestRefinePool:
         # user 2, the second half to user 3, and so on cyclically
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        segs12 = pool.x_content[(1, (1, 2))]
+        segs12 = pool.content[(1, ALPHA, (1, 2))]
         assert [(s.start, s.length) for s in segs12] == [
             (Fraction(0), Fraction(1, 8)),      # first half of A_1
             (Fraction(1, 4), Fraction(1, 8)),   # first half of A_2
         ]
-        segs13 = pool.x_content[(1, (1, 3))]
+        segs13 = pool.content[(1, ALPHA, (1, 3))]
         assert [(s.start, s.length) for s in segs13] == [
             (Fraction(1, 8), Fraction(1, 8)),   # second half of A_1
             (Fraction(1, 2), Fraction(1, 8)),   # first half of A_3
         ]
-        segs23 = pool.x_content[(1, (2, 3))]
+        segs23 = pool.content[(1, ALPHA, (2, 3))]
         assert [(s.start, s.length) for s in segs23] == [
             (Fraction(3, 8), Fraction(1, 8)),   # second half of A_2
             (Fraction(5, 8), Fraction(1, 8)),   # second half of A_3
@@ -92,13 +95,14 @@ class TestRefinePool:
         # merged pool subfiles carry F'/C(L, t') content each
         base = equal_placement(4, 4, 1)
         _, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        for (file, T), segs in pool.x_content.items():
+        assert {layer for _, layer, _ in pool.content} == {ALPHA}
+        for segs in pool.content.values():
             assert sum(s.length for s in segs) == Fraction(1, 4)  # (3/4) / C(3,2)
 
     def test_noop_when_target_is_current(self):
         base = equal_placement(4, 4, 1)
         p = equal_params(4, 4, 1)
-        refined = refine_placement_restricted(base, (1, 2, 3), 4, (p.t_int, p.alpha))
+        refined, _ = refine_pool(base, (1, 2, 3), p.t_int, p.alpha)
         assert set(refined.subfiles) == set(base.subfiles)
 
     def test_budget_accounting_noninteger_target(self):
@@ -107,9 +111,7 @@ class TestRefinePool:
         params = unequal_params(cfg)
         base = equal_placement(6, 4, Fraction(3, 2))
         second = equal_params(6, 2, params.Mprime)
-        refined = refine_placement_restricted(
-            base, (1, 2), 6, (second.t_int, second.alpha)
-        )
+        refined, _ = refine_pool(base, (1, 2), second.t_int, second.alpha)
         for user in (1, 2):
             gain = refined.user_load(user) - base.user_load(user)
             assert gain == Fraction(3, 4)
@@ -119,14 +121,14 @@ class TestRefinePool:
     def test_cannot_shrink(self):
         base = equal_placement(4, 4, 1)
         with pytest.raises(ValueError, match="cannot shrink"):
-            refine_placement_restricted(base, (1, 2, 3), 4, (0, Fraction(1, 2)))
+            refine_pool(base, (1, 2, 3), 0, Fraction(1, 2))
 
     def test_multi_step_promotion(self):
         # t=1 placement refined to t'=3 over a pool of 3 users: two promotions
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 3, Fraction(1))
-        assert set(pool.x_content) == {(f, (1, 2, 3)) for f in range(1, 5)}
-        for segs in pool.x_content.values():
+        assert set(pool.content) == {(f, ALPHA, (1, 2, 3)) for f in range(1, 5)}
+        for segs in pool.content.values():
             assert sum(s.length for s in segs) == Fraction(3, 4)
         # every pool user now caches the entire pool of every file
         for user in (1, 2, 3):
@@ -137,9 +139,7 @@ class TestRefinePool:
         base = equal_placement(6, 4, Fraction(3, 2))
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         second = equal_params(6, 2, unequal_params(cfg).Mprime)
-        refined = refine_placement_restricted(
-            base, (1, 2), 6, (second.t_int, second.alpha)
-        )
+        refined, _ = refine_pool(base, (1, 2), second.t_int, second.alpha)
         for user in range(1, 5):
             before = coverage(base, user)
             after = coverage(refined, user)

@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cachecast.equal_cache import equal_placement, equal_scheme, man_placement
+from cachecast.core import users_range
+from cachecast.equal_cache import (
+    DeliveryPlan,
+    equal_delivery,
+    equal_params,
+    equal_placement,
+    man_placement,
+)
 from cachecast.simulator import (
     SchemeInstance,
     TransmissionLog,
@@ -63,8 +70,9 @@ class TestMaterialize:
 
 class TestExecuteDelivery:
     def test_single_part_is_plaintext(self):
-        placement, plan = equal_scheme(4, 1, 1, (2,))
-        store, _ = materialize(placement, plan)
+        inst = SchemeInstance("equal", 4, 1, 1)
+        plan = inst.plan((2,))
+        store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
         seg = plan.transmissions[0].parts[0].segment
         a = int(seg.start * store.F_bits)
@@ -72,11 +80,10 @@ class TestExecuteDelivery:
         assert np.array_equal(log.payloads[0], store.bits[seg.file - 1, a:b])
 
     def test_xor_of_two_parts(self):
-        placement = man_placement(4, 4, 1)
-        from cachecast.equal_cache import man_delivery
-
-        plan = man_delivery(placement, (1, 2, 3, 4), 1)
-        store, _ = materialize(placement, plan)
+        inst = SchemeInstance("equal", 4, 4, 1)
+        assert inst.placement == man_placement(4, 4, 1)
+        plan = inst.plan((1, 2, 3, 4))
+        store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
         tx = plan.transmissions[0]  # A2 xor B1
         (s1, s2) = (p.segment for p in tx.parts)
@@ -121,6 +128,13 @@ class TestDecodeAll:
         assert not report.passed
         assert not all(report.user_ok)
 
+    def test_unrealizable_formula_rate_raises(self):
+        _, plan, store, caches = worked_system()  # F_bits = 8
+        log = execute_delivery(store, plan)
+        with pytest.raises(ValueError, match="formula rate"):
+            decode_all(caches, log, (1, 2, 3, 4), plan, store,
+                       formula_rate=Fraction(1, 3))
+
     def test_worked_example_exhaustive(self):
         reports = verify_demands(WORKED, mode="exhaustive")
         assert len(reports) == 256
@@ -148,7 +162,7 @@ class TestWorstCaseLoad:
     def test_exhaustive_refuses_large_instances(self):
         inst = SchemeInstance("equal", 30, 4, Fraction(1))
         with pytest.raises(ValueError, match="distinct"):
-            worst_case_load(inst, mode="exhaustive", max_exhaustive=10**5)
+            worst_case_load(inst, mode="exhaustive", max_demands=10**5)
 
     def test_distinct_mode_demand_count(self):
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
@@ -165,9 +179,8 @@ class TestPlanTemplate:
 
     def test_template_remap_equal_scheme(self):
         inst = SchemeInstance("equal", 5, 3, Fraction(7, 4))
-        from cachecast.equal_cache import equal_params, equal_delivery
-
         params = equal_params(5, 3, Fraction(7, 4))
-        placement = equal_placement(5, 3, Fraction(7, 4))
+        content = equal_placement(5, 3, Fraction(7, 4)).stage1_content
         for d in [(1, 1, 1), (5, 4, 3), (2, 5, 2)]:
-            assert inst.plan(d) == equal_delivery(placement, params, d)
+            direct = equal_delivery(content, users_range(3), params.t_int, params.alpha, d)
+            assert inst.plan(d) == DeliveryPlan(tuple(direct))

@@ -2,15 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cachecast.equal_cache import equal_placement, equal_scheme, rate_eq
-from cachecast.unequal import (
-    UnequalConfig,
-    build_two_stage,
-    rate_ueq,
-    two_stage_delivery,
-    two_stage_placement,
-    unequal_params,
-)
+from cachecast.equal_cache import equal_placement, rate_eq
+from cachecast.simulator import SchemeInstance
+from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
 
 WORKED = UnequalConfig(4, 4, 3, 2, 1)
 
@@ -119,7 +113,7 @@ class TestRateUeq:
 
 class TestTwoStagePlacement:
     def test_worked_example_caches(self):
-        pl = two_stage_placement(WORKED)
+        pl = build_two_stage(WORKED).placement
         # user 1: stage 1 gives the first quarter of every file; stage 2 adds
         # the first halves of quarters 2 and 3 (A'_2, A'_3 and friends)
         ivs = pl.user_intervals(1)
@@ -134,12 +128,12 @@ class TestTwoStagePlacement:
         assert pl.user_load(4) == 1
 
     def test_degenerate_matches_equal_placement(self):
-        pl = two_stage_placement(UnequalConfig(4, 4, 3, 1, 1))
+        pl = build_two_stage(UnequalConfig(4, 4, 3, 1, 1)).placement
         assert set(pl.subfiles) == set(equal_placement(4, 4, 1).subfiles)
 
     def test_budget_exact(self):
         cfg = UnequalConfig(6, 4, 2, 3, Fraction(3, 2))
-        pl = two_stage_placement(cfg)
+        pl = build_two_stage(cfg).placement
         for user in (1, 2):
             assert pl.user_load(user) == 3
         for user in (3, 4):
@@ -155,7 +149,7 @@ class TestTwoStagePlacement:
         ],
     )
     def test_budget_over_scenarios(self, cfg):
-        pl = two_stage_placement(cfg)
+        pl = build_two_stage(cfg).placement
         for user in cfg.large_users:
             assert pl.user_load(user) == cfg.Mhat
         for user in cfg.small_users:
@@ -163,12 +157,12 @@ class TestTwoStagePlacement:
 
     def test_empty_pool_keeps_stage_one(self):
         cfg = UnequalConfig(4, 4, 1, 4, 3)
-        pl = two_stage_placement(cfg)
+        pl = build_two_stage(cfg).placement
         assert set(pl.subfiles) == set(equal_placement(4, 4, 3).subfiles)
 
     def test_scenario_two_large_users_cache_everything_on_rest_share(self):
         cfg = UnequalConfig(4, 4, 3, 4, 1)  # gamma = 0: rest share is the file
-        pl = two_stage_placement(cfg)
+        pl = build_two_stage(cfg).placement
         for user in (1, 2, 3):
             assert pl.user_intervals(user)[1] == [(Fraction(0), Fraction(1))]
             assert pl.user_load(user) == 4
@@ -176,8 +170,7 @@ class TestTwoStagePlacement:
 
 class TestTwoStageDelivery:
     def test_worked_example_structure(self):
-        pl = two_stage_placement(WORKED)
-        plan = two_stage_delivery(WORKED, pl, (1, 2, 3, 4))
+        plan = build_two_stage(WORKED).plan((1, 2, 3, 4))
         assert plan.total_load == 1
         pairs = [tx for tx in plan.transmissions if len(tx.parts) == 2]
         triples = [tx for tx in plan.transmissions if len(tx.parts) == 3]
@@ -186,20 +179,13 @@ class TestTwoStageDelivery:
 
     def test_degenerate_matches_equal_plan(self):
         cfg = UnequalConfig(4, 4, 3, 1, 1)
-        pl = two_stage_placement(cfg)
-        plan = two_stage_delivery(cfg, pl, (1, 2, 3, 4))
-        _, eq_plan = equal_scheme(4, 4, 1, (1, 2, 3, 4))
+        plan = build_two_stage(cfg).plan((1, 2, 3, 4))
+        eq_plan = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4))
         assert set(plan.transmissions) == set(eq_plan.transmissions)
 
-    def test_rejects_foreign_placement(self):
-        pl = equal_placement(4, 4, 1)
-        with pytest.raises(ValueError, match="placement"):
-            two_stage_delivery(WORKED, pl, (1, 2, 3, 4))
-
     def test_demand_validation(self):
-        pl = two_stage_placement(WORKED)
         with pytest.raises(ValueError, match="demand"):
-            two_stage_delivery(WORKED, pl, (1, 2, 3, 9))
+            build_two_stage(WORKED).plan((1, 2, 3, 9))
 
     @pytest.mark.parametrize(
         "cfg",

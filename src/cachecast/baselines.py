@@ -2,10 +2,9 @@
 
 Scheme 1 splits the system into K nested sub-problems — sub-problem i serves
 users 1..i with the cache headroom M_i - M_{i+1} and unicasts to the rest —
-and optimizes the file share beta_i given to each sub-problem.  The optimum
-has no closed form, so it is approximated by a simplex grid search followed
-by coordinate descent; the result is an upper bound on the true minimum and
-non-increasing in the grid resolution.
+and optimizes the file share beta_i given to each sub-problem.  Each
+sub-problem's rate is convex and piecewise linear in its share, so the exact
+optimum follows from sorting the pieces by slope; see ``scheme1_optimize``.
 
 Rates produced by schemes we do not implement (e.g. the exponential-size
 linear program for uncoded-placement/linear-delivery systems) are imported
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Rational, parse_rational
 from .equal_cache import rate_eq
@@ -39,93 +38,73 @@ class BetaAllocation:
             raise ValueError(f"beta must sum to 1, got {sum(self.beta)}")
 
 
-def _check_cache_vector(M_sorted: Sequence, N: int, K: int) -> list[Fraction]:
+def _cache_gaps(M_sorted: Sequence, N: int, K: int) -> list[Fraction]:
+    """Headroom M_i - M_{i+1} of each sub-problem i, with M_{K+1} = 0."""
     M = [Fraction(x) for x in M_sorted]
+    if K > N:
+        raise ValueError(f"unsupported regime K > N (K={K}, N={N})")
     if len(M) != K:
         raise ValueError(f"cache vector must have length K={K}")
     if any(M[i] < M[i + 1] for i in range(K - 1)):
         raise ValueError("cache vector must be sorted in descending order")
     if M and (M[-1] < 0 or M[0] > N):
         raise ValueError("cache sizes must lie in [0, N]")
-    return M
+    return [a - b for a, b in zip(M, M[1:] + [Fraction(0)])]
+
+
+def _layer_cost(N: int, K: int, i: int, gap: Rational, b: Rational) -> Rational:
+    """Rate of sub-problem i with file share b and cache headroom gap.
+
+    A zero share costs nothing, its gap left as unused cache (the limit of
+    ever smaller shares), and a per-user cache above N is clamped to N.
+    """
+    if b == 0:
+        return Fraction(0)
+    return b * rate_eq(N, i, min(gap / b, Fraction(N))) + b * (K - i)
 
 
 def scheme1_rate_at(
     beta: BetaAllocation | Sequence, N: int, K: int, M_sorted: Sequence
-) -> Rational | None:
-    """Sum rate of the K layered sub-problems under one beta allocation.
-
-    Returns None when infeasible: a sub-problem with zero file share cannot
-    absorb a positive cache gap.  A per-user cache exceeding N is clamped to
-    N, since cache beyond the whole library is wasted.
-    """
+) -> Rational:
+    """Sum rate of the K layered sub-problems under one beta allocation."""
     if not isinstance(beta, BetaAllocation):
         beta = BetaAllocation(tuple(beta))
-    M = _check_cache_vector(M_sorted, N, K)
-    M.append(Fraction(0))  # M_{K+1} = 0
-    total = Fraction(0)
-    for i in range(1, K + 1):
-        gap = M[i - 1] - M[i]
-        b = beta.beta[i - 1]
-        if b == 0:
-            if gap == 0:
-                continue
-            return None
-        cache = gap / b
-        if cache > N:
-            cache = Fraction(N)
-        total += b * rate_eq(N, i, cache) + b * (K - i)
-    return total
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
+    gaps = _cache_gaps(M_sorted, N, K)
+    return sum(_layer_cost(N, K, i + 1, gaps[i], beta.beta[i]) for i in range(K))
 
 
 def scheme1_optimize(
-    N: int, K: int, M_sorted: Sequence, resolution: int = 64
+    N: int, K: int, M_sorted: Sequence
 ) -> tuple[BetaAllocation, Rational]:
-    """Best beta found by simplex grid search plus coordinate descent.
+    """The exact scheme-1 optimum and a beta allocation attaining it.
 
-    Ties break toward the lexicographically smallest beta, so the result is
-    deterministic.  The value is an upper bound on the scheme-1 optimum.
+    Each sub-problem's cost is convex and piecewise linear in its share b,
+    with breakpoints where its cache gap/b crosses a multiple of N/i, that is
+    at b = gap*i/(t*N) for t = 1..i.  So the problem is a separable convex
+    program over the simplex: cut every cost at its breakpoints in [0, 1] and
+    hand out the unit of file mass to the pieces in order of slope.  Ties go
+    to the lower layer, which keeps the result deterministic.
     """
-    if resolution < 8:
-        raise ValueError(f"resolution must be at least 8, got {resolution}")
-    M = _check_cache_vector(M_sorted, N, K)
-    best: tuple[Rational, tuple[Rational, ...]] | None = None
-    for comp in _compositions(resolution, K):
-        beta = tuple(Fraction(c, resolution) for c in comp)
-        value = scheme1_rate_at(beta, N, K, M)
-        if value is not None and (best is None or (value, beta) < best):
-            best = (value, beta)
-    if best is None:
-        raise ValueError("no feasible beta allocation on the grid")
-    value, beta = best
-    step = Fraction(1, resolution)
-    floor_step = Fraction(1, resolution * 256)
-    while step >= floor_step:
-        improved = False
-        for i in range(K):
-            for j in range(K):
-                if i == j or beta[j] < step:
-                    continue
-                cand = list(beta)
-                cand[i] += step
-                cand[j] -= step
-                cand_t = tuple(cand)
-                v = scheme1_rate_at(cand_t, N, K, M)
-                if v is not None and (v, cand_t) < (value, beta):
-                    value, beta = v, cand_t
-                    improved = True
-        if not improved:
-            step /= 2
-    return BetaAllocation(beta), value
+    gaps = _cache_gaps(M_sorted, N, K)
+    pieces = []
+    for i in range(1, K + 1):
+        gap = gaps[i - 1]
+        cuts = sorted({Fraction(0), Fraction(1)} | {
+            b for t in range(1, i + 1) if 0 < (b := gap * i / (t * N)) < 1
+        })
+        costs = [_layer_cost(N, K, i, gap, b) for b in cuts]
+        for lo, hi, c_lo, c_hi in zip(cuts, cuts[1:], costs, costs[1:]):
+            pieces.append(((c_hi - c_lo) / (hi - lo), i, lo, hi))
+    beta = [Fraction(0)] * K
+    left = Fraction(1)
+    for _, i, lo, hi in sorted(pieces):
+        take = min(hi - lo, left)
+        beta[i - 1] += take
+        left -= take
+        if left == 0:
+            break
+    alloc = BetaAllocation(tuple(beta))
+    return alloc, scheme1_rate_at(alloc, N, K, M_sorted)
 
 
 def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:

@@ -10,12 +10,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .baselines import import_external_rates, scheme1_optimize
-from .core import format_rational, parse_rational
+from .core import MAX_ENUMERATION, format_rational, parse_rational
 from .simulator import SchemeInstance, report_lines, verify_demands
 from .unequal import RateReport, UnequalConfig, equal_rate_report, rate_ueq
 
@@ -37,8 +38,14 @@ def _dec(x: Fraction) -> str:
     return f"{float(x):.12g}"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is invalid input: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cachecast",
         description="Coded-caching rates, sweeps, and bit-exact verification "
         "for systems with two cache sizes.",
@@ -57,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="rate at a single parameter point")
     add_common(p_rate)
-    p_rate.add_argument("--resolution", type=int, help="scheme1 grid resolution")
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="rate rows over a parameter grid")
@@ -72,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--external-rates", dest="external_rates",
                          help="table of externally computed rates to attach")
     p_sweep.add_argument("--jobs", type=int, help="worker processes")
-    p_sweep.add_argument("--resolution", type=int, help="scheme1 grid resolution")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="bit-exact decode verification")
@@ -111,7 +116,7 @@ class Options:
         return value
 
 
-def _point_report(scheme: str, N: int, K: int, L, Mhat, M, resolution: int) -> RateReport:
+def _point_report(scheme: str, N: int, K: int, L, Mhat, M) -> RateReport:
     if scheme == "equal":
         rep = equal_rate_report(N, K, M)
         return rep
@@ -119,7 +124,7 @@ def _point_report(scheme: str, N: int, K: int, L, Mhat, M, resolution: int) -> R
         return rate_ueq(UnequalConfig(N, K, L, Mhat, M))
     if scheme == "scheme1":
         caches = [Mhat] * L + [M] * (K - L)
-        _, value = scheme1_optimize(N, K, caches, resolution)
+        _, value = scheme1_optimize(N, K, caches)
         return RateReport(scheme="scheme1", N=N, K=K, M=M, L=L, Mhat=Mhat, rate=value)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -131,11 +136,10 @@ def cmd_rate(opts: Options) -> int:
     scheme = opts.get("scheme", "proposed")
     L = opts.get("L", cast=int)
     Mhat = opts.get("Mhat", cast=_rat)
-    resolution = opts.get("resolution", 64, int)
     if scheme in ("proposed", "scheme1"):
         if L is None or Mhat is None:
             raise ValueError(f"scheme {scheme} needs --L and --Mhat")
-    rep = _point_report(scheme, N, K, L, Mhat, M, resolution)
+    rep = _point_report(scheme, N, K, L, Mhat, M)
     print(f"rate {format_rational(rep.rate)} ({_dec(rep.rate)})")
     print(f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
           f"Mhat={'' if rep.Mhat is None else rep.Mhat} M={rep.M}")
@@ -166,8 +170,8 @@ def _report_row(rep: RateReport, L, Mhat) -> dict[str, str]:
 
 
 def _eval_sweep_task(task) -> dict[str, str]:
-    scheme, N, K, L, Mhat, M, resolution = task
-    rep = _point_report(scheme, N, K, L, Mhat, M, resolution)
+    scheme, N, K, L, Mhat, M = task
+    rep = _point_report(scheme, N, K, L, Mhat, M)
     return _report_row(rep, L, Mhat)
 
 
@@ -190,15 +194,14 @@ def cmd_sweep(opts: Options) -> int:
     mhat_factor = opts.get("mhat_factor", cast=_rat)
     fixed_M = opts.get("M", cast=_rat)
     fixed_Mhat = opts.get("Mhat", cast=_rat)
-    resolution = opts.get("resolution", 64, int)
     fmt = opts.get("format", "csv")
     jobs = opts.get("jobs", 1, int)
 
-    axis_values = []
-    x = start
-    while x <= stop:
-        axis_values.append(x)
-        x += step
+    count = max(0, math.floor((stop - start) / step) + 1)
+    grid_size = count**2 if axis == "both" else count
+    if grid_size > MAX_ENUMERATION:
+        raise ValueError(f"sweep grid has {grid_size} points (limit {MAX_ENUMERATION})")
+    axis_values = [start + j * step for j in range(count)]
     if not axis_values:
         raise ValueError("empty sweep grid")
 
@@ -229,7 +232,7 @@ def cmd_sweep(opts: Options) -> int:
         raise ValueError("empty sweep grid")
 
     tasks = [
-        (scheme, N, K, L, mhat, m, resolution)
+        (scheme, N, K, L, mhat, m)
         for (mhat, m) in points
         for scheme in schemes
     ]
@@ -247,7 +250,7 @@ def cmd_sweep(opts: Options) -> int:
         matched = set()
         worst_ratio = None
         for task, row in zip(tasks, rows):
-            scheme, n, k, l, mhat, m, _ = task
+            scheme, n, k, l, mhat, m = task
             key = (n, k, l, mhat, m)
             row["external"] = row["ratio_external"] = ""
             if key in table:

@@ -17,6 +17,10 @@ Rational = Fraction
 # Canonical user-set representation: sorted, duplicate-free tuple of indices.
 UserSet = tuple[int, ...]
 
+# Most demand vectors or sweep points a command enumerates; a larger count is
+# refused before any work starts.
+MAX_ENUMERATION = 10**6
+
 
 def binom(a: int, b: int) -> int:
     """C(a, b), taken to be 0 when b > a or b < 0.

@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Rational, format_rational, lcm_denominators, users_range
+from .core import (
+    MAX_ENUMERATION, Rational, format_rational, lcm_denominators, users_range,
+)
 from .equal_cache import (
     DeliveryPlan,
     Part,
@@ -38,6 +40,10 @@ from .unequal import (
     equal_rate_report,
     rate_ueq,
 )
+
+
+# Most bytes materialize may allocate: K*N*F_bits of masks, N*F_bits of files.
+MAX_MATERIALIZE_BYTES = 2**30
 
 
 def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
@@ -105,6 +111,10 @@ def materialize(
     needed = required_bits(placement, *( [plan] if plan is not None else [] ))
     if F_bits is None:
         F_bits = needed
+    nbytes = (placement.K + 1) * placement.N * F_bits
+    if nbytes > MAX_MATERIALIZE_BYTES:
+        raise ValueError(f"F_bits = {F_bits} needs {nbytes} bytes of masks and "
+                         f"file store (limit {MAX_MATERIALIZE_BYTES})")
     rng = np.random.default_rng(seed)
     store = FileStore(rng.integers(0, 2, size=(placement.N, F_bits), dtype=np.uint8))
     masks = np.zeros((placement.K, placement.N, F_bits), dtype=bool)
@@ -312,7 +322,7 @@ class SchemeInstance:
 
 
 def enumerate_demands(
-    N: int, K: int, mode: str, max_demands: int = 10**6
+    N: int, K: int, mode: str, max_demands: int = MAX_ENUMERATION
 ) -> Iterator[tuple[int, ...]]:
     """Demand vectors to test: all N^K of them, or all distinct assignments.
 
@@ -341,7 +351,7 @@ def worst_case_load(
     inst: SchemeInstance,
     mode: str = "distinct",
     seed: int = 0,
-    max_demands: int = 10**6,
+    max_demands: int = MAX_ENUMERATION,
 ) -> Rational:
     """Max over enumerated demands of actually-transmitted bits / F_bits.
 
@@ -379,7 +389,7 @@ def verify_demands(
     inst: SchemeInstance,
     mode: str = "distinct",
     seed: int = 0,
-    max_demands: int = 10**6,
+    max_demands: int = MAX_ENUMERATION,
     flip_bit: tuple[int, int] | None = None,
 ) -> list[VerificationReport]:
     """Full decode verification over enumerated demands.

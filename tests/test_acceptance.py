@@ -167,15 +167,18 @@ def test_criterion_6_degenerate_limit_identities():
 def test_criterion_7_scheme_ordering_fig5_sweep():
     violations = []
     points = [Fraction(q, 4) for q in range(0, 14)] + [Fraction(10, 3)]
+    scheme1 = {}
     for M in points:
         Mhat = 3 * M
         prop = rate_ueq(UnequalConfig(10, 4, 2, Mhat, M)).rate
-        _, s1 = scheme1_optimize(10, 4, [Mhat, Mhat, M, M], resolution=64)
-        if prop > s1:
-            violations.append((M, prop, s1))
-    ok = not violations
-    _emit(7, ok, f"proposed <= scheme1 at all {len(points)} sweep points "
-                 f"(N=10, K=4, L=2, Mhat=3M, resolution 64)")
+        _, scheme1[M] = scheme1_optimize(10, 4, [Mhat, Mhat, M, M])
+        if prop > scheme1[M]:
+            violations.append((M, prop, scheme1[M]))
+    pinned = {Fraction(7, 4): Fraction(49, 30), Fraction(2): Fraction(23, 15),
+              Fraction(10, 3): Fraction(10, 9)}
+    ok = not violations and all(scheme1[M] == v for M, v in pinned.items())
+    _emit(7, ok, f"proposed <= exact scheme1 at all {len(points)} sweep points "
+                 f"(N=10, K=4, L=2, Mhat=3M)")
     assert ok
 
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -41,9 +43,10 @@ class TestScheme1RateAt:
         beta = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
         assert scheme1_rate_at(beta, 4, 4, [1, 1, 1, 1]) == rate_eq(4, 4, 1)
 
-    def test_zero_share_with_positive_gap_is_infeasible(self):
+    def test_zero_share_with_positive_gap_wastes_the_gap(self):
+        # continuous limit: the unused headroom of layers 1-3 costs nothing
         beta = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-        assert scheme1_rate_at(beta, 4, 4, TWO_LEVEL) is None
+        assert scheme1_rate_at(beta, 4, 4, TWO_LEVEL) == rate_eq(4, 4, 1)
 
     def test_cache_clamped_at_library_size(self):
         # x = 1/8 gives sub-problem 3 a cache of 8 > N = 4; excess is wasted
@@ -57,57 +60,70 @@ class TestScheme1RateAt:
 
 class TestScheme1Optimize:
     def test_equal_caches_optimum(self):
-        alloc, value = scheme1_optimize(4, 4, [1, 1, 1, 1], 8)
+        alloc, value = scheme1_optimize(4, 4, [1, 1, 1, 1])
         assert value == rate_eq(4, 4, 1)
         assert alloc.beta == (0, 0, 0, 1)
 
     def test_two_level_worked_point(self):
-        # true optimum 9/8 at beta = (0, 0, 3/8, 5/8); on-grid at res 8 and 64
-        alloc, value = scheme1_optimize(4, 4, TWO_LEVEL, 64)
+        alloc, value = scheme1_optimize(4, 4, TWO_LEVEL)
         assert value == Fraction(9, 8)
         assert alloc.beta == (0, 0, Fraction(3, 8), Fraction(5, 8))
 
-    def test_value_non_increasing_in_resolution(self):
-        caches = [Fraction(3), Fraction(3), Fraction(5, 4), Fraction(5, 4)]
-        values = [scheme1_optimize(10, 4, caches, r)[1] for r in (8, 16, 32)]
-        assert values[0] >= values[1] >= values[2]
+    def test_rejects_more_users_than_files(self):
+        for N, K in ((0, 1), (2, 3)):
+            with pytest.raises(ValueError, match="K > N"):
+                scheme1_optimize(N, K, [0] * K)
+
+    def test_wasted_gap_optimum(self):
+        # the small gap of layer 2 is best left unused
+        caches = [10, 10, Fraction(19, 2), Fraction(19, 2)]
+        alloc, value = scheme1_optimize(10, 4, caches)
+        assert value == Fraction(1, 20)
+        assert alloc.beta == (0, 0, 0, 1)
 
     def test_optimum_bounds_every_feasible_point(self):
-        _, value = scheme1_optimize(4, 4, TWO_LEVEL, 16)
+        _, value = scheme1_optimize(4, 4, TWO_LEVEL)
         for q in range(0, 17):
             beta = (Fraction(0), Fraction(0), Fraction(q, 16), 1 - Fraction(q, 16))
-            v = scheme1_rate_at(beta, 4, 4, TWO_LEVEL)
-            if v is not None:
-                assert value <= v
+            assert value <= scheme1_rate_at(beta, 4, 4, TWO_LEVEL)
+
+    def test_exact_optimum_on_random_cache_vectors(self):
+        # the optimum is attained by the returned beta and bounds every
+        # beta on the 1/12 simplex grid
+        rng = random.Random(20180611)
+        for _ in range(100):
+            N = rng.randint(1, 8)
+            K = rng.randint(1, min(4, N))
+            caches = sorted(
+                (Fraction(rng.randint(0, 9 * N), 9) for _ in range(K)), reverse=True
+            )
+            alloc, value = scheme1_optimize(N, K, caches)
+            assert value == scheme1_rate_at(alloc, N, K, caches)
+            for steps in product(range(13), repeat=K):
+                if sum(steps) == 12:
+                    beta = tuple(Fraction(q, 12) for q in steps)
+                    assert value <= scheme1_rate_at(beta, N, K, caches), (N, K, caches)
 
     def test_reduced_1d_search_matches_full_simplex(self):
         # with only two positive cache gaps, mass outside {beta_L, beta_K}
         # is wasted: the 1-D family must contain the full-simplex optimum
-        _, full = scheme1_optimize(4, 4, TWO_LEVEL, 16)
+        _, full = scheme1_optimize(4, 4, TWO_LEVEL)
         one_d = min(
-            v
-            for q in range(0, 17)
-            if (
-                v := scheme1_rate_at(
-                    (Fraction(0), Fraction(0), Fraction(q, 16), 1 - Fraction(q, 16)),
-                    4,
-                    4,
-                    TWO_LEVEL,
-                )
+            scheme1_rate_at(
+                (Fraction(0), Fraction(0), Fraction(q, 16), 1 - Fraction(q, 16)),
+                4,
+                4,
+                TWO_LEVEL,
             )
-            is not None
+            for q in range(0, 17)
         )
-        assert full <= one_d
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError, match="resolution"):
-            scheme1_optimize(4, 4, TWO_LEVEL, 4)
+        assert full == one_d
 
     @pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(1), Fraction(2)])
     def test_dominated_by_proposed_scheme(self, m):
         # the two-level sweep shape: caches (3m, 3m, m, m) on N=10, K=4
         caches = [3 * m, 3 * m, m, m]
-        _, s1 = scheme1_optimize(10, 4, caches, 16)
+        _, s1 = scheme1_optimize(10, 4, caches)
         prop = rate_ueq(UnequalConfig(10, 4, 2, 3 * m, m)).rate
         assert prop <= s1
 

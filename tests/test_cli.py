@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from cachecast.cli import main
 
 
@@ -34,10 +36,15 @@ class TestRate:
             "--Mhat", "2", "--M", "1", "--scheme", "scheme1",
         )
         assert code == 0
-        value = out.splitlines()[0].split()[1]
-        from cachecast.core import parse_rational
+        assert out.splitlines()[0] == "rate 9/8 (1.125)"
 
-        assert parse_rational(value) >= 1
+    def test_scheme1_at_eight_users(self, capsys):
+        code, out, _ = run(
+            capsys, "rate", "--N", "8", "--K", "8", "--L", "3",
+            "--Mhat", "7/2", "--M", "1", "--scheme", "scheme1",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "rate 7/2 (3.5)"
 
     def test_invalid_params_exit_one(self, capsys):
         code, _, err = run(
@@ -107,7 +114,7 @@ class TestSweep:
             capsys, "sweep", "--N", "10", "--K", "4", "--L", "2",
             "--Mhat-factor", "3", "--sweep-axis", "M",
             "--from", "1", "--to", "3", "--step", "1",
-            "--scheme", "proposed,scheme1", "--resolution", "16",
+            "--scheme", "proposed,scheme1",
         )
         assert code == 0
         from cachecast.core import parse_rational
@@ -153,6 +160,30 @@ class TestSweep:
         )
         assert code == 1
         assert "empty sweep grid" in err
+
+    def test_refuses_oversized_grid(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--N", "10", "--K", "4", "--L", "2",
+            "--Mhat-factor", "3", "--sweep-axis", "M",
+            "--from", "0", "--to", "10/3", "--step", "1/1000000000",
+        )
+        assert code == 1
+        assert "3333333334" in err
+
+    def test_unknown_flag_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--N", "4", "--K", "4", "--L", "2", "--Mhat", "2",
+                "--from", "0", "--to", "1", "--step", "1", "--bogus", "16",
+            ])
+        assert exc.value.code == 1
+        assert "--bogus" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--step" in capsys.readouterr().out
 
     def test_jobs_parallel_same_output(self, capsys):
         argv = [
@@ -215,6 +246,21 @@ class TestVerify:
         )
         assert code == 1
         assert "109027350432000" in err
+
+    def test_refuses_oversized_materialization(self, capsys, monkeypatch):
+        # 6 * 12 * F_bits bytes of masks and store: refused before numpy is asked
+        import cachecast.simulator
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("file contents drawn before the size check")
+
+        monkeypatch.setattr(cachecast.simulator.np.random, "default_rng", no_rng)
+        code, _, err = run(
+            capsys, "verify", "--N", "12", "--K", "5", "--L", "3",
+            "--Mhat", "99991/10007", "--M", "1/9973",
+        )
+        assert code == 1
+        assert "F_bits = 3592793196" in err and "258681110112 bytes" in err
 
 
 class TestConfigFile:

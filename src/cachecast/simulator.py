@@ -6,6 +6,13 @@ rounding ever happens: measured loads are compared to formula rates with
 exact equality.  Decoding is genuinely adversarial — a user only reads bits
 its cache covers, cancels them from the received XOR, and the reassembled
 file is compared bit-for-bit against the server's copy.
+
+``compile_plan`` is the one step that turns a plan's rational segments into
+bits: integer arrays of part bounds, fixed once per plan and file size.  The
+XOR and the decoder then work on a matrix of file choices, one row per
+demand.  The load does not depend on the demand: retargeting a plan only
+swaps the files its parts read, and transmission widths are fixed when the
+plan is compiled.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,6 +51,8 @@ from .unequal import (
 
 # Most bytes materialize may allocate: K*N*F_bits of masks, N*F_bits of files.
 MAX_MATERIALIZE_BYTES = 2**30
+# Most bytes of per-demand working arrays one verification batch may hold.
+MAX_BATCH_BYTES = MAX_MATERIALIZE_BYTES // 16
 
 
 def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
@@ -73,9 +82,6 @@ class FileStore:
     def F_bits(self) -> int:
         return self.bits.shape[1]
 
-    def segment_bits(self, file: int, a: int, b: int) -> np.ndarray:
-        return self.bits[file - 1, a:b]
-
 
 @dataclass(frozen=True)
 class CacheImage:
@@ -83,22 +89,20 @@ class CacheImage:
 
     masks: np.ndarray  # shape (K, N, F_bits)
 
-    def covers(self, user: int, file: int, a: int, b: int) -> bool:
-        return bool(self.masks[user - 1, file - 1, a:b].all())
-
     def user_bits(self, user: int) -> int:
         return int(self.masks[user - 1].sum())
 
 
 def _bit_range(seg, F_bits: int) -> tuple[int, int]:
-    a = seg.start * F_bits
-    b = seg.stop * F_bits
-    if a.denominator != 1 or b.denominator != 1:
+    # in lowest terms, x * F_bits is an integer iff x's denominator divides F_bits
+    start, length = seg.start, seg.length
+    if F_bits % start.denominator or F_bits % length.denominator:
         raise ValueError(
             f"F_bits={F_bits} cannot realize segment of file {seg.file} at "
             f"[{seg.start}, {seg.stop}): boundaries must be integer bits"
         )
-    return int(a), int(b)
+    a = start.numerator * (F_bits // start.denominator)
+    return a, a + length.numerator * (F_bits // length.denominator)
 
 
 def materialize(
@@ -126,6 +130,207 @@ def materialize(
     return store, CacheImage(masks)
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledPlan:
+    """A delivery plan's bit geometry at one file size, as integer arrays.
+
+    A part is (transmission, target user, bit range [a, b)); every part of a
+    transmission has the transmission's width, so the widths, and with them
+    the load, are fixed here.  Which file a part reads is an input, a row of
+    a (demands, parts) file matrix, so one compiled plan serves every demand.
+    A user decodes with its *own* part, its first part in a transmission,
+    and cancels the others.
+    """
+
+    F_bits: int
+    target: np.ndarray  # (P,) user of each part, 0-based
+    files: np.ndarray  # (P,) file of each part in the compiled plan, 0-based
+    a: np.ndarray  # (P,) first bit of each part
+    b: np.ndarray  # (P,) end bit of each part
+    parts: list[int]  # transmission t has parts parts[t]:parts[t+1]
+    sent: list[int]  # and payload bits sent[t]:sent[t+1]
+    starts: np.ndarray  # first payload bit of each transmission that sends any
+    own: np.ndarray  # own parts of positive width, by user, then by first bit
+    own_tx: np.ndarray  # index into ``starts`` of each own part's transmission
+    cancel: np.ndarray  # for each own part in turn, the parts its user cancels
+    cancel_bounds: np.ndarray  # (len(own)+1,) group boundaries of ``cancel``
+
+    @property
+    def total_bits(self) -> int:
+        return self.sent[-1]
+
+    @property
+    def row_bytes(self) -> int:
+        """Working bytes one demand takes in a verification batch, rounded up:
+        its part bits, a few payload-sized arrays, and integer index rows."""
+        part_bits = int((self.b - self.a).sum())
+        return part_bits + 4 * self.total_bits + 64 * (len(self.a) + len(self.cancel) + 1)
+
+    def sent_column(self, transmission: int, bit: int) -> int:
+        """Payload column of one transmitted bit."""
+        if not self.total_bits:
+            raise ValueError("no transmitted bit to flip")
+        if not (0 <= transmission < len(self.sent) - 1
+                and 0 <= bit < self.sent[transmission + 1] - self.sent[transmission]):
+            raise ValueError(f"transmission {transmission} has no bit {bit}")
+        return self.sent[transmission] + bit
+
+
+def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
+    """Fix a plan's bit geometry at ``F_bits``, checking it once.
+
+    Every part boundary must be an integer bit, every part of a transmission
+    must have the same width, and no user may be sent a bit twice.  This is
+    the only place delivery turns rational offsets into bits.
+    """
+    target, files, a, b, tx_of, own = [], [], [], [], [], []
+    parts, sent = [0], [0]
+    for t, tx in enumerate(plan.transmissions):
+        width = None
+        users = set()
+        for part in tx.parts:
+            lo, hi = _bit_range(part.segment, F_bits)
+            if width is None:
+                width = hi - lo
+            elif hi - lo != width:
+                raise ValueError("unequal segment lengths inside one transmission")
+            if width and part.target not in users:
+                users.add(part.target)
+                own.append(len(a))
+            target.append(part.target - 1)
+            files.append(part.segment.file - 1)
+            a.append(lo)
+            b.append(hi)
+            tx_of.append(t)
+        parts.append(len(a))
+        sent.append(sent[-1] + (width or 0))
+    own.sort(key=lambda p: (target[p], a[p]))
+    for p, q in zip(own, own[1:]):
+        if target[p] == target[q] and a[q] < b[p]:
+            raise ValueError(f"plan sends user {target[q] + 1} bits "
+                             f"[{a[q]}, {min(b[p], b[q])}) of its file twice")
+    nonempty = [t for t in range(len(sent) - 1) if sent[t + 1] > sent[t]]
+    starts = [sent[t] for t in nonempty]
+    cancel, cancel_bounds = [], [0]
+    for p in own:
+        t = tx_of[p]
+        cancel.extend(range(parts[t], p))
+        cancel.extend(range(p + 1, parts[t + 1]))
+        cancel_bounds.append(len(cancel))
+    return CompiledPlan(
+        F_bits=F_bits,
+        target=np.array(target, dtype=np.int64),
+        files=np.array(files, dtype=np.int64),
+        a=np.array(a, dtype=np.int64),
+        b=np.array(b, dtype=np.int64),
+        parts=parts,
+        sent=sent,
+        starts=np.array(starts, dtype=np.int64),
+        own=np.array(own, dtype=np.int64),
+        own_tx=np.searchsorted(nonempty, [tx_of[p] for p in own]),
+        cancel=np.array(cancel, dtype=np.int64),
+        cancel_bounds=np.array(cancel_bounds, dtype=np.int64),
+    )
+
+
+# The plan compiled last, with its compilation: ``execute_delivery`` and
+# ``decode_all`` of one plan share it.  Plans are immutable and the entry
+# keeps its plan alive, so identity is a safe key.
+_last_compiled: tuple = (None, None)
+
+
+def _compile_once(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
+    global _last_compiled
+    last, cp = _last_compiled
+    if last is not plan or cp.F_bits != F_bits:
+        cp = compile_plan(plan, F_bits)
+        _last_compiled = (plan, cp)
+    return cp
+
+
+def _group_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row sums over consecutive column groups; an empty group sums to 0."""
+    run = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.int64)
+    np.cumsum(values, axis=1, out=run[:, 1:])
+    return run[:, bounds[1:]] - run[:, bounds[:-1]]
+
+
+def _part_bits(cp: CompiledPlan, store: FileStore, files: np.ndarray) -> list[np.ndarray]:
+    """Each part's bits as an (n, width) block; row i reads ``files[i, part]``."""
+    return [store.bits[files[:, p], a:b]
+            for p, (a, b) in enumerate(zip(cp.a.tolist(), cp.b.tolist()))]
+
+
+def _xor(cp: CompiledPlan, blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """(n, payload bits) array: each transmission XORs its parts' blocks."""
+    sent = np.zeros((n, cp.total_bits), dtype=np.uint8)
+    for t in range(len(cp.parts) - 1):
+        payload = sent[:, cp.sent[t]:cp.sent[t + 1]]
+        for q in range(cp.parts[t], cp.parts[t + 1]):
+            payload ^= blocks[q]
+    return sent
+
+
+def _cache_misses(caches: CacheImage, cp: CompiledPlan, rows: np.ndarray) -> tuple:
+    """Bits the caches lack on ``rows`` (user * N + file): ``(slot, per_part,
+    per_file)``, where row r's counts sit at index ``slot[r]``."""
+    K, N, F = caches.masks.shape
+    run = np.zeros((len(rows), F + 1), dtype=np.int64)
+    np.cumsum(~caches.masks.reshape(K * N, F)[rows], axis=1, out=run[:, 1:])
+    slot = np.zeros(K * N, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    return slot, run[:, cp.b] - run[:, cp.a], run[:, F]
+
+
+def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """(n, own parts): whether a user recovers wrong bits with each own part.
+
+    With own part p of transmission t a user recovers sent_t XOR the other
+    parts of t, read from its cache, and wants part p as the server has it.
+    Both sides XORed with part p give sent_t and clean_t, the XOR of all of
+    t's parts read from the server's files: the user is wrong exactly where
+    they differ.
+    """
+    n = len(sent)
+    if not cp.starts.size:
+        return np.zeros((n, 0), dtype=bool)
+    differs = np.logical_or.reduceat(sent != _xor(cp, blocks, n), cp.starts, axis=1)
+    return differs[:, cp.own_tx]
+
+
+def _decode(cp: CompiledPlan, misses: tuple, want: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+    """(n, K) decode outcome per demand ``want`` (0-based files) and user.
+
+    A user uses its own part of a transmission only if its cache covers every
+    other part, at the file that part's user wants, and then must recover
+    the right bits (``wrong`` says where it does not).  Every bit its cache
+    lacks must arrive that way; own parts of one user never overlap
+    (``compile_plan``), so counting the arrived bits suffices.
+    """
+    slot, per_part, per_file = misses
+    K = want.shape[1]
+    N = len(slot) // K
+    owner = cp.target[cp.own]
+    cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
+    cancel_file = want[:, cp.target[cp.cancel]]
+    missing = per_part[slot[cancel_user * N + cancel_file], cp.cancel]
+    usable = _group_sum(missing, cp.cancel_bounds) == 0
+    filled = per_part[slot[owner * N + want[:, owner]], cp.own] * usable
+    by_user = np.searchsorted(owner, np.arange(K + 1))
+    complete = _group_sum(filled, by_user) == per_file[slot[np.arange(K) * N + want]]
+    return complete & (_group_sum(usable & wrong, by_user) == 0)
+
+
+def _formula_bits(rate: Rational, F_bits: int) -> int:
+    scaled = rate * F_bits
+    if scaled.denominator != 1:
+        raise ValueError(
+            f"F_bits={F_bits} cannot realize the formula rate "
+            f"{format_rational(rate)}: {scaled} bits is not an integer"
+        )
+    return int(scaled)
+
+
 @dataclass(frozen=True)
 class TransmissionLog:
     """Payloads actually sent, aligned with a plan's transmission list."""
@@ -139,20 +344,9 @@ class TransmissionLog:
 
 def execute_delivery(store: FileStore, plan: DeliveryPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files."""
-    payloads = []
-    for tx in plan.transmissions:
-        acc: np.ndarray | None = None
-        width = None
-        for part in tx.parts:
-            a, b = _bit_range(part.segment, store.F_bits)
-            if width is None:
-                width = b - a
-            elif width != b - a:
-                raise ValueError("unequal segment lengths inside one transmission")
-            piece = store.segment_bits(part.segment.file, a, b)
-            acc = piece.copy() if acc is None else acc ^ piece
-        payloads.append(acc if acc is not None else np.zeros(0, dtype=np.uint8))
-    return TransmissionLog(tuple(payloads))
+    cp = _compile_once(plan, store.F_bits)
+    sent = _xor(cp, _part_bits(cp, store, cp.files[None, :]), 1)[0]
+    return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
 @dataclass(frozen=True)
@@ -190,56 +384,39 @@ def decode_all(
     """Run every user's decoder and compare reassembled files to the truth.
 
     A user cancels a transmission's other parts only where its own cache
-    covers them; recovered ranges overwrite the assembled file, so any
-    corruption in the log surfaces as a bit mismatch, never as a silent pass.
+    covers them, and every bit it recovers must equal the server's copy, so
+    any corruption in the log surfaces as a bit mismatch, never as a silent
+    pass.  A user passes when its cache and its recovered bits cover its
+    whole file.
     """
     F = store.F_bits
     K = caches.masks.shape[0]
     d = check_demands(d, store.N, K)
-    user_ok = []
-    for user in range(1, K + 1):
-        want = d[user - 1]
-        covered = caches.masks[user - 1, want - 1].copy()
-        assembled = np.where(covered, store.bits[want - 1], 0).astype(np.uint8)
-        for tx, payload in zip(plan.transmissions, log.payloads):
-            mine = [p for p in tx.parts if p.target == user]
-            if not mine:
-                continue
-            seg = mine[0].segment
-            acc = payload.copy()
-            usable = True
-            for part in tx.parts:
-                if part is mine[0]:
-                    continue
-                a, b = _bit_range(part.segment, F)
-                if not caches.covers(user, part.segment.file, a, b):
-                    usable = False
-                    break
-                acc ^= store.segment_bits(part.segment.file, a, b)
-            if not usable:
-                continue
-            a, b = _bit_range(seg, F)
-            assembled[a:b] = acc
-            covered[a:b] = True
-        ok = bool(covered.all()) and bool(
-            np.array_equal(assembled, store.bits[want - 1])
-        )
-        user_ok.append(ok)
-    if formula_rate is not None:
-        scaled = formula_rate * F
-        if scaled.denominator != 1:
-            raise ValueError(
-                f"F_bits={F} cannot realize the formula rate "
-                f"{format_rational(formula_rate)}: {scaled} bits is not an integer"
-            )
-        formula_bits = int(scaled)
-    else:
-        formula_bits = log.total_bits
+    cp = _compile_once(plan, F)
+    want = np.array([d], dtype=np.int64) - 1
+    files = want[:, cp.target]
+    stray = np.flatnonzero(files[0] != cp.files)
+    if stray.size:
+        p = stray[0]
+        raise ValueError(f"plan does not serve demand {d}: a part for user "
+                         f"{cp.target[p] + 1} carries file {cp.files[p] + 1}")
+    if [len(p) for p in log.payloads] != np.diff(cp.sent).tolist():
+        raise ValueError("transmission log does not match the plan's widths")
+    sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
+    # the only cache rows (user * N + file) the decoders read
+    cancel_user = cp.target[cp.own].repeat(np.diff(cp.cancel_bounds))
+    rows = np.unique(np.concatenate((
+        cancel_user * store.N + files[0, cp.cancel],
+        np.arange(K) * store.N + want[0],
+    )))
+    wrong = _recovery_errors(cp, sent[None, :], _part_bits(cp, store, files))
+    ok = _decode(cp, _cache_misses(caches, cp, rows), want, wrong)
     return VerificationReport(
         demand=tuple(d),
-        user_ok=tuple(user_ok),
+        user_ok=tuple(ok[0].tolist()),
         measured_load_bits=log.total_bits,
-        formula_load_bits=formula_bits,
+        formula_load_bits=(log.total_bits if formula_rate is None
+                           else _formula_bits(formula_rate, F)),
         F_bits=F,
     )
 
@@ -347,44 +524,6 @@ def enumerate_demands(
     raise ValueError(f"unknown demand mode {mode!r}")
 
 
-def worst_case_load(
-    inst: SchemeInstance,
-    mode: str = "distinct",
-    seed: int = 0,
-    max_demands: int = MAX_ENUMERATION,
-) -> Rational:
-    """Max over enumerated demands of actually-transmitted bits / F_bits.
-
-    Transmissions are executed for real (bits XORed out of the store); only
-    decoding is skipped, since the load does not depend on it.
-    """
-    demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
-    placement = inst.placement
-    template = inst.plan(tuple(range(1, inst.K + 1)))
-    store, _ = materialize(placement, template, seed=seed)
-    F = store.F_bits
-    # Geometry is demand-independent: precompute per-part bit ranges once.
-    geometry = [
-        [(p.target, *_bit_range(p.segment, F)) for p in tx.parts]
-        for tx in template.transmissions
-    ]
-    worst = None
-    for d in demands:
-        bits = 0
-        for parts in geometry:
-            acc: np.ndarray | None = None
-            for target, a, b in parts:
-                piece = store.segment_bits(d[target - 1], a, b)
-                acc = piece.copy() if acc is None else acc ^ piece
-            bits += 0 if acc is None else len(acc)
-        load = Fraction(bits, F)
-        if worst is None or load > worst:
-            worst = load
-    if worst is None:
-        raise ValueError("no demands enumerated")
-    return worst
-
-
 def verify_demands(
     inst: SchemeInstance,
     mode: str = "distinct",
@@ -392,28 +531,40 @@ def verify_demands(
     max_demands: int = MAX_ENUMERATION,
     flip_bit: tuple[int, int] | None = None,
 ) -> list[VerificationReport]:
-    """Full decode verification over enumerated demands.
+    """Full decode verification over enumerated demands, in batches.
+
+    The identity-demand template is compiled once.  A demand only chooses
+    which file each part reads (the part for user k reads file d[k]), so
+    transmission widths, and with them the load, cannot depend on the
+    demand.  Per demand the payloads are XORed from the file store and every
+    user decodes them as in ``decode_all``.  Batches hold at most
+    ``MAX_BATCH_BYTES`` of working arrays.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
     """
     demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
-    placement = inst.placement
     template = inst.plan(tuple(range(1, inst.K + 1)))
-    store, caches = materialize(placement, template, seed=seed)
+    store, caches = materialize(inst.placement, template, seed=seed)
+    F = store.F_bits
+    cp = compile_plan(template, F)
+    flip = None if flip_bit is None else cp.sent_column(*flip_bit)
+    formula_bits = _formula_bits(inst.formula_rate, F)
+    misses = _cache_misses(caches, cp, np.arange(inst.K * inst.N))
+    load_bits = cp.total_bits
+    rows = max(1, MAX_BATCH_BYTES // cp.row_bytes)
     reports = []
-    for d in demands:
-        plan = inst.plan(d)
-        log = execute_delivery(store, plan)
-        if flip_bit is not None:
-            t_idx, b_idx = flip_bit
-            payloads = list(log.payloads)
-            corrupted = payloads[t_idx].copy()
-            corrupted[b_idx] ^= 1
-            payloads[t_idx] = corrupted
-            log = TransmissionLog(tuple(payloads))
-        reports.append(
-            decode_all(caches, log, d, plan, store, formula_rate=inst.formula_rate)
+    while batch := list(islice(demands, rows)):
+        want = np.array(batch, dtype=np.int64) - 1
+        files = want[:, cp.target]
+        blocks = _part_bits(cp, store, files)
+        sent = _xor(cp, blocks, len(batch))
+        if flip is not None:
+            sent[:, flip] ^= 1
+        ok = _decode(cp, misses, want, _recovery_errors(cp, sent, blocks))
+        reports.extend(
+            VerificationReport(d, tuple(row), load_bits, formula_bits, F)
+            for d, row in zip(batch, ok.tolist())
         )
     return reports
 

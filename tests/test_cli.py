@@ -221,6 +221,17 @@ class TestVerify:
         assert code == 2
         assert "first failure" in out
 
+    @pytest.mark.parametrize("point", [
+        ("--L", "2", "--Mhat", "4", "--M", "4"),
+        ("--scheme", "equal", "--M", "4"),
+    ])
+    def test_injected_fault_without_transmissions_exits_one(self, capsys, point):
+        # full caches: the plan sends nothing, so there is no bit to corrupt
+        code, _, err = run(capsys, "verify", "--N", "4", "--K", "4", *point,
+                           "--inject-fault")
+        assert code == 1
+        assert err == "error: no transmitted bit to flip\n"
+
     def test_report_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
         code, _, _ = run(

@@ -1,11 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cachecast import simulator
 from cachecast.core import users_range
 from cachecast.equal_cache import (
     DeliveryPlan,
+    Part,
     equal_delivery,
     equal_params,
     equal_placement,
@@ -21,7 +24,6 @@ from cachecast.simulator import (
     report_lines,
     required_bits,
     verify_demands,
-    worst_case_load,
 )
 from cachecast.unequal import UnequalConfig, build_two_stage
 
@@ -147,6 +149,11 @@ class TestDecodeAll:
         assert lines[0] == "demand=1,2,3,4 status=ok,ok,ok,ok load=3/2"
 
 
+def worst_case_load(inst, **kwargs):
+    """Largest measured load over the verified demands."""
+    return max(r.measured_load for r in verify_demands(inst, **kwargs))
+
+
 class TestWorstCaseLoad:
     def test_equal_worked_example(self):
         inst = SchemeInstance("equal", 4, 4, Fraction(1))
@@ -162,11 +169,70 @@ class TestWorstCaseLoad:
     def test_exhaustive_refuses_large_instances(self):
         inst = SchemeInstance("equal", 30, 4, Fraction(1))
         with pytest.raises(ValueError, match="distinct"):
-            worst_case_load(inst, mode="exhaustive", max_demands=10**5)
+            verify_demands(inst, mode="exhaustive", max_demands=10**5)
 
     def test_distinct_mode_demand_count(self):
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
         assert len(list(enumerate_demands(3, 3, "exhaustive"))) == 27
+
+
+class TestBatches:
+    POINTS = [
+        (WORKED, "exhaustive"),
+        (SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2)),
+         "distinct"),
+        (SchemeInstance("equal", 5, 3, Fraction(7, 4)), "exhaustive"),
+    ]
+
+    @pytest.mark.parametrize("inst,mode", POINTS)
+    @pytest.mark.parametrize("flip_bit", [None, (0, 0), (1, 0)])
+    @pytest.mark.parametrize("batch_bytes", [1, 7 * 4096])
+    def test_small_batches_match_one_batch(self, monkeypatch, inst, mode, flip_bit,
+                                           batch_bytes):
+        whole = verify_demands(inst, mode=mode, flip_bit=flip_bit)
+        monkeypatch.setattr(simulator, "MAX_BATCH_BYTES", batch_bytes)
+        assert verify_demands(inst, mode=mode, flip_bit=flip_bit) == whole
+
+    def test_default_budget_is_one_batch_here(self):
+        template = WORKED.plan((1, 2, 3, 4))
+        cp = simulator.compile_plan(template, required_bits(WORKED.placement, template))
+        assert simulator.MAX_BATCH_BYTES // cp.row_bytes >= 4**4
+
+    def test_flip_out_of_range(self):
+        with pytest.raises(ValueError, match="transmission 99 has no bit 0"):
+            verify_demands(WORKED, flip_bit=(99, 0))
+
+
+class TestCompile:
+    def test_rejects_unequal_widths(self):
+        # Transmission refuses unequal parts when built; this one is altered after
+        _, plan, store, _ = worked_system()
+        tx = plan.transmissions[0]
+        seg = tx.parts[0].segment
+        short = Part(replace(seg, length=seg.length / 2), tx.parts[0].target)
+        object.__setattr__(tx, "parts", (short, *tx.parts[1:]))
+        with pytest.raises(ValueError, match="unequal segment lengths"):
+            simulator.compile_plan(DeliveryPlan((tx,)), store.F_bits)
+
+    def test_rejects_bits_sent_twice(self):
+        _, plan, store, _ = worked_system()
+        twice = DeliveryPlan(plan.transmissions[:1] * 2)
+        with pytest.raises(ValueError, match="of its file twice"):
+            simulator.compile_plan(twice, store.F_bits)
+
+    def test_load_is_fixed_at_compile_time(self):
+        template = WORKED.plan((1, 2, 3, 4))
+        F = required_bits(WORKED.placement, template)
+        cp = simulator.compile_plan(template, F)
+        assert cp.total_bits == WORKED.formula_rate * F
+        assert all(r.measured_load_bits == cp.total_bits
+                   for r in verify_demands(WORKED, mode="exhaustive"))
+
+    def test_decode_refuses_plan_for_another_demand(self):
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        with pytest.raises(ValueError, match="does not serve demand"):
+            decode_all(caches, log, (2, 2, 3, 4), plan, store)
 
 
 class TestPlanTemplate:

@@ -233,21 +233,6 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
     )
 
 
-# The plan compiled last, with its compilation: ``execute_delivery`` and
-# ``decode_all`` of one plan share it.  Plans are immutable and the entry
-# keeps its plan alive, so identity is a safe key.
-_last_compiled: tuple = (None, None)
-
-
-def _compile_once(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
-    global _last_compiled
-    last, cp = _last_compiled
-    if last is not plan or cp.F_bits != F_bits:
-        cp = compile_plan(plan, F_bits)
-        _last_compiled = (plan, cp)
-    return cp
-
-
 def _group_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Row sums over consecutive column groups; an empty group sums to 0."""
     run = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.int64)
@@ -271,15 +256,20 @@ def _xor(cp: CompiledPlan, blocks: list[np.ndarray], n: int) -> np.ndarray:
     return sent
 
 
-def _cache_misses(caches: CacheImage, cp: CompiledPlan, rows: np.ndarray) -> tuple:
-    """Bits the caches lack on ``rows`` (user * N + file): ``(slot, per_part,
-    per_file)``, where row r's counts sit at index ``slot[r]``."""
+def _cache_misses(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Bits the caches lack, one row per (user * N + file): within each
+    part's range, shape (K*N, P), and in the whole file, shape (K*N,)."""
     K, N, F = caches.masks.shape
-    run = np.zeros((len(rows), F + 1), dtype=np.int64)
-    np.cumsum(~caches.masks.reshape(K * N, F)[rows], axis=1, out=run[:, 1:])
-    slot = np.zeros(K * N, dtype=np.int64)
-    slot[rows] = np.arange(len(rows))
-    return slot, run[:, cp.b] - run[:, cp.a], run[:, F]
+    rows = caches.masks.reshape(K * N, F)
+    cuts = np.unique(np.concatenate(([0, F], cp.a, cp.b)))
+    # held[:, i]: cached bits before cuts[i], summed one span at a time so
+    # no array larger than the masks is made
+    held = np.zeros((K * N, len(cuts)), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
+        held[:, i + 1] = rows[:, lo:hi].sum(axis=1, dtype=np.int64)
+    held = held.cumsum(axis=1)
+    lo, hi = np.searchsorted(cuts, cp.a), np.searchsorted(cuts, cp.b)
+    return (cp.b - cp.a) - (held[:, hi] - held[:, lo]), F - held[:, -1]
 
 
 def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
@@ -287,9 +277,8 @@ def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray
 
     With own part p of transmission t a user recovers sent_t XOR the other
     parts of t, read from its cache, and wants part p as the server has it.
-    Both sides XORed with part p give sent_t and clean_t, the XOR of all of
-    t's parts read from the server's files: the user is wrong exactly where
-    they differ.
+    XOR both with part p: they agree exactly where sent_t agrees with
+    clean_t, the XOR of all of t's parts read from the server's files.
     """
     n = len(sent)
     if not cp.starts.size:
@@ -298,7 +287,12 @@ def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray
     return differs[:, cp.own_tx]
 
 
-def _decode(cp: CompiledPlan, misses: tuple, want: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+def _decode(
+    cp: CompiledPlan,
+    misses: tuple[np.ndarray, np.ndarray],
+    want: np.ndarray,
+    wrong: np.ndarray,
+) -> np.ndarray:
     """(n, K) decode outcome per demand ``want`` (0-based files) and user.
 
     A user uses its own part of a transmission only if its cache covers every
@@ -307,17 +301,17 @@ def _decode(cp: CompiledPlan, misses: tuple, want: np.ndarray, wrong: np.ndarray
     lacks must arrive that way; own parts of one user never overlap
     (``compile_plan``), so counting the arrived bits suffices.
     """
-    slot, per_part, per_file = misses
+    per_part, per_file = misses
     K = want.shape[1]
-    N = len(slot) // K
+    N = len(per_file) // K
     owner = cp.target[cp.own]
     cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
     cancel_file = want[:, cp.target[cp.cancel]]
-    missing = per_part[slot[cancel_user * N + cancel_file], cp.cancel]
+    missing = per_part[cancel_user * N + cancel_file, cp.cancel]
     usable = _group_sum(missing, cp.cancel_bounds) == 0
-    filled = per_part[slot[owner * N + want[:, owner]], cp.own] * usable
+    filled = per_part[owner * N + want[:, owner], cp.own] * usable
     by_user = np.searchsorted(owner, np.arange(K + 1))
-    complete = _group_sum(filled, by_user) == per_file[slot[np.arange(K) * N + want]]
+    complete = _group_sum(filled, by_user) == per_file[np.arange(K) * N + want]
     return complete & (_group_sum(usable & wrong, by_user) == 0)
 
 
@@ -344,7 +338,7 @@ class TransmissionLog:
 
 def execute_delivery(store: FileStore, plan: DeliveryPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files."""
-    cp = _compile_once(plan, store.F_bits)
+    cp = compile_plan(plan, store.F_bits)
     sent = _xor(cp, _part_bits(cp, store, cp.files[None, :]), 1)[0]
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
@@ -392,7 +386,7 @@ def decode_all(
     F = store.F_bits
     K = caches.masks.shape[0]
     d = check_demands(d, store.N, K)
-    cp = _compile_once(plan, F)
+    cp = compile_plan(plan, F)
     want = np.array([d], dtype=np.int64) - 1
     files = want[:, cp.target]
     stray = np.flatnonzero(files[0] != cp.files)
@@ -403,14 +397,8 @@ def decode_all(
     if [len(p) for p in log.payloads] != np.diff(cp.sent).tolist():
         raise ValueError("transmission log does not match the plan's widths")
     sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
-    # the only cache rows (user * N + file) the decoders read
-    cancel_user = cp.target[cp.own].repeat(np.diff(cp.cancel_bounds))
-    rows = np.unique(np.concatenate((
-        cancel_user * store.N + files[0, cp.cancel],
-        np.arange(K) * store.N + want[0],
-    )))
     wrong = _recovery_errors(cp, sent[None, :], _part_bits(cp, store, files))
-    ok = _decode(cp, _cache_misses(caches, cp, rows), want, wrong)
+    ok = _decode(cp, _cache_misses(caches, cp), want, wrong)
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok[0].tolist()),
@@ -550,7 +538,7 @@ def verify_demands(
     cp = compile_plan(template, F)
     flip = None if flip_bit is None else cp.sent_column(*flip_bit)
     formula_bits = _formula_bits(inst.formula_rate, F)
-    misses = _cache_misses(caches, cp, np.arange(inst.K * inst.N))
+    misses = _cache_misses(caches, cp)
     load_bits = cp.total_bits
     rows = max(1, MAX_BATCH_BYTES // cp.row_bytes)
     reports = []

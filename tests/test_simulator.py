@@ -149,7 +149,7 @@ class TestDecodeAll:
         assert lines[0] == "demand=1,2,3,4 status=ok,ok,ok,ok load=3/2"
 
 
-def worst_case_load(inst, **kwargs):
+def largest_load(inst, **kwargs):
     """Largest measured load over the verified demands."""
     return max(r.measured_load for r in verify_demands(inst, **kwargs))
 
@@ -157,14 +157,14 @@ def worst_case_load(inst, **kwargs):
 class TestWorstCaseLoad:
     def test_equal_worked_example(self):
         inst = SchemeInstance("equal", 4, 4, Fraction(1))
-        assert worst_case_load(inst, mode="exhaustive") == Fraction(3, 2)
+        assert largest_load(inst, mode="exhaustive") == Fraction(3, 2)
 
     def test_proposed_worked_example(self):
-        assert worst_case_load(WORKED, mode="exhaustive") == 1
+        assert largest_load(WORKED, mode="exhaustive") == 1
 
     def test_full_cache_zero_load(self):
         inst = SchemeInstance("equal", 4, 4, Fraction(4))
-        assert worst_case_load(inst, mode="distinct") == 0
+        assert largest_load(inst, mode="distinct") == 0
 
     def test_exhaustive_refuses_large_instances(self):
         inst = SchemeInstance("equal", 30, 4, Fraction(1))

@@ -539,7 +539,6 @@ def verify_demands(
     flip = None if flip_bit is None else cp.sent_column(*flip_bit)
     formula_bits = _formula_bits(inst.formula_rate, F)
     misses = _cache_misses(caches, cp)
-    load_bits = cp.total_bits
     rows = max(1, MAX_BATCH_BYTES // cp.row_bytes)
     reports = []
     while batch := list(islice(demands, rows)):
@@ -551,7 +550,7 @@ def verify_demands(
             sent[:, flip] ^= 1
         ok = _decode(cp, misses, want, _recovery_errors(cp, sent, blocks))
         reports.extend(
-            VerificationReport(d, tuple(row), load_bits, formula_bits, F)
+            VerificationReport(d, tuple(row), cp.total_bits, formula_bits, F)
             for d, row in zip(batch, ok.tolist())
         )
     return reports

@@ -193,10 +193,15 @@ class TestBatches:
         monkeypatch.setattr(simulator, "MAX_BATCH_BYTES", batch_bytes)
         assert verify_demands(inst, mode=mode, flip_bit=flip_bit) == whole
 
-    def test_default_budget_is_one_batch_here(self):
-        template = WORKED.plan((1, 2, 3, 4))
-        cp = simulator.compile_plan(template, required_bits(WORKED.placement, template))
-        assert simulator.MAX_BATCH_BYTES // cp.row_bytes >= 4**4
+    @pytest.mark.parametrize("inst,mode", POINTS)
+    def test_batch_matches_single_demand_decoding(self, inst, mode):
+        template = inst.plan(tuple(range(1, inst.K + 1)))
+        store, caches = materialize(inst.placement, template)
+        for report in verify_demands(inst, mode=mode)[::7]:
+            plan = inst.plan(report.demand)
+            log = execute_delivery(store, plan)
+            assert decode_all(caches, log, report.demand, plan, store,
+                              formula_rate=inst.formula_rate) == report
 
     def test_flip_out_of_range(self):
         with pytest.raises(ValueError, match="transmission 99 has no bit 0"):

@@ -203,7 +203,7 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
             b.append(hi)
             tx_of.append(t)
         parts.append(len(a))
-        sent.append(sent[-1] + (width or 0))
+        sent.append(sent[-1] + width)
     own.sort(key=lambda p: (target[p], a[p]))
     for p, q in zip(own, own[1:]):
         if target[p] == target[q] and a[q] < b[p]:

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -21,6 +22,8 @@ from .simulator import SchemeInstance, report_lines, verify_demands
 from .unequal import RateReport, UnequalConfig, equal_rate_report, rate_ueq
 
 SCHEMES = ("equal", "proposed", "scheme1")
+# Config keys whose values must be JSON integers.
+INTEGER_KEYS = ("N", "K", "L", "seed", "jobs")
 
 CSV_COLUMNS = [
     "N", "K", "L", "Mhat", "M", "scheme", "rate_rational", "rate_decimal",
@@ -100,6 +103,13 @@ class Options:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 self._config = json.load(fh)
+            if not isinstance(self._config, dict):
+                raise ValueError(f"config file {args.config} must hold a JSON object")
+            for key in INTEGER_KEYS:
+                value = self._config.get(key)
+                if value is not None and type(value) is not int:
+                    raise ValueError(f"config value {key!r} must be an integer, "
+                                     f"got {value!r}")
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self._args, name, None)
@@ -196,6 +206,8 @@ def cmd_sweep(opts: Options) -> int:
     fixed_Mhat = opts.get("Mhat", cast=_rat)
     fmt = opts.get("format", "csv")
     jobs = opts.get("jobs", 1, int)
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
     count = max(0, math.floor((stop - start) / step) + 1)
     grid_size = count**2 if axis == "both" else count
@@ -236,8 +248,10 @@ def cmd_sweep(opts: Options) -> int:
         for (mhat, m) in points
         for scheme in schemes
     ]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once: never more than there is work or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_sweep_task, tasks))
     else:
         rows = [_eval_sweep_task(t) for t in tasks]

@@ -15,7 +15,11 @@ This module holds the one builder of each basic step, shared by both schemes:
   stage 1, and over the small users its scenario-2 remainder.
 - ``xor_delivery`` serves one layer over the user subsets a caller picks;
   ``equal_delivery`` runs it over both layers of an equal-cache layout, be it
-  a placement's or the refined pool's (see ``incremental.PoolIndex``).
+  a placement's or the refined pool's (see ``incremental.PoolIndex``).  Both
+  serve the identity demand, user k wanting file k.
+- ``retarget`` turns that identity-demand template into the plan for any
+  demand.  Every file is laid out alike, so a demand only swaps the file
+  each part reads; ``retarget`` is the one place a demand enters a plan.
 - ``split_segments`` cuts an ordered list of tagged segments at offsets; it
   aligns XOR parts here and splits subfiles in the pooled refinement.
 
@@ -26,9 +30,8 @@ bit-level realization only has to scale by one common denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .core import Rational, UserSet, binom, enumerate_subsets, users_range
@@ -160,18 +163,19 @@ class Placement:
                 raw.setdefault(sf.file, []).append((seg.start, seg.stop))
         return {f: merge_intervals(ivs) for f, ivs in raw.items()}
 
-    @cached_property
+    @property
     def stage1_content(self) -> dict[tuple[int, str, UserSet], tuple[Segment, ...]]:
-        """Map (file, layer, stage1 set) -> the subfile's contiguous content.
+        """Map (file, layer, stage1 set) -> the subfile's segments.
 
-        Refinement scatters a stage-1 subfile over several placement entries
-        but never moves a bit, so sorting the pieces by offset and fusing them
-        recovers the original contiguous range.
+        Only an unrefined placement has one subfile per key; refinement
+        scatters a stage-1 subfile over several entries.
         """
-        grouped: dict[tuple[int, str, UserSet], list[Segment]] = {}
-        for sf in self.subfiles:
-            grouped.setdefault((sf.file, sf.layer, sf.stage1_set), []).extend(sf.segments)
-        return {key: fuse_segments(segs) for key, segs in grouped.items()}
+        content = {
+            (sf.file, sf.layer, sf.stage1_set): sf.segments for sf in self.subfiles
+        }
+        if len(content) != len(self.subfiles):
+            raise ValueError("refined placement: its stage-1 subfiles are scattered")
+        return content
 
 
 def merge_intervals(
@@ -184,18 +188,6 @@ def merge_intervals(
         else:
             out.append((start, stop))
     return out
-
-
-def fuse_segments(segments: Sequence[Segment]) -> tuple[Segment, ...]:
-    """Sort pieces of one subfile by offset and fuse adjacent ranges."""
-    segs = sorted(segments, key=lambda s: s.start)
-    fused: list[Segment] = []
-    for seg in segs:
-        if fused and fused[-1].stop == seg.start and fused[-1].file == seg.file:
-            fused[-1] = replace(fused[-1], length=fused[-1].length + seg.length)
-        else:
-            fused.append(seg)
-    return tuple(fused)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,18 +361,16 @@ def xor_delivery(
     content: Mapping[tuple[int, str, UserSet], Sequence[Segment]],
     layer: str,
     subsets: Iterable[UserSet],
-    demand: Sequence[int],
 ) -> list[Transmission]:
-    """XOR delivery of one layer over the given user subsets.
+    """XOR delivery of one layer over the given user subsets, identity demand.
 
-    For each subset S, in order: the XOR over s in S of the piece of file
-    demand[s-1] owned by S - {s}, looked up as content[(file, layer, S - {s})].
+    For each subset S, in order: the XOR over s in S of the piece of file s
+    owned by S - {s}, looked up as content[(s, layer, S - {s})].
     """
     out: list[Transmission] = []
     for S in subsets:
         out.extend(aligned_transmissions([
-            (content[(demand[s - 1], layer, S[:i] + S[i + 1:])], s)
-            for i, s in enumerate(S)
+            (content[(s, layer, S[:i] + S[i + 1:])], s) for i, s in enumerate(S)
         ]))
     return out
 
@@ -390,16 +380,34 @@ def equal_delivery(
     ground: UserSet,
     t_int: int,
     alpha: Rational,
-    demand: Sequence[int],
 ) -> list[Transmission]:
     """XOR delivery of an equal-cache layout with parameters (t_int, alpha).
 
     The alpha layer is served over the (t_int+1)-subsets of ``ground``, the
     beta layer (present when alpha < 1) over the (t_int+2)-subsets.
     """
-    txs = xor_delivery(content, ALPHA, enumerate_subsets(ground, t_int + 1), demand)
+    txs = xor_delivery(content, ALPHA, enumerate_subsets(ground, t_int + 1))
     if alpha != 1:
-        txs.extend(
-            xor_delivery(content, BETA, enumerate_subsets(ground, t_int + 2), demand)
-        )
+        txs.extend(xor_delivery(content, BETA, enumerate_subsets(ground, t_int + 2)))
     return txs
+
+
+def retarget(template: DeliveryPlan, d: Sequence[int]) -> DeliveryPlan:
+    """The plan for demand ``d``: the part for user k reads file d[k-1].
+
+    ``template`` must serve the identity demand, every part carrying its
+    target's file; the rest of its geometry is the same for every demand.
+    """
+    txs = []
+    for tx in template.transmissions:
+        parts = []
+        for p in tx.parts:
+            if p.segment.file != p.target:
+                raise ValueError(
+                    f"template is not retargetable: part for user {p.target} "
+                    f"carries file {p.segment.file}"
+                )
+            seg = Segment(d[p.target - 1], p.segment.start, p.segment.length)
+            parts.append(Part(seg, p.target))
+        txs.append(Transmission(tuple(parts)))
+    return DeliveryPlan(tuple(txs))

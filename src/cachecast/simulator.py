@@ -10,15 +10,15 @@ file is compared bit-for-bit against the server's copy.
 ``compile_plan`` is the one step that turns a plan's rational segments into
 bits: integer arrays of part bounds, fixed once per plan and file size.  The
 XOR and the decoder then work on a matrix of file choices, one row per
-demand.  The load does not depend on the demand: retargeting a plan only
-swaps the files its parts read, and transmission widths are fixed when the
-plan is compiled.
+demand.  The load does not depend on the demand: a demand enters a plan only
+through ``equal_cache.retarget``, which swaps the files its parts read, and
+transmission widths are fixed when the plan is compiled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, permutations, product
@@ -31,22 +31,15 @@ from .core import (
 )
 from .equal_cache import (
     DeliveryPlan,
-    Part,
     Placement,
-    Transmission,
     check_demands,
     equal_delivery,
     equal_params,
     equal_placement,
     rate_eq,
+    retarget,
 )
-from .unequal import (
-    RateReport,
-    UnequalConfig,
-    build_two_stage,
-    equal_rate_report,
-    rate_ueq,
-)
+from .unequal import UnequalConfig, build_two_stage, rate_ueq
 
 
 # Most bytes materialize may allocate: K*N*F_bits of masks, N*F_bits of files.
@@ -418,9 +411,8 @@ def decode_all(
 class SchemeInstance:
     """One (scheme, parameter point): placement, plans, and the formula rate.
 
-    Plans for arbitrary demands come from a template built at the identity
-    demand vector (1..K): every XOR part is destined to exactly one user and
-    carries that user's file, so retargeting is a pure file substitution.
+    Each scheme builds its plan once, for the identity demand (user k wants
+    file k); ``plan`` retargets it to any demand with ``equal_cache.retarget``.
     """
 
     scheme: str  # "equal" | "proposed"
@@ -431,36 +423,22 @@ class SchemeInstance:
     Mhat: Rational | None = None
 
     @cached_property
-    def _impl(self):
-        ident = tuple(range(1, self.K + 1))
+    def _impl(self) -> tuple[Placement, DeliveryPlan, Rational]:
         if self.scheme == "equal":
             params = equal_params(self.N, self.K, self.M)
             placement = equal_placement(self.N, self.K, self.M)
             template = DeliveryPlan(tuple(equal_delivery(
                 placement.stage1_content, users_range(self.K),
-                params.t_int, params.alpha, ident,
+                params.t_int, params.alpha,
             )))
-            rate = rate_eq(self.N, self.K, self.M)
-            report = equal_rate_report(self.N, self.K, self.M)
-        elif self.scheme == "proposed":
+            return placement, template, rate_eq(self.N, self.K, self.M)
+        if self.scheme == "proposed":
             if self.L is None or self.Mhat is None:
                 raise ValueError("proposed scheme needs L and Mhat")
             cfg = UnequalConfig(self.N, self.K, self.L, self.Mhat, self.M)
             ctx = build_two_stage(cfg)
-            placement = ctx.placement
-            template = ctx.plan(ident)
-            report = rate_ueq(cfg)
-            rate = report.rate
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        for tx in template.transmissions:
-            for part in tx.parts:
-                if part.segment.file != part.target:
-                    raise ValueError(
-                        f"template is not retargetable: part for user {part.target} "
-                        f"carries file {part.segment.file}"
-                    )
-        return placement, template, rate, report
+            return ctx.placement, ctx.template, rate_ueq(cfg).rate
+        raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def placement(self) -> Placement:
@@ -470,20 +448,8 @@ class SchemeInstance:
     def formula_rate(self) -> Rational:
         return self._impl[2]
 
-    @property
-    def report(self) -> RateReport:
-        return self._impl[3]
-
     def plan(self, d: Sequence[int]) -> DeliveryPlan:
-        d = check_demands(d, self.N, self.K)
-        template = self._impl[1]
-        return DeliveryPlan(tuple(
-            Transmission(tuple(
-                Part(replace(p.segment, file=d[p.target - 1]), p.target)
-                for p in tx.parts
-            ))
-            for tx in template.transmissions
-        ))
+        return retarget(self._impl[1], check_demands(d, self.N, self.K))
 
 
 def enumerate_demands(
@@ -521,11 +487,12 @@ def verify_demands(
 ) -> list[VerificationReport]:
     """Full decode verification over enumerated demands, in batches.
 
-    The identity-demand template is compiled once.  A demand only chooses
-    which file each part reads (the part for user k reads file d[k]), so
-    transmission widths, and with them the load, cannot depend on the
-    demand.  Per demand the payloads are XORed from the file store and every
-    user decodes them as in ``decode_all``.  Batches hold at most
+    The identity-demand template is compiled once.  As in
+    ``equal_cache.retarget``, a demand only chooses which file each part
+    reads (the part for user k reads file d[k]), here as a row of the file
+    matrix, so transmission widths, and with them the load, cannot depend on
+    the demand.  Per demand the payloads are XORed from the file store and
+    every user decodes them as in ``decode_all``.  Batches hold at most
     ``MAX_BATCH_BYTES`` of working arrays.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before

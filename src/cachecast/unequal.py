@@ -6,16 +6,20 @@ the extra cache and lays out the equal-cache placement for (N, K, M)
 owned entirely inside the large-cache group: that pool behaves like a single
 file of length F' placed over L users, and the extra cache is filled by the
 pooled refinement (``incremental.refine_pool``) to the equal-cache layout for
-the derived cache size M' (see ``unequal_params``).  Delivery
-(``TwoStageContext.plan``) keeps every stage-one transmission that serves at
-least one small-cache user and replaces the rest with the pool's own
-equal-cache delivery; both go through ``equal_cache.xor_delivery``.
+the derived cache size M' (see ``unequal_params``).  Delivery keeps every
+stage-one transmission that serves at least one small-cache user and
+replaces the rest with the pool's own equal-cache delivery; both go through
+``equal_cache.xor_delivery``.
 
-When M' would exceed N (scenario 2, the last branch of ``build_two_stage``),
+When M' would exceed N (scenario 2, the first branch of ``build_two_stage``),
 files are split: a gamma share runs the construction at the boundary cache
 size Phi (where M' = N and the pool delivery disappears), and on the
 remaining share the large users store everything and drop out, leaving an
 equal-cache system over the K - L small users.
+
+``build_two_stage`` builds the placement and the plan for the identity
+demand once; ``TwoStageContext.plan`` hands that template to
+``equal_cache.retarget``, the one place a demand enters a plan.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from .equal_cache import (
     equal_params,
     equal_placement,
     rate_eq,
+    retarget,
     xor_delivery,
 )
-from .incremental import PoolIndex, refine_pool
+from .incremental import refine_pool
 
 
 @dataclass(frozen=True)
@@ -220,75 +225,57 @@ def _scale_plan(
 
 @dataclass(frozen=True)
 class TwoStageContext:
-    """Canonical placement of a config plus enough structure to build plans."""
+    """Canonical placement of a config and its identity-demand plan."""
 
     cfg: UnequalConfig
     params: UnequalParams
     placement: Placement
-    pool: PoolIndex | None = None                     # scenario 1
-    sub_full: "TwoStageContext | None" = None         # scenario 2, gamma share
-    rest_params: EqualCacheParams | None = None       # scenario 2, remainder share
-    rest_placement: Placement | None = None
+    template: DeliveryPlan
 
     def plan(self, d: Sequence[int]) -> DeliveryPlan:
-        d = check_demands(d, self.cfg.N, self.cfg.K)
-        return DeliveryPlan(tuple(self._transmissions(d)))
-
-    def _transmissions(self, d: tuple[int, ...]) -> list[Transmission]:
-        cfg, p = self.cfg, self.params
-        if p.scenario == 2:
-            txs = _scale_plan(self.sub_full._transmissions(d), p.gamma, ZERO)
-            rest = equal_delivery(
-                self.rest_placement.stage1_content, cfg.small_users,
-                self.rest_params.t_int, self.rest_params.alpha, d,
-            )
-            txs.extend(_scale_plan(rest, 1 - p.gamma, p.gamma))
-            return txs
-
-        # Stage 1: every transmission that serves a small-cache user, i.e. whose
-        # (sorted) subset S ends above L.  Those inside the large-cache group
-        # are replaced by the pool's delivery.
-        base = p.base
-        content = self.placement.stage1_content
-        txs: list[Transmission] = []
-        for layer in base.layers:
-            subsets = enumerate_subsets(users_range(cfg.K), base.layer_t(layer) + 1)
-            txs.extend(xor_delivery(
-                content, layer, [S for S in subsets if S[-1] > cfg.L], d
-            ))
-        if self.pool is not None:
-            pool = self.pool
-            txs.extend(equal_delivery(
-                pool.content, pool.pool_users, pool.t2_int, pool.alpha2, d
-            ))
-        return txs
+        return retarget(self.template, check_demands(d, self.cfg.N, self.cfg.K))
 
 
 def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
-    """Construct the canonical two-stage placement and its plan builder."""
+    """Construct the canonical two-stage placement and its identity-demand plan."""
     p = unequal_params(cfg)
-    if p.scenario == 1:
-        stage1 = equal_placement(cfg.N, cfg.K, cfg.M)
-        if p.pool_empty:
-            return TwoStageContext(cfg=cfg, params=p, placement=stage1)
-        second = equal_params(cfg.N, cfg.L, p.Mprime)
-        refined, pool = refine_pool(
-            stage1, cfg.large_users, second.t_int, second.alpha
+    if p.scenario == 2:
+        # gamma share at the boundary cache size Phi, remainder share with the
+        # large users caching everything and an equal-cache system left over
+        # the small users.
+        sub = build_two_stage(replace(cfg, Mhat=p.Phi))
+        rest = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
+        rest_placement = equal_placement(cfg.N, cfg.K, cfg.M, ground=cfg.small_users)
+        rest_txs = equal_delivery(
+            rest_placement.stage1_content, cfg.small_users, rest.t_int, rest.alpha
         )
-        return TwoStageContext(cfg=cfg, params=p, placement=refined, pool=pool)
+        gamma = p.gamma
+        subfiles = _scale_subfiles(sub.placement, gamma, ZERO) + _scale_subfiles(
+            rest_placement, 1 - gamma, gamma, add_owners=cfg.large_users
+        )
+        txs = _scale_plan(sub.template.transmissions, gamma, ZERO) + _scale_plan(
+            rest_txs, 1 - gamma, gamma
+        )
+        return TwoStageContext(
+            cfg, p, Placement(cfg.N, cfg.K, tuple(subfiles)), DeliveryPlan(tuple(txs))
+        )
 
-    # Scenario 2: gamma share at the boundary cache size Phi, remainder share
-    # with the large users caching everything and an equal-cache system left
-    # over the small users.
-    sub_full = build_two_stage(replace(cfg, Mhat=p.Phi))
-    rest_params = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
-    rest_placement = equal_placement(cfg.N, cfg.K, cfg.M, ground=cfg.small_users)
-    gamma = p.gamma
-    subfiles = _scale_subfiles(sub_full.placement, gamma, ZERO) + _scale_subfiles(
-        rest_placement, 1 - gamma, gamma, add_owners=cfg.large_users
-    )
-    merged = Placement(N=cfg.N, K=cfg.K, subfiles=tuple(subfiles))
-    return TwoStageContext(
-        cfg=cfg, params=p, placement=merged,
-        sub_full=sub_full, rest_params=rest_params, rest_placement=rest_placement,
-    )
+    # Stage 1: every transmission that serves a small-cache user, i.e. whose
+    # (sorted) subset S ends above L.  Those inside the large-cache group are
+    # replaced by the pool's delivery.
+    base = p.base
+    placement = equal_placement(cfg.N, cfg.K, cfg.M)
+    content = placement.stage1_content
+    txs: list[Transmission] = []
+    for layer in base.layers:
+        subsets = enumerate_subsets(users_range(cfg.K), base.layer_t(layer) + 1)
+        txs.extend(xor_delivery(content, layer, [S for S in subsets if S[-1] > cfg.L]))
+    if not p.pool_empty:
+        second = equal_params(cfg.N, cfg.L, p.Mprime)
+        placement, pool = refine_pool(
+            placement, cfg.large_users, second.t_int, second.alpha
+        )
+        txs.extend(equal_delivery(
+            pool.content, pool.pool_users, pool.t2_int, pool.alpha2
+        ))
+    return TwoStageContext(cfg, p, placement, DeliveryPlan(tuple(txs)))

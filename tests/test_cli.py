@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cachecast import cli
 from cachecast.cli import main
 
 
@@ -185,15 +186,47 @@ class TestSweep:
         assert exc.value.code == 0
         assert "--step" in capsys.readouterr().out
 
+    # four tasks: M in {0, 1, 2, 3}, scheme proposed
+    SMALL_SWEEP = (
+        "sweep", "--N", "6", "--K", "4", "--L", "2", "--Mhat", "3",
+        "--sweep-axis", "M", "--from", "0", "--to", "3", "--step", "1",
+        "--scheme", "proposed",
+    )
+
     def test_jobs_parallel_same_output(self, capsys):
-        argv = [
-            "sweep", "--N", "6", "--K", "4", "--L", "2", "--Mhat", "3",
-            "--sweep-axis", "M", "--from", "0", "--to", "3", "--step", "1",
-            "--scheme", "proposed",
-        ]
-        _, serial, _ = run(capsys, *argv)
-        _, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        _, serial, _ = run(capsys, *self.SMALL_SWEEP)
+        _, parallel, _ = run(capsys, *self.SMALL_SWEEP, "--jobs", "2")
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, capsys, jobs):
+        code, out, err = run(capsys, *self.SMALL_SWEEP, "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert f"error: --jobs must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("cpus,workers", [(64, 4), (3, 3), (1, None)])
+    def test_jobs_bounded_by_tasks_and_cpus(self, capsys, monkeypatch, cpus, workers):
+        started = []
+
+        class FakePool:  # records the worker count, starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _, serial, _ = run(capsys, *self.SMALL_SWEEP)
+        code, out, _ = run(capsys, *self.SMALL_SWEEP, "--jobs", "100000")
+        assert code == 0 and out == serial
+        assert started == ([] if workers is None else [workers])
 
 
 class TestVerify:
@@ -281,6 +314,25 @@ class TestConfigFile:
         code, out, _ = run(capsys, "rate", "--config", str(cfg))
         assert code == 0
         assert out.splitlines()[0] == "rate 3/2 (1.5)"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "4", '"N"'])
+    def test_config_must_be_an_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "rate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must hold a JSON object" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("N", 4.5), ("N", True), ("K", "4"), ("L", 3.0), ("seed", 1.5), ("jobs", False),
+    ])
+    def test_integer_keys_refuse_other_values(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        params = {"N": 4, "K": 4, "L": 3, "Mhat": "2", "M": "1"}
+        cfg.write_text(json.dumps({**params, key: value}))
+        code, out, err = run(capsys, "rate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"{key!r} must be an integer" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,10 +4,15 @@ import pytest
 
 from cachecast.core import binom
 from cachecast.equal_cache import (
+    DeliveryPlan,
+    Part,
+    Segment,
+    Transmission,
     equal_params,
     equal_placement,
     man_placement,
     rate_eq,
+    retarget,
 )
 from cachecast.simulator import SchemeInstance
 
@@ -182,6 +187,26 @@ class TestManDelivery:
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError, match="demand"):
             SchemeInstance("equal", 3, 3, 1).plan((1, 2, 4))
+
+
+class TestRetarget:
+    def test_only_swaps_files(self):
+        template = SchemeInstance("equal", 5, 3, Fraction(7, 4)).plan((1, 2, 3))
+        d = (2, 5, 2)
+        plan = retarget(template, d)
+        assert len(plan.transmissions) == len(template.transmissions)
+        for tx, tx0 in zip(plan.transmissions, template.transmissions):
+            for p, p0 in zip(tx.parts, tx0.parts, strict=True):
+                assert p.target == p0.target and p.segment.file == d[p.target - 1]
+                assert (p.segment.start, p.segment.length) == (
+                    p0.segment.start, p0.segment.length)
+
+    def test_refuses_template_for_another_demand(self):
+        part = Part(Segment(2, Fraction(0), Fraction(1, 2)), 1)
+        template = DeliveryPlan((Transmission((part,)),))
+        with pytest.raises(ValueError, match="template is not retargetable: "
+                           "part for user 1 carries file 2"):
+            retarget(template, (1, 2))
 
 
 class TestEqualScheme:

@@ -9,22 +9,32 @@ count and no per-example deadline.
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cachecast.simulator import SchemeInstance, verify_demands
-from cachecast.unequal import UnequalConfig, rate_ueq
+from cachecast.equal_cache import rate_eq
+from cachecast.simulator import (
+    SchemeInstance, decode_all, execute_delivery, materialize, verify_demands,
+)
+from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
 @st.composite
-def points(draw):
+def systems(draw):
+    """(N, K, L, M): everything but the large cache size."""
     K = draw(st.integers(2, 5))
     N = draw(st.integers(K, 8))
     L = draw(st.integers(1, K - 1))
     q = draw(st.integers(1, 9))
     M = Fraction(draw(st.integers(0, N * q)), q)
+    return N, K, L, M
+
+
+@st.composite
+def points(draw):
+    N, K, L, M = draw(systems())
     q = draw(st.integers(1, 9))
     Mhat = Fraction(draw(st.integers(math.ceil(M * q), N * q)), q)
     return N, K, L, Mhat, M
@@ -53,9 +63,36 @@ def test_cache_loads_within_budget(point):
 
 
 @PROFILE
-@given(points())
-def test_every_distinct_demand_decodes(point):
+@given(points(), st.data())
+def test_every_distinct_demand_decodes(point, data):
+    """Every distinct demand decodes in batches, and one demand with a
+    repeated file decodes through the single-demand path."""
     inst = instance(point)
     reports = verify_demands(inst, mode="distinct")
     assert len(reports) == math.perm(inst.N, inst.K)
+    assert all(r.passed for r in reports)
+
+    head = data.draw(st.lists(st.integers(1, inst.N), min_size=inst.K - 1,
+                              max_size=inst.K - 1))
+    d = (*head, data.draw(st.sampled_from(head)))
+    plan = inst.plan(d)
+    store, caches = materialize(inst.placement, plan)
+    log = execute_delivery(store, plan)
+    assert decode_all(caches, log, d, plan, store, inst.formula_rate).passed
+
+
+@PROFILE
+@given(systems())
+def test_rate_is_continuous_at_phi(system):
+    """At Mhat = Phi scenario 1 meets scenario 2: M' = N, the pool delivery
+    vanishes, and the rate is the scenario-2 formula at gamma = 1."""
+    N, K, L, M = system
+    Phi = unequal_params(UnequalConfig(N, K, L, N, M)).Phi
+    assume(Phi is not None and M <= Phi <= N)
+    cfg = UnequalConfig(N, K, L, Phi, M)
+    rep = rate_ueq(cfg)
+    assert rep.scenario == 1 and rep.Mprime == N
+    assert rep.rate == rate_eq(N, K, M) - rep.Rprime
+    reports = verify_demands(instance((N, K, L, Phi, M)), mode="distinct")
+    assert len(reports) == math.perm(N, K)
     assert all(r.passed for r in reports)

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from cachecast import simulator
-from cachecast.core import users_range
 from cachecast.equal_cache import (
     DeliveryPlan,
     Part,
-    equal_delivery,
-    equal_params,
     equal_placement,
     man_placement,
 )
@@ -239,19 +236,3 @@ class TestCompile:
         with pytest.raises(ValueError, match="does not serve demand"):
             decode_all(caches, log, (2, 2, 3, 4), plan, store)
 
-
-class TestPlanTemplate:
-    def test_template_remap_matches_direct_build(self):
-        # SchemeInstance plans come from retargeting an identity-demand
-        # template; they must equal plans built directly for the demand
-        ctx = build_two_stage(UnequalConfig(4, 4, 3, 2, 1))
-        for d in [(2, 2, 2, 2), (4, 3, 2, 1), (1, 1, 2, 2), (3, 1, 4, 2)]:
-            assert WORKED.plan(d) == ctx.plan(d)
-
-    def test_template_remap_equal_scheme(self):
-        inst = SchemeInstance("equal", 5, 3, Fraction(7, 4))
-        params = equal_params(5, 3, Fraction(7, 4))
-        content = equal_placement(5, 3, Fraction(7, 4)).stage1_content
-        for d in [(1, 1, 1), (5, 4, 3), (2, 5, 2)]:
-            direct = equal_delivery(content, users_range(3), params.t_int, params.alpha, d)
-            assert inst.plan(d) == DeliveryPlan(tuple(direct))

@@ -131,6 +131,11 @@ class TestTwoStagePlacement:
         pl = build_two_stage(UnequalConfig(4, 4, 3, 1, 1)).placement
         assert set(pl.subfiles) == set(equal_placement(4, 4, 1).subfiles)
 
+    def test_refined_placement_has_no_stage1_content(self):
+        # refinement scatters stage-1 subfiles, so a key no longer names one
+        with pytest.raises(ValueError, match="scattered"):
+            build_two_stage(WORKED).placement.stage1_content
+
     def test_budget_exact(self):
         cfg = UnequalConfig(6, 4, 2, 3, Fraction(3, 2))
         pl = build_two_stage(cfg).placement

@@ -34,11 +34,9 @@ for file in range(1, 5):
 
 print("\ncache coverage (1 = cached bit), user x file:")
 for user in range(1, 5):
-    rows = [
-        "".join("1" if b else "." for b in caches.masks[user - 1, f])
-        for f in range(4)
-    ]
-    print(f"  user {user}: " + "  ".join(rows))
+    # every file is cached alike: one mask row per user serves all four files
+    row = "".join("1" if b else "." for b in caches.masks[user - 1])
+    print(f"  user {user}: " + "  ".join([row] * 4))
 
 log = execute_delivery(store, plan)
 print(f"\ntransmitted payloads ({log.total_bits} bits total, rate "

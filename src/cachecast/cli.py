@@ -128,8 +128,7 @@ class Options:
 
 def _point_report(scheme: str, N: int, K: int, L, Mhat, M) -> RateReport:
     if scheme == "equal":
-        rep = equal_rate_report(N, K, M)
-        return rep
+        return equal_rate_report(N, K, M)
     if scheme == "proposed":
         return rate_ueq(UnequalConfig(N, K, L, Mhat, M))
     if scheme == "scheme1":
@@ -146,9 +145,8 @@ def cmd_rate(opts: Options) -> int:
     scheme = opts.get("scheme", "proposed")
     L = opts.get("L", cast=int)
     Mhat = opts.get("Mhat", cast=_rat)
-    if scheme in ("proposed", "scheme1"):
-        if L is None or Mhat is None:
-            raise ValueError(f"scheme {scheme} needs --L and --Mhat")
+    if scheme in ("proposed", "scheme1") and (L is None or Mhat is None):
+        raise ValueError(f"scheme {scheme} needs --L and --Mhat")
     rep = _point_report(scheme, N, K, L, Mhat, M)
     print(f"rate {format_rational(rep.rate)} ({_dec(rep.rate)})")
     print(f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
@@ -181,8 +179,7 @@ def _report_row(rep: RateReport, L, Mhat) -> dict[str, str]:
 
 def _eval_sweep_task(task) -> dict[str, str]:
     scheme, N, K, L, Mhat, M = task
-    rep = _point_report(scheme, N, K, L, Mhat, M)
-    return _report_row(rep, L, Mhat)
+    return _report_row(_point_report(scheme, N, K, L, Mhat, M), L, Mhat)
 
 
 def cmd_sweep(opts: Options) -> int:
@@ -205,6 +202,8 @@ def cmd_sweep(opts: Options) -> int:
     fixed_M = opts.get("M", cast=_rat)
     fixed_Mhat = opts.get("Mhat", cast=_rat)
     fmt = opts.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected csv or json")
     jobs = opts.get("jobs", 1, int)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
@@ -289,11 +288,9 @@ def cmd_sweep(opts: Options) -> int:
         writer.writeheader()
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
-    elif fmt == "json":
+    else:
         ordered = [{c: row.get(c, "") for c in columns} for row in rows]
         print(json.dumps(ordered, indent=2))
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected csv or json")
     return 0
 
 
@@ -333,10 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(Options(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,12 @@ and cached by the other members.  Non-integer t is realized by memory
 sharing: the first alpha fraction of every file runs the scheme with
 parameter t_int, the rest with t_int + 1.
 
-This module holds the one builder of each basic step, shared by both schemes:
+Every file is laid out alike, and a ``Placement`` stores that symmetry: it
+holds one file's subfiles, with no file field, and ``Placement.subfiles``
+expands them over the N files only for callers that list every copy.
+
+This module holds the one builder of each basic step, shared by both schemes;
+each runs once, over one file's layout:
 
 - ``man_placement`` lays out one memory-sharing layer over a ground set of
   users; ``equal_placement`` stacks the layers.  It is the two-level scheme's
@@ -16,10 +21,9 @@ This module holds the one builder of each basic step, shared by both schemes:
 - ``xor_delivery`` serves one layer over the user subsets a caller picks;
   ``equal_delivery`` runs it over both layers of an equal-cache layout, be it
   a placement's or the refined pool's (see ``incremental.PoolIndex``).  Both
-  serve the identity demand, user k wanting file k.
-- ``retarget`` turns that identity-demand template into the plan for any
-  demand.  Every file is laid out alike, so a demand only swaps the file
-  each part reads; ``retarget`` is the one place a demand enters a plan.
+  emit a template whose parts name offsets and a target but no file.
+- ``retarget`` gives each part of a template the file its target wants
+  under a demand; it is the one place a demand enters a plan.
 - ``split_segments`` cuts an ordered list of tagged segments at offsets; it
   aligns XOR parts here and splits subfiles in the pooled refinement.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .core import Rational, UserSet, binom, enumerate_subsets, users_range
@@ -108,9 +113,8 @@ def rate_eq(N: int, K: int, M) -> Rational:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """A contiguous slice of one file: offsets are fractions of F."""
+    """A contiguous slice at the same offsets of every file, in fractions of F."""
 
-    file: int
     start: Rational
     length: Rational
 
@@ -120,8 +124,15 @@ class Segment:
 
 
 @dataclass(frozen=True, slots=True)
+class FileSegment(Segment):
+    """A segment of one file, as ``retarget`` makes it for a demand."""
+
+    file: int
+
+
+@dataclass(frozen=True, slots=True)
 class Subfile:
-    """A placed piece of content.
+    """A placed piece of content, cut alike from every file.
 
     ``stage1_set`` is the owner set assigned by the first-stage placement and
     never changes; ``owners`` grows when an incremental refinement adds the
@@ -129,7 +140,6 @@ class Subfile:
     order in which they were concatenated, which delivery relies on).
     """
 
-    file: int
     layer: str
     stage1_set: UserSet
     owners: UserSet
@@ -140,54 +150,67 @@ class Subfile:
         return sum((s.length for s in self.segments), ZERO)
 
 
+@dataclass(frozen=True, slots=True)
+class FileSubfile(Subfile):
+    """One file's copy of a subfile, as ``Placement.subfiles`` lists it."""
+
+    file: int
+
+
 @dataclass(frozen=True)
 class Placement:
-    """All placed subfiles of a system with N files and K users."""
+    """N files over K users, laid out alike: ``blocks`` holds one file's
+    subfiles in the groups the builders emit (a layer, a refinement's kept or
+    refined part, a scenario-2 share).  ``subfiles`` lists every file's copy,
+    block by block and file-major within each block."""
 
     N: int
     K: int
-    subfiles: tuple[Subfile, ...]
-
-    def user_subfiles(self, user: int) -> list[Subfile]:
-        return [sf for sf in self.subfiles if user in sf.owners]
-
-    def user_load(self, user: int) -> Rational:
-        """Total cached length at ``user``, in units of F."""
-        return sum((sf.length for sf in self.user_subfiles(user)), ZERO)
-
-    def user_intervals(self, user: int) -> dict[int, list[tuple[Rational, Rational]]]:
-        """Merged (start, stop) coverage per file for one user's cache."""
-        raw: dict[int, list[tuple[Rational, Rational]]] = {}
-        for sf in self.user_subfiles(user):
-            for seg in sf.segments:
-                raw.setdefault(sf.file, []).append((seg.start, seg.stop))
-        return {f: merge_intervals(ivs) for f, ivs in raw.items()}
+    blocks: tuple[tuple[Subfile, ...], ...]
 
     @property
-    def stage1_content(self) -> dict[tuple[int, str, UserSet], tuple[Segment, ...]]:
-        """Map (file, layer, stage1 set) -> the subfile's segments.
+    def layout(self) -> tuple[Subfile, ...]:
+        """One file's subfiles, block by block."""
+        return tuple(chain.from_iterable(self.blocks))
+
+    @property
+    def subfiles(self) -> tuple[FileSubfile, ...]:
+        return tuple(
+            FileSubfile(sf.layer, sf.stage1_set, sf.owners, sf.segments, file)
+            for block in self.blocks
+            for file in range(1, self.N + 1)
+            for sf in block
+        )
+
+    def user_load(self, user: int) -> Rational:
+        """Total cached length at ``user`` over all N files, in units of F."""
+        cached = (sf.length for sf in self.layout if user in sf.owners)
+        return self.N * sum(cached, ZERO)
+
+    def user_intervals(self, user: int) -> dict[int, list[tuple[Rational, Rational]]]:
+        """Merged (start, stop) coverage per file for one user's cache; every
+        file is cached alike, so each file maps to the same list."""
+        ivs: list[tuple[Rational, Rational]] = []
+        for start, stop in sorted((seg.start, seg.stop) for sf in self.layout
+                                  if user in sf.owners for seg in sf.segments):
+            if ivs and start <= ivs[-1][1]:
+                ivs[-1] = (ivs[-1][0], max(ivs[-1][1], stop))
+            else:
+                ivs.append((start, stop))
+        return dict.fromkeys(range(1, self.N + 1), ivs) if ivs else {}
+
+    @property
+    def stage1_content(self) -> dict[tuple[str, UserSet], tuple[Segment, ...]]:
+        """Map (layer, stage1 set) -> the subfile's segments in every file.
 
         Only an unrefined placement has one subfile per key; refinement
         scatters a stage-1 subfile over several entries.
         """
-        content = {
-            (sf.file, sf.layer, sf.stage1_set): sf.segments for sf in self.subfiles
-        }
-        if len(content) != len(self.subfiles):
+        layout = self.layout
+        content = {(sf.layer, sf.stage1_set): sf.segments for sf in layout}
+        if len(content) != len(layout):
             raise ValueError("refined placement: its stage-1 subfiles are scattered")
         return content
-
-
-def merge_intervals(
-    intervals: Iterable[tuple[Rational, Rational]],
-) -> list[tuple[Rational, Rational]]:
-    out: list[tuple[Rational, Rational]] = []
-    for start, stop in sorted(intervals):
-        if out and start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], stop))
-        else:
-            out.append((start, stop))
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,8 +264,8 @@ def split_segments(
     for tag, seg in items:
         while cut is not None and pos < cut < pos + seg.length:
             head_len = cut - pos
-            groups[-1].append((tag, Segment(seg.file, seg.start, head_len)))
-            seg = Segment(seg.file, seg.start + head_len, seg.length - head_len)
+            groups[-1].append((tag, Segment(seg.start, head_len)))
+            seg = Segment(seg.start + head_len, seg.length - head_len)
             pos = cut
             groups.append([])
             cut = next(cut_iter, None)
@@ -271,27 +294,18 @@ def aligned_transmissions(
     total = totals.pop()
     if total == 0:
         return []
-    boundaries: set[Rational] = set()
-    for segs, _ in components:
-        acc = ZERO
-        for seg in segs[:-1]:
-            acc += seg.length
-            boundaries.add(acc)
-    cuts = sorted(boundaries)
+    cuts = sorted({
+        acc for segs, _ in components for acc in accumulate(s.length for s in segs[:-1])
+    })
     pieces = [
         split_segments([(target, seg) for seg in segs], cuts)
         for segs, target in components
     ]
     out: list[Transmission] = []
-    for idx in range(len(cuts) + 1):
-        parts = []
-        for comp_pieces in pieces:
-            group = comp_pieces[idx]
-            if len(group) != 1:
-                raise ValueError("cut groups must be single segments")
-            target, seg = group[0]
-            parts.append(Part(seg, target))
-        out.append(Transmission(tuple(parts)))
+    for groups in zip(*pieces):
+        if any(len(group) != 1 for group in groups):
+            raise ValueError("cut groups must be single segments")
+        out.append(Transmission(tuple(Part(seg, target) for [(target, seg)] in groups)))
     return out
 
 
@@ -318,15 +332,15 @@ def man_placement(
     ground = users_range(K) if ground is None else ground
     if t < 0 or t > len(ground):
         raise ValueError(f"need 0 <= t <= |ground|, got t={t}")
+    if layer_fraction == 0:
+        return Placement(N=N, K=K, blocks=())
     subsets = enumerate_subsets(ground, t)
     sub_len = Fraction(layer_fraction, len(subsets))
-    subfiles = []
-    if layer_fraction > 0:
-        for file in range(1, N + 1):
-            for j, T in enumerate(subsets):
-                seg = Segment(file, layer_start + j * sub_len, sub_len)
-                subfiles.append(Subfile(file, layer, T, T, (seg,)))
-    return Placement(N=N, K=K, subfiles=tuple(subfiles))
+    block = tuple(
+        Subfile(layer, T, T, (Segment(layer_start + j * sub_len, sub_len),))
+        for j, T in enumerate(subsets)
+    )
+    return Placement(N=N, K=K, blocks=(block,))
 
 
 def equal_placement(N: int, K: int, M, ground: UserSet | None = None) -> Placement:
@@ -337,14 +351,14 @@ def equal_placement(N: int, K: int, M, ground: UserSet | None = None) -> Placeme
     """
     ground = users_range(K) if ground is None else ground
     p = equal_params(N, len(ground), M)
-    subfiles: list[Subfile] = []
-    for layer in p.layers:
-        lp = man_placement(
+    blocks = tuple(chain.from_iterable(
+        man_placement(
             N, K, p.layer_t(layer), layer,
             p.layer_fraction(layer), p.layer_start(layer), ground,
-        )
-        subfiles.extend(lp.subfiles)
-    return Placement(N=N, K=K, subfiles=tuple(subfiles))
+        ).blocks
+        for layer in p.layers
+    ))
+    return Placement(N=N, K=K, blocks=blocks)
 
 
 def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
@@ -358,25 +372,25 @@ def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
 
 
 def xor_delivery(
-    content: Mapping[tuple[int, str, UserSet], Sequence[Segment]],
+    content: Mapping[tuple[str, UserSet], Sequence[Segment]],
     layer: str,
     subsets: Iterable[UserSet],
 ) -> list[Transmission]:
-    """XOR delivery of one layer over the given user subsets, identity demand.
+    """XOR delivery of one layer over the given user subsets, as a template.
 
-    For each subset S, in order: the XOR over s in S of the piece of file s
-    owned by S - {s}, looked up as content[(s, layer, S - {s})].
+    For each subset S, in order: the XOR over s in S of the piece owned by
+    S - {s}, looked up as content[(layer, S - {s})], for user s.
     """
     out: list[Transmission] = []
     for S in subsets:
         out.extend(aligned_transmissions([
-            (content[(s, layer, S[:i] + S[i + 1:])], s) for i, s in enumerate(S)
+            (content[(layer, S[:i] + S[i + 1:])], s) for i, s in enumerate(S)
         ]))
     return out
 
 
 def equal_delivery(
-    content: Mapping[tuple[int, str, UserSet], Sequence[Segment]],
+    content: Mapping[tuple[str, UserSet], Sequence[Segment]],
     ground: UserSet,
     t_int: int,
     alpha: Rational,
@@ -395,19 +409,14 @@ def equal_delivery(
 def retarget(template: DeliveryPlan, d: Sequence[int]) -> DeliveryPlan:
     """The plan for demand ``d``: the part for user k reads file d[k-1].
 
-    ``template`` must serve the identity demand, every part carrying its
-    target's file; the rest of its geometry is the same for every demand.
+    Every file is laid out alike, so a template's parts name only offsets
+    and a target, and the demand supplies each part's file.
     """
-    txs = []
-    for tx in template.transmissions:
-        parts = []
-        for p in tx.parts:
-            if p.segment.file != p.target:
-                raise ValueError(
-                    f"template is not retargetable: part for user {p.target} "
-                    f"carries file {p.segment.file}"
-                )
-            seg = Segment(d[p.target - 1], p.segment.start, p.segment.length)
-            parts.append(Part(seg, p.target))
-        txs.append(Transmission(tuple(parts)))
-    return DeliveryPlan(tuple(txs))
+    return DeliveryPlan(tuple(
+        Transmission(tuple(
+            Part(FileSegment(p.segment.start, p.segment.length, d[p.target - 1]),
+                 p.target)
+            for p in tx.parts
+        ))
+        for tx in template.transmissions
+    ))

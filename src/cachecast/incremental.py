@@ -7,7 +7,8 @@ parameter t+1 while every already-placed bit stays where it was.  Repeating
 the step, and splitting a final level into a kept and a promoted share,
 reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
 runs it on the large-cache group; with the pool set to every user it is one
-plain refinement step of an equal-cache placement.
+plain refinement step of an equal-cache placement.  Every file is laid out
+alike, so the refinement runs once, on the one file a ``Placement`` stores.
 
 The kept/promoted split uses a uniform keep fraction across the merged level
 content; the source only fixes sizes, so the specific byte choice is ours and
@@ -33,16 +34,17 @@ State = dict[UserSet, list[Piece]]
 class PoolIndex:
     """The refined pool as an equal-cache layout over the pool users.
 
-    ``content`` maps (file, layer, owner set) to the ordered segments of that
-    second-level subfile.  The layer is the pool's own memory-sharing layer:
-    ALPHA holds the owner sets of size t2_int, BETA those of size t2_int + 1
-    (present when alpha2 < 1), whatever stage-1 layer the bits came from.
+    ``content`` maps (layer, owner set) to the ordered segments of that
+    second-level subfile, the same in every file.  The layer is the pool's
+    own memory-sharing layer: ALPHA holds the owner sets of size t2_int, BETA
+    those of size t2_int + 1 (present when alpha2 < 1), whatever stage-1
+    layer the bits came from.
     """
 
     pool_users: UserSet
     t2_int: int
     alpha2: Rational
-    content: dict[tuple[int, str, UserSet], tuple[Segment, ...]]
+    content: dict[tuple[str, UserSet], tuple[Segment, ...]]
 
 
 def _pieces_length(pieces: list[Piece]) -> Rational:
@@ -93,74 +95,63 @@ def refine_pool(
 ) -> tuple[Placement, PoolIndex]:
     """Refine the intra-pool subfiles toward a memory-sharing target.
 
-    Subfiles entirely owned inside ``pool_users`` form, per file, a pooled
-    file placed at one or two consecutive owner-set sizes.  Whole levels are
-    promoted until the lower level reaches t2_int, then a uniform alpha2/p
-    share of each subfile is kept there and the remainder promoted once more.
+    Subfiles entirely owned inside ``pool_users`` form a pooled file placed
+    at one or two consecutive owner-set sizes.  Whole levels are promoted
+    until the lower level reaches t2_int, then a uniform alpha2/p share of
+    each subfile is kept there and the remainder promoted once more.
     Content never moves; each user in the pool gains exactly the same length.
     """
     pool = user_set(pool_users)
     members = set(pool)
-    rest: list[Subfile] = []
-    pool_sfs: dict[int, list[Subfile]] = {}
-    for sf in placement.subfiles:
-        if members.issuperset(sf.owners):
-            pool_sfs.setdefault(sf.file, []).append(sf)
-        else:
-            rest.append(sf)
+    rest = tuple(
+        tuple(sf for sf in block if not members.issuperset(sf.owners))
+        for block in placement.blocks
+    )
+    pool_sfs = [sf for sf in placement.layout if members.issuperset(sf.owners)]
     if not pool_sfs:
         raise ValueError("empty pool: no subfile is owned entirely inside the pool")
 
-    levels = sorted({len(sf.owners) for sfs in pool_sfs.values() for sf in sfs})
+    levels = sorted({len(sf.owners) for sf in pool_sfs})
     if len(levels) > 2 or (len(levels) == 2 and levels[1] != levels[0] + 1):
         raise ValueError(f"pool is not a memory-sharing placement, levels {levels}")
     s0 = levels[0]
     if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
         raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
 
-    first = pool_sfs.get(1, [])
-    per_file_total = sum((sf.length for sf in first), ZERO)
-    low0 = sum((sf.length for sf in first if len(sf.owners) == s0), ZERO)
-    t_pool = s0 + (1 - low0 / per_file_total)
+    pool_total = sum((sf.length for sf in pool_sfs), ZERO)
+    low0 = sum((sf.length for sf in pool_sfs if len(sf.owners) == s0), ZERO)
+    t_pool = s0 + (1 - low0 / pool_total)
     t_target = t2_int + 1 - alpha2
     if t_target < t_pool:
         raise ValueError(
             f"cannot shrink placement: target t'={t_target} below current {t_pool}"
         )
 
-    new_subfiles: list[Subfile] = []
-    content: dict[tuple[int, str, UserSet], tuple[Segment, ...]] = {}
-    for file in range(1, placement.N + 1):
-        low: State = {}
-        high: State = {}
-        for sf in pool_sfs.get(file, ()):
-            target = low if len(sf.owners) == s0 else high
-            target.setdefault(sf.owners, []).extend((sf, seg) for seg in sf.segments)
-        s = s0
-        while s < t2_int:
-            _, promoted = _promote_once(low, pool, ZERO)
-            low = _merge_states(high, promoted)
-            high = {}
-            s += 1
-        p = _pieces_length([pc for pieces in low.values() for pc in pieces])
-        p_frac = p / per_file_total
-        if p_frac < alpha2:
-            raise ValueError("inconsistent refinement target")  # ruled out by budget
-        if p_frac > alpha2:
-            kept, promoted = _promote_once(low, pool, alpha2 / p_frac)
-            low = kept
-            high = _merge_states(high, promoted)
-        for layer, state in ((ALPHA, low), (BETA, high)):
-            for T in sorted(state):
-                pieces = state[T]
-                new_subfiles.extend(
-                    Subfile(sf.file, sf.layer, sf.stage1_set, T, (seg,))
-                    for sf, seg in pieces
-                )
-                content[(file, layer, T)] = tuple(seg for _, seg in pieces)
+    low: State = {}
+    high: State = {}
+    for sf in pool_sfs:
+        target = low if len(sf.owners) == s0 else high
+        target.setdefault(sf.owners, []).extend((sf, seg) for seg in sf.segments)
+    for _ in range(s0, t2_int):
+        _, promoted = _promote_once(low, pool, ZERO)
+        low, high = _merge_states(high, promoted), {}
+    low_length = _pieces_length([pc for pieces in low.values() for pc in pieces])
+    p_frac = low_length / pool_total
+    if p_frac < alpha2:
+        raise ValueError("inconsistent refinement target")  # ruled out by budget
+    if p_frac > alpha2:
+        low, promoted = _promote_once(low, pool, alpha2 / p_frac)
+        high = _merge_states(high, promoted)
 
-    refined = Placement(
-        N=placement.N, K=placement.K, subfiles=tuple(rest) + tuple(new_subfiles)
-    )
-    index = PoolIndex(pool_users=pool, t2_int=t2_int, alpha2=alpha2, content=content)
-    return refined, index
+    refined_block: list[Subfile] = []
+    content: dict[tuple[str, UserSet], tuple[Segment, ...]] = {}
+    for layer, state in ((ALPHA, low), (BETA, high)):
+        for T in sorted(state):
+            pieces = state[T]
+            refined_block.extend(
+                Subfile(sf.layer, sf.stage1_set, T, (seg,)) for sf, seg in pieces
+            )
+            content[(layer, T)] = tuple(seg for _, seg in pieces)
+
+    refined = Placement(placement.N, placement.K, rest + (tuple(refined_block),))
+    return refined, PoolIndex(pool, t2_int, alpha2, content)

@@ -11,17 +11,20 @@ file is compared bit-for-bit against the server's copy.
 bits: integer arrays of part bounds, fixed once per plan and file size.  The
 XOR and the decoder then work on a matrix of file choices, one row per
 demand.  The load does not depend on the demand: a demand enters a plan only
-through ``equal_cache.retarget``, which swaps the files its parts read, and
-transmission widths are fixed when the plan is compiled.
+through ``equal_cache.retarget``, which picks the files its parts read, and
+transmission widths are fixed when the plan is compiled.  Caches are stored
+as one mask row per user, since a placement lays out every file alike; so
+which parts a user can cancel is fixed too, and only whether the recovered
+bits are right is checked per demand.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, permutations, product
+from itertools import islice, permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +45,8 @@ from .equal_cache import (
 from .unequal import UnequalConfig, build_two_stage, rate_ueq
 
 
-# Most bytes materialize may allocate: K*N*F_bits of masks, N*F_bits of files.
+# Most bytes materialize may allocate: K*F_bits of masks, one row per user
+# for every file alike, and N*F_bits of files.
 MAX_MATERIALIZE_BYTES = 2**30
 # Most bytes of per-demand working arrays one verification batch may hold.
 MAX_BATCH_BYTES = MAX_MATERIALIZE_BYTES // 16
@@ -50,14 +54,10 @@ MAX_BATCH_BYTES = MAX_MATERIALIZE_BYTES // 16
 
 def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
     """Smallest file size in bits realizing every segment boundary exactly."""
-    fracs: list[Fraction] = []
-    for sf in placement.subfiles:
-        for seg in sf.segments:
-            fracs.extend((seg.start, seg.length))
-    for plan in plans:
-        for tx in plan.transmissions:
-            for part in tx.parts:
-                fracs.extend((part.segment.start, part.segment.length))
+    segs = [seg for sf in placement.layout for seg in sf.segments] + [
+        part.segment for plan in plans for tx in plan.transmissions for part in tx.parts
+    ]
+    fracs = [x for seg in segs for x in (seg.start, seg.length)]
     return lcm_denominators(fracs) if fracs else 1
 
 
@@ -78,12 +78,14 @@ class FileStore:
 
 @dataclass(frozen=True)
 class CacheImage:
-    """Per-user boolean coverage masks over (file, bit position)."""
+    """Per-user boolean coverage masks, one row for all N files alike."""
 
-    masks: np.ndarray  # shape (K, N, F_bits)
+    N: int
+    masks: np.ndarray  # shape (K, F_bits)
 
     def user_bits(self, user: int) -> int:
-        return int(self.masks[user - 1].sum())
+        """Bits ``user`` caches over all N files."""
+        return self.N * int(self.masks[user - 1].sum())
 
 
 def _bit_range(seg, F_bits: int) -> tuple[int, int]:
@@ -91,7 +93,7 @@ def _bit_range(seg, F_bits: int) -> tuple[int, int]:
     start, length = seg.start, seg.length
     if F_bits % start.denominator or F_bits % length.denominator:
         raise ValueError(
-            f"F_bits={F_bits} cannot realize segment of file {seg.file} at "
+            f"F_bits={F_bits} cannot realize the file segment "
             f"[{seg.start}, {seg.stop}): boundaries must be integer bits"
         )
     a = start.numerator * (F_bits // start.denominator)
@@ -105,22 +107,21 @@ def materialize(
     seed: int = 0,
 ) -> tuple[FileStore, CacheImage]:
     """Draw file contents from ``seed`` and fill caches per the placement."""
-    needed = required_bits(placement, *( [plan] if plan is not None else [] ))
     if F_bits is None:
-        F_bits = needed
-    nbytes = (placement.K + 1) * placement.N * F_bits
+        F_bits = required_bits(placement, *([] if plan is None else [plan]))
+    nbytes = (placement.K + placement.N) * F_bits
     if nbytes > MAX_MATERIALIZE_BYTES:
         raise ValueError(f"F_bits = {F_bits} needs {nbytes} bytes of masks and "
                          f"file store (limit {MAX_MATERIALIZE_BYTES})")
     rng = np.random.default_rng(seed)
     store = FileStore(rng.integers(0, 2, size=(placement.N, F_bits), dtype=np.uint8))
-    masks = np.zeros((placement.K, placement.N, F_bits), dtype=bool)
-    for sf in placement.subfiles:
+    masks = np.zeros((placement.K, F_bits), dtype=bool)
+    for sf in placement.layout:
         for seg in sf.segments:
             a, b = _bit_range(seg, F_bits)
             for owner in sf.owners:
-                masks[owner - 1, sf.file - 1, a:b] = True
-    return store, CacheImage(masks)
+                masks[owner - 1, a:b] = True
+    return store, CacheImage(placement.N, masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,20 +250,31 @@ def _xor(cp: CompiledPlan, blocks: list[np.ndarray], n: int) -> np.ndarray:
     return sent
 
 
-def _cache_misses(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Bits the caches lack, one row per (user * N + file): within each
-    part's range, shape (K*N, P), and in the whole file, shape (K*N,)."""
-    K, N, F = caches.masks.shape
-    rows = caches.masks.reshape(K * N, F)
+def _coverage(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Which own parts are usable, shape (own parts,), and which users they
+    complete, shape (K,); every file is cached alike, so not per demand.
+
+    A user uses its own part of a transmission only if its cache covers every
+    other part, and every bit its cache lacks must arrive that way.  Own
+    parts of one user never overlap (``compile_plan``), so counting suffices.
+    """
+    K, F = caches.masks.shape
     cuts = np.unique(np.concatenate(([0, F], cp.a, cp.b)))
     # held[:, i]: cached bits before cuts[i], summed one span at a time so
     # no array larger than the masks is made
-    held = np.zeros((K * N, len(cuts)), dtype=np.int64)
+    held = np.zeros((K, len(cuts)), dtype=np.int64)
     for i, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
-        held[:, i + 1] = rows[:, lo:hi].sum(axis=1, dtype=np.int64)
+        held[:, i + 1] = caches.masks[:, lo:hi].sum(axis=1, dtype=np.int64)
     held = held.cumsum(axis=1)
     lo, hi = np.searchsorted(cuts, cp.a), np.searchsorted(cuts, cp.b)
-    return (cp.b - cp.a) - (held[:, hi] - held[:, lo]), F - held[:, -1]
+    missing = (cp.b - cp.a) - (held[:, hi] - held[:, lo])  # (K, parts)
+    owner = cp.target[cp.own]
+    cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
+    cancelled = missing[cancel_user, cp.cancel][None, :]
+    usable = _group_sum(cancelled, cp.cancel_bounds)[0] == 0
+    filled = missing[owner, cp.own] * usable
+    by_user = np.searchsorted(owner, np.arange(K + 1))
+    return usable, _group_sum(filled[None, :], by_user)[0] == F - held[:, -1]
 
 
 def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
@@ -281,30 +293,13 @@ def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray
 
 
 def _decode(
-    cp: CompiledPlan,
-    misses: tuple[np.ndarray, np.ndarray],
-    want: np.ndarray,
-    wrong: np.ndarray,
+    cp: CompiledPlan, coverage: tuple[np.ndarray, np.ndarray], wrong: np.ndarray
 ) -> np.ndarray:
-    """(n, K) decode outcome per demand ``want`` (0-based files) and user.
-
-    A user uses its own part of a transmission only if its cache covers every
-    other part, at the file that part's user wants, and then must recover
-    the right bits (``wrong`` says where it does not).  Every bit its cache
-    lacks must arrive that way; own parts of one user never overlap
-    (``compile_plan``), so counting the arrived bits suffices.
-    """
-    per_part, per_file = misses
-    K = want.shape[1]
-    N = len(per_file) // K
-    owner = cp.target[cp.own]
-    cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
-    cancel_file = want[:, cp.target[cp.cancel]]
-    missing = per_part[cancel_user * N + cancel_file, cp.cancel]
-    usable = _group_sum(missing, cp.cancel_bounds) == 0
-    filled = per_part[owner * N + want[:, owner], cp.own] * usable
-    by_user = np.searchsorted(owner, np.arange(K + 1))
-    complete = _group_sum(filled, by_user) == per_file[np.arange(K) * N + want]
+    """(n, K) decode outcome per demand and user: a user decodes when its
+    cache and usable parts fill its file (``_coverage``) and no usable part
+    recovers ``wrong`` bits for that demand."""
+    usable, complete = coverage
+    by_user = np.searchsorted(cp.target[cp.own], np.arange(len(complete) + 1))
     return complete & (_group_sum(usable & wrong, by_user) == 0)
 
 
@@ -391,7 +386,7 @@ def decode_all(
         raise ValueError("transmission log does not match the plan's widths")
     sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
     wrong = _recovery_errors(cp, sent[None, :], _part_bits(cp, store, files))
-    ok = _decode(cp, _cache_misses(caches, cp), want, wrong)
+    ok = _decode(cp, _coverage(caches, cp), wrong)
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok[0].tolist()),
@@ -452,6 +447,22 @@ class SchemeInstance:
         return retarget(self._impl[1], check_demands(d, self.N, self.K))
 
 
+def _excess(name: str, factors: Iterable[int], limit: int) -> str | None:
+    """``name = count`` when the product of ``factors`` exceeds ``limit``.
+
+    Multiplying stops at 10^d, d the most digits Python turns into text, so
+    a count that large is stated as that bound and never computed in full.
+    """
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    cap = 10**digits
+    count = 1
+    for f in factors:
+        count *= f
+        if count >= cap:
+            return f"{name} >= 10^{digits}"
+    return f"{name} = {count}" if count > limit else None
+
+
 def enumerate_demands(
     N: int, K: int, mode: str, max_demands: int = MAX_ENUMERATION
 ) -> Iterator[tuple[int, ...]]:
@@ -461,18 +472,18 @@ def enumerate_demands(
     is enumerated, so an oversized request fails at once.
     """
     if mode == "exhaustive":
-        if N**K > max_demands:
+        # 0^K and 1^K need no K-fold product
+        if excess := _excess("N^K", repeat(N, K) if N > 1 else [N**K], max_demands):
             raise ValueError(
-                f"N^K = {N**K} demands is too many for exhaustive mode "
+                f"{excess} demands is too many for exhaustive mode "
                 f"(limit {max_demands}); use distinct-demand mode"
             )
         return product(range(1, N + 1), repeat=K)
     if mode == "distinct":
-        count = math.perm(N, K)
-        if count > max_demands:
+        factors = range(N, N - K, -1) if K <= N else [0]
+        if excess := _excess("N!/(N-K)!", factors, max_demands):
             raise ValueError(
-                f"N!/(N-K)! = {count} distinct demands is too many "
-                f"(limit {max_demands})"
+                f"{excess} distinct demands is too many (limit {max_demands})"
             )
         return permutations(range(1, N + 1), K)
     raise ValueError(f"unknown demand mode {mode!r}")
@@ -505,7 +516,7 @@ def verify_demands(
     cp = compile_plan(template, F)
     flip = None if flip_bit is None else cp.sent_column(*flip_bit)
     formula_bits = _formula_bits(inst.formula_rate, F)
-    misses = _cache_misses(caches, cp)
+    coverage = _coverage(caches, cp)
     rows = max(1, MAX_BATCH_BYTES // cp.row_bytes)
     reports = []
     while batch := list(islice(demands, rows)):
@@ -515,7 +526,7 @@ def verify_demands(
         sent = _xor(cp, blocks, len(batch))
         if flip is not None:
             sent[:, flip] ^= 1
-        ok = _decode(cp, misses, want, _recovery_errors(cp, sent, blocks))
+        ok = _decode(cp, coverage, _recovery_errors(cp, sent, blocks))
         reports.extend(
             VerificationReport(d, tuple(row), cp.total_bits, formula_bits, F)
             for d, row in zip(batch, ok.tolist())

@@ -2,11 +2,12 @@
 
 The placement runs in two stages (``build_two_stage``).  Stage one ignores
 the extra cache and lays out the equal-cache placement for (N, K, M)
-(``equal_cache.equal_placement``).  Stage two pools, per file, the subfiles
-owned entirely inside the large-cache group: that pool behaves like a single
-file of length F' placed over L users, and the extra cache is filled by the
-pooled refinement (``incremental.refine_pool``) to the equal-cache layout for
-the derived cache size M' (see ``unequal_params``).  Delivery keeps every
+(``equal_cache.equal_placement``).  Stage two pools the subfiles owned
+entirely inside the large-cache group: in every file alike, that pool
+behaves like a single file of length F' placed over L users, and the extra
+cache is filled by the pooled refinement (``incremental.refine_pool``) to
+the equal-cache layout for the derived cache size M' (see
+``unequal_params``).  Delivery keeps every
 stage-one transmission that serves at least one small-cache user and
 replaces the rest with the pool's own equal-cache delivery; both go through
 ``equal_cache.xor_delivery``.
@@ -17,8 +18,8 @@ size Phi (where M' = N and the pool delivery disappears), and on the
 remaining share the large users store everything and drop out, leaving an
 equal-cache system over the K - L small users.
 
-``build_two_stage`` builds the placement and the plan for the identity
-demand once; ``TwoStageContext.plan`` hands that template to
+``build_two_stage`` builds one file's layout and the template plan once,
+whatever N is; ``TwoStageContext.plan`` hands the template to
 ``equal_cache.retarget``, the one place a demand enters a plan.
 """
 
@@ -112,28 +113,18 @@ def unequal_params(cfg: UnequalConfig) -> UnequalParams:
         occupied += bw * Fraction(binom(L - 1, ti), binom(K, ti + 1)) * N
         rprime += bw * Fraction(binom(L, ti + 2), binom(K, ti + 1))
 
-    if fprime == 0:
-        # t exceeds the pool: no subfile lives entirely inside the large group,
-        # so the extra cache is unusable by this construction.
-        return UnequalParams(
-            base=base, L=L, Mhat=cfg.Mhat, Fprime=fprime, occupied=occupied,
-            Rprime=rprime, Mprime=None, scenario=1, Phi=None, gamma=None,
-            pool_empty=True,
-        )
-
-    mprime = (occupied + cfg.Mhat - cfg.M) / fprime
-    if mprime <= N:
-        return UnequalParams(
-            base=base, L=L, Mhat=cfg.Mhat, Fprime=fprime, occupied=occupied,
-            Rprime=rprime, Mprime=mprime, scenario=1, Phi=None, gamma=None,
-            pool_empty=False,
-        )
-    phi = cfg.M - occupied + N * fprime
-    gamma = Fraction(N - cfg.Mhat, N - phi)
+    # fprime == 0: t exceeds the pool, no subfile lives entirely inside the
+    # large group, so the extra cache is unusable by this construction.
+    mprime = phi = gamma = None
+    if fprime:
+        mprime = (occupied + cfg.Mhat - cfg.M) / fprime
+        if mprime > N:
+            phi = cfg.M - occupied + N * fprime
+            gamma = Fraction(N - cfg.Mhat, N - phi)
     return UnequalParams(
         base=base, L=L, Mhat=cfg.Mhat, Fprime=fprime, occupied=occupied,
-        Rprime=rprime, Mprime=mprime, scenario=2, Phi=phi, gamma=gamma,
-        pool_empty=False,
+        Rprime=rprime, Mprime=mprime, scenario=1 if phi is None else 2, Phi=phi,
+        gamma=gamma, pool_empty=fprime == 0,
     )
 
 
@@ -193,32 +184,31 @@ def rate_ueq(cfg: UnequalConfig) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def _scale_segment(seg: Segment, factor: Rational, offset: Rational) -> Segment:
-    return Segment(seg.file, offset + factor * seg.start, factor * seg.length)
-
-
-def _scale_subfiles(
-    placement: Placement, factor: Rational, offset: Rational, add_owners: UserSet = ()
-) -> list[Subfile]:
+def _share(
+    placement: Placement,
+    txs: Sequence[Transmission],
+    factor: Rational,
+    offset: Rational,
+    add_owners: UserSet = (),
+) -> tuple[tuple[tuple[Subfile, ...], ...], list[Transmission]]:
+    """A placement's blocks and its template, squeezed into the share
+    [offset, offset + factor) of every file."""
     if factor == 0:
-        return []
-    subfiles = []
-    for sf in placement.subfiles:
-        owners = user_set(sf.owners + add_owners) if add_owners else sf.owners
-        segs = tuple(_scale_segment(s, factor, offset) for s in sf.segments)
-        subfiles.append(replace(sf, owners=owners, segments=segs))
-    return subfiles
+        return (), []
 
+    def scale(seg: Segment) -> Segment:
+        return Segment(offset + factor * seg.start, factor * seg.length)
 
-def _scale_plan(
-    txs: Sequence[Transmission], factor: Rational, offset: Rational
-) -> list[Transmission]:
-    if factor == 0:
-        return []
-    return [
-        Transmission(tuple(
-            Part(_scale_segment(p.segment, factor, offset), p.target) for p in tx.parts
-        ))
+    blocks = tuple(
+        tuple(
+            replace(sf, owners=user_set(sf.owners + add_owners),
+                    segments=tuple(map(scale, sf.segments)))
+            for sf in block
+        )
+        for block in placement.blocks
+    )
+    return blocks, [
+        Transmission(tuple(Part(scale(p.segment), p.target) for p in tx.parts))
         for tx in txs
     ]
 
@@ -249,15 +239,15 @@ def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
         rest_txs = equal_delivery(
             rest_placement.stage1_content, cfg.small_users, rest.t_int, rest.alpha
         )
-        gamma = p.gamma
-        subfiles = _scale_subfiles(sub.placement, gamma, ZERO) + _scale_subfiles(
-            rest_placement, 1 - gamma, gamma, add_owners=cfg.large_users
+        sub_blocks, sub_txs = _share(
+            sub.placement, sub.template.transmissions, p.gamma, ZERO
         )
-        txs = _scale_plan(sub.template.transmissions, gamma, ZERO) + _scale_plan(
-            rest_txs, 1 - gamma, gamma
+        rest_blocks, rest_txs = _share(
+            rest_placement, rest_txs, 1 - p.gamma, p.gamma, cfg.large_users
         )
         return TwoStageContext(
-            cfg, p, Placement(cfg.N, cfg.K, tuple(subfiles)), DeliveryPlan(tuple(txs))
+            cfg, p, Placement(cfg.N, cfg.K, sub_blocks + rest_blocks),
+            DeliveryPlan(tuple(sub_txs + rest_txs)),
         )
 
     # Stage 1: every transmission that serves a small-cache user, i.e. whose

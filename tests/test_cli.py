@@ -154,6 +154,20 @@ class TestSweep:
         assert "max proposed/external ratio: 1" in err
         assert "matches no grid point" in err
 
+    def test_unknown_format_refused_before_any_row(self, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed before --format was checked")
+
+        monkeypatch.setattr(cli, "_point_report", no_rows)
+        code, out, err = run(
+            capsys, "sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+            "--sweep-axis", "M", "--from", "0", "--to", "2", "--step", "1",
+            "--format", "xml",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown format 'xml'; expected csv or json\n"
+
     def test_empty_grid_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--N", "4", "--K", "4", "--L", "2", "--M", "3",
@@ -291,8 +305,20 @@ class TestVerify:
         assert code == 1
         assert "109027350432000" in err
 
+    def test_refuses_unprintable_demand_count(self, capsys):
+        # 2000! has more digits than Python turns into text: the refusal
+        # names the quantity and its bound instead of the count
+        code, out, err = run(
+            capsys, "verify", "--N", "2000", "--K", "2000", "--L", "1",
+            "--Mhat", "1", "--M", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "N!/(N-K)! >= 10^" in err and "(limit 1000000)" in err
+        assert "integer string conversion" not in err
+
     def test_refuses_oversized_materialization(self, capsys, monkeypatch):
-        # 6 * 12 * F_bits bytes of masks and store: refused before numpy is asked
+        # (5 + 12) * F_bits bytes of masks and store: refused before numpy is asked
         import cachecast.simulator
 
         def no_rng(*args, **kwargs):
@@ -304,7 +330,7 @@ class TestVerify:
             "--Mhat", "99991/10007", "--M", "1/9973",
         )
         assert code == 1
-        assert "F_bits = 3592793196" in err and "258681110112 bytes" in err
+        assert "F_bits = 3592793196" in err and "61077484332 bytes" in err
 
 
 class TestConfigFile:

@@ -4,10 +4,6 @@ import pytest
 
 from cachecast.core import binom
 from cachecast.equal_cache import (
-    DeliveryPlan,
-    Part,
-    Segment,
-    Transmission,
     equal_params,
     equal_placement,
     man_placement,
@@ -200,13 +196,6 @@ class TestRetarget:
                 assert p.target == p0.target and p.segment.file == d[p.target - 1]
                 assert (p.segment.start, p.segment.length) == (
                     p0.segment.start, p0.segment.length)
-
-    def test_refuses_template_for_another_demand(self):
-        part = Part(Segment(2, Fraction(0), Fraction(1, 2)), 1)
-        template = DeliveryPlan((Transmission((part,)),))
-        with pytest.raises(ValueError, match="template is not retargetable: "
-                           "part for user 1 carries file 2"):
-            retarget(template, (1, 2))
 
 
 class TestEqualScheme:

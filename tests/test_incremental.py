@@ -75,17 +75,17 @@ class TestRefinePool:
         # user 2, the second half to user 3, and so on cyclically
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        segs12 = pool.content[(1, ALPHA, (1, 2))]
+        segs12 = pool.content[(ALPHA, (1, 2))]
         assert [(s.start, s.length) for s in segs12] == [
             (Fraction(0), Fraction(1, 8)),      # first half of A_1
             (Fraction(1, 4), Fraction(1, 8)),   # first half of A_2
         ]
-        segs13 = pool.content[(1, ALPHA, (1, 3))]
+        segs13 = pool.content[(ALPHA, (1, 3))]
         assert [(s.start, s.length) for s in segs13] == [
             (Fraction(1, 8), Fraction(1, 8)),   # second half of A_1
             (Fraction(1, 2), Fraction(1, 8)),   # first half of A_3
         ]
-        segs23 = pool.content[(1, ALPHA, (2, 3))]
+        segs23 = pool.content[(ALPHA, (2, 3))]
         assert [(s.start, s.length) for s in segs23] == [
             (Fraction(3, 8), Fraction(1, 8)),   # second half of A_2
             (Fraction(5, 8), Fraction(1, 8)),   # second half of A_3
@@ -95,7 +95,7 @@ class TestRefinePool:
         # merged pool subfiles carry F'/C(L, t') content each
         base = equal_placement(4, 4, 1)
         _, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        assert {layer for _, layer, _ in pool.content} == {ALPHA}
+        assert {layer for layer, _ in pool.content} == {ALPHA}
         for segs in pool.content.values():
             assert sum(s.length for s in segs) == Fraction(1, 4)  # (3/4) / C(3,2)
 
@@ -127,7 +127,7 @@ class TestRefinePool:
         # t=1 placement refined to t'=3 over a pool of 3 users: two promotions
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 3, Fraction(1))
-        assert set(pool.content) == {(f, ALPHA, (1, 2, 3)) for f in range(1, 5)}
+        assert set(pool.content) == {(ALPHA, (1, 2, 3))}
         for segs in pool.content.values():
             assert sum(s.length for s in segs) == Fraction(3, 4)
         # every pool user now caches the entire pool of every file

@@ -131,6 +131,18 @@ class TestTwoStagePlacement:
         pl = build_two_stage(UnequalConfig(4, 4, 3, 1, 1)).placement
         assert set(pl.subfiles) == set(equal_placement(4, 4, 1).subfiles)
 
+    def test_one_file_layout_does_not_grow_with_N(self):
+        # every file is laid out alike, so only the expansion scales with N
+        ctxs = {
+            N: build_two_stage(UnequalConfig(N, 5, 2, Fraction(N, 2), Fraction(N, 5)))
+            for N in (5, 80)
+        }
+        assert ctxs[5].placement.blocks == ctxs[80].placement.blocks
+        for N, ctx in ctxs.items():
+            assert len(ctx.placement.layout) == 9
+            assert len(ctx.placement.subfiles) == 9 * N
+            assert len(ctx.template.transmissions) == 15
+
     def test_refined_placement_has_no_stage1_content(self):
         # refinement scatters stage-1 subfiles, so a key no longer names one
         with pytest.raises(ValueError, match="scattered"):

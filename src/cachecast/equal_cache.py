@@ -18,10 +18,14 @@ each runs once, over one file's layout:
 - ``man_placement`` lays out one memory-sharing layer over a ground set of
   users; ``equal_placement`` stacks the layers.  It is the two-level scheme's
   stage 1, and over the small users its scenario-2 remainder.
-- ``xor_delivery`` serves one layer over the user subsets a caller picks;
-  ``equal_delivery`` runs it over both layers of an equal-cache layout, be it
-  a placement's or the refined pool's (see ``incremental.PoolIndex``).  Both
-  emit a template whose parts name offsets and a target but no file.
+- ``delivery_subsets`` is the one delivery rule.  Content is keyed by owner
+  set alone: within one layout, the alpha layer's owner sets have size
+  t_int and the beta layer's t_int + 1, so the keys' sizes say what to send,
+  one XOR per (k+1)-subset for each owner-set size k.  ``xor_delivery``
+  sends the XORs of the subsets a caller picks; ``equal_delivery`` sends all
+  of them, for a placement's layout or the refined pool's
+  (``incremental.refine_pool``).  Both emit a template whose parts name
+  offsets and a target but no file.
 - ``retarget`` gives each part of a template the file its target wants
   under a demand; it is the one place a demand enters a plan.
 - ``split_segments`` cuts an ordered list of tagged segments at offsets; it
@@ -42,7 +46,8 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 from .core import Rational, UserSet, binom, enumerate_subsets, users_range
 
 # Memory-sharing layer tags.  The alpha layer is the first alpha*F bits of a
-# file, the beta layer the remaining (1-alpha)*F bits.
+# file, the beta layer the remaining (1-alpha)*F bits.  A subfile records its
+# layer; delivery reads the level off the owner set's size instead.
 ALPHA = "alpha"
 BETA = "beta"
 
@@ -62,20 +67,6 @@ class EqualCacheParams:
     t: Rational
     t_int: int
     alpha: Rational
-
-    def layer_fraction(self, layer: str) -> Rational:
-        return self.alpha if layer == ALPHA else ONE - self.alpha
-
-    def layer_start(self, layer: str) -> Rational:
-        return ZERO if layer == ALPHA else self.alpha
-
-    def layer_t(self, layer: str) -> int:
-        return self.t_int if layer == ALPHA else self.t_int + 1
-
-    @property
-    def layers(self) -> list[str]:
-        """Layers with non-zero size (beta vanishes when t is an integer)."""
-        return [ALPHA] if self.alpha == 1 else [ALPHA, BETA]
 
 
 def equal_params(N: int, K: int, M) -> EqualCacheParams:
@@ -200,14 +191,15 @@ class Placement:
         return dict.fromkeys(range(1, self.N + 1), ivs) if ivs else {}
 
     @property
-    def stage1_content(self) -> dict[tuple[str, UserSet], tuple[Segment, ...]]:
-        """Map (layer, stage1 set) -> the subfile's segments in every file.
+    def stage1_content(self) -> dict[UserSet, tuple[Segment, ...]]:
+        """Map stage-1 set -> the subfile's segments in every file.
 
-        Only an unrefined placement has one subfile per key; refinement
-        scatters a stage-1 subfile over several entries.
+        Only an unrefined placement has one subfile per key (its two layers
+        have owner sets of different sizes); refinement scatters a stage-1
+        subfile over several entries.
         """
         layout = self.layout
-        content = {(sf.layer, sf.stage1_set): sf.segments for sf in layout}
+        content = {sf.stage1_set: sf.segments for sf in layout}
         if len(content) != len(layout):
             raise ValueError("refined placement: its stage-1 subfiles are scattered")
         return content
@@ -351,12 +343,12 @@ def equal_placement(N: int, K: int, M, ground: UserSet | None = None) -> Placeme
     """
     ground = users_range(K) if ground is None else ground
     p = equal_params(N, len(ground), M)
+    # (layer, t, start, fraction); beta is empty when t is an integer
+    layers = ((ALPHA, p.t_int, ZERO, p.alpha),
+              (BETA, p.t_int + 1, p.alpha, ONE - p.alpha))
     blocks = tuple(chain.from_iterable(
-        man_placement(
-            N, K, p.layer_t(layer), layer,
-            p.layer_fraction(layer), p.layer_start(layer), ground,
-        ).blocks
-        for layer in p.layers
+        man_placement(N, K, t, layer, fraction, start, ground).blocks
+        for layer, t, start, fraction in layers if fraction
     ))
     return Placement(N=N, K=K, blocks=blocks)
 
@@ -371,39 +363,42 @@ def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
     return d
 
 
+def delivery_subsets(
+    content: Mapping[UserSet, object], ground: UserSet
+) -> list[UserSet]:
+    """The user subsets an equal-cache layout is delivered over, in order.
+
+    A layout at level (t_int, alpha) has owner sets of size t_int, and of
+    size t_int + 1 when alpha < 1, so the keys of its content map say which
+    level each piece belongs to.  Owner sets of size k are served over the
+    (k+1)-subsets of ``ground``, smallest k first.
+    """
+    return [S for k in sorted({len(T) for T in content})
+            for S in enumerate_subsets(ground, k + 1)]
+
+
 def xor_delivery(
-    content: Mapping[tuple[str, UserSet], Sequence[Segment]],
-    layer: str,
-    subsets: Iterable[UserSet],
+    content: Mapping[UserSet, Sequence[Segment]], subsets: Iterable[UserSet]
 ) -> list[Transmission]:
-    """XOR delivery of one layer over the given user subsets, as a template.
+    """XOR delivery over the given user subsets, as a template.
 
     For each subset S, in order: the XOR over s in S of the piece owned by
-    S - {s}, looked up as content[(layer, S - {s})], for user s.
+    S - {s}, looked up as content[S - {s}], for user s.
     """
     out: list[Transmission] = []
     for S in subsets:
         out.extend(aligned_transmissions([
-            (content[(layer, S[:i] + S[i + 1:])], s) for i, s in enumerate(S)
+            (content[S[:i] + S[i + 1:]], s) for i, s in enumerate(S)
         ]))
     return out
 
 
 def equal_delivery(
-    content: Mapping[tuple[str, UserSet], Sequence[Segment]],
-    ground: UserSet,
-    t_int: int,
-    alpha: Rational,
+    content: Mapping[UserSet, Sequence[Segment]], ground: UserSet
 ) -> list[Transmission]:
-    """XOR delivery of an equal-cache layout with parameters (t_int, alpha).
-
-    The alpha layer is served over the (t_int+1)-subsets of ``ground``, the
-    beta layer (present when alpha < 1) over the (t_int+2)-subsets.
-    """
-    txs = xor_delivery(content, ALPHA, enumerate_subsets(ground, t_int + 1))
-    if alpha != 1:
-        txs.extend(xor_delivery(content, BETA, enumerate_subsets(ground, t_int + 2)))
-    return txs
+    """XOR delivery of an equal-cache layout over ``ground``: every subset
+    ``delivery_subsets`` lists."""
+    return xor_delivery(content, delivery_subsets(content, ground))
 
 
 def retarget(template: DeliveryPlan, d: Sequence[int]) -> DeliveryPlan:

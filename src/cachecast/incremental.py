@@ -9,6 +9,8 @@ reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
 runs it on the large-cache group; with the pool set to every user it is one
 plain refinement step of an equal-cache placement.  Every file is laid out
 alike, so the refinement runs once, on the one file a ``Placement`` stores.
+Besides the refined placement it returns the pool's content keyed by owner
+set, which ``equal_cache.equal_delivery`` serves like any equal-cache layout.
 
 The kept/promoted split uses a uniform keep fraction across the merged level
 content; the source only fixes sizes, so the specific byte choice is ours and
@@ -18,33 +20,15 @@ parts go to candidate users in increasing index order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Rational, UserSet, user_set
-from .equal_cache import ALPHA, BETA, ZERO, Placement, Segment, Subfile, split_segments
+from .equal_cache import ZERO, Placement, Segment, Subfile, split_segments
 
 # A refinement piece: one contiguous segment, tagged with the stage-1 subfile
 # it was cut from.  Its owner set is the key it is filed under in a State.
 Piece = tuple[Subfile, Segment]
 State = dict[UserSet, list[Piece]]
-
-
-@dataclass(frozen=True)
-class PoolIndex:
-    """The refined pool as an equal-cache layout over the pool users.
-
-    ``content`` maps (layer, owner set) to the ordered segments of that
-    second-level subfile, the same in every file.  The layer is the pool's
-    own memory-sharing layer: ALPHA holds the owner sets of size t2_int, BETA
-    those of size t2_int + 1 (present when alpha2 < 1), whatever stage-1
-    layer the bits came from.
-    """
-
-    pool_users: UserSet
-    t2_int: int
-    alpha2: Rational
-    content: dict[tuple[str, UserSet], tuple[Segment, ...]]
 
 
 def _pieces_length(pieces: list[Piece]) -> Rational:
@@ -92,7 +76,7 @@ def refine_pool(
     pool_users: UserSet,
     t2_int: int,
     alpha2: Rational,
-) -> tuple[Placement, PoolIndex]:
+) -> tuple[Placement, dict[UserSet, tuple[Segment, ...]]]:
     """Refine the intra-pool subfiles toward a memory-sharing target.
 
     Subfiles entirely owned inside ``pool_users`` form a pooled file placed
@@ -100,6 +84,12 @@ def refine_pool(
     until the lower level reaches t2_int, then a uniform alpha2/p share of
     each subfile is kept there and the remainder promoted once more.
     Content never moves; each user in the pool gains exactly the same length.
+
+    Returns the refined placement and the pool as an equal-cache layout over
+    the pool users: a map from owner set to the ordered segments it owns,
+    the same in every file.  Owner sets of size t2_int hold the kept level,
+    those of size t2_int + 1 (present when alpha2 < 1) the promoted one,
+    whatever stage-1 layer the bits came from.
     """
     pool = user_set(pool_users)
     members = set(pool)
@@ -144,14 +134,14 @@ def refine_pool(
         high = _merge_states(high, promoted)
 
     refined_block: list[Subfile] = []
-    content: dict[tuple[str, UserSet], tuple[Segment, ...]] = {}
-    for layer, state in ((ALPHA, low), (BETA, high)):
+    content: dict[UserSet, tuple[Segment, ...]] = {}
+    for state in (low, high):
         for T in sorted(state):
             pieces = state[T]
             refined_block.extend(
                 Subfile(sf.layer, sf.stage1_set, T, (seg,)) for sf, seg in pieces
             )
-            content[(layer, T)] = tuple(seg for _, seg in pieces)
+            content[T] = tuple(seg for _, seg in pieces)
 
     refined = Placement(placement.N, placement.K, rest + (tuple(refined_block),))
-    return refined, PoolIndex(pool, t2_int, alpha2, content)
+    return refined, content

@@ -37,7 +37,6 @@ from .equal_cache import (
     Placement,
     check_demands,
     equal_delivery,
-    equal_params,
     equal_placement,
     rate_eq,
     retarget,
@@ -277,7 +276,7 @@ def _coverage(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndar
     return usable, _group_sum(filled[None, :], by_user)[0] == F - held[:, -1]
 
 
-def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, clean: np.ndarray) -> np.ndarray:
     """(n, own parts): whether a user recovers wrong bits with each own part.
 
     With own part p of transmission t a user recovers sent_t XOR the other
@@ -285,10 +284,9 @@ def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, blocks: list[np.ndarray
     XOR both with part p: they agree exactly where sent_t agrees with
     clean_t, the XOR of all of t's parts read from the server's files.
     """
-    n = len(sent)
     if not cp.starts.size:
-        return np.zeros((n, 0), dtype=bool)
-    differs = np.logical_or.reduceat(sent != _xor(cp, blocks, n), cp.starts, axis=1)
+        return np.zeros((len(sent), 0), dtype=bool)
+    differs = np.logical_or.reduceat(sent != clean, cp.starts, axis=1)
     return differs[:, cp.own_tx]
 
 
@@ -385,7 +383,8 @@ def decode_all(
     if [len(p) for p in log.payloads] != np.diff(cp.sent).tolist():
         raise ValueError("transmission log does not match the plan's widths")
     sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
-    wrong = _recovery_errors(cp, sent[None, :], _part_bits(cp, store, files))
+    clean = _xor(cp, _part_bits(cp, store, files), 1)
+    wrong = _recovery_errors(cp, sent[None, :], clean)
     ok = _decode(cp, _coverage(caches, cp), wrong)
     return VerificationReport(
         demand=tuple(d),
@@ -420,11 +419,9 @@ class SchemeInstance:
     @cached_property
     def _impl(self) -> tuple[Placement, DeliveryPlan, Rational]:
         if self.scheme == "equal":
-            params = equal_params(self.N, self.K, self.M)
             placement = equal_placement(self.N, self.K, self.M)
             template = DeliveryPlan(tuple(equal_delivery(
-                placement.stage1_content, users_range(self.K),
-                params.t_int, params.alpha,
+                placement.stage1_content, users_range(self.K)
             )))
             return placement, template, rate_eq(self.N, self.K, self.M)
         if self.scheme == "proposed":
@@ -468,20 +465,21 @@ def enumerate_demands(
 ) -> Iterator[tuple[int, ...]]:
     """Demand vectors to test: all N^K of them, or all distinct assignments.
 
-    Either way the count is checked against ``max_demands`` before anything
-    is enumerated, so an oversized request fails at once.
+    Either way 1 <= K <= N and the count against ``max_demands`` are
+    checked before anything is enumerated, so an oversized request fails at
+    once.
     """
+    if not 1 <= K <= N:
+        raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
     if mode == "exhaustive":
-        # 0^K and 1^K need no K-fold product
-        if excess := _excess("N^K", repeat(N, K) if N > 1 else [N**K], max_demands):
+        if excess := _excess("N^K", repeat(N, K), max_demands):
             raise ValueError(
                 f"{excess} demands is too many for exhaustive mode "
                 f"(limit {max_demands}); use distinct-demand mode"
             )
         return product(range(1, N + 1), repeat=K)
     if mode == "distinct":
-        factors = range(N, N - K, -1) if K <= N else [0]
-        if excess := _excess("N!/(N-K)!", factors, max_demands):
+        if excess := _excess("N!/(N-K)!", range(N, N - K, -1), max_demands):
             raise ValueError(
                 f"{excess} distinct demands is too many (limit {max_demands})"
             )
@@ -522,11 +520,12 @@ def verify_demands(
     while batch := list(islice(demands, rows)):
         want = np.array(batch, dtype=np.int64) - 1
         files = want[:, cp.target]
-        blocks = _part_bits(cp, store, files)
-        sent = _xor(cp, blocks, len(batch))
+        clean = _xor(cp, _part_bits(cp, store, files), len(batch))
+        sent = clean
         if flip is not None:
+            sent = clean.copy()
             sent[:, flip] ^= 1
-        ok = _decode(cp, coverage, _recovery_errors(cp, sent, blocks))
+        ok = _decode(cp, coverage, _recovery_errors(cp, sent, clean))
         reports.extend(
             VerificationReport(d, tuple(row), cp.total_bits, formula_bits, F)
             for d, row in zip(batch, ok.tolist())

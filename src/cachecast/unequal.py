@@ -7,10 +7,11 @@ entirely inside the large-cache group: in every file alike, that pool
 behaves like a single file of length F' placed over L users, and the extra
 cache is filled by the pooled refinement (``incremental.refine_pool``) to
 the equal-cache layout for the derived cache size M' (see
-``unequal_params``).  Delivery keeps every
-stage-one transmission that serves at least one small-cache user and
-replaces the rest with the pool's own equal-cache delivery; both go through
-``equal_cache.xor_delivery``.
+``unequal_params``).  Both levels are delivered by one rule,
+``equal_cache.delivery_subsets``: for every owner-set size k of a layout,
+one XOR per (k+1)-subset of its users.  Stage one keeps the subsets that
+reach a small-cache user; the pool's own ``equal_delivery`` replaces the
+rest.
 
 When M' would exceed N (scenario 2, the first branch of ``build_two_stage``),
 files are split: a gamma share runs the construction at the boundary cache
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Rational, UserSet, binom, enumerate_subsets, user_set, users_range
+from .core import Rational, UserSet, binom, user_set, users_range
 from .equal_cache import (
     ZERO,
     DeliveryPlan,
@@ -40,6 +41,7 @@ from .equal_cache import (
     Subfile,
     Transmission,
     check_demands,
+    delivery_subsets,
     equal_delivery,
     equal_params,
     equal_placement,
@@ -218,7 +220,6 @@ class TwoStageContext:
     """Canonical placement of a config and its identity-demand plan."""
 
     cfg: UnequalConfig
-    params: UnequalParams
     placement: Placement
     template: DeliveryPlan
 
@@ -234,11 +235,8 @@ def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
         # large users caching everything and an equal-cache system left over
         # the small users.
         sub = build_two_stage(replace(cfg, Mhat=p.Phi))
-        rest = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
         rest_placement = equal_placement(cfg.N, cfg.K, cfg.M, ground=cfg.small_users)
-        rest_txs = equal_delivery(
-            rest_placement.stage1_content, cfg.small_users, rest.t_int, rest.alpha
-        )
+        rest_txs = equal_delivery(rest_placement.stage1_content, cfg.small_users)
         sub_blocks, sub_txs = _share(
             sub.placement, sub.template.transmissions, p.gamma, ZERO
         )
@@ -246,26 +244,21 @@ def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
             rest_placement, rest_txs, 1 - p.gamma, p.gamma, cfg.large_users
         )
         return TwoStageContext(
-            cfg, p, Placement(cfg.N, cfg.K, sub_blocks + rest_blocks),
+            cfg, Placement(cfg.N, cfg.K, sub_blocks + rest_blocks),
             DeliveryPlan(tuple(sub_txs + rest_txs)),
         )
 
     # Stage 1: every transmission that serves a small-cache user, i.e. whose
     # (sorted) subset S ends above L.  Those inside the large-cache group are
     # replaced by the pool's delivery.
-    base = p.base
     placement = equal_placement(cfg.N, cfg.K, cfg.M)
     content = placement.stage1_content
-    txs: list[Transmission] = []
-    for layer in base.layers:
-        subsets = enumerate_subsets(users_range(cfg.K), base.layer_t(layer) + 1)
-        txs.extend(xor_delivery(content, layer, [S for S in subsets if S[-1] > cfg.L]))
+    subsets = delivery_subsets(content, users_range(cfg.K))
+    txs = xor_delivery(content, [S for S in subsets if S[-1] > cfg.L])
     if not p.pool_empty:
         second = equal_params(cfg.N, cfg.L, p.Mprime)
         placement, pool = refine_pool(
             placement, cfg.large_users, second.t_int, second.alpha
         )
-        txs.extend(equal_delivery(
-            pool.content, pool.pool_users, pool.t2_int, pool.alpha2
-        ))
-    return TwoStageContext(cfg, p, placement, DeliveryPlan(tuple(txs)))
+        txs.extend(equal_delivery(pool, cfg.large_users))
+    return TwoStageContext(cfg, placement, DeliveryPlan(tuple(txs)))

@@ -305,6 +305,29 @@ class TestVerify:
         assert code == 1
         assert "109027350432000" in err
 
+    @pytest.mark.parametrize("N,K,flags", [
+        ("1", "1000000000", ["--exhaustive"]),
+        ("3", "4", []),
+        ("3", "0", ["--exhaustive"]),
+    ])
+    def test_refuses_K_outside_1_to_N(self, capsys, monkeypatch, N, K, flags):
+        # refused before any demand iterator exists: 1^K passes the count
+        # bound, and product(range(1, 2), repeat=10^9) would take K slots
+        import cachecast.simulator
+
+        def no_iterator(*args, **kwargs):
+            raise AssertionError("demand iterator built before K was checked")
+
+        monkeypatch.setattr(cachecast.simulator, "product", no_iterator)
+        monkeypatch.setattr(cachecast.simulator, "permutations", no_iterator)
+        code, out, err = run(
+            capsys, "verify", "--N", N, "--K", K, "--L", "1",
+            "--Mhat", "1", "--M", "1", *flags,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"N={N}, K={K}" in err
+
     def test_refuses_unprintable_demand_count(self, capsys):
         # 2000! has more digits than Python turns into text: the refusal
         # names the quantity and its bound instead of the count

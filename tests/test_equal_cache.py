@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from cachecast.core import binom
+from cachecast.core import binom, enumerate_subsets
 from cachecast.equal_cache import (
+    delivery_subsets,
     equal_params,
     equal_placement,
     man_placement,
     rate_eq,
     retarget,
 )
+from cachecast.incremental import refine_pool
 from cachecast.simulator import SchemeInstance
+from cachecast.unequal import UnequalConfig, unequal_params
 
 
 def grid_M(N, step=Fraction(1, 2)):
@@ -183,6 +186,35 @@ class TestManDelivery:
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError, match="demand"):
             SchemeInstance("equal", 3, 3, 1).plan((1, 2, 4))
+
+
+class TestDeliverySubsets:
+    # owner sets of size k are served over the (k+1)-subsets, smallest k first
+    def test_integer_t_one_size(self):
+        content = equal_placement(4, 4, 2).stage1_content  # t = 2
+        assert delivery_subsets(content, (1, 2, 3, 4)) == enumerate_subsets(
+            (1, 2, 3, 4), 3)
+
+    def test_memory_sharing_two_sizes(self):
+        content = equal_placement(4, 4, Fraction(3, 2)).stage1_content  # t = 3/2
+        ground = (1, 2, 3, 4)
+        assert delivery_subsets(content, ground) == (
+            enumerate_subsets(ground, 2) + enumerate_subsets(ground, 3))
+
+    def test_refined_pool(self):
+        # (6,4,2,9/4,3/2): the pool of users 1, 2 is refined to t' = 3/2, so
+        # it holds owner sets of sizes 1 and 2; two users have one 2-subset
+        # and no 3-subset
+        cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
+        second = equal_params(6, 2, unequal_params(cfg).Mprime)
+        _, pool = refine_pool(
+            equal_placement(6, 4, Fraction(3, 2)), (1, 2), second.t_int, second.alpha
+        )
+        assert {len(T) for T in pool} == {1, 2}
+        assert delivery_subsets(pool, (1, 2)) == [(1, 2)]
+
+    def test_empty_map(self):
+        assert delivery_subsets({}, (1, 2, 3)) == []
 
 
 class TestRetarget:

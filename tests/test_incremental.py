@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cachecast.core import users_range
-from cachecast.equal_cache import ALPHA, equal_params, equal_placement, man_placement
+from cachecast.equal_cache import equal_params, equal_placement, man_placement
 from cachecast.incremental import refine_pool
 from cachecast.unequal import UnequalConfig, unequal_params
 
@@ -75,17 +75,17 @@ class TestRefinePool:
         # user 2, the second half to user 3, and so on cyclically
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        segs12 = pool.content[(ALPHA, (1, 2))]
+        segs12 = pool[(1, 2)]
         assert [(s.start, s.length) for s in segs12] == [
             (Fraction(0), Fraction(1, 8)),      # first half of A_1
             (Fraction(1, 4), Fraction(1, 8)),   # first half of A_2
         ]
-        segs13 = pool.content[(ALPHA, (1, 3))]
+        segs13 = pool[(1, 3)]
         assert [(s.start, s.length) for s in segs13] == [
             (Fraction(1, 8), Fraction(1, 8)),   # second half of A_1
             (Fraction(1, 2), Fraction(1, 8)),   # first half of A_3
         ]
-        segs23 = pool.content[(ALPHA, (2, 3))]
+        segs23 = pool[(2, 3)]
         assert [(s.start, s.length) for s in segs23] == [
             (Fraction(3, 8), Fraction(1, 8)),   # second half of A_2
             (Fraction(5, 8), Fraction(1, 8)),   # second half of A_3
@@ -95,8 +95,8 @@ class TestRefinePool:
         # merged pool subfiles carry F'/C(L, t') content each
         base = equal_placement(4, 4, 1)
         _, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
-        assert {layer for layer, _ in pool.content} == {ALPHA}
-        for segs in pool.content.values():
+        assert {len(T) for T in pool} == {2}  # one level, t' = 2
+        for segs in pool.values():
             assert sum(s.length for s in segs) == Fraction(1, 4)  # (3/4) / C(3,2)
 
     def test_noop_when_target_is_current(self):
@@ -127,8 +127,8 @@ class TestRefinePool:
         # t=1 placement refined to t'=3 over a pool of 3 users: two promotions
         base = equal_placement(4, 4, 1)
         refined, pool = refine_pool(base, (1, 2, 3), 3, Fraction(1))
-        assert set(pool.content) == {(ALPHA, (1, 2, 3))}
-        for segs in pool.content.values():
+        assert set(pool) == {(1, 2, 3)}
+        for segs in pool.values():
             assert sum(s.length for s in segs) == Fraction(3, 4)
         # every pool user now caches the entire pool of every file
         for user in (1, 2, 3):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .baselines import import_external_rates, scheme1_optimize
-from .core import MAX_ENUMERATION, format_rational, parse_rational
+from .core import MAX_ENUMERATION, excess, format_rational, parse_rational
 from .simulator import SchemeInstance, report_lines, verify_demands
 from .unequal import RateReport, UnequalConfig, equal_rate_report, rate_ueq
 
@@ -47,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = _Parser(
         prog="cachecast",
         description="Coded-caching rates, sweeps, and bit-exact verification "
@@ -209,9 +212,9 @@ def cmd_sweep(opts: Options) -> int:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
     count = max(0, math.floor((stop - start) / step) + 1)
-    grid_size = count**2 if axis == "both" else count
-    if grid_size > MAX_ENUMERATION:
-        raise ValueError(f"sweep grid has {grid_size} points (limit {MAX_ENUMERATION})")
+    if size := excess("sweep grid", [count] * (2 if axis == "both" else 1),
+                      MAX_ENUMERATION):
+        raise ValueError(f"{size} points is too many (limit {MAX_ENUMERATION})")
     axis_values = [start + j * step for j in range(count)]
     if not axis_values:
         raise ValueError("empty sweep grid")

@@ -8,6 +8,8 @@ equality checks between formula rates and simulated loads are exact.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -20,6 +22,27 @@ UserSet = tuple[int, ...]
 # Most demand vectors or sweep points a command enumerates; a larger count is
 # refused before any work starts.
 MAX_ENUMERATION = 10**6
+
+
+def _max_digits() -> int:
+    """Most digits Python turns an integer into text."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def excess(name: str, factors: Iterable[int], limit: int) -> str | None:
+    """``name = count`` when the product of ``factors`` exceeds ``limit``.
+
+    Multiplying stops at 10^d, d the most digits Python turns into text, so
+    a count that large is stated as that bound and never computed in full.
+    """
+    digits = _max_digits()
+    cap = 10**digits
+    count = 1
+    for f in factors:
+        count *= f
+        if count >= cap:
+            return f"{name} >= 10^{digits}"
+    return f"{name} = {count}" if count > limit else None
 
 
 def binom(a: int, b: int) -> int:
@@ -68,11 +91,23 @@ def lcm_denominators(lengths: Sequence[Fraction]) -> int:
     return math.lcm(*(x.denominator for x in lengths))
 
 
+# The decimal exponent of a number as ``fractions.Fraction`` reads it.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a decimal string into an exact fraction.
 
-    Decimals are read exactly over powers of ten ('0.25' -> 1/4).
+    Decimals are read exactly over powers of ten ('0.25' -> 1/4).  A decimal
+    exponent that would give more digits than Python turns into text is
+    refused before any power of ten is computed.
     """
+    digits = _max_digits()
+    if exponent := _EXPONENT.search(text):
+        size = exponent[1].replace("_", "").lstrip("+-0")
+        if len(size) > len(str(digits)) or int(size or 0) >= digits:
+            raise ValueError(f"exponent {exponent[1]} in {text!r} gives more "
+                             f"than {digits} digits")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

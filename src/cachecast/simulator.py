@@ -8,29 +8,30 @@ its cache covers, cancels them from the received XOR, and the reassembled
 file is compared bit-for-bit against the server's copy.
 
 ``compile_plan`` is the one step that turns a plan's rational segments into
-bits: integer arrays of part bounds, fixed once per plan and file size.  The
-XOR and the decoder then work on a matrix of file choices, one row per
-demand.  The load does not depend on the demand: a demand enters a plan only
-through ``equal_cache.retarget``, which picks the files its parts read, and
-transmission widths are fixed when the plan is compiled.  Caches are stored
-as one mask row per user, since a placement lays out every file alike; so
-which parts a user can cancel is fixed too, and only whether the recovered
-bits are right is checked per demand.
+bits: integer arrays of part bounds, fixed once per plan and file size.
+``execute_delivery`` XORs the parts out of the files and ``decode_all`` runs
+every user's decoder on that log; ``verify_demands`` is these two steps at
+the identity demand.  One decode speaks for every demand: a demand enters a
+plan only through ``equal_cache.retarget``, which picks the files its parts
+read, while transmission widths are fixed when the plan is compiled and
+caches are one mask row per user, since a placement lays out every file
+alike.  So which parts a user can cancel, and whether they complete its
+file, depend on no demand, and a received payload differs from the XOR of
+the server's parts only where the log was corrupted.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, permutations, product, repeat
+from itertools import permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    MAX_ENUMERATION, Rational, format_rational, lcm_denominators, users_range,
+    MAX_ENUMERATION, Rational, excess, format_rational, lcm_denominators, users_range,
 )
 from .equal_cache import (
     DeliveryPlan,
@@ -47,8 +48,6 @@ from .unequal import UnequalConfig, build_two_stage, rate_ueq
 # Most bytes materialize may allocate: K*F_bits of masks, one row per user
 # for every file alike, and N*F_bits of files.
 MAX_MATERIALIZE_BYTES = 2**30
-# Most bytes of per-demand working arrays one verification batch may hold.
-MAX_BATCH_BYTES = MAX_MATERIALIZE_BYTES // 16
 
 
 def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
@@ -129,10 +128,9 @@ class CompiledPlan:
 
     A part is (transmission, target user, bit range [a, b)); every part of a
     transmission has the transmission's width, so the widths, and with them
-    the load, are fixed here.  Which file a part reads is an input, a row of
-    a (demands, parts) file matrix, so one compiled plan serves every demand.
-    A user decodes with its *own* part, its first part in a transmission,
-    and cancels the others.
+    the load, are fixed here; which file a part reads is the plan's own
+    choice, the file its target wants.  A user decodes with its *own* part,
+    its first part in a transmission, and cancels the others.
     """
 
     F_bits: int
@@ -151,22 +149,6 @@ class CompiledPlan:
     @property
     def total_bits(self) -> int:
         return self.sent[-1]
-
-    @property
-    def row_bytes(self) -> int:
-        """Working bytes one demand takes in a verification batch, rounded up:
-        its part bits, a few payload-sized arrays, and integer index rows."""
-        part_bits = int((self.b - self.a).sum())
-        return part_bits + 4 * self.total_bits + 64 * (len(self.a) + len(self.cancel) + 1)
-
-    def sent_column(self, transmission: int, bit: int) -> int:
-        """Payload column of one transmitted bit."""
-        if not self.total_bits:
-            raise ValueError("no transmitted bit to flip")
-        if not (0 <= transmission < len(self.sent) - 1
-                and 0 <= bit < self.sent[transmission + 1] - self.sent[transmission]):
-            raise ValueError(f"transmission {transmission} has no bit {bit}")
-        return self.sent[transmission] + bit
 
 
 def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
@@ -227,31 +209,27 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
 
 
 def _group_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Row sums over consecutive column groups; an empty group sums to 0."""
-    run = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.int64)
-    np.cumsum(values, axis=1, out=run[:, 1:])
-    return run[:, bounds[1:]] - run[:, bounds[:-1]]
+    """Sums over consecutive groups of ``values``; an empty group sums to 0."""
+    run = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=run[1:])
+    return run[bounds[1:]] - run[bounds[:-1]]
 
 
-def _part_bits(cp: CompiledPlan, store: FileStore, files: np.ndarray) -> list[np.ndarray]:
-    """Each part's bits as an (n, width) block; row i reads ``files[i, part]``."""
-    return [store.bits[files[:, p], a:b]
-            for p, (a, b) in enumerate(zip(cp.a.tolist(), cp.b.tolist()))]
-
-
-def _xor(cp: CompiledPlan, blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """(n, payload bits) array: each transmission XORs its parts' blocks."""
-    sent = np.zeros((n, cp.total_bits), dtype=np.uint8)
+def _xor(cp: CompiledPlan, store: FileStore) -> np.ndarray:
+    """Payload bits of every transmission: the XOR of its parts, each read
+    from the file the plan gives it in the server's store."""
+    sent = np.zeros(cp.total_bits, dtype=np.uint8)
+    files, a, b = cp.files.tolist(), cp.a.tolist(), cp.b.tolist()
     for t in range(len(cp.parts) - 1):
-        payload = sent[:, cp.sent[t]:cp.sent[t + 1]]
+        payload = sent[cp.sent[t]:cp.sent[t + 1]]
         for q in range(cp.parts[t], cp.parts[t + 1]):
-            payload ^= blocks[q]
+            payload ^= store.bits[files[q], a[q]:b[q]]
     return sent
 
 
 def _coverage(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
     """Which own parts are usable, shape (own parts,), and which users they
-    complete, shape (K,); every file is cached alike, so not per demand.
+    complete, shape (K,); every file is cached alike, so for any demand.
 
     A user uses its own part of a transmission only if its cache covers every
     other part, and every bit its cache lacks must arrive that way.  Own
@@ -269,33 +247,29 @@ def _coverage(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndar
     missing = (cp.b - cp.a) - (held[:, hi] - held[:, lo])  # (K, parts)
     owner = cp.target[cp.own]
     cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
-    cancelled = missing[cancel_user, cp.cancel][None, :]
-    usable = _group_sum(cancelled, cp.cancel_bounds)[0] == 0
+    usable = _group_sum(missing[cancel_user, cp.cancel], cp.cancel_bounds) == 0
     filled = missing[owner, cp.own] * usable
     by_user = np.searchsorted(owner, np.arange(K + 1))
-    return usable, _group_sum(filled[None, :], by_user)[0] == F - held[:, -1]
+    return usable, _group_sum(filled, by_user) == F - held[:, -1]
 
 
 def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, clean: np.ndarray) -> np.ndarray:
-    """(n, own parts): whether a user recovers wrong bits with each own part.
+    """Whether a user recovers wrong bits with each own part.
 
     With own part p of transmission t a user recovers sent_t XOR the other
     parts of t, read from its cache, and wants part p as the server has it.
     XOR both with part p: they agree exactly where sent_t agrees with
     clean_t, the XOR of all of t's parts read from the server's files.
     """
-    if not cp.starts.size:
-        return np.zeros((len(sent), 0), dtype=bool)
-    differs = np.logical_or.reduceat(sent != clean, cp.starts, axis=1)
-    return differs[:, cp.own_tx]
+    return np.logical_or.reduceat(sent != clean, cp.starts)[cp.own_tx]
 
 
 def _decode(
     cp: CompiledPlan, coverage: tuple[np.ndarray, np.ndarray], wrong: np.ndarray
 ) -> np.ndarray:
-    """(n, K) decode outcome per demand and user: a user decodes when its
-    cache and usable parts fill its file (``_coverage``) and no usable part
-    recovers ``wrong`` bits for that demand."""
+    """Decode outcome per user, shape (K,): a user decodes when its cache and
+    usable parts fill its file (``_coverage``) and no usable part recovers
+    ``wrong`` bits."""
     usable, complete = coverage
     by_user = np.searchsorted(cp.target[cp.own], np.arange(len(complete) + 1))
     return complete & (_group_sum(usable & wrong, by_user) == 0)
@@ -325,7 +299,7 @@ class TransmissionLog:
 def execute_delivery(store: FileStore, plan: DeliveryPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files."""
     cp = compile_plan(plan, store.F_bits)
-    sent = _xor(cp, _part_bits(cp, store, cp.files[None, :]), 1)[0]
+    sent = _xor(cp, store)
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
@@ -373,9 +347,8 @@ def decode_all(
     K = caches.masks.shape[0]
     d = check_demands(d, store.N, K)
     cp = compile_plan(plan, F)
-    want = np.array([d], dtype=np.int64) - 1
-    files = want[:, cp.target]
-    stray = np.flatnonzero(files[0] != cp.files)
+    want = np.array(d, dtype=np.int64) - 1
+    stray = np.flatnonzero(want[cp.target] != cp.files)
     if stray.size:
         p = stray[0]
         raise ValueError(f"plan does not serve demand {d}: a part for user "
@@ -383,12 +356,11 @@ def decode_all(
     if [len(p) for p in log.payloads] != np.diff(cp.sent).tolist():
         raise ValueError("transmission log does not match the plan's widths")
     sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
-    clean = _xor(cp, _part_bits(cp, store, files), 1)
-    wrong = _recovery_errors(cp, sent[None, :], clean)
+    wrong = _recovery_errors(cp, sent, _xor(cp, store))
     ok = _decode(cp, _coverage(caches, cp), wrong)
     return VerificationReport(
         demand=tuple(d),
-        user_ok=tuple(ok[0].tolist()),
+        user_ok=tuple(ok.tolist()),
         measured_load_bits=log.total_bits,
         formula_load_bits=(log.total_bits if formula_rate is None
                            else _formula_bits(formula_rate, F)),
@@ -444,22 +416,6 @@ class SchemeInstance:
         return retarget(self._impl[1], check_demands(d, self.N, self.K))
 
 
-def _excess(name: str, factors: Iterable[int], limit: int) -> str | None:
-    """``name = count`` when the product of ``factors`` exceeds ``limit``.
-
-    Multiplying stops at 10^d, d the most digits Python turns into text, so
-    a count that large is stated as that bound and never computed in full.
-    """
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    cap = 10**digits
-    count = 1
-    for f in factors:
-        count *= f
-        if count >= cap:
-            return f"{name} >= 10^{digits}"
-    return f"{name} = {count}" if count > limit else None
-
-
 def enumerate_demands(
     N: int, K: int, mode: str, max_demands: int = MAX_ENUMERATION
 ) -> Iterator[tuple[int, ...]]:
@@ -472,16 +428,16 @@ def enumerate_demands(
     if not 1 <= K <= N:
         raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
     if mode == "exhaustive":
-        if excess := _excess("N^K", repeat(N, K), max_demands):
+        if count := excess("N^K", repeat(N, K), max_demands):
             raise ValueError(
-                f"{excess} demands is too many for exhaustive mode "
+                f"{count} demands is too many for exhaustive mode "
                 f"(limit {max_demands}); use distinct-demand mode"
             )
         return product(range(1, N + 1), repeat=K)
     if mode == "distinct":
-        if excess := _excess("N!/(N-K)!", range(N, N - K, -1), max_demands):
+        if count := excess("N!/(N-K)!", range(N, N - K, -1), max_demands):
             raise ValueError(
-                f"{excess} distinct demands is too many (limit {max_demands})"
+                f"{count} distinct demands is too many (limit {max_demands})"
             )
         return permutations(range(1, N + 1), K)
     raise ValueError(f"unknown demand mode {mode!r}")
@@ -494,43 +450,38 @@ def verify_demands(
     max_demands: int = MAX_ENUMERATION,
     flip_bit: tuple[int, int] | None = None,
 ) -> list[VerificationReport]:
-    """Full decode verification over enumerated demands, in batches.
+    """Decode verification for every enumerated demand, from one decode.
 
-    The identity-demand template is compiled once.  As in
-    ``equal_cache.retarget``, a demand only chooses which file each part
-    reads (the part for user k reads file d[k]), here as a row of the file
-    matrix, so transmission widths, and with them the load, cannot depend on
-    the demand.  Per demand the payloads are XORed from the file store and
-    every user decodes them as in ``decode_all``.  Batches hold at most
-    ``MAX_BATCH_BYTES`` of working arrays.
+    The demands are enumerated first, so an oversized count is refused
+    before any work.  Then the identity-demand plan is materialized,
+    executed and decoded by ``decode_all``, and every demand gets that
+    verdict: a demand only chooses which file each part reads (the part for
+    user k reads file d[k], as in ``equal_cache.retarget``), while what a
+    user can cancel, the widths, and with them the load, are the same for
+    every file.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
     """
     demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
-    template = inst.plan(tuple(range(1, inst.K + 1)))
-    store, caches = materialize(inst.placement, template, seed=seed)
-    F = store.F_bits
-    cp = compile_plan(template, F)
-    flip = None if flip_bit is None else cp.sent_column(*flip_bit)
-    formula_bits = _formula_bits(inst.formula_rate, F)
-    coverage = _coverage(caches, cp)
-    rows = max(1, MAX_BATCH_BYTES // cp.row_bytes)
-    reports = []
-    while batch := list(islice(demands, rows)):
-        want = np.array(batch, dtype=np.int64) - 1
-        files = want[:, cp.target]
-        clean = _xor(cp, _part_bits(cp, store, files), len(batch))
-        sent = clean
-        if flip is not None:
-            sent = clean.copy()
-            sent[:, flip] ^= 1
-        ok = _decode(cp, coverage, _recovery_errors(cp, sent, clean))
-        reports.extend(
-            VerificationReport(d, tuple(row), cp.total_bits, formula_bits, F)
-            for d, row in zip(batch, ok.tolist())
-        )
-    return reports
+    identity = users_range(inst.K)
+    plan = inst.plan(identity)
+    store, caches = materialize(inst.placement, plan, seed=seed)
+    log = execute_delivery(store, plan)
+    if flip_bit is not None:
+        t, bit = flip_bit
+        if not log.total_bits:
+            raise ValueError("no transmitted bit to flip")
+        if not (0 <= t < len(log.payloads) and 0 <= bit < len(log.payloads[t])):
+            raise ValueError(f"transmission {t} has no bit {bit}")
+        payloads = list(log.payloads)
+        payloads[t] = payloads[t].copy()
+        payloads[t][bit] ^= 1
+        log = TransmissionLog(tuple(payloads))
+    report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
+    return [VerificationReport(d, report.user_ok, report.measured_load_bits,
+                               report.formula_load_bits, report.F_bits)
+            for d in demands]
 
 
 def report_lines(reports: Iterable[VerificationReport]) -> list[str]:

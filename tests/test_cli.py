@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -58,6 +59,32 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--N", "4", "--K", "4", "--scheme", "equal")
         assert code == 1
         assert "--M" in err
+
+    def test_refuses_oversized_exponent(self, capsys):
+        # 10^5000 has more digits than Python turns into text: refused by
+        # its exponent before any power of ten is computed
+        code, out, err = run(
+            capsys, "rate", "--N", "4", "--K", "4", "--M", "1e-5000", "--scheme", "equal"
+        )
+        assert code == 1
+        assert out == ""
+        assert "exponent -5000" in err
+        assert "integer string conversion" not in err
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = ("rate", "--N", "4", "--K", "4", "--M", "1", "--scheme", "equal")
+        assert run(capsys, *argv)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("rate 3/2 (1.5)\n")
+        assert built == []
 
 
 class TestSweep:
@@ -184,6 +211,17 @@ class TestSweep:
         )
         assert code == 1
         assert "3333333334" in err
+
+    def test_refuses_unprintable_grid(self, capsys):
+        # (10^3000 + 1)^2 points: the refusal states a bound, not the count
+        code, out, err = run(
+            capsys, "sweep", "--N", "10", "--K", "4", "--L", "2", "--M", "1",
+            "--from", "0", "--to", "1", "--step", "1e-3000", "--sweep-axis", "both",
+        )
+        assert code == 1
+        assert out == ""
+        assert "sweep grid >= 10^" in err and "(limit 1000000)" in err
+        assert "integer string conversion" not in err
 
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -95,6 +95,14 @@ def test_parse_rational_forms():
         parse_rational("nope")
 
 
+def test_parse_rational_bounds_the_exponent():
+    assert parse_rational("25e-2") == Fraction(1, 4)
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
+    for text in ("1e-5000", "1E4300", "2e+0_5000", "1e" + "9" * 100):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+
+
 def test_format_rational_canonical():
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(4, 2)) == "2"

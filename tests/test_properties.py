@@ -65,8 +65,8 @@ def test_cache_loads_within_budget(point):
 @PROFILE
 @given(points(), st.data())
 def test_every_distinct_demand_decodes(point, data):
-    """Every distinct demand decodes in batches, and one demand with a
-    repeated file decodes through the single-demand path."""
+    """Every distinct demand passes verification, and one demand with a
+    repeated file decodes on its own plan."""
     inst = instance(point)
     reports = verify_demands(inst, mode="distinct")
     assert len(reports) == math.perm(inst.N, inst.K)

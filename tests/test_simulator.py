@@ -173,7 +173,14 @@ class TestWorstCaseLoad:
         assert len(list(enumerate_demands(3, 3, "exhaustive"))) == 27
 
 
-class TestBatches:
+def flipped(log, transmission, bit):
+    """``log`` with one transmitted bit flipped."""
+    payloads = [p.copy() for p in log.payloads]
+    payloads[transmission][bit] ^= 1
+    return TransmissionLog(tuple(payloads))
+
+
+class TestOneDecode:
     POINTS = [
         (WORKED, "exhaustive"),
         (SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2)),
@@ -183,22 +190,30 @@ class TestBatches:
 
     @pytest.mark.parametrize("inst,mode", POINTS)
     @pytest.mark.parametrize("flip_bit", [None, (0, 0), (1, 0)])
-    @pytest.mark.parametrize("batch_bytes", [1, 7 * 4096])
-    def test_small_batches_match_one_batch(self, monkeypatch, inst, mode, flip_bit,
-                                           batch_bytes):
-        whole = verify_demands(inst, mode=mode, flip_bit=flip_bit)
-        monkeypatch.setattr(simulator, "MAX_BATCH_BYTES", batch_bytes)
-        assert verify_demands(inst, mode=mode, flip_bit=flip_bit) == whole
-
-    @pytest.mark.parametrize("inst,mode", POINTS)
-    def test_batch_matches_single_demand_decoding(self, inst, mode):
+    def test_matches_single_demand_decoding(self, inst, mode, flip_bit):
+        # each demand decoded on its own plan, with the same bit flipped
         template = inst.plan(tuple(range(1, inst.K + 1)))
         store, caches = materialize(inst.placement, template)
-        for report in verify_demands(inst, mode=mode)[::7]:
+        reports = verify_demands(inst, mode=mode, flip_bit=flip_bit)
+        assert len(reports) == len(list(enumerate_demands(inst.N, inst.K, mode)))
+        for report in reports[::7]:
             plan = inst.plan(report.demand)
             log = execute_delivery(store, plan)
+            if flip_bit is not None:
+                log = flipped(log, *flip_bit)
             assert decode_all(caches, log, report.demand, plan, store,
                               formula_rate=inst.formula_rate) == report
+
+    def test_decodes_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return decode_all(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "decode_all", counted)
+        assert len(verify_demands(WORKED, mode="exhaustive")) == 256
+        assert calls == [(1, 2, 3, 4)]
 
     def test_flip_out_of_range(self):
         with pytest.raises(ValueError, match="transmission 99 has no bit 0"):

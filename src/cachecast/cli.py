@@ -94,6 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None, help="flip one transmitted bit")
     p_verify.add_argument("--report", help="write per-demand records to this file")
     p_verify.set_defaults(func=cmd_verify)
+    # one config file serves every subcommand: its keys are their flags' destinations
+    parser.config_keys = frozenset(
+        action.dest.rstrip("_") for p in sub.choices.values() for action in p._actions
+        if action.option_strings and action.dest != "help"
+    )
     return parser
 
 
@@ -108,6 +113,9 @@ class Options:
                 self._config = json.load(fh)
             if not isinstance(self._config, dict):
                 raise ValueError(f"config file {args.config} must hold a JSON object")
+            for key in self._config:
+                if key not in build_parser().config_keys:
+                    raise ValueError(f"config key {key!r} names no flag")
             for key in INTEGER_KEYS:
                 value = self._config.get(key)
                 if value is not None and type(value) is not int:
@@ -151,17 +159,21 @@ def cmd_rate(opts: Options) -> int:
     if scheme in ("proposed", "scheme1") and (L is None or Mhat is None):
         raise ValueError(f"scheme {scheme} needs --L and --Mhat")
     rep = _point_report(scheme, N, K, L, Mhat, M)
-    print(f"rate {format_rational(rep.rate)} ({_dec(rep.rate)})")
-    print(f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
-          f"Mhat={'' if rep.Mhat is None else rep.Mhat} M={rep.M}")
+    # every line is formatted before any is written, so a failure prints nothing
+    lines = [f"rate {format_rational(rep.rate)} ({_dec(rep.rate)})",
+             f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
+             f"Mhat={'' if rep.Mhat is None else rep.Mhat} M={rep.M}"]
     if rep.t is not None:
-        print(f"t={rep.t} t_int={rep.t_int} alpha={rep.alpha}")
+        lines.append(f"t={rep.t} t_int={rep.t_int} alpha={rep.alpha}")
     if rep.scheme == "proposed":
-        print(f"Fprime={rep.Fprime} Mprime={'' if rep.Mprime is None else rep.Mprime} "
-              f"Rprime={rep.Rprime}")
-        print(f"scenario={rep.scenario} Phi={'' if rep.Phi is None else rep.Phi} "
-              f"gamma={'' if rep.gamma is None else rep.gamma}"
-              + (" pool_empty" if rep.pool_empty else ""))
+        lines += [
+            f"Fprime={rep.Fprime} Mprime={'' if rep.Mprime is None else rep.Mprime} "
+            f"Rprime={rep.Rprime}",
+            f"scenario={rep.scenario} Phi={'' if rep.Phi is None else rep.Phi} "
+            f"gamma={'' if rep.gamma is None else rep.gamma}"
+            + (" pool_empty" if rep.pool_empty else ""),
+        ]
+    print("\n".join(lines))
     return 0
 
 

@@ -29,6 +29,13 @@ def _max_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+def count_text(count: int) -> str:
+    """``count`` in decimal, or ``>= 10^d`` when it has more digits than the
+    d that Python turns into text."""
+    digits = _max_digits()
+    return f">= 10^{digits}" if count >= 10**digits else str(count)
+
+
 def excess(name: str, factors: Iterable[int], limit: int) -> str | None:
     """``name = count`` when the product of ``factors`` exceeds ``limit``.
 
@@ -41,7 +48,7 @@ def excess(name: str, factors: Iterable[int], limit: int) -> str | None:
     for f in factors:
         count *= f
         if count >= cap:
-            return f"{name} >= 10^{digits}"
+            return f"{name} {count_text(count)}"
     return f"{name} = {count}" if count > limit else None
 
 

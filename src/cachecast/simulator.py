@@ -3,21 +3,20 @@
 Files become pseudo-random bit arrays whose length is a multiple of every
 segment denominator, so each rational offset lands on an integer bit and no
 rounding ever happens: measured loads are compared to formula rates with
-exact equality.  Decoding is genuinely adversarial — a user only reads bits
-its cache covers, cancels them from the received XOR, and the reassembled
-file is compared bit-for-bit against the server's copy.
+exact equality.
 
 ``compile_plan`` is the one step that turns a plan's rational segments into
-bits: integer arrays of part bounds, fixed once per plan and file size.
-``execute_delivery`` XORs the parts out of the files and ``decode_all`` runs
-every user's decoder on that log; ``verify_demands`` is these two steps at
-the identity demand.  One decode speaks for every demand: a demand enters a
-plan only through ``equal_cache.retarget``, which picks the files its parts
-read, while transmission widths are fixed when the plan is compiled and
-caches are one mask row per user, since a placement lays out every file
-alike.  So which parts a user can cancel, and whether they complete its
-file, depend on no demand, and a received payload differs from the XOR of
-the server's parts only where the log was corrupted.
+bits, each transmission's parts as (target, file, bit range), once per plan
+and file size.  ``execute_delivery`` XORs the parts out of the files and
+``decode_all`` decodes the log one transmission at a time, as the paper
+does; ``verify_demands`` is these steps at the identity demand.  One decode
+speaks for every demand: a demand enters a plan only through
+``equal_cache.retarget``, which picks the files its parts read, while
+transmission widths are fixed when the plan is compiled and caches are one
+mask row per user, since a placement lays out every file alike.  So which
+parts a user can cancel, and whether they complete its file, depend on no
+demand, and a received payload differs from the XOR of the server's parts
+only where the log was corrupted.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    MAX_ENUMERATION, Rational, excess, format_rational, lcm_denominators, users_range,
+    MAX_ENUMERATION, Rational, count_text, excess, format_rational, lcm_denominators,
+    users_range,
 )
 from .equal_cache import (
     DeliveryPlan,
@@ -109,8 +109,9 @@ def materialize(
         F_bits = required_bits(placement, *([] if plan is None else [plan]))
     nbytes = (placement.K + placement.N) * F_bits
     if nbytes > MAX_MATERIALIZE_BYTES:
-        raise ValueError(f"F_bits = {F_bits} needs {nbytes} bytes of masks and "
-                         f"file store (limit {MAX_MATERIALIZE_BYTES})")
+        raise ValueError(
+            f"{excess('F_bits', [F_bits], 0)} needs {count_text(nbytes)} bytes of masks "
+            f"and file store (limit {MAX_MATERIALIZE_BYTES})")
     rng = np.random.default_rng(seed)
     store = FileStore(rng.integers(0, 2, size=(placement.N, F_bits), dtype=np.uint8))
     masks = np.zeros((placement.K, F_bits), dtype=bool)
@@ -124,27 +125,19 @@ def materialize(
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """A delivery plan's bit geometry at one file size, as integer arrays.
+    """A delivery plan's bit geometry at one file size.
 
-    A part is (transmission, target user, bit range [a, b)); every part of a
-    transmission has the transmission's width, so the widths, and with them
-    the load, are fixed here; which file a part reads is the plan's own
-    choice, the file its target wants.  A user decodes with its *own* part,
-    its first part in a transmission, and cancels the others.
+    ``parts[t]`` lists transmission t's parts as (target user, file, a, b):
+    0-based user and file, bit range [a, b).  Every part of a transmission
+    has the transmission's width, so the widths, and with them the load, are
+    fixed here; which file a part reads is the plan's own choice, the file
+    its target wants.  A user decodes with its *own* part, its first part in
+    a transmission, and cancels the others.
     """
 
     F_bits: int
-    target: np.ndarray  # (P,) user of each part, 0-based
-    files: np.ndarray  # (P,) file of each part in the compiled plan, 0-based
-    a: np.ndarray  # (P,) first bit of each part
-    b: np.ndarray  # (P,) end bit of each part
-    parts: list[int]  # transmission t has parts parts[t]:parts[t+1]
-    sent: list[int]  # and payload bits sent[t]:sent[t+1]
-    starts: np.ndarray  # first payload bit of each transmission that sends any
-    own: np.ndarray  # own parts of positive width, by user, then by first bit
-    own_tx: np.ndarray  # index into ``starts`` of each own part's transmission
-    cancel: np.ndarray  # for each own part in turn, the parts its user cancels
-    cancel_bounds: np.ndarray  # (len(own)+1,) group boundaries of ``cancel``
+    parts: list[list[tuple[int, int, int, int]]]
+    sent: list[int]  # transmission t sends payload bits sent[t]:sent[t+1]
 
     @property
     def total_bits(self) -> int:
@@ -155,124 +148,73 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
     """Fix a plan's bit geometry at ``F_bits``, checking it once.
 
     Every part boundary must be an integer bit, every part of a transmission
-    must have the same width, and no user may be sent a bit twice.  This is
-    the only place delivery turns rational offsets into bits.
+    must have the same width, and no user may be sent a bit twice, so one
+    user's own parts never overlap.  This is the only place delivery turns
+    rational offsets into bits.
     """
-    target, files, a, b, tx_of, own = [], [], [], [], [], []
-    parts, sent = [0], [0]
-    for t, tx in enumerate(plan.transmissions):
-        width = None
-        users = set()
+    parts, sent, own = [], [0], []
+    for tx in plan.transmissions:
+        compiled, width, users = [], None, set()
         for part in tx.parts:
             lo, hi = _bit_range(part.segment, F_bits)
             if width is None:
                 width = hi - lo
             elif hi - lo != width:
                 raise ValueError("unequal segment lengths inside one transmission")
-            if width and part.target not in users:
-                users.add(part.target)
-                own.append(len(a))
-            target.append(part.target - 1)
-            files.append(part.segment.file - 1)
-            a.append(lo)
-            b.append(hi)
-            tx_of.append(t)
-        parts.append(len(a))
+            user = part.target - 1
+            if width and user not in users:
+                users.add(user)
+                own.append((user, lo, hi))
+            compiled.append((user, part.segment.file - 1, lo, hi))
+        parts.append(compiled)
         sent.append(sent[-1] + width)
-    own.sort(key=lambda p: (target[p], a[p]))
-    for p, q in zip(own, own[1:]):
-        if target[p] == target[q] and a[q] < b[p]:
-            raise ValueError(f"plan sends user {target[q] + 1} bits "
-                             f"[{a[q]}, {min(b[p], b[q])}) of its file twice")
-    nonempty = [t for t in range(len(sent) - 1) if sent[t + 1] > sent[t]]
-    starts = [sent[t] for t in nonempty]
-    cancel, cancel_bounds = [], [0]
-    for p in own:
-        t = tx_of[p]
-        cancel.extend(range(parts[t], p))
-        cancel.extend(range(p + 1, parts[t + 1]))
-        cancel_bounds.append(len(cancel))
-    return CompiledPlan(
-        F_bits=F_bits,
-        target=np.array(target, dtype=np.int64),
-        files=np.array(files, dtype=np.int64),
-        a=np.array(a, dtype=np.int64),
-        b=np.array(b, dtype=np.int64),
-        parts=parts,
-        sent=sent,
-        starts=np.array(starts, dtype=np.int64),
-        own=np.array(own, dtype=np.int64),
-        own_tx=np.searchsorted(nonempty, [tx_of[p] for p in own]),
-        cancel=np.array(cancel, dtype=np.int64),
-        cancel_bounds=np.array(cancel_bounds, dtype=np.int64),
-    )
-
-
-def _group_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sums over consecutive groups of ``values``; an empty group sums to 0."""
-    run = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=run[1:])
-    return run[bounds[1:]] - run[bounds[:-1]]
+    own.sort(key=lambda o: o[:2])
+    for (u, _, b), (v, a, b2) in zip(own, own[1:]):
+        if u == v and a < b:
+            raise ValueError(f"plan sends user {v + 1} bits "
+                             f"[{a}, {min(b, b2)}) of its file twice")
+    return CompiledPlan(F_bits, parts, sent)
 
 
 def _xor(cp: CompiledPlan, store: FileStore) -> np.ndarray:
     """Payload bits of every transmission: the XOR of its parts, each read
     from the file the plan gives it in the server's store."""
     sent = np.zeros(cp.total_bits, dtype=np.uint8)
-    files, a, b = cp.files.tolist(), cp.a.tolist(), cp.b.tolist()
-    for t in range(len(cp.parts) - 1):
+    for t, parts in enumerate(cp.parts):
         payload = sent[cp.sent[t]:cp.sent[t + 1]]
-        for q in range(cp.parts[t], cp.parts[t + 1]):
-            payload ^= store.bits[files[q], a[q]:b[q]]
+        for _, f, a, b in parts:
+            payload ^= store.bits[f, a:b]
     return sent
 
 
-def _coverage(caches: CacheImage, cp: CompiledPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Which own parts are usable, shape (own parts,), and which users they
-    complete, shape (K,); every file is cached alike, so for any demand.
+def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
+            clean: np.ndarray) -> list[bool]:
+    """Decode outcome per user, transmission by transmission.
 
-    A user uses its own part of a transmission only if its cache covers every
-    other part, and every bit its cache lacks must arrive that way.  Own
-    parts of one user never overlap (``compile_plan``), so counting suffices.
+    A user reads its own part of a transmission only if its cache covers
+    every other part, and that part fills the bits its cache lacks there.
+    What it reads is wrong exactly where the received payload differs from
+    ``clean``, the XOR of the server's parts.  A user decodes when nothing
+    is missing and nothing it read was wrong.
     """
-    K, F = caches.masks.shape
-    cuts = np.unique(np.concatenate(([0, F], cp.a, cp.b)))
-    # held[:, i]: cached bits before cuts[i], summed one span at a time so
-    # no array larger than the masks is made
-    held = np.zeros((K, len(cuts)), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
-        held[:, i + 1] = caches.masks[:, lo:hi].sum(axis=1, dtype=np.int64)
-    held = held.cumsum(axis=1)
-    lo, hi = np.searchsorted(cuts, cp.a), np.searchsorted(cuts, cp.b)
-    missing = (cp.b - cp.a) - (held[:, hi] - held[:, lo])  # (K, parts)
-    owner = cp.target[cp.own]
-    cancel_user = owner.repeat(np.diff(cp.cancel_bounds))
-    usable = _group_sum(missing[cancel_user, cp.cancel], cp.cancel_bounds) == 0
-    filled = missing[owner, cp.own] * usable
-    by_user = np.searchsorted(owner, np.arange(K + 1))
-    return usable, _group_sum(filled, by_user) == F - held[:, -1]
-
-
-def _recovery_errors(cp: CompiledPlan, sent: np.ndarray, clean: np.ndarray) -> np.ndarray:
-    """Whether a user recovers wrong bits with each own part.
-
-    With own part p of transmission t a user recovers sent_t XOR the other
-    parts of t, read from its cache, and wants part p as the server has it.
-    XOR both with part p: they agree exactly where sent_t agrees with
-    clean_t, the XOR of all of t's parts read from the server's files.
-    """
-    return np.logical_or.reduceat(sent != clean, cp.starts)[cp.own_tx]
-
-
-def _decode(
-    cp: CompiledPlan, coverage: tuple[np.ndarray, np.ndarray], wrong: np.ndarray
-) -> np.ndarray:
-    """Decode outcome per user, shape (K,): a user decodes when its cache and
-    usable parts fill its file (``_coverage``) and no usable part recovers
-    ``wrong`` bits."""
-    usable, complete = coverage
-    by_user = np.searchsorted(cp.target[cp.own], np.arange(len(complete) + 1))
-    return complete & (_group_sum(usable & wrong, by_user) == 0)
+    missing = [masks.shape[1] - np.count_nonzero(row) for row in masks]
+    wrong = [False] * len(missing)
+    differs = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads]) != clean
+    for t, parts in enumerate(cp.parts):
+        lo, hi = cp.sent[t], cp.sent[t + 1]
+        if lo == hi:
+            continue
+        corrupt = bool(differs[lo:hi].any())
+        covered = [masks[:, a:b].all(axis=1).tolist() for _, _, a, b in parts]
+        read = set()
+        for i, (user, _, a, b) in enumerate(parts):
+            if user in read:
+                continue
+            read.add(user)
+            if all(c[user] for j, c in enumerate(covered) if j != i):
+                missing[user] -= b - a - np.count_nonzero(masks[user, a:b])
+                wrong[user] |= corrupt
+    return [not m and not w for m, w in zip(missing, wrong)]
 
 
 def _formula_bits(rate: Rational, F_bits: int) -> int:
@@ -335,32 +277,26 @@ def decode_all(
     store: FileStore,
     formula_rate: Rational | None = None,
 ) -> VerificationReport:
-    """Run every user's decoder and compare reassembled files to the truth.
+    """Run every user's decoder on ``log`` and check it against the server.
 
     A user cancels a transmission's other parts only where its own cache
     covers them, and every bit it recovers must equal the server's copy, so
-    any corruption in the log surfaces as a bit mismatch, never as a silent
-    pass.  A user passes when its cache and its recovered bits cover its
-    whole file.
+    any corruption in the log surfaces as a failed user, never as a silent
+    pass.
     """
     F = store.F_bits
-    K = caches.masks.shape[0]
-    d = check_demands(d, store.N, K)
+    d = check_demands(d, store.N, caches.masks.shape[0])
     cp = compile_plan(plan, F)
-    want = np.array(d, dtype=np.int64) - 1
-    stray = np.flatnonzero(want[cp.target] != cp.files)
-    if stray.size:
-        p = stray[0]
-        raise ValueError(f"plan does not serve demand {d}: a part for user "
-                         f"{cp.target[p] + 1} carries file {cp.files[p] + 1}")
-    if [len(p) for p in log.payloads] != np.diff(cp.sent).tolist():
+    for user, f, _, _ in (q for parts in cp.parts for q in parts):
+        if f != d[user] - 1:
+            raise ValueError(f"plan does not serve demand {d}: a part for user "
+                             f"{user + 1} carries file {f + 1}")
+    if [len(p) for p in log.payloads] != [b - a for a, b in zip(cp.sent, cp.sent[1:])]:
         raise ValueError("transmission log does not match the plan's widths")
-    sent = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads])
-    wrong = _recovery_errors(cp, sent, _xor(cp, store))
-    ok = _decode(cp, _coverage(caches, cp), wrong)
+    ok = _decode(cp, caches.masks, log, _xor(cp, store))
     return VerificationReport(
         demand=tuple(d),
-        user_ok=tuple(ok.tolist()),
+        user_ok=tuple(ok),
         measured_load_bits=log.total_bits,
         formula_load_bits=(log.total_bits if formula_rate is None
                            else _formula_bits(formula_rate, F)),

@@ -71,6 +71,17 @@ class TestRate:
         assert "exponent -5000" in err
         assert "integer string conversion" not in err
 
+    def test_failure_writes_nothing(self, capsys):
+        # Mprime = 8/3 - 4*10^-4299 has too many digits to print; the lines
+        # before it must not reach stdout either
+        code, out, err = run(
+            capsys, "rate", "--N", "4", "--K", "4", "--L", "3",
+            "--Mhat", "2", "--M", "1e-4299",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_parser_is_built_once(self, capsys, monkeypatch):
         argv = ("rate", "--N", "4", "--K", "4", "--M", "1", "--scheme", "equal")
         assert run(capsys, *argv)[0] == 0
@@ -393,6 +404,16 @@ class TestVerify:
         assert code == 1
         assert "F_bits = 3592793196" in err and "61077484332 bytes" in err
 
+    def test_refuses_unprintable_materialization(self, capsys):
+        # 8 * F_bits bytes has more digits than Python turns into text
+        code, out, err = run(
+            capsys, "verify", "--N", "4", "--K", "4", "--M", "1e-4299", "--scheme", "equal",
+        )
+        assert code == 1
+        assert out == ""
+        assert "needs >= 10^" in err and "(limit 1073741824)" in err
+        assert "integer string conversion" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -420,6 +441,20 @@ class TestConfigFile:
         code, out, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and f"{key!r} must be an integer" in err
+
+    def test_unknown_key_refused(self, capsys, tmp_path):
+        # the flag's spelling is no config key: its destination is
+        cfg = tmp_path / "cfg.json"
+        argv = ("sweep", "--config", str(cfg), "--N", "10", "--K", "4", "--L", "2",
+                "--from", "2", "--to", "2", "--step", "1")
+        cfg.write_text(json.dumps({"Mhat-factor": "3"}))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'Mhat-factor'" in err
+        cfg.write_text(json.dumps({"mhat_factor": "3"}))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1].startswith("10,4,2,6,2,proposed,7/5,")
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,11 +7,14 @@ import pytest
 from cachecast import simulator
 from cachecast.equal_cache import (
     DeliveryPlan,
+    FileSegment,
     Part,
+    Transmission,
     equal_placement,
     man_placement,
 )
 from cachecast.simulator import (
+    CacheImage,
     SchemeInstance,
     TransmissionLog,
     decode_all,
@@ -218,6 +221,62 @@ class TestOneDecode:
     def test_flip_out_of_range(self):
         with pytest.raises(ValueError, match="transmission 99 has no bit 0"):
             verify_demands(WORKED, flip_bit=(99, 0))
+
+
+class TestDecodeOutcomes:
+    """Per-user outcomes at the worked example, identity demand."""
+
+    @pytest.mark.parametrize("t,user_ok", [
+        (0, (False, True, True, False)),
+        (3, (False, False, False, True)),
+    ])
+    def test_flipped_or_dropped_transmission(self, t, user_ok):
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        d = (1, 2, 3, 4)
+        assert decode_all(caches, flipped(log, t, 0), d, plan, store).user_ok == user_ok
+        dropped = DeliveryPlan(plan.transmissions[:t] + plan.transmissions[t + 1:])
+        dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:])
+        assert decode_all(caches, dropped_log, d, dropped, store).user_ok == user_ok
+
+    def test_cleared_cache_bit(self):
+        _, plan, store, caches = worked_system()
+        masks = caches.masks.copy()
+        masks[3, np.flatnonzero(masks[3])[0]] = False
+        report = decode_all(CacheImage(caches.N, masks), execute_delivery(store, plan),
+                            (1, 2, 3, 4), plan, store)
+        assert report.user_ok == (True, True, True, False)
+
+    def test_part_read_only_where_the_others_are_cancelled(self):
+        # user 1 is also sent, in plain, the half of its file it caches; with
+        # that half cleared from its cache the plain part refills it, but the
+        # XOR, whose other part user 1 no longer caches, gives it nothing
+        inst = SchemeInstance("equal", 2, 2, Fraction(1))
+        (tx,) = inst.plan((1, 2)).transmissions
+        other = next(p.segment for p in tx.parts if p.target == 2)
+        plain = Transmission((Part(FileSegment(other.start, other.length, 1), 1),))
+        plan = DeliveryPlan((tx, plain))
+        store, caches = materialize(inst.placement, plan)
+        log = execute_delivery(store, plan)
+        assert decode_all(caches, log, (1, 2), plan, store).user_ok == (True, True)
+        masks = caches.masks.copy()
+        masks[0] = False
+        report = decode_all(CacheImage(2, masks), log, (1, 2), plan, store)
+        assert report.user_ok == (False, True)
+
+    def test_user_reads_only_its_first_part(self):
+        # user 1's first part is the half it caches, its second the half it
+        # lacks: it would have to cancel the second to read the first
+        inst = SchemeInstance("equal", 2, 2, Fraction(1))
+        (tx,) = inst.plan((1, 2)).transmissions
+        lacks = next(p.segment for p in tx.parts if p.target == 1)
+        has = next(p.segment for p in tx.parts if p.target == 2)
+        plan = DeliveryPlan((Transmission((
+            Part(FileSegment(has.start, has.length, 1), 1), Part(lacks, 1),
+        )),))
+        store, caches = materialize(inst.placement, plan)
+        report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
+        assert report.user_ok == (False, False)
 
 
 class TestCompile:

@@ -42,6 +42,14 @@ def _dec(x: Fraction) -> str:
     return f"{float(x):.12g}"
 
 
+def _text(x, name: str) -> str:
+    """A report field as printed: '' for None, and a rational refused by
+    ``format_rational`` when it is too long to print."""
+    if x is None:
+        return ""
+    return format_rational(x, name) if isinstance(x, Fraction) else str(x)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is invalid input: exit 1, not 2
         self.print_usage(sys.stderr)
@@ -160,17 +168,18 @@ def cmd_rate(opts: Options) -> int:
         raise ValueError(f"scheme {scheme} needs --L and --Mhat")
     rep = _point_report(scheme, N, K, L, Mhat, M)
     # every line is formatted before any is written, so a failure prints nothing
-    lines = [f"rate {format_rational(rep.rate)} ({_dec(rep.rate)})",
+    lines = [f"rate {_text(rep.rate, 'rate')} ({_dec(rep.rate)})",
              f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
-             f"Mhat={'' if rep.Mhat is None else rep.Mhat} M={rep.M}"]
+             f"Mhat={_text(rep.Mhat, 'Mhat')} M={_text(rep.M, 'M')}"]
     if rep.t is not None:
-        lines.append(f"t={rep.t} t_int={rep.t_int} alpha={rep.alpha}")
+        lines.append(f"t={_text(rep.t, 't')} t_int={rep.t_int} "
+                     f"alpha={_text(rep.alpha, 'alpha')}")
     if rep.scheme == "proposed":
         lines += [
-            f"Fprime={rep.Fprime} Mprime={'' if rep.Mprime is None else rep.Mprime} "
-            f"Rprime={rep.Rprime}",
-            f"scenario={rep.scenario} Phi={'' if rep.Phi is None else rep.Phi} "
-            f"gamma={'' if rep.gamma is None else rep.gamma}"
+            f"Fprime={_text(rep.Fprime, 'Fprime')} Mprime={_text(rep.Mprime, 'Mprime')} "
+            f"Rprime={_text(rep.Rprime, 'Rprime')}",
+            f"scenario={rep.scenario} Phi={_text(rep.Phi, 'Phi')} "
+            f"gamma={_text(rep.gamma, 'gamma')}"
             + (" pool_empty" if rep.pool_empty else ""),
         ]
     print("\n".join(lines))
@@ -178,17 +187,14 @@ def cmd_rate(opts: Options) -> int:
 
 
 def _report_row(rep: RateReport, L, Mhat) -> dict[str, str]:
-    def fmt(x):
-        return "" if x is None else format_rational(x) if isinstance(x, Fraction) else str(x)
-
     return {
-        "N": str(rep.N), "K": str(rep.K), "L": fmt(L), "Mhat": fmt(Mhat),
-        "M": format_rational(rep.M), "scheme": rep.scheme,
-        "rate_rational": format_rational(rep.rate), "rate_decimal": _dec(rep.rate),
-        "scenario": fmt(rep.scenario), "t_int": fmt(rep.t_int),
-        "alpha": fmt(rep.alpha), "Fprime": fmt(rep.Fprime),
-        "Mprime": fmt(rep.Mprime), "Rprime": fmt(rep.Rprime),
-        "Phi": fmt(rep.Phi), "gamma": fmt(rep.gamma),
+        "N": str(rep.N), "K": str(rep.K), "L": _text(L, "L"), "Mhat": _text(Mhat, "Mhat"),
+        "M": _text(rep.M, "M"), "scheme": rep.scheme,
+        "rate_rational": _text(rep.rate, "rate"), "rate_decimal": _dec(rep.rate),
+        "scenario": _text(rep.scenario, "scenario"), "t_int": _text(rep.t_int, "t_int"),
+        "alpha": _text(rep.alpha, "alpha"), "Fprime": _text(rep.Fprime, "Fprime"),
+        "Mprime": _text(rep.Mprime, "Mprime"), "Rprime": _text(rep.Rprime, "Rprime"),
+        "Phi": _text(rep.Phi, "Phi"), "gamma": _text(rep.gamma, "gamma"),
     }
 
 
@@ -284,7 +290,7 @@ def cmd_sweep(opts: Options) -> int:
             if key in table:
                 matched.add(key)
                 ext = table[key]
-                row["external"] = format_rational(ext)
+                row["external"] = _text(ext, "external rate")
                 if ext > 0:
                     ratio = parse_rational(row["rate_rational"]) / ext
                     row["ratio_external"] = _dec(ratio)
@@ -323,18 +329,17 @@ def cmd_verify(opts: Options) -> int:
     flip = (0, 0) if opts.get("inject_fault") else None
 
     inst = SchemeInstance(scheme=scheme, N=N, K=K, M=M, L=L, Mhat=Mhat)
-    reports = verify_demands(inst, mode=mode, seed=seed, flip_bit=flip)
+    verdict = verify_demands(inst, mode=mode, seed=seed, flip_bit=flip)
     report_path = opts.get("report")
     if report_path:
         with open(report_path, "w") as fh:
-            fh.write("\n".join(report_lines(reports)) + "\n")
-    failures = [r for r in reports if not r.passed]
-    total = len(reports)
-    if failures:
-        print(f"{total - len(failures)}/{total} demands pass; first failure:")
-        print(failures[0].line())
+            fh.write("\n".join(report_lines(verdict)) + "\n")
+    total = len(verdict)
+    if not verdict.passed:  # one verdict: every demand fails alike
+        print(f"0/{total} demands pass; first failure:")
+        print(verdict[0].line())
         return 2
-    rate = reports[0].measured_load if reports else Fraction(0)
+    rate = verdict.report.measured_load
     print(f"{total}/{total} demands pass, load {format_rational(rate)} "
           f"({_dec(rate)}) = formula rate {format_rational(inst.formula_rate)}")
     return 0

@@ -121,6 +121,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical 'p/q' form ('p' when the denominator is 1)."""
-    return str(x)
+def format_rational(x: Fraction, name: str = "value") -> str:
+    """Canonical 'p/q' form ('p' when the denominator is 1).
+
+    A numerator or denominator of more digits than Python turns into text is
+    refused, naming ``name`` and the bound ``count_text`` states.  Only that
+    refusal looks at the terms' size, so a printable value costs nothing more.
+    """
+    try:
+        return str(x)
+    except ValueError:  # Python's own refusal, about the conversion
+        term, n = "numerator", abs(x.numerator)
+        if n < 10**_max_digits():
+            term, n = "denominator", x.denominator
+        raise ValueError(f"{name} has a {term} {count_text(n)}, "
+                         "too many digits to print") from None

@@ -16,16 +16,19 @@ transmission widths are fixed when the plan is compiled and caches are one
 mask row per user, since a placement lays out every file alike.  So which
 parts a user can cancel, and whether they complete its file, depend on no
 demand, and a received payload differs from the XOR of the server's parts
-only where the log was corrupted.
+only where the log was corrupted.  ``verify_demands`` therefore returns one
+``Verdict``: the identity demand's report over a ``DemandSet`` that is
+counted arithmetically, with per-demand reports built only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -148,13 +151,13 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
     """Fix a plan's bit geometry at ``F_bits``, checking it once.
 
     Every part boundary must be an integer bit, every part of a transmission
-    must have the same width, and no user may be sent a bit twice, so one
-    user's own parts never overlap.  This is the only place delivery turns
-    rational offsets into bits.
+    must have the same width, and no user may be sent a bit twice, in any
+    of its parts, so one user's own parts never overlap.  This is the only
+    place delivery turns rational offsets into bits.
     """
-    parts, sent, own = [], [0], []
+    parts, sent, ranges = [], [0], []
     for tx in plan.transmissions:
-        compiled, width, users = [], None, set()
+        compiled, width = [], None
         for part in tx.parts:
             lo, hi = _bit_range(part.segment, F_bits)
             if width is None:
@@ -162,14 +165,13 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
             elif hi - lo != width:
                 raise ValueError("unequal segment lengths inside one transmission")
             user = part.target - 1
-            if width and user not in users:
-                users.add(user)
-                own.append((user, lo, hi))
+            if width:
+                ranges.append((user, lo, hi))
             compiled.append((user, part.segment.file - 1, lo, hi))
         parts.append(compiled)
         sent.append(sent[-1] + width)
-    own.sort(key=lambda o: o[:2])
-    for (u, _, b), (v, a, b2) in zip(own, own[1:]):
+    ranges.sort(key=lambda r: r[:2])
+    for (u, _, b), (v, a, b2) in zip(ranges, ranges[1:]):
         if u == v and a < b:
             raise ValueError(f"plan sends user {v + 1} bits "
                              f"[{a}, {min(b, b2)}) of its file twice")
@@ -261,12 +263,17 @@ class VerificationReport:
     def measured_load(self) -> Rational:
         return Fraction(self.measured_load_bits, self.F_bits)
 
-    def line(self) -> str:
+    def outcome(self) -> str:
+        """Per-user status and measured load: the record after the demand."""
         status = ",".join("ok" if ok else "FAIL" for ok in self.user_ok)
-        return (
-            f"demand={','.join(map(str, self.demand))} status={status} "
-            f"load={format_rational(self.measured_load)}"
-        )
+        return f"status={status} load={format_rational(self.measured_load)}"
+
+    def line(self) -> str:
+        return _record(self.demand, self.outcome())
+
+
+def _record(demand: Sequence[int], outcome: str) -> str:
+    return f"demand={','.join(map(str, demand))} {outcome}"
 
 
 def decode_all(
@@ -352,14 +359,49 @@ class SchemeInstance:
         return retarget(self._impl[1], check_demands(d, self.N, self.K))
 
 
+class DemandSet(Sequence[tuple[int, ...]]):
+    """The demand vectors of one mode, counted arithmetically.
+
+    Exhaustive mode holds all N^K vectors, distinct mode the N!/(N-K)!
+    assignments of distinct files, both in lexicographic order.  Nothing is
+    listed until the set is iterated or indexed; an index is unranked
+    directly, without listing the demands before it.
+    """
+
+    def __init__(self, N: int, K: int, exhaustive: bool):
+        self.N, self.K, self.exhaustive = N, K, exhaustive
+
+    def __len__(self) -> int:
+        return self.N ** self.K if self.exhaustive else math.perm(self.N, self.K)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        files = range(1, self.N + 1)
+        if self.exhaustive:
+            return product(files, repeat=self.K)
+        return permutations(files, self.K)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        rank = range(len(self))[index]
+        files, demand = list(range(1, self.N + 1)), []
+        for left in range(self.K - 1, -1, -1):
+            # each choice for this user heads a block of demands for the
+            # users left after it
+            block = (self.N ** left if self.exhaustive
+                     else math.perm(len(files) - 1, left))
+            choice, rank = divmod(rank, block)
+            demand.append(files[choice] if self.exhaustive else files.pop(choice))
+        return tuple(demand)
+
+
 def enumerate_demands(
     N: int, K: int, mode: str, max_demands: int = MAX_ENUMERATION
-) -> Iterator[tuple[int, ...]]:
+) -> DemandSet:
     """Demand vectors to test: all N^K of them, or all distinct assignments.
 
     Either way 1 <= K <= N and the count against ``max_demands`` are
-    checked before anything is enumerated, so an oversized request fails at
-    once.
+    checked first, so an oversized request fails at once.
     """
     if not 1 <= K <= N:
         raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
@@ -369,14 +411,47 @@ def enumerate_demands(
                 f"{count} demands is too many for exhaustive mode "
                 f"(limit {max_demands}); use distinct-demand mode"
             )
-        return product(range(1, N + 1), repeat=K)
+        return DemandSet(N, K, exhaustive=True)
     if mode == "distinct":
         if count := excess("N!/(N-K)!", range(N, N - K, -1), max_demands):
             raise ValueError(
                 f"{count} distinct demands is too many (limit {max_demands})"
             )
-        return permutations(range(1, N + 1), K)
+        return DemandSet(N, K, exhaustive=False)
     raise ValueError(f"unknown demand mode {mode!r}")
+
+
+class Verdict(Sequence[VerificationReport]):
+    """One decode's verdict over a demand set.
+
+    ``report`` is ``decode_all``'s report at the identity demand, and it
+    speaks for every demand in ``demands``.  As a sequence the verdict
+    yields one ``VerificationReport`` per demand, in enumeration order,
+    each built only when it is asked for.
+    """
+
+    def __init__(self, report: VerificationReport, demands: DemandSet):
+        self.report, self.demands = report, demands
+
+    @property
+    def passed(self) -> bool:
+        return self.report.passed
+
+    def _for(self, demand: tuple[int, ...]) -> VerificationReport:
+        r = self.report
+        return VerificationReport(demand, r.user_ok, r.measured_load_bits,
+                                  r.formula_load_bits, r.F_bits)
+
+    def __len__(self) -> int:
+        return len(self.demands)
+
+    def __iter__(self) -> Iterator[VerificationReport]:
+        return map(self._for, self.demands)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._for, self.demands[index]))
+        return self._for(self.demands[index])
 
 
 def verify_demands(
@@ -385,16 +460,17 @@ def verify_demands(
     seed: int = 0,
     max_demands: int = MAX_ENUMERATION,
     flip_bit: tuple[int, int] | None = None,
-) -> list[VerificationReport]:
-    """Decode verification for every enumerated demand, from one decode.
+) -> Verdict:
+    """Decode verification for every demand of ``mode``, from one decode.
 
-    The demands are enumerated first, so an oversized count is refused
+    The demand set is counted first, so an oversized count is refused
     before any work.  Then the identity-demand plan is materialized,
-    executed and decoded by ``decode_all``, and every demand gets that
-    verdict: a demand only chooses which file each part reads (the part for
-    user k reads file d[k], as in ``equal_cache.retarget``), while what a
-    user can cancel, the widths, and with them the load, are the same for
-    every file.
+    executed and decoded by ``decode_all``, and that one verdict covers the
+    whole demand set: a demand only chooses which file each part reads (the
+    part for user k reads file d[k], as in ``equal_cache.retarget``), while
+    what a user can cancel, the widths, and with them the load, are the same
+    for every file.  Per-demand reports are built only when the verdict is
+    iterated or indexed.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
@@ -415,11 +491,11 @@ def verify_demands(
         payloads[t][bit] ^= 1
         log = TransmissionLog(tuple(payloads))
     report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
-    return [VerificationReport(d, report.user_ok, report.measured_load_bits,
-                               report.formula_load_bits, report.F_bits)
-            for d in demands]
+    return Verdict(report, demands)
 
 
-def report_lines(reports: Iterable[VerificationReport]) -> list[str]:
-    """Line-oriented serialization: one demand vector per record."""
-    return [r.line() for r in reports]
+def report_lines(verdict: Verdict) -> list[str]:
+    """Line-oriented serialization: one record per demand vector, the
+    verdict's status and load formatted once."""
+    outcome = verdict.report.outcome()
+    return [_record(d, outcome) for d in verdict.demands]

@@ -9,6 +9,10 @@ from cachecast import cli
 from cachecast.cli import main
 
 
+# at M = 10^-4299 (N=4, K=4, L=3, Mhat=2) Rprime is too long to print
+UNPRINTABLE_RPRIME = "error: Rprime has a numerator >= 10^4300, too many digits to print\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -72,15 +76,16 @@ class TestRate:
         assert "integer string conversion" not in err
 
     def test_failure_writes_nothing(self, capsys):
-        # Mprime = 8/3 - 4*10^-4299 has too many digits to print; the lines
-        # before it must not reach stdout either
+        # Rprime's numerator has more digits than Python turns into text; the
+        # refusal states its bound, and the lines before it must not reach
+        # stdout either
         code, out, err = run(
             capsys, "rate", "--N", "4", "--K", "4", "--L", "3",
             "--Mhat", "2", "--M", "1e-4299",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == UNPRINTABLE_RPRIME
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         argv = ("rate", "--N", "4", "--K", "4", "--M", "1", "--scheme", "equal")
@@ -233,6 +238,16 @@ class TestSweep:
         assert out == ""
         assert "sweep grid >= 10^" in err and "(limit 1000000)" in err
         assert "integer string conversion" not in err
+
+    def test_refuses_unprintable_rate(self, capsys):
+        # the M = 10^-4299 row has an Rprime too long to print: no row is written
+        code, out, err = run(
+            capsys, "sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+            "--sweep-axis", "M", "--from", "1e-4299", "--to", "1", "--step", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == UNPRINTABLE_RPRIME
 
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -106,3 +106,14 @@ def test_parse_rational_bounds_the_exponent():
 def test_format_rational_canonical():
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+def test_format_rational_refuses_unprintable_terms():
+    # 4300 digits print; 10^4300, on either side of the bar, does not
+    widest = Fraction(10**4300 - 1, 3)
+    assert format_rational(widest) == str(widest)
+    for x, term in ((Fraction(10**4300, 7), "numerator"),
+                    (Fraction(-(10**4300), 7), "numerator"),
+                    (Fraction(1, 10**4300), "denominator")):
+        with pytest.raises(ValueError, match=f"^Rprime has a {term} >= 10\\^4300, "):
+            format_rational(x, "Rprime")

@@ -1,9 +1,9 @@
 """Property tests over random rational parameter points of the proposed scheme.
 
-Points (N, K, L, Mhat, M) have K <= 5, N <= 8 and cache sizes whose
-denominators are at most 9.  Every test runs under one fixed profile:
-derandomized, so each run draws the same examples, with a bounded example
-count and no per-example deadline.
+Points (N, K, L, Mhat, M) have K <= 5, N <= 8 (K <= 7, N <= 10 for the
+demand-set verdict) and cache sizes whose denominators are at most 9.  Every
+test runs under one fixed profile: derandomized, so each run draws the same
+examples, with a bounded example count and no per-example deadline.
 """
 
 import math
@@ -22,10 +22,10 @@ PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=N
 
 
 @st.composite
-def systems(draw):
+def systems(draw, k_max=5, n_max=8):
     """(N, K, L, M): everything but the large cache size."""
-    K = draw(st.integers(2, 5))
-    N = draw(st.integers(K, 8))
+    K = draw(st.integers(2, k_max))
+    N = draw(st.integers(K, n_max))
     L = draw(st.integers(1, K - 1))
     q = draw(st.integers(1, 9))
     M = Fraction(draw(st.integers(0, N * q)), q)
@@ -33,8 +33,8 @@ def systems(draw):
 
 
 @st.composite
-def points(draw):
-    N, K, L, M = draw(systems())
+def points(draw, k_max=5, n_max=8):
+    N, K, L, M = draw(systems(k_max, n_max))
     q = draw(st.integers(1, 9))
     Mhat = Fraction(draw(st.integers(math.ceil(M * q), N * q)), q)
     return N, K, L, Mhat, M
@@ -79,6 +79,17 @@ def test_every_distinct_demand_decodes(point, data):
     store, caches = materialize(inst.placement, plan)
     log = execute_delivery(store, plan)
     assert decode_all(caches, log, d, plan, store, inst.formula_rate).passed
+
+
+@PROFILE
+@given(points(k_max=7, n_max=10))
+def test_verdict_counts_every_distinct_demand(point):
+    """Up to N!/(N-K)! = 10!/3! = 604,800 distinct demands, counted rather
+    than listed, all under one passing verdict."""
+    N, K = point[:2]
+    verdict = verify_demands(instance(point), mode="distinct")
+    assert len(verdict) == math.perm(N, K)
+    assert verdict.passed
 
 
 @PROFILE

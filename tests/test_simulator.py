@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cachecast import simulator
+from cachecast import cli, simulator
 from cachecast.equal_cache import (
     DeliveryPlan,
     FileSegment,
@@ -175,6 +176,19 @@ class TestWorstCaseLoad:
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
         assert len(list(enumerate_demands(3, 3, "exhaustive"))) == 27
 
+    @pytest.mark.parametrize("N,K,mode", [
+        (4, 3, "distinct"), (5, 5, "distinct"), (6, 1, "distinct"),
+        (3, 3, "exhaustive"), (4, 1, "exhaustive"), (1, 1, "exhaustive"),
+    ])
+    def test_indexing_agrees_with_enumeration(self, N, K, mode):
+        demands = enumerate_demands(N, K, mode)
+        listed = list(demands)
+        assert len(demands) == len(listed)
+        assert [demands[i] for i in range(len(listed))] == listed
+        assert demands[-1] == listed[-1] and demands[1::3] == listed[1::3]
+        with pytest.raises(IndexError):
+            demands[len(listed)]
+
 
 def flipped(log, transmission, bit):
     """``log`` with one transmitted bit flipped."""
@@ -217,6 +231,28 @@ class TestOneDecode:
         monkeypatch.setattr(simulator, "decode_all", counted)
         assert len(verify_demands(WORKED, mode="exhaustive")) == 256
         assert calls == [(1, 2, 3, 4)]
+
+    def test_verify_builds_one_report(self, capsys, monkeypatch):
+        built = []
+        report = simulator.VerificationReport
+
+        def counted(*args, **kwargs):
+            built.append((args, kwargs))
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "VerificationReport", counted)
+        assert cli.main(["verify", "--N", "10", "--K", "4", "--L", "2",
+                         "--Mhat", "33/4", "--M", "11/4"]) == 0
+        assert capsys.readouterr().out.startswith("5040/5040 demands pass")
+        assert len(built) <= 1
+
+        def not_listed(*args, **kwargs):
+            raise AssertionError("demands listed to count them")
+
+        monkeypatch.setattr(simulator, "permutations", not_listed)
+        point = SchemeInstance("proposed", 10, 4, Fraction(11, 4), L=2,
+                               Mhat=Fraction(33, 4))
+        assert len(verify_demands(point)) == math.perm(10, 4)
 
     def test_flip_out_of_range(self):
         with pytest.raises(ValueError, match="transmission 99 has no bit 0"):
@@ -295,6 +331,16 @@ class TestCompile:
         twice = DeliveryPlan(plan.transmissions[:1] * 2)
         with pytest.raises(ValueError, match="of its file twice"):
             simulator.compile_plan(twice, store.F_bits)
+
+    def test_rejects_a_part_sent_twice_in_one_transmission(self):
+        # the second copy is not the user's first part in the transmission
+        inst = SchemeInstance("equal", 2, 2, Fraction(1))
+        part = next(p for p in inst.plan((1, 2)).transmissions[0].parts if p.target == 1)
+        once = DeliveryPlan((Transmission((part,)),))
+        assert simulator.compile_plan(once, 2).parts == [[(0, 0, 1, 2)]]
+        twice = DeliveryPlan((Transmission((part, part)),))
+        with pytest.raises(ValueError, match=r"user 1 bits \[1, 2\) of its file twice"):
+            simulator.compile_plan(twice, 2)
 
     def test_load_is_fixed_at_compile_time(self):
         template = WORKED.plan((1, 2, 3, 4))

@@ -364,8 +364,7 @@ class DemandSet(Sequence[tuple[int, ...]]):
 
     Exhaustive mode holds all N^K vectors, distinct mode the N!/(N-K)!
     assignments of distinct files, both in lexicographic order.  Nothing is
-    listed until the set is iterated or indexed; an index is unranked
-    directly, without listing the demands before it.
+    listed until the set is iterated or indexed.
     """
 
     def __init__(self, N: int, K: int, exhaustive: bool):
@@ -381,18 +380,7 @@ class DemandSet(Sequence[tuple[int, ...]]):
         return permutations(files, self.K)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        rank = range(len(self))[index]
-        files, demand = list(range(1, self.N + 1)), []
-        for left in range(self.K - 1, -1, -1):
-            # each choice for this user heads a block of demands for the
-            # users left after it
-            block = (self.N ** left if self.exhaustive
-                     else math.perm(len(files) - 1, left))
-            choice, rank = divmod(rank, block)
-            demand.append(files[choice] if self.exhaustive else files.pop(choice))
-        return tuple(demand)
+        return list(self)[index]
 
 
 def enumerate_demands(

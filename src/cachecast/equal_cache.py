@@ -215,14 +215,10 @@ class Part:
 
 @dataclass(frozen=True, slots=True)
 class Transmission:
-    """XOR of equal-length parts, broadcast once over the shared link."""
+    """XOR of equal-length parts, broadcast once over the shared link
+    (``simulator.compile_plan`` checks the widths, in bits)."""
 
     parts: tuple[Part, ...]
-
-    def __post_init__(self) -> None:
-        lengths = {p.segment.length for p in self.parts}
-        if len(lengths) != 1:
-            raise ValueError(f"XOR parts must have equal length, got {lengths}")
 
     @property
     def length(self) -> Rational:

@@ -19,6 +19,9 @@ demand, and a received payload differs from the XOR of the server's parts
 only where the log was corrupted.  ``verify_demands`` therefore returns one
 ``Verdict``: the identity demand's report over a ``DemandSet`` that is
 counted arithmetically, with per-demand reports built only on request.
+
+This module holds only bits and is the only one that imports numpy; the
+placement, plan and rate it checks come from ``unequal.SchemeInstance``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import permutations, product, repeat
+from itertools import islice, permutations, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,16 +38,10 @@ from .core import (
     MAX_ENUMERATION, Rational, count_text, excess, format_rational, lcm_denominators,
     users_range,
 )
-from .equal_cache import (
-    DeliveryPlan,
-    Placement,
-    check_demands,
-    equal_delivery,
-    equal_placement,
-    rate_eq,
-    retarget,
-)
-from .unequal import UnequalConfig, build_two_stage, rate_ueq
+from .equal_cache import DeliveryPlan, Placement, check_demands
+from .unequal import SchemeInstance
+# bound here for perfbench's TRACER_PROBE, which asserts the binding is traced
+from .unequal import build_two_stage  # noqa: F401
 
 
 # Most bytes materialize may allocate: K*F_bits of masks, one row per user
@@ -150,13 +146,16 @@ class CompiledPlan:
 def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
     """Fix a plan's bit geometry at ``F_bits``, checking it once.
 
-    Every part boundary must be an integer bit, every part of a transmission
-    must have the same width, and no user may be sent a bit twice, in any
-    of its parts, so one user's own parts never overlap.  This is the only
-    place delivery turns rational offsets into bits.
+    Every transmission must have parts, every part boundary must be an
+    integer bit, every part of a transmission must have the same width, and
+    no user may be sent a bit twice, in any of its parts, so one user's own
+    parts never overlap.  This is the only place delivery turns rational
+    offsets into bits.
     """
     parts, sent, ranges = [], [0], []
-    for tx in plan.transmissions:
+    for t, tx in enumerate(plan.transmissions):
+        if not tx.parts:
+            raise ValueError(f"transmission {t} has no parts")
         compiled, width = [], None
         for part in tx.parts:
             lo, hi = _bit_range(part.segment, F_bits)
@@ -312,51 +311,8 @@ def decode_all(
 
 
 # ---------------------------------------------------------------------------
-# Scheme dispatch and demand enumeration
+# Demand enumeration and verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchemeInstance:
-    """One (scheme, parameter point): placement, plans, and the formula rate.
-
-    Each scheme builds its plan once, for the identity demand (user k wants
-    file k); ``plan`` retargets it to any demand with ``equal_cache.retarget``.
-    """
-
-    scheme: str  # "equal" | "proposed"
-    N: int
-    K: int
-    M: Rational
-    L: int | None = None
-    Mhat: Rational | None = None
-
-    @cached_property
-    def _impl(self) -> tuple[Placement, DeliveryPlan, Rational]:
-        if self.scheme == "equal":
-            placement = equal_placement(self.N, self.K, self.M)
-            template = DeliveryPlan(tuple(equal_delivery(
-                placement.stage1_content, users_range(self.K)
-            )))
-            return placement, template, rate_eq(self.N, self.K, self.M)
-        if self.scheme == "proposed":
-            if self.L is None or self.Mhat is None:
-                raise ValueError("proposed scheme needs L and Mhat")
-            cfg = UnequalConfig(self.N, self.K, self.L, self.Mhat, self.M)
-            ctx = build_two_stage(cfg)
-            return ctx.placement, ctx.template, rate_ueq(cfg).rate
-        raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def placement(self) -> Placement:
-        return self._impl[0]
-
-    @property
-    def formula_rate(self) -> Rational:
-        return self._impl[2]
-
-    def plan(self, d: Sequence[int]) -> DeliveryPlan:
-        return retarget(self._impl[1], check_demands(d, self.N, self.K))
 
 
 class DemandSet(Sequence[tuple[int, ...]]):
@@ -380,7 +336,13 @@ class DemandSet(Sequence[tuple[int, ...]]):
         return permutations(files, self.K)
 
     def __getitem__(self, index):
-        return list(self)[index]
+        if isinstance(index, slice):
+            return list(self)[index]
+        size = len(self)
+        i = index + size if index < 0 else index
+        if not 0 <= i < size:
+            raise IndexError("demand index out of range")
+        return next(islice(iter(self), i, None))
 
 
 def enumerate_demands(

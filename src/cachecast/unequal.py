@@ -22,14 +22,20 @@ equal-cache system over the K - L small users.
 ``build_two_stage`` builds one file's layout and the template plan once,
 whatever N is; ``TwoStageContext.plan`` hands the template to
 ``equal_cache.retarget``, the one place a demand enters a plan.
+
+``SchemeInstance`` is one scheme at one parameter point, and the one place
+a scheme name is dispatched on: its ``RateReport`` and, but for scheme 1,
+the placement and plans that ``simulator`` turns into bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+from .baselines import scheme1_optimize
 from .core import Rational, UserSet, binom, user_set, users_range
 from .equal_cache import (
     ZERO,
@@ -153,14 +159,6 @@ class RateReport:
     pool_empty: bool = False
 
 
-def equal_rate_report(N: int, K: int, M) -> RateReport:
-    p = equal_params(N, K, M)
-    return RateReport(
-        scheme="equal", N=N, K=K, M=p.M, rate=rate_eq(N, K, M),
-        t=p.t, t_int=p.t_int, alpha=p.alpha,
-    )
-
-
 def rate_ueq(cfg: UnequalConfig) -> RateReport:
     """Worst-case rate of the two-level scheme, with all intermediates."""
     p = unequal_params(cfg)
@@ -262,3 +260,75 @@ def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
         )
         txs.extend(equal_delivery(pool, cfg.large_users))
     return TwoStageContext(cfg, placement, DeliveryPlan(tuple(txs)))
+
+
+# ---------------------------------------------------------------------------
+# One scheme at one parameter point
+# ---------------------------------------------------------------------------
+
+SCHEMES = ("equal", "proposed", "scheme1")
+
+
+@dataclass(frozen=True)
+class SchemeInstance:
+    """One (scheme, parameter point): its rate report, placement and plans.
+
+    The equal and proposed schemes build their plan once, for the identity
+    demand (user k wants file k), and ``plan`` retargets it to any demand
+    with ``equal_cache.retarget``.  Scheme 1 is a rate only: its
+    ``placement`` and ``plan`` raise ``ValueError``.
+    """
+
+    scheme: str  # one of SCHEMES
+    N: int
+    K: int
+    M: Rational
+    L: int | None = None
+    Mhat: Rational | None = None
+
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; "
+                             f"expected one of {SCHEMES}")
+        if self.scheme != "equal" and (self.L is None or self.Mhat is None):
+            raise ValueError(f"scheme {self.scheme} needs --L and --Mhat")
+
+    def _config(self) -> UnequalConfig:
+        return UnequalConfig(self.N, self.K, self.L, self.Mhat, self.M)
+
+    @cached_property
+    def report(self) -> RateReport:
+        N, K, M = self.N, self.K, self.M
+        if self.scheme == "equal":
+            p = equal_params(N, K, M)
+            return RateReport(scheme="equal", N=N, K=K, M=p.M, rate=rate_eq(N, K, M),
+                              t=p.t, t_int=p.t_int, alpha=p.alpha)
+        if self.scheme == "proposed":
+            return rate_ueq(self._config())
+        _, rate = scheme1_optimize(N, K, [self.Mhat] * self.L + [M] * (K - self.L))
+        return RateReport(scheme="scheme1", N=N, K=K, M=M, L=self.L, Mhat=self.Mhat,
+                          rate=rate)
+
+    @cached_property
+    def _built(self) -> tuple[Placement, DeliveryPlan]:
+        """The placement and its identity-demand plan."""
+        if self.scheme == "equal":
+            placement = equal_placement(self.N, self.K, self.M)
+            return placement, DeliveryPlan(tuple(equal_delivery(
+                placement.stage1_content, users_range(self.K)
+            )))
+        if self.scheme == "proposed":
+            ctx = build_two_stage(self._config())
+            return ctx.placement, ctx.template
+        raise ValueError(f"scheme {self.scheme} has a rate only, no placement or plan")
+
+    @property
+    def formula_rate(self) -> Rational:
+        return self.report.rate
+
+    @property
+    def placement(self) -> Placement:
+        return self._built[0]
+
+    def plan(self, d: Sequence[int]) -> DeliveryPlan:
+        return retarget(self._built[1], check_demands(d, self.N, self.K))

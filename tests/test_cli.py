@@ -75,6 +75,15 @@ class TestRate:
         assert "exponent -5000" in err
         assert "integer string conversion" not in err
 
+    def test_decimal_below_float_range(self, capsys):
+        # M = 4 - 10^-400: the rate 10^-400/4 underflows a float to 0
+        code, out, _ = run(
+            capsys, "rate", "--N", "4", "--K", "4", "--M", "3." + "9" * 400,
+            "--scheme", "equal",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"rate 1/4{'0' * 400} (2.5e-401)"
+
     def test_failure_writes_nothing(self, capsys):
         # Rprime's numerator has more digits than Python turns into text; the
         # refusal states its bound, and the lines before it must not reach
@@ -197,11 +206,24 @@ class TestSweep:
         assert "max proposed/external ratio: 1" in err
         assert "matches no grid point" in err
 
+    def test_external_ratio_above_float_range(self, capsys, tmp_path):
+        rates = tmp_path / "ext.txt"
+        rates.write_text("4,4,3,2,1,1e-400\n")
+        code, out, err = run(
+            capsys, "sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+            "--sweep-axis", "M", "--from", "1", "--to", "1", "--step", "1",
+            "--scheme", "proposed", "--external-rates", str(rates),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[0]["ratio_external"] == "1e+400"
+        assert err == "max proposed/external ratio: 1e+400\n"
+
     def test_unknown_format_refused_before_any_row(self, capsys, monkeypatch):
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed before --format was checked")
 
-        monkeypatch.setattr(cli, "_point_report", no_rows)
+        monkeypatch.setattr(cli, "SchemeInstance", no_rows)
         code, out, err = run(
             capsys, "sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
             "--sweep-axis", "M", "--from", "0", "--to", "2", "--step", "1",

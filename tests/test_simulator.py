@@ -185,9 +185,17 @@ class TestWorstCaseLoad:
         listed = list(demands)
         assert len(demands) == len(listed)
         assert [demands[i] for i in range(len(listed))] == listed
+        assert demands[0] == listed[0] and demands[-len(listed)] == listed[0]
         assert demands[-1] == listed[-1] and demands[1::3] == listed[1::3]
-        with pytest.raises(IndexError):
-            demands[len(listed)]
+        for out_of_range in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                demands[out_of_range]
+
+    def test_indexing_lists_no_more_than_the_index(self):
+        # 20^14 demands: listing them all would never finish
+        demands = enumerate_demands(20, 14, "exhaustive", max_demands=20**14)
+        assert demands[0] == (1,) * 14
+        assert demands[21] == (1,) * 12 + (2, 2)
 
 
 def flipped(log, transmission, bit):
@@ -317,14 +325,19 @@ class TestDecodeOutcomes:
 
 class TestCompile:
     def test_rejects_unequal_widths(self):
-        # Transmission refuses unequal parts when built; this one is altered after
+        # widths are checked in bits, once, when a plan is compiled; building
+        # a Transmission checks nothing
         _, plan, store, _ = worked_system()
         tx = plan.transmissions[0]
         seg = tx.parts[0].segment
         short = Part(replace(seg, length=seg.length / 2), tx.parts[0].target)
-        object.__setattr__(tx, "parts", (short, *tx.parts[1:]))
+        tx = Transmission((short, *tx.parts[1:]))
         with pytest.raises(ValueError, match="unequal segment lengths"):
             simulator.compile_plan(DeliveryPlan((tx,)), store.F_bits)
+
+    def test_rejects_a_transmission_without_parts(self):
+        with pytest.raises(ValueError, match="transmission 0 has no parts"):
+            simulator.compile_plan(DeliveryPlan((Transmission(()),)), 4)
 
     def test_rejects_bits_sent_twice(self):
         _, plan, store, _ = worked_system()

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from cachecast import unequal
+from cachecast.baselines import scheme1_optimize
 from cachecast.equal_cache import equal_placement, rate_eq
 from cachecast.simulator import SchemeInstance
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
@@ -227,3 +229,33 @@ class TestTwoStageDelivery:
             ctx.plan(d).total_load for d in product(range(1, 5), repeat=4)
         }
         assert loads == {Fraction(1)}
+
+
+class TestSchemeInstance:
+    def test_report_per_scheme(self):
+        caches = [Fraction(2)] * 3 + [Fraction(1)]
+        expected = {
+            "equal": rate_eq(4, 4, 1),
+            "proposed": rate_ueq(WORKED).rate,
+            "scheme1": scheme1_optimize(4, 4, caches)[1],
+        }
+        for scheme, rate in expected.items():
+            inst = unequal.SchemeInstance(scheme, 4, 4, Fraction(1), 3, Fraction(2))
+            assert inst.report.scheme == scheme
+            assert inst.formula_rate == inst.report.rate == rate
+
+    def test_scheme1_has_a_rate_only(self):
+        inst = unequal.SchemeInstance("scheme1", 4, 4, Fraction(1), 3, Fraction(2))
+        with pytest.raises(ValueError, match="rate only"):
+            inst.placement
+        with pytest.raises(ValueError, match="rate only"):
+            inst.plan((1, 2, 3, 4))
+
+    @pytest.mark.parametrize("scheme,L,message", [
+        ("bogus", 3, "unknown scheme 'bogus'"),
+        ("proposed", None, "scheme proposed needs --L and --Mhat"),
+        ("scheme1", None, "scheme scheme1 needs --L and --Mhat"),
+    ])
+    def test_checked_when_built(self, scheme, L, message):
+        with pytest.raises(ValueError, match=message):
+            unequal.SchemeInstance(scheme, 4, 4, Fraction(1), L, Fraction(2))

@@ -334,7 +334,7 @@ def cmd_verify(opts: Options) -> int:
     if report_path:
         with open(report_path, "w") as fh:
             fh.write("\n".join(report_lines(verdict)) + "\n")
-    total = len(verdict)
+    total = verdict.demands.count
     if not verdict.passed:  # one verdict: every demand fails alike
         print(f"0/{total} demands pass; first failure:")
         print(verdict[0].line())

@@ -16,8 +16,11 @@ This module holds the one builder of each basic step, shared by both schemes;
 each runs once, over one file's layout:
 
 - ``man_placement`` lays out one memory-sharing layer over a ground set of
-  users; ``equal_placement`` stacks the layers.  It is the two-level scheme's
-  stage 1, and over the small users its scenario-2 remainder.
+  users; ``equal_placement`` stacks the layers in a window [start, start +
+  width) of the file, the whole file by default.  It is the two-level
+  scheme's stage 1, and over the small users its scenario-2 remainder: there
+  the window is the remainder's share, and the large users, passed as
+  ``also``, own every subfile besides its stage-1 set.
 - ``delivery_subsets`` is the one delivery rule.  Content is keyed by owner
   set alone: within one layout, the alpha layer's owner sets have size
   t_int and the beta layer's t_int + 1, so the keys' sizes say what to send,
@@ -43,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .core import Rational, UserSet, binom, enumerate_subsets, users_range
+from .core import Rational, UserSet, binom, enumerate_subsets, user_set, users_range
 
 # Memory-sharing layer tags.  The alpha layer is the first alpha*F bits of a
 # file, the beta layer the remaining (1-alpha)*F bits.  A subfile records its
@@ -310,12 +313,15 @@ def man_placement(
     layer_fraction: Rational = ONE,
     layer_start: Rational = ZERO,
     ground: UserSet | None = None,
+    also: UserSet = (),
 ) -> Placement:
     """Owner-subset placement of one memory-sharing layer.
 
     The layer [layer_start, layer_start + layer_fraction) of each file is split
-    into C(|ground|, t) equal subfiles, one per size-t subset of ``ground``
-    (all K users by default), laid out in subset-lexicographic order.
+    into C(|ground|, t) equal subfiles, one per size-t subset T of ``ground``
+    (all K users by default), laid out in subset-lexicographic order.  The
+    subfile of T is owned by T and by the users ``also``, who cache the whole
+    layer; its ``stage1_set`` is T.
     """
     ground = users_range(K) if ground is None else ground
     if t < 0 or t > len(ground):
@@ -325,26 +331,38 @@ def man_placement(
     subsets = enumerate_subsets(ground, t)
     sub_len = Fraction(layer_fraction, len(subsets))
     block = tuple(
-        Subfile(layer, T, T, (Segment(layer_start + j * sub_len, sub_len),))
+        Subfile(layer, T, user_set(T + also) if also else T,
+                (Segment(layer_start + j * sub_len, sub_len),))
         for j, T in enumerate(subsets)
     )
     return Placement(N=N, K=K, blocks=(block,))
 
 
-def equal_placement(N: int, K: int, M, ground: UserSet | None = None) -> Placement:
+def equal_placement(
+    N: int,
+    K: int,
+    M,
+    ground: UserSet | None = None,
+    start: Rational = ZERO,
+    width: Rational = ONE,
+    also: UserSet = (),
+) -> Placement:
     """Both memory-sharing layers of the equal-cache placement for cache size M.
 
     ``ground`` restricts the placement to a subset of the K users (all of
-    them by default); the scheme is then the one for |ground| users.
+    them by default); the scheme is then the one for |ground| users.  The
+    placement fills the window [start, start + width) of every file (the
+    whole file by default): the alpha layer [start, start + width*alpha), the
+    beta layer the rest.  The users ``also`` cache the whole window besides.
     """
     ground = users_range(K) if ground is None else ground
     p = equal_params(N, len(ground), M)
     # (layer, t, start, fraction); beta is empty when t is an integer
-    layers = ((ALPHA, p.t_int, ZERO, p.alpha),
-              (BETA, p.t_int + 1, p.alpha, ONE - p.alpha))
+    layers = ((ALPHA, p.t_int, start, width * p.alpha),
+              (BETA, p.t_int + 1, start + width * p.alpha, width * (1 - p.alpha)))
     blocks = tuple(chain.from_iterable(
-        man_placement(N, K, t, layer, fraction, start, ground).blocks
-        for layer, t, start, fraction in layers if fraction
+        man_placement(N, K, t, layer, fraction, layer_start, ground, also).blocks
+        for layer, t, layer_start, fraction in layers if fraction
     ))
     return Placement(N=N, K=K, blocks=blocks)
 

@@ -320,14 +320,16 @@ class DemandSet(Sequence[tuple[int, ...]]):
 
     Exhaustive mode holds all N^K vectors, distinct mode the N!/(N-K)!
     assignments of distinct files, both in lexicographic order.  Nothing is
-    listed until the set is iterated or indexed.
+    listed until the set is iterated or indexed.  ``count`` is the size as
+    an int of any magnitude; ``len()`` holds only up to ``sys.maxsize``.
     """
 
     def __init__(self, N: int, K: int, exhaustive: bool):
         self.N, self.K, self.exhaustive = N, K, exhaustive
+        self.count = N ** K if exhaustive else math.perm(N, K)
 
     def __len__(self) -> int:
-        return self.N ** self.K if self.exhaustive else math.perm(self.N, self.K)
+        return self.count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         files = range(1, self.N + 1)
@@ -338,9 +340,8 @@ class DemandSet(Sequence[tuple[int, ...]]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        size = len(self)
-        i = index + size if index < 0 else index
-        if not 0 <= i < size:
+        i = index + self.count if index < 0 else index
+        if not 0 <= i < self.count:
             raise IndexError("demand index out of range")
         return next(islice(iter(self), i, None))
 
@@ -393,7 +394,7 @@ class Verdict(Sequence[VerificationReport]):
                                   r.formula_load_bits, r.F_bits)
 
     def __len__(self) -> int:
-        return len(self.demands)
+        return self.demands.count
 
     def __iter__(self) -> Iterator[VerificationReport]:
         return map(self._for, self.demands)

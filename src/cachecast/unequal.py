@@ -14,10 +14,13 @@ reach a small-cache user; the pool's own ``equal_delivery`` replaces the
 rest.
 
 When M' would exceed N (scenario 2, the first branch of ``build_two_stage``),
-files are split: a gamma share runs the construction at the boundary cache
-size Phi (where M' = N and the pool delivery disappears), and on the
-remaining share the large users store everything and drop out, leaving an
-equal-cache system over the K - L small users.
+files are split: the share [0, gamma) runs the construction at the boundary
+cache size Phi (where M' = N and the pool delivery disappears), and on
+[gamma, 1) the large users store everything and drop out, leaving an
+equal-cache system over the K - L small users.  The builders take the share
+they fill (``build_two_stage``'s ``width``, ``equal_placement``'s window and
+``also``), so each share is laid out at its final offsets in one pass and no
+placement or plan is rescaled once built.
 
 ``build_two_stage`` builds one file's layout and the template plan once,
 whatever N is; ``TwoStageContext.plan`` hands the template to
@@ -36,16 +39,12 @@ from functools import cached_property
 from typing import Sequence
 
 from .baselines import scheme1_optimize
-from .core import Rational, UserSet, binom, user_set, users_range
+from .core import Rational, UserSet, binom, users_range
 from .equal_cache import (
-    ZERO,
+    ONE,
     DeliveryPlan,
     EqualCacheParams,
-    Part,
     Placement,
-    Segment,
-    Subfile,
-    Transmission,
     check_demands,
     delivery_subsets,
     equal_delivery,
@@ -184,35 +183,6 @@ def rate_ueq(cfg: UnequalConfig) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def _share(
-    placement: Placement,
-    txs: Sequence[Transmission],
-    factor: Rational,
-    offset: Rational,
-    add_owners: UserSet = (),
-) -> tuple[tuple[tuple[Subfile, ...], ...], list[Transmission]]:
-    """A placement's blocks and its template, squeezed into the share
-    [offset, offset + factor) of every file."""
-    if factor == 0:
-        return (), []
-
-    def scale(seg: Segment) -> Segment:
-        return Segment(offset + factor * seg.start, factor * seg.length)
-
-    blocks = tuple(
-        tuple(
-            replace(sf, owners=user_set(sf.owners + add_owners),
-                    segments=tuple(map(scale, sf.segments)))
-            for sf in block
-        )
-        for block in placement.blocks
-    )
-    return blocks, [
-        Transmission(tuple(Part(scale(p.segment), p.target) for p in tx.parts))
-        for tx in txs
-    ]
-
-
 @dataclass(frozen=True)
 class TwoStageContext:
     """Canonical placement of a config and its identity-demand plan."""
@@ -225,31 +195,32 @@ class TwoStageContext:
         return retarget(self.template, check_demands(d, self.cfg.N, self.cfg.K))
 
 
-def build_two_stage(cfg: UnequalConfig) -> TwoStageContext:
-    """Construct the canonical two-stage placement and its identity-demand plan."""
+def build_two_stage(cfg: UnequalConfig, width: Rational = ONE) -> TwoStageContext:
+    """Construct the canonical two-stage placement and its identity-demand plan.
+
+    Stage 1 and the pooled refinement fill the share [0, width) of every file
+    (the whole file by default).  In scenario 2 that share is split in place:
+    [0, width*gamma) is this construction at Mhat = Phi, built by a call with
+    that width (skipped when gamma = 0), and the rest is the equal-cache
+    placement over the small users, with the large users owning all of it.
+    """
     p = unequal_params(cfg)
     if p.scenario == 2:
-        # gamma share at the boundary cache size Phi, remainder share with the
-        # large users caching everything and an equal-cache system left over
-        # the small users.
-        sub = build_two_stage(replace(cfg, Mhat=p.Phi))
-        rest_placement = equal_placement(cfg.N, cfg.K, cfg.M, ground=cfg.small_users)
-        rest_txs = equal_delivery(rest_placement.stage1_content, cfg.small_users)
-        sub_blocks, sub_txs = _share(
-            sub.placement, sub.template.transmissions, p.gamma, ZERO
-        )
-        rest_blocks, rest_txs = _share(
-            rest_placement, rest_txs, 1 - p.gamma, p.gamma, cfg.large_users
-        )
-        return TwoStageContext(
-            cfg, Placement(cfg.N, cfg.K, sub_blocks + rest_blocks),
-            DeliveryPlan(tuple(sub_txs + rest_txs)),
-        )
+        share = width * p.gamma
+        blocks, txs = (), ()
+        if share:
+            sub = build_two_stage(replace(cfg, Mhat=p.Phi), share)
+            blocks, txs = sub.placement.blocks, sub.template.transmissions
+        rest = equal_placement(cfg.N, cfg.K, cfg.M, cfg.small_users,
+                               start=share, width=width - share, also=cfg.large_users)
+        txs += tuple(equal_delivery(rest.stage1_content, cfg.small_users))
+        return TwoStageContext(cfg, Placement(cfg.N, cfg.K, blocks + rest.blocks),
+                               DeliveryPlan(txs))
 
     # Stage 1: every transmission that serves a small-cache user, i.e. whose
     # (sorted) subset S ends above L.  Those inside the large-cache group are
     # replaced by the pool's delivery.
-    placement = equal_placement(cfg.N, cfg.K, cfg.M)
+    placement = equal_placement(cfg.N, cfg.K, cfg.M, width=width)
     content = placement.stage1_content
     subsets = delivery_subsets(content, users_range(cfg.K))
     txs = xor_delivery(content, [S for S in subsets if S[-1] > cfg.L])

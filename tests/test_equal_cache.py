@@ -154,6 +154,24 @@ class TestEqualPlacement:
                 pos = stop
             assert pos == 1
 
+    def test_window_with_extra_owners(self):
+        # t = 5/4 over the ground (2, 3, 4): both layers, laid out in
+        # [1/3, 5/6) of every file, with user 1 caching the whole window
+        ground, start, width, also = (2, 3, 4), Fraction(1, 3), Fraction(1, 2), (1,)
+        whole = equal_placement(6, 4, Fraction(5, 2), ground)
+        pl = equal_placement(6, 4, Fraction(5, 2), ground, start=start, width=width,
+                             also=also)
+        assert {sf.layer for sf in pl.layout} == {"alpha", "beta"}
+        for sf in pl.layout:
+            assert all(start <= seg.start and seg.stop <= start + width
+                       for seg in sf.segments)
+            assert set(sf.stage1_set) <= set(ground)
+            assert sf.owners == tuple(sorted(sf.stage1_set + also))
+        for user in range(1, 5):
+            assert pl.user_load(user) == width * (
+                6 if user in also else whole.user_load(user))
+        assert pl.user_intervals(1)[1] == [(start, start + width)]
+
 
 class TestManDelivery:
     # At integer t the equal-cache scheme is a single man_placement layer.

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -196,6 +197,18 @@ class TestWorstCaseLoad:
         demands = enumerate_demands(20, 14, "exhaustive", max_demands=20**14)
         assert demands[0] == (1,) * 14
         assert demands[21] == (1,) * 12 + (2, 2)
+
+    @pytest.mark.parametrize("mode,count", [
+        ("exhaustive", 30**30), ("distinct", math.factorial(30)),
+    ])
+    def test_indexing_past_the_index_sized_integer(self, mode, count):
+        # the count exceeds sys.maxsize, so len() cannot hold it
+        demands = enumerate_demands(30, 30, mode, max_demands=count)
+        assert demands.count == count > sys.maxsize
+        assert demands[0] == ((1,) * 30 if mode == "exhaustive" else tuple(range(1, 31)))
+        for out_of_range in (count, -count - 1):
+            with pytest.raises(IndexError):
+                demands[out_of_range]
 
 
 def flipped(log, transmission, bit):

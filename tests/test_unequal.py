@@ -179,12 +179,19 @@ class TestTwoStagePlacement:
         pl = build_two_stage(cfg).placement
         assert set(pl.subfiles) == set(equal_placement(4, 4, 3).subfiles)
 
-    def test_scenario_two_large_users_cache_everything_on_rest_share(self):
-        cfg = UnequalConfig(4, 4, 3, 4, 1)  # gamma = 0: rest share is the file
+    @pytest.mark.parametrize("cfg", [
+        UnequalConfig(4, 4, 3, 4, 1),  # gamma = 0: rest share is the file
+        UnequalConfig(4, 4, 3, Fraction(7, 2), 1),  # gamma = 1/2
+    ])
+    def test_scenario_two_large_users_cache_everything_on_rest_share(self, cfg):
+        gamma = unequal_params(cfg).gamma
         pl = build_two_stage(cfg).placement
-        for user in (1, 2, 3):
-            assert pl.user_intervals(user)[1] == [(Fraction(0), Fraction(1))]
-            assert pl.user_load(user) == 4
+        for user in cfg.large_users:
+            per_file = pl.user_intervals(user)
+            assert len(per_file) == cfg.N
+            for ivs in per_file.values():
+                assert any(a <= gamma and b == 1 for a, b in ivs)
+            assert pl.user_load(user) == cfg.Mhat
 
 
 class TestTwoStageDelivery:

@@ -1,12 +1,15 @@
 """Exact arithmetic and subset utilities shared by every caching scheme.
 
-All rates, cache sizes and subfile lengths are ``fractions.Fraction``
-values; nothing in the rate pipeline ever touches floating point, so
-equality checks between formula rates and simulated loads are exact.
+All rates and cache sizes are ``fractions.Fraction`` values, and subfile
+offsets and lengths are integers in a unit of the file that every cut
+divides (``divide`` refuses one that does not); nothing ever touches
+floating point, so equality checks between formula rates and simulated
+loads are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -29,11 +32,17 @@ def _max_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+@functools.cache
+def _power_of_ten(digits: int) -> int:
+    """10^digits, computed once per digit limit."""
+    return 10**digits
+
+
 def count_text(count: int) -> str:
     """``count`` in decimal, or ``>= 10^d`` when it has more digits than the
     d that Python turns into text."""
     digits = _max_digits()
-    return f">= 10^{digits}" if count >= 10**digits else str(count)
+    return f">= 10^{digits}" if count >= _power_of_ten(digits) else str(count)
 
 
 def excess(name: str, factors: Iterable[int], limit: int) -> str | None:
@@ -42,14 +51,25 @@ def excess(name: str, factors: Iterable[int], limit: int) -> str | None:
     Multiplying stops at 10^d, d the most digits Python turns into text, so
     a count that large is stated as that bound and never computed in full.
     """
-    digits = _max_digits()
-    cap = 10**digits
+    cap = _power_of_ten(_max_digits())
     count = 1
     for f in factors:
         count *= f
         if count >= cap:
             return f"{name} {count_text(count)}"
     return f"{name} = {count}" if count > limit else None
+
+
+def divide(x: int, d: int) -> int:
+    """x / d, for a d that divides x; never rounds.
+
+    Placements are cut in integer units of the file, and every cut the
+    construction makes divides its unit evenly, so a remainder is an error.
+    """
+    q, r = divmod(x, d)
+    if r:
+        raise ValueError(f"the unit does not divide evenly: {x}/{d} is not an integer")
+    return q
 
 
 def binom(a: int, b: int) -> int:
@@ -132,7 +152,7 @@ def format_rational(x: Fraction, name: str = "value") -> str:
         return str(x)
     except ValueError:  # Python's own refusal, about the conversion
         term, n = "numerator", abs(x.numerator)
-        if n < 10**_max_digits():
+        if n < _power_of_ten(_max_digits()):
             term, n = "denominator", x.denominator
         raise ValueError(f"{name} has a {term} {count_text(n)}, "
                          "too many digits to print") from None

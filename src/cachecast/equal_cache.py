@@ -34,8 +34,12 @@ each runs once, over one file's layout:
 - ``split_segments`` cuts an ordered list of tagged segments at offsets; it
   aligns XOR parts here and splits subfiles in the pooled refinement.
 
-All offsets and lengths are fractions of the file size F, so a later
-bit-level realization only has to scale by one common denominator.
+All offsets and lengths are integers in units of F/unit, one unit per
+placement and plan: ``man_placement`` and ``equal_placement`` take it (by
+default the coarsest one in which their layout is whole, ``window_unit``)
+and every cut is exact, so a remainder raises rather than rounds.  A
+``Segment`` reads its integers back as fractions of F, and a bit-level
+realization only has to scale them (``simulator.required_bits``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .core import Rational, UserSet, binom, enumerate_subsets, user_set, users_range
+from .core import (
+    Rational, UserSet, binom, divide, enumerate_subsets, user_set, users_range,
+)
 
 # Memory-sharing layer tags.  The alpha layer is the first alpha*F bits of a
 # file, the beta layer the remaining (1-alpha)*F bits.  A subfile records its
@@ -107,14 +113,25 @@ def rate_eq(N: int, K: int, M) -> Rational:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """A contiguous slice at the same offsets of every file, in fractions of F."""
+    """A contiguous slice at the same offsets of every file: ``n`` units from
+    offset ``a``, in units of F/``unit``.  ``start``, ``length`` and ``stop``
+    read it in fractions of F."""
 
-    start: Rational
-    length: Rational
+    a: int
+    n: int
+    unit: int
+
+    @property
+    def start(self) -> Rational:
+        return Fraction(self.a, self.unit)
+
+    @property
+    def length(self) -> Rational:
+        return Fraction(self.n, self.unit)
 
     @property
     def stop(self) -> Rational:
-        return self.start + self.length
+        return Fraction(self.a + self.n, self.unit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +139,15 @@ class FileSegment(Segment):
     """A segment of one file, as ``retarget`` makes it for a demand."""
 
     file: int
+
+
+def _total_length(segments: Iterable[Segment]) -> Rational:
+    """The summed length of ``segments`` in fractions of F: their integer
+    lengths are added per unit, and each sum becomes one fraction."""
+    sums: dict[int, int] = {}
+    for seg in segments:
+        sums[seg.unit] = sums.get(seg.unit, 0) + seg.n
+    return sum((Fraction(n, unit) for unit, n in sums.items()), ZERO)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +167,7 @@ class Subfile:
 
     @property
     def length(self) -> Rational:
-        return sum((s.length for s in self.segments), ZERO)
+        return _total_length(self.segments)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,8 +204,8 @@ class Placement:
 
     def user_load(self, user: int) -> Rational:
         """Total cached length at ``user`` over all N files, in units of F."""
-        cached = (sf.length for sf in self.layout if user in sf.owners)
-        return self.N * sum(cached, ZERO)
+        return self.N * _total_length(
+            seg for sf in self.layout if user in sf.owners for seg in sf.segments)
 
     def user_intervals(self, user: int) -> dict[int, list[tuple[Rational, Rational]]]:
         """Merged (start, stop) coverage per file for one user's cache; every
@@ -235,33 +261,33 @@ class DeliveryPlan:
     @property
     def total_load(self) -> Rational:
         """Sum of transmission lengths, in units of F."""
-        return sum((tx.length for tx in self.transmissions), ZERO)
+        return _total_length(tx.parts[0].segment for tx in self.transmissions)
 
 
 def split_segments(
-    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[Rational]
+    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[int]
 ) -> list[list[tuple[Tag, Segment]]]:
     """Cut the concatenation of ``items``' segments at the given content offsets.
 
     Each item is a (tag, segment) pair; both halves of a cut segment keep its
     tag, so a caller can tell where every piece came from without searching.
-    ``cuts`` must be strictly increasing and at most the total length;
-    returns len(cuts)+1 ordered groups that tile the input.
+    ``cuts`` are in the segments' unit, strictly increasing and at most the
+    total length; returns len(cuts)+1 ordered groups that tile the input.
     """
     groups: list[list[tuple[Tag, Segment]]] = [[]]
-    pos = ZERO
+    pos = 0
     cut_iter = iter(cuts)
     cut = next(cut_iter, None)
     for tag, seg in items:
-        while cut is not None and pos < cut < pos + seg.length:
-            head_len = cut - pos
-            groups[-1].append((tag, Segment(seg.start, head_len)))
-            seg = Segment(seg.start + head_len, seg.length - head_len)
+        while cut is not None and pos < cut < pos + seg.n:
+            head = cut - pos
+            groups[-1].append((tag, Segment(seg.a, head, seg.unit)))
+            seg = Segment(seg.a + head, seg.n - head, seg.unit)
             pos = cut
             groups.append([])
             cut = next(cut_iter, None)
         groups[-1].append((tag, seg))
-        pos += seg.length
+        pos += seg.n
         if cut is not None and cut == pos:
             groups.append([])
             cut = next(cut_iter, None)
@@ -275,19 +301,21 @@ def aligned_transmissions(
 ) -> list[Transmission]:
     """Turn equal-length multi-segment components into aligned XOR pieces.
 
-    Each component is (ordered segments, target user).  Content is cut at the
-    union of all internal segment boundaries so that every resulting
-    transmission XORs exactly one contiguous segment per component.
+    Each component is (ordered segments, target user), all in one unit.
+    Content is cut at the union of all internal segment boundaries so that
+    every resulting transmission XORs exactly one contiguous segment per
+    component.
     """
-    totals = {sum((s.length for s in segs), ZERO) for segs, _ in components}
+    totals = {sum(s.n for s in segs) for segs, _ in components}
     if len(totals) != 1:
         raise ValueError(f"XOR components must have equal total length, got {totals}")
-    total = totals.pop()
-    if total == 0:
+    if not totals.pop():
         return []
     cuts = sorted({
-        acc for segs, _ in components for acc in accumulate(s.length for s in segs[:-1])
+        acc for segs, _ in components for acc in accumulate(s.n for s in segs[:-1])
     })
+    if not cuts:  # one segment per component: one transmission
+        return [Transmission(tuple(Part(segs[0], target) for segs, target in components))]
     pieces = [
         split_segments([(target, seg) for seg in segs], cuts)
         for segs, target in components
@@ -314,6 +342,7 @@ def man_placement(
     layer_start: Rational = ZERO,
     ground: UserSet | None = None,
     also: UserSet = (),
+    unit: int | None = None,
 ) -> Placement:
     """Owner-subset placement of one memory-sharing layer.
 
@@ -321,7 +350,9 @@ def man_placement(
     into C(|ground|, t) equal subfiles, one per size-t subset T of ``ground``
     (all K users by default), laid out in subset-lexicographic order.  The
     subfile of T is owned by T and by the users ``also``, who cache the whole
-    layer; its ``stage1_set`` is T.
+    layer; its ``stage1_set`` is T.  Offsets are whole units of F/``unit``
+    (by default the coarsest unit that makes them whole); a unit that does
+    not cut the layer evenly raises ``ValueError``.
     """
     ground = users_range(K) if ground is None else ground
     if t < 0 or t > len(ground):
@@ -329,13 +360,38 @@ def man_placement(
     if layer_fraction == 0:
         return Placement(N=N, K=K, blocks=())
     subsets = enumerate_subsets(ground, t)
-    sub_len = Fraction(layer_fraction, len(subsets))
+    if unit is None:
+        unit = _layer_unit(layer_start, layer_fraction, len(subsets))
+    start = divide(layer_start.numerator * unit, layer_start.denominator)
+    size = divide(layer_fraction.numerator * unit,
+                  layer_fraction.denominator * len(subsets))
     block = tuple(
         Subfile(layer, T, user_set(T + also) if also else T,
-                (Segment(layer_start + j * sub_len, sub_len),))
+                (Segment(start + j * size, size, unit),))
         for j, T in enumerate(subsets)
     )
     return Placement(N=N, K=K, blocks=(block,))
+
+
+def _layer_unit(start: Rational, fraction: Rational, parts: int) -> int:
+    """The coarsest unit in which [start, start + fraction), cut into
+    ``parts`` equal subfiles, has whole offsets."""
+    return math.lcm(Fraction(start).denominator, Fraction(fraction, parts).denominator)
+
+
+def _layers(p: EqualCacheParams, start: Rational, width: Rational):
+    """(layer, t, start, fraction) of each memory-sharing layer of the window
+    [start, start + width); beta is absent when t is an integer."""
+    layers = ((ALPHA, p.t_int, start, width * p.alpha),
+              (BETA, p.t_int + 1, start + width * p.alpha, width * (1 - p.alpha)))
+    return [layer for layer in layers if layer[3]]
+
+
+def window_unit(p: EqualCacheParams, start: Rational = ZERO, width: Rational = ONE) -> int:
+    """The coarsest unit in which ``equal_placement`` at ``p`` (over p.K
+    users) lays out the window [start, start + width) in whole units."""
+    return math.lcm(*(_layer_unit(layer_start, fraction, binom(p.K, t))
+                      for _, t, layer_start, fraction in _layers(p, start, width)))
 
 
 def equal_placement(
@@ -346,6 +402,7 @@ def equal_placement(
     start: Rational = ZERO,
     width: Rational = ONE,
     also: UserSet = (),
+    unit: int | None = None,
 ) -> Placement:
     """Both memory-sharing layers of the equal-cache placement for cache size M.
 
@@ -354,15 +411,16 @@ def equal_placement(
     placement fills the window [start, start + width) of every file (the
     whole file by default): the alpha layer [start, start + width*alpha), the
     beta layer the rest.  The users ``also`` cache the whole window besides.
+    Offsets are whole units of F/``unit``, by default ``window_unit``'s.
     """
     ground = users_range(K) if ground is None else ground
     p = equal_params(N, len(ground), M)
-    # (layer, t, start, fraction); beta is empty when t is an integer
-    layers = ((ALPHA, p.t_int, start, width * p.alpha),
-              (BETA, p.t_int + 1, start + width * p.alpha, width * (1 - p.alpha)))
+    layers = _layers(p, start, width)
+    if unit is None:
+        unit = window_unit(p, start, width)
     blocks = tuple(chain.from_iterable(
-        man_placement(N, K, t, layer, fraction, layer_start, ground, also).blocks
-        for layer, t, layer_start, fraction in layers if fraction
+        man_placement(N, K, t, layer, fraction, layer_start, ground, also, unit).blocks
+        for layer, t, layer_start, fraction in layers
     ))
     return Placement(N=N, K=K, blocks=blocks)
 
@@ -423,8 +481,8 @@ def retarget(template: DeliveryPlan, d: Sequence[int]) -> DeliveryPlan:
     """
     return DeliveryPlan(tuple(
         Transmission(tuple(
-            Part(FileSegment(p.segment.start, p.segment.length, d[p.target - 1]),
-                 p.target)
+            Part(FileSegment(p.segment.a, p.segment.n, p.segment.unit,
+                             d[p.target - 1]), p.target)
             for p in tx.parts
         ))
         for tx in template.transmissions

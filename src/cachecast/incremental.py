@@ -20,9 +20,11 @@ parts go to candidate users in increasing index order).
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
-from .core import Rational, UserSet, user_set
+from .core import Rational, UserSet, binom, divide, user_set
 from .equal_cache import ZERO, Placement, Segment, Subfile, split_segments
 
 # A refinement piece: one contiguous segment, tagged with the stage-1 subfile
@@ -31,8 +33,25 @@ Piece = tuple[Subfile, Segment]
 State = dict[UserSet, list[Piece]]
 
 
-def _pieces_length(pieces: list[Piece]) -> Rational:
-    return sum((seg.length for _, seg in pieces), ZERO)
+def _pieces_length(pieces: list[Piece]) -> int:
+    return sum(seg.n for _, seg in pieces)
+
+
+def split_factor(pool_size: int, s0: int, t2_int: int, alpha2: Rational) -> int:
+    """What the refinement of a pool of ``pool_size`` users, from level s0 to
+    the target (t2_int, alpha2), divides its pieces' lengths by.
+
+    Each whole-level promotion from level s cuts every owner set's content
+    into pool_size - s parts; a final split keeps alpha2 of the pool at
+    t2_int, C(pool_size, t2_int) sets, and cuts the rest into
+    pool_size - t2_int parts.  A pool whose stage-1 pieces are multiples of
+    this factor is refined in whole units.
+    """
+    factor = math.prod(pool_size - s for s in range(s0, t2_int))
+    if alpha2 < 1:
+        factor *= (alpha2.denominator * binom(pool_size, t2_int)
+                   * (pool_size - t2_int))
+    return factor
 
 
 def _promote_once(
@@ -51,14 +70,14 @@ def _promote_once(
         total = _pieces_length(pieces)
         if total == 0:
             continue
-        rest = pieces
+        rest, rest_total = pieces, total
         if keep_fraction > 0:
-            kept[T], rest = split_segments(pieces, [keep_fraction * total])
+            kept_length = divide(total * keep_fraction.numerator, keep_fraction.denominator)
+            kept[T], rest = split_segments(pieces, [kept_length])
+            rest_total -= kept_length
         others = [u for u in ground if u not in T]
-        if not others:
-            raise ValueError("nothing to refine: owner sets already cover the pool")
-        rest_total = total - keep_fraction * total
-        cuts = [rest_total * Fraction(i, len(others)) for i in range(1, len(others))]
+        width = divide(rest_total, len(others))
+        cuts = [width * i for i in range(1, len(others))]
         for j, part in zip(others, split_segments(rest, cuts)):
             promoted.setdefault(user_set(T + (j,)), []).extend(part)
     return kept, promoted
@@ -69,6 +88,16 @@ def _merge_states(base: State, additions: State) -> State:
     for T, pieces in additions.items():
         out.setdefault(T, []).extend(pieces)
     return out
+
+
+def _scaled(placement: Placement, factor: int) -> Placement:
+    """``placement`` in a unit ``factor`` times finer, every offset alike."""
+    return Placement(placement.N, placement.K, tuple(
+        tuple(replace(sf, segments=tuple(
+            Segment(seg.a * factor, seg.n * factor, seg.unit * factor)
+            for seg in sf.segments)) for sf in block)
+        for block in placement.blocks
+    ))
 
 
 def refine_pool(
@@ -84,6 +113,8 @@ def refine_pool(
     until the lower level reaches t2_int, then a uniform alpha2/p share of
     each subfile is kept there and the remainder promoted once more.
     Content never moves; each user in the pool gains exactly the same length.
+    Every cut is a whole number of units: the placement is first moved to a
+    finer unit when its pool pieces are not multiples of ``split_factor``.
 
     Returns the refined placement and the pool as an equal-cache layout over
     the pool users: a map from owner set to the ordered segments it owns,
@@ -93,10 +124,6 @@ def refine_pool(
     """
     pool = user_set(pool_users)
     members = set(pool)
-    rest = tuple(
-        tuple(sf for sf in block if not members.issuperset(sf.owners))
-        for block in placement.blocks
-    )
     pool_sfs = [sf for sf in placement.layout if members.issuperset(sf.owners)]
     if not pool_sfs:
         raise ValueError("empty pool: no subfile is owned entirely inside the pool")
@@ -108,14 +135,26 @@ def refine_pool(
     if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
         raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
 
-    pool_total = sum((sf.length for sf in pool_sfs), ZERO)
-    low0 = sum((sf.length for sf in pool_sfs if len(sf.owners) == s0), ZERO)
-    t_pool = s0 + (1 - low0 / pool_total)
+    pool_total = sum(seg.n for sf in pool_sfs for seg in sf.segments)
+    low0 = sum(seg.n for sf in pool_sfs if len(sf.owners) == s0 for seg in sf.segments)
+    t_pool = s0 + 1 - Fraction(low0, pool_total)
     t_target = t2_int + 1 - alpha2
     if t_target < t_pool:
         raise ValueError(
             f"cannot shrink placement: target t'={t_target} below current {t_pool}"
         )
+    if t_target > len(pool):
+        raise ValueError("nothing to refine: owner sets already cover the pool")
+
+    factor = split_factor(len(pool), s0, t2_int, alpha2)
+    scale = factor // math.gcd(factor, *(seg.n for sf in pool_sfs for seg in sf.segments))
+    if scale > 1:
+        placement, pool_total = _scaled(placement, scale), pool_total * scale
+        pool_sfs = [sf for sf in placement.layout if members.issuperset(sf.owners)]
+    rest = tuple(
+        tuple(sf for sf in block if not members.issuperset(sf.owners))
+        for block in placement.blocks
+    )
 
     low: State = {}
     high: State = {}
@@ -126,11 +165,11 @@ def refine_pool(
         _, promoted = _promote_once(low, pool, ZERO)
         low, high = _merge_states(high, promoted), {}
     low_length = _pieces_length([pc for pieces in low.values() for pc in pieces])
-    p_frac = low_length / pool_total
-    if p_frac < alpha2:
+    if low_length * alpha2.denominator < alpha2.numerator * pool_total:
         raise ValueError("inconsistent refinement target")  # ruled out by budget
-    if p_frac > alpha2:
-        low, promoted = _promote_once(low, pool, alpha2 / p_frac)
+    if low_length * alpha2.denominator > alpha2.numerator * pool_total:
+        keep = Fraction(alpha2 * pool_total, low_length)  # alpha2 / (low_length/pool_total)
+        low, promoted = _promote_once(low, pool, keep)
         high = _merge_states(high, promoted)
 
     refined_block: list[Subfile] = []

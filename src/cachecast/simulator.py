@@ -1,11 +1,11 @@
 """Bit-exact realization of placements and delivery plans.
 
-Files become pseudo-random bit arrays whose length is a multiple of every
-segment denominator, so each rational offset lands on an integer bit and no
+Files become pseudo-random bit arrays whose length makes every segment's
+integer offset, in its unit of the file, land on an integer bit, so no
 rounding ever happens: measured loads are compared to formula rates with
 exact equality.
 
-``compile_plan`` is the one step that turns a plan's rational segments into
+``compile_plan`` is the one step that turns a plan's integer segments into
 bits, each transmission's parts as (target, file, bit range), once per plan
 and file size.  ``execute_delivery`` XORs the parts out of the files and
 ``decode_all`` decodes the log one transmission at a time, as the paper
@@ -27,6 +27,7 @@ placement, plan and rate it checks come from ``unequal.SchemeInstance``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations, product, repeat
@@ -35,8 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    MAX_ENUMERATION, Rational, count_text, excess, format_rational, lcm_denominators,
-    users_range,
+    MAX_ENUMERATION, Rational, count_text, excess, format_rational, users_range,
 )
 from .equal_cache import DeliveryPlan, Placement, check_demands
 from .unequal import SchemeInstance
@@ -50,12 +50,20 @@ MAX_MATERIALIZE_BYTES = 2**30
 
 
 def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
-    """Smallest file size in bits realizing every segment boundary exactly."""
+    """Smallest file size in bits realizing every segment boundary exactly.
+
+    Offsets are whole units of F/unit, so for each unit that is the unit
+    divided by the gcd of it and every offset and length in that unit (the
+    builders use one unit per placement and plan).
+    """
     segs = [seg for sf in placement.layout for seg in sf.segments] + [
         part.segment for plan in plans for tx in plan.transmissions for part in tx.parts
     ]
-    fracs = [x for seg in segs for x in (seg.start, seg.length)]
-    return lcm_denominators(fracs) if fracs else 1
+    return math.lcm(*(
+        unit // math.gcd(unit, *(x for seg in segs if seg.unit == unit
+                                 for x in (seg.a, seg.n)))
+        for unit in {seg.unit for seg in segs}
+    ))
 
 
 @dataclass(frozen=True)
@@ -86,15 +94,14 @@ class CacheImage:
 
 
 def _bit_range(seg, F_bits: int) -> tuple[int, int]:
-    # in lowest terms, x * F_bits is an integer iff x's denominator divides F_bits
-    start, length = seg.start, seg.length
-    if F_bits % start.denominator or F_bits % length.denominator:
+    a, rest_a = divmod(seg.a * F_bits, seg.unit)
+    n, rest_n = divmod(seg.n * F_bits, seg.unit)
+    if rest_a or rest_n:
         raise ValueError(
             f"F_bits={F_bits} cannot realize the file segment "
             f"[{seg.start}, {seg.stop}): boundaries must be integer bits"
         )
-    a = start.numerator * (F_bits // start.denominator)
-    return a, a + length.numerator * (F_bits // length.denominator)
+    return a, a + n
 
 
 def materialize(
@@ -343,6 +350,9 @@ class DemandSet(Sequence[tuple[int, ...]]):
         i = index + self.count if index < 0 else index
         if not 0 <= i < self.count:
             raise IndexError("demand index out of range")
+        if i > sys.maxsize:
+            raise ValueError(f"demand index {index} is past sys.maxsize: demands "
+                             "are listed in order, not unranked")
         return next(islice(iter(self), i, None))
 
 

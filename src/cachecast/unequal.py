@@ -18,12 +18,13 @@ files are split: the share [0, gamma) runs the construction at the boundary
 cache size Phi (where M' = N and the pool delivery disappears), and on
 [gamma, 1) the large users store everything and drop out, leaving an
 equal-cache system over the K - L small users.  The builders take the share
-they fill (``build_two_stage``'s ``width``, ``equal_placement``'s window and
-``also``), so each share is laid out at its final offsets in one pass and no
-placement or plan is rescaled once built.
+they fill (``equal_placement``'s window and ``also``), so each share is laid
+out at its final offsets in one pass and no placement or plan is rescaled
+once built.
 
 ``build_two_stage`` builds one file's layout and the template plan once,
-whatever N is; ``TwoStageContext.plan`` hands the template to
+whatever N is, with every offset an integer in one unit it fixes from the
+parameters first; ``TwoStageContext.plan`` hands the template to
 ``equal_cache.retarget``, the one place a demand enters a plan.
 
 ``SchemeInstance`` is one scheme at one parameter point, and the one place
@@ -33,7 +34,8 @@ the placement and plans that ``simulator`` turns into bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -45,6 +47,7 @@ from .equal_cache import (
     DeliveryPlan,
     EqualCacheParams,
     Placement,
+    Transmission,
     check_demands,
     delivery_subsets,
     equal_delivery,
@@ -52,9 +55,10 @@ from .equal_cache import (
     equal_placement,
     rate_eq,
     retarget,
+    window_unit,
     xor_delivery,
 )
-from .incremental import refine_pool
+from .incremental import refine_pool, split_factor
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,12 @@ class RateReport:
     pool_empty: bool = False
 
 
-def rate_ueq(cfg: UnequalConfig) -> RateReport:
-    """Worst-case rate of the two-level scheme, with all intermediates."""
-    p = unequal_params(cfg)
+def rate_ueq(cfg: UnequalConfig, params: UnequalParams | None = None) -> RateReport:
+    """Worst-case rate of the two-level scheme, with all intermediates.
+
+    ``params`` is ``unequal_params(cfg)`` when the caller has it already.
+    """
+    p = unequal_params(cfg) if params is None else params
     base_rate = rate_eq(cfg.N, cfg.K, cfg.M)
     if p.pool_empty:
         rate = base_rate
@@ -195,42 +202,69 @@ class TwoStageContext:
         return retarget(self.template, check_demands(d, self.cfg.N, self.cfg.K))
 
 
-def build_two_stage(cfg: UnequalConfig, width: Rational = ONE) -> TwoStageContext:
-    """Construct the canonical two-stage placement and its identity-demand plan.
+def _pooled_unit(cfg: UnequalConfig, base: EqualCacheParams,
+                 second: EqualCacheParams | None, width: Rational) -> int:
+    """A unit in which stage 1 over [0, width) and its pooled refinement to
+    ``second`` have whole offsets: stage 1's unit times the refinement's
+    ``split_factor``, so that no pool piece needs a finer unit."""
+    unit = window_unit(base, width=width)
+    if second is not None:
+        unit *= split_factor(cfg.L, base.t_int, second.t_int, second.alpha)
+    return unit
 
-    Stage 1 and the pooled refinement fill the share [0, width) of every file
-    (the whole file by default).  In scenario 2 that share is split in place:
-    [0, width*gamma) is this construction at Mhat = Phi, built by a call with
-    that width (skipped when gamma = 0), and the rest is the equal-cache
-    placement over the small users, with the large users owning all of it.
-    """
-    p = unequal_params(cfg)
-    if p.scenario == 2:
-        share = width * p.gamma
-        blocks, txs = (), ()
-        if share:
-            sub = build_two_stage(replace(cfg, Mhat=p.Phi), share)
-            blocks, txs = sub.placement.blocks, sub.template.transmissions
-        rest = equal_placement(cfg.N, cfg.K, cfg.M, cfg.small_users,
-                               start=share, width=width - share, also=cfg.large_users)
-        txs += tuple(equal_delivery(rest.stage1_content, cfg.small_users))
-        return TwoStageContext(cfg, Placement(cfg.N, cfg.K, blocks + rest.blocks),
-                               DeliveryPlan(txs))
 
+def _pooled(cfg: UnequalConfig, second: EqualCacheParams | None, width: Rational,
+            unit: int) -> tuple[Placement, list[Transmission]]:
+    """Stage 1 in [0, width) of every file, with its pool refined to the
+    equal-cache layout ``second`` over the large users (None: no pool): the
+    placement and the transmissions, offsets in units of F/``unit``."""
     # Stage 1: every transmission that serves a small-cache user, i.e. whose
     # (sorted) subset S ends above L.  Those inside the large-cache group are
     # replaced by the pool's delivery.
-    placement = equal_placement(cfg.N, cfg.K, cfg.M, width=width)
+    placement = equal_placement(cfg.N, cfg.K, cfg.M, width=width, unit=unit)
     content = placement.stage1_content
     subsets = delivery_subsets(content, users_range(cfg.K))
     txs = xor_delivery(content, [S for S in subsets if S[-1] > cfg.L])
-    if not p.pool_empty:
-        second = equal_params(cfg.N, cfg.L, p.Mprime)
+    if second is not None:
         placement, pool = refine_pool(
             placement, cfg.large_users, second.t_int, second.alpha
         )
         txs.extend(equal_delivery(pool, cfg.large_users))
-    return TwoStageContext(cfg, placement, DeliveryPlan(tuple(txs)))
+    return placement, txs
+
+
+def build_two_stage(cfg: UnequalConfig,
+                    params: UnequalParams | None = None) -> TwoStageContext:
+    """Construct the canonical two-stage placement and its identity-demand plan.
+
+    ``params`` is ``unequal_params(cfg)`` when the caller has it already.
+    Every offset is a whole number of one unit, fixed from the parameters
+    before anything is built.  In scenario 2 the file is split in place:
+    [0, gamma) is this construction at Mhat = Phi (skipped when gamma = 0),
+    and the rest is the equal-cache placement over the small users, with the
+    large users owning all of it.
+    """
+    p = unequal_params(cfg) if params is None else params
+    if p.scenario == 1:
+        second = None if p.pool_empty else equal_params(cfg.N, cfg.L, p.Mprime)
+        placement, txs = _pooled(cfg, second, ONE, _pooled_unit(cfg, p.base, second, ONE))
+        return TwoStageContext(cfg, placement, DeliveryPlan(tuple(txs)))
+
+    small = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
+    unit = window_unit(small, p.gamma, 1 - p.gamma)
+    blocks, txs = (), []
+    if p.gamma:
+        # at Mhat = Phi, M' = N: the pool is refined until each large user
+        # caches all of it
+        full = equal_params(cfg.N, cfg.L, cfg.N)
+        unit = math.lcm(unit, _pooled_unit(cfg, p.base, full, p.gamma))
+        share, txs = _pooled(cfg, full, p.gamma, unit)
+        blocks = share.blocks
+    rest = equal_placement(cfg.N, cfg.K, cfg.M, cfg.small_users, start=p.gamma,
+                           width=1 - p.gamma, also=cfg.large_users, unit=unit)
+    txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
+    return TwoStageContext(cfg, Placement(cfg.N, cfg.K, blocks + rest.blocks),
+                           DeliveryPlan(tuple(txs)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +298,15 @@ class SchemeInstance:
         if self.scheme != "equal" and (self.L is None or self.Mhat is None):
             raise ValueError(f"scheme {self.scheme} needs --L and --Mhat")
 
+    @cached_property
     def _config(self) -> UnequalConfig:
         return UnequalConfig(self.N, self.K, self.L, self.Mhat, self.M)
+
+    @cached_property
+    def _params(self) -> UnequalParams:
+        """The proposed scheme's derived parameters, shared by its rate and
+        its construction."""
+        return unequal_params(self._config)
 
     @cached_property
     def report(self) -> RateReport:
@@ -275,7 +316,7 @@ class SchemeInstance:
             return RateReport(scheme="equal", N=N, K=K, M=p.M, rate=rate_eq(N, K, M),
                               t=p.t, t_int=p.t_int, alpha=p.alpha)
         if self.scheme == "proposed":
-            return rate_ueq(self._config())
+            return rate_ueq(self._config, self._params)
         _, rate = scheme1_optimize(N, K, [self.Mhat] * self.L + [M] * (K - self.L))
         return RateReport(scheme="scheme1", N=N, K=K, M=M, L=self.L, Mhat=self.Mhat,
                           rate=rate)
@@ -289,7 +330,7 @@ class SchemeInstance:
                 placement.stage1_content, users_range(self.K)
             )))
         if self.scheme == "proposed":
-            ctx = build_two_stage(self._config())
+            ctx = build_two_stage(self._config, self._params)
             return ctx.placement, ctx.template
         raise ValueError(f"scheme {self.scheme} has a rate only, no placement or plan")
 

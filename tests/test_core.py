@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cachecast.core import (
     binom,
+    count_text,
     enumerate_subsets,
+    excess,
     format_rational,
     lcm_denominators,
     parse_rational,
@@ -117,3 +120,18 @@ def test_format_rational_refuses_unprintable_terms():
                     (Fraction(1, 10**4300), "denominator")):
         with pytest.raises(ValueError, match=f"^Rprime has a {term} >= 10\\^4300, "):
             format_rational(x, "Rprime")
+
+
+def test_count_bound_follows_the_digit_limit():
+    # the bound 10^d is worked out once per limit, so a changed limit counts
+    assert count_text(10**4300) == ">= 10^4300"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert count_text(10**639) == str(10**639)
+        assert count_text(10**640) == ">= 10^640"
+        assert excess("N^K", [10**320, 10**320], 5) == "N^K >= 10^640"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert count_text(10**640) == str(10**640)
+    assert excess("N^K", [10**4300], 5) == "N^K >= 10^4300"

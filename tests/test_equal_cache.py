@@ -173,6 +173,26 @@ class TestEqualPlacement:
         assert pl.user_intervals(1)[1] == [(start, start + width)]
 
 
+class TestUnits:
+    def test_default_unit_is_the_coarsest_whole_one(self):
+        # t = 3/2: alpha layer 1/2 in four subfiles of 1/8, beta layer 1/2 in
+        # six of 1/12, so offsets are whole in units of F/24
+        pl = equal_placement(4, 4, Fraction(3, 2))
+        assert {seg.unit for sf in pl.layout for seg in sf.segments} == {24}
+        finer = equal_placement(4, 4, Fraction(3, 2), unit=48)
+        assert [(s.start, s.length) for sf in finer.layout for s in sf.segments] == [
+            (s.start, s.length) for sf in pl.layout for s in sf.segments]
+
+    def test_a_unit_that_does_not_divide_raises(self):
+        with pytest.raises(ValueError, match="does not divide evenly"):
+            man_placement(4, 4, 1, unit=2)
+        with pytest.raises(ValueError, match="does not divide evenly"):
+            equal_placement(4, 4, Fraction(3, 2), unit=8)
+        with pytest.raises(ValueError, match="does not divide evenly"):
+            equal_placement(4, 4, 1, start=Fraction(1, 2), width=Fraction(1, 2),
+                            unit=4)
+
+
 class TestManDelivery:
     # At integer t the equal-cache scheme is a single man_placement layer.
     def test_worked_example_transmissions(self):

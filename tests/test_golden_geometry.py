@@ -10,7 +10,8 @@ digest does not depend on ``PYTHONHASHSEED``: nothing here iterates a set.
 import hashlib
 from fractions import Fraction
 
-from cachecast.simulator import SchemeInstance
+from cachecast.core import lcm_denominators
+from cachecast.simulator import SchemeInstance, required_bits
 
 GRID_N = (4, 5)
 GRID_K = (3, 4)
@@ -65,3 +66,15 @@ def grid_digest() -> tuple[int, str]:
 
 def test_golden_geometry_digest():
     assert grid_digest() == (GOLDEN_INSTANCES, GOLDEN_SHA256)
+
+
+def test_required_bits_is_the_lcm_of_the_segment_denominators():
+    # the bit size read off the integer offsets, checked against the
+    # fractions they stand for over the whole grid
+    for inst in _grid():
+        plan = inst.plan(tuple(range(1, inst.K + 1)))
+        segs = [seg for sf in inst.placement.layout for seg in sf.segments] + [
+            part.segment for tx in plan.transmissions for part in tx.parts]
+        fracs = [x for seg in segs for x in (seg.start, seg.length)]
+        assert required_bits(inst.placement, plan) == (
+            lcm_denominators(fracs) if fracs else 1)

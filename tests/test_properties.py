@@ -12,9 +12,11 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cachecast.core import lcm_denominators
 from cachecast.equal_cache import rate_eq
 from cachecast.simulator import (
-    SchemeInstance, decode_all, execute_delivery, materialize, verify_demands,
+    SchemeInstance, decode_all, execute_delivery, materialize, required_bits,
+    verify_demands,
 )
 from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
 
@@ -60,6 +62,24 @@ def test_cache_loads_within_budget(point):
     placement = instance(point).placement
     for user in range(1, K + 1):
         assert placement.user_load(user) <= (Mhat if user <= L else M)
+
+
+@PROFILE
+@given(points())
+def test_integer_units_read_as_fractions(point):
+    """The bit size from the integer offsets is the lcm of every segment's
+    denominators, and a user's load is the fraction sum of its subfiles."""
+    inst = instance(point)
+    placement = inst.placement
+    plan = inst.plan(tuple(range(1, inst.K + 1)))
+    segs = [seg for sf in placement.layout for seg in sf.segments] + [
+        part.segment for tx in plan.transmissions for part in tx.parts]
+    assert required_bits(placement, plan) == lcm_denominators(
+        [x for seg in segs for x in (seg.start, seg.length)])
+    for user in range(1, inst.K + 1):
+        assert placement.user_load(user) == sum(
+            (seg.length for sf in placement.subfiles if user in sf.owners
+             for seg in sf.segments), Fraction(0))
 
 
 @PROFILE

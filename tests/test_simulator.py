@@ -211,6 +211,19 @@ class TestWorstCaseLoad:
                 demands[out_of_range]
 
 
+    @pytest.mark.parametrize("mode,count", [
+        ("exhaustive", 30**30), ("distinct", math.factorial(30)),
+    ])
+    def test_index_past_sys_maxsize_is_refused(self, mode, count):
+        # in range, but islice takes no index past sys.maxsize, and the
+        # enumeration is the only source of the order
+        demands = enumerate_demands(30, 30, mode, max_demands=count)
+        for index in (-1, 2**63, sys.maxsize + 1):
+            with pytest.raises(ValueError, match=f"^demand index {index} .* in order, "
+                                                 "not unranked$"):
+                demands[index]
+
+
 def flipped(log, transmission, bit):
     """``log`` with one transmitted bit flipped."""
     payloads = [p.copy() for p in log.payloads]
@@ -311,7 +324,7 @@ class TestDecodeOutcomes:
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
         (tx,) = inst.plan((1, 2)).transmissions
         other = next(p.segment for p in tx.parts if p.target == 2)
-        plain = Transmission((Part(FileSegment(other.start, other.length, 1), 1),))
+        plain = Transmission((Part(FileSegment(other.a, other.n, other.unit, 1), 1),))
         plan = DeliveryPlan((tx, plain))
         store, caches = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
@@ -329,7 +342,7 @@ class TestDecodeOutcomes:
         lacks = next(p.segment for p in tx.parts if p.target == 1)
         has = next(p.segment for p in tx.parts if p.target == 2)
         plan = DeliveryPlan((Transmission((
-            Part(FileSegment(has.start, has.length, 1), 1), Part(lacks, 1),
+            Part(FileSegment(has.a, has.n, has.unit, 1), 1), Part(lacks, 1),
         )),))
         store, caches = materialize(inst.placement, plan)
         report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
@@ -343,7 +356,8 @@ class TestCompile:
         _, plan, store, _ = worked_system()
         tx = plan.transmissions[0]
         seg = tx.parts[0].segment
-        short = Part(replace(seg, length=seg.length / 2), tx.parts[0].target)
+        # the same start in a unit twice as fine: half the length
+        short = Part(replace(seg, a=2 * seg.a, unit=2 * seg.unit), tx.parts[0].target)
         tx = Transmission((short, *tx.parts[1:]))
         with pytest.raises(ValueError, match="unequal segment lengths"):
             simulator.compile_plan(DeliveryPlan((tx,)), store.F_bits)

@@ -238,6 +238,49 @@ class TestTwoStageDelivery:
         assert loads == {Fraction(1)}
 
 
+class TestIntegerUnits:
+    def test_construction_makes_few_fractions(self, monkeypatch):
+        # every offset is an int in one unit fixed from the parameters; only
+        # the derived parameters and that unit are rationals
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        ctx = build_two_stage(UnequalConfig(20, 14, 7, 7, Fraction(5, 2)))
+        monkeypatch.undo()
+        assert len(ctx.placement.layout) == 396
+        assert len(ctx.template.transmissions) == 417
+        assert len(made) < 200
+
+    @pytest.mark.parametrize("cfg", [
+        UnequalConfig(10, 4, 2, Fraction(33, 4), Fraction(11, 4)),  # scenario 1
+        UnequalConfig(5, 4, 2, Fraction(15, 4), Fraction(5, 4)),  # scenario 2
+    ])
+    def test_one_unit_per_build(self, cfg):
+        ctx = build_two_stage(cfg)
+        segs = [seg for sf in ctx.placement.layout for seg in sf.segments] + [
+            p.segment for tx in ctx.template.transmissions for p in tx.parts]
+        assert len({seg.unit for seg in segs}) == 1
+
+    def test_instance_derives_its_parameters_once(self, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return unequal_params(cfg)
+
+        monkeypatch.setattr(unequal, "unequal_params", counted)
+        # scenario 2: the share at Mhat = Phi needs no second derivation
+        inst = unequal.SchemeInstance("proposed", 4, 4, Fraction(1), 3, Fraction(7, 2))
+        assert inst.report.scenario == 2
+        assert inst.plan((1, 2, 3, 4)).total_load == inst.formula_rate
+        assert len(calls) == 1
+
+
 class TestSchemeInstance:
     def test_report_per_scheme(self):
         caches = [Fraction(2)] * 3 + [Fraction(1)]

@@ -4,7 +4,10 @@ Scheme 1 splits the system into K nested sub-problems — sub-problem i serves
 users 1..i with the cache headroom M_i - M_{i+1} and unicasts to the rest —
 and optimizes the file share beta_i given to each sub-problem.  Each
 sub-problem's rate is convex and piecewise linear in its share, so the exact
-optimum follows from sorting the pieces by slope; see ``scheme1_optimize``.
+optimum follows from sorting the pieces by slope.  ``scheme1_optimize`` takes
+the slopes in closed form and runs on integers: shares over
+W = Q*N*lcm(1..K) and slopes over S = lcm(2..K+1).  ``scheme1_rate_at``
+evaluates any allocation layer by layer through ``rate_eq``.
 
 Rates produced by schemes we do not implement (e.g. the exponential-size
 linear program for uncoded-placement/linear-delivery systems) are imported
@@ -13,6 +16,7 @@ from a plain-text table and attached to comparison output as-is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -78,33 +82,48 @@ def scheme1_optimize(
 ) -> tuple[BetaAllocation, Rational]:
     """The exact scheme-1 optimum and a beta allocation attaining it.
 
-    Each sub-problem's cost is convex and piecewise linear in its share b,
-    with breakpoints where its cache gap/b crosses a multiple of N/i, that is
-    at b = gap*i/(t*N) for t = 1..i.  So the problem is a separable convex
-    program over the simplex: cut every cost at its breakpoints in [0, 1] and
-    hand out the unit of file mass to the pieces in order of slope.  Ties go
-    to the lower layer, which keeps the result deterministic.
+    Sub-problem i's cost is convex and piecewise linear in its share b.  With
+    gap g, its per-user cache g/b puts it at level t_real = g*i/(N*b), and
+    each piece is one level t: where t_real lies in [t, t+1], the cost has
+    the slope (i-t) - t(i-t-1)/(t+2) + (K-i) = (2i-t)/(t+2) + (K-i); for
+    b <= g/N the cache is clamped to N and the slope is K-i.  The pieces
+    meet at b = g*i/(t*N), t = 1..i.  So the problem is a separable convex
+    program over the simplex: cut every cost at its breakpoints in [0, 1]
+    and hand out the unit of file mass to the pieces in order of slope.  Ties
+    go to the lower layer, which keeps the result deterministic.
+
+    All of it runs in integers: shares and breakpoints over W = Q*N*lcm(1..K),
+    Q the lcm of the gaps' denominators, and slopes over S = lcm(2..K+1).
+    Each layer takes its pieces from b = 0 up, so the rate is the sum of
+    slope times share taken, made one fraction, and each beta_i is one.
     """
     gaps = _cache_gaps(M_sorted, N, K)
+    q = math.lcm(*(g.denominator for g in gaps))
+    lcm_k = math.lcm(*range(1, K + 1))
+    W = q * N * lcm_k
+    S = math.lcm(*range(2, K + 2))
     pieces = []
-    for i in range(1, K + 1):
-        gap = gaps[i - 1]
-        cuts = sorted({Fraction(0), Fraction(1)} | {
-            b for t in range(1, i + 1) if 0 < (b := gap * i / (t * N)) < 1
-        })
-        costs = [_layer_cost(N, K, i, gap, b) for b in cuts]
-        for lo, hi, c_lo, c_hi in zip(cuts, cuts[1:], costs, costs[1:]):
-            pieces.append(((c_hi - c_lo) / (hi - lo), i, lo, hi))
-    beta = [Fraction(0)] * K
-    left = Fraction(1)
-    for _, i, lo, hi in sorted(pieces):
+    for i, g in enumerate(gaps, start=1):
+        clamp = g.numerator * (q // g.denominator) * lcm_k  # b = g/N, units of 1/W
+        lo = 0
+        # level t covers b up to g*i/(t*N); level i is the clamped piece
+        for t in range(i, -1, -1):
+            hi = min(clamp * i // t, W) if t else W
+            if hi > lo:
+                slope = (K - i) * S + ((2 * i - t) * S // (t + 2) if t < i else 0)
+                pieces.append((slope, i, lo, hi))
+                lo = hi
+    beta = [0] * K
+    left, rate = W, 0
+    for slope, i, lo, hi in sorted(pieces):
         take = min(hi - lo, left)
         beta[i - 1] += take
+        rate += slope * take
         left -= take
         if left == 0:
             break
-    alloc = BetaAllocation(tuple(beta))
-    return alloc, scheme1_rate_at(alloc, N, K, M_sorted)
+    alloc = BetaAllocation(tuple(Fraction(b, W) for b in beta))
+    return alloc, Fraction(rate, S * W)
 
 
 def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:

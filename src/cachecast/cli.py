@@ -167,7 +167,7 @@ def cmd_rate(opts: Options) -> int:
     rep = SchemeInstance(scheme, N, K, M, L, Mhat).report
     # every line is formatted before any is written, so a failure prints nothing
     lines = [f"rate {_text(rep.rate, 'rate')} ({_dec(rep.rate)})",
-             f"scheme={rep.scheme} N={rep.N} K={rep.K} L={rep.L or ''} "
+             f"scheme={rep.scheme} N={rep.N} K={rep.K} L={_text(rep.L, 'L')} "
              f"Mhat={_text(rep.Mhat, 'Mhat')} M={_text(rep.M, 'M')}"]
     if rep.t is not None:
         lines.append(f"t={_text(rep.t, 't')} t_int={rep.t_int} "

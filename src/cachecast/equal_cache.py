@@ -78,32 +78,44 @@ class EqualCacheParams:
     alpha: Rational
 
 
-def equal_params(N: int, K: int, M) -> EqualCacheParams:
-    """Compute t = K*M/N, its floor, and the memory-sharing weight alpha."""
+def _levels(N: int, K: int, M) -> tuple[Rational, int, int, int, int]:
+    """Check (N, K, M) and read t = K*M/N in integers: (M, T, D, t_int, a).
+
+    With M = p/q, t = T/D for T = K*p and D = N*q, t_int = T // D, and
+    a = (t_int + 1)*D - T is alpha*D, so 0 < a <= D.
+    """
     if K < 1:
         raise ValueError(f"need at least one user, got K={K}")
     if K > N:
         raise ValueError(f"unsupported regime K > N (K={K}, N={N})")
-    M = Fraction(M)
-    if M < 0 or M > N:
+    if not isinstance(M, Fraction):
+        M = Fraction(M)
+    p, q = M.numerator, M.denominator
+    if p < 0 or p > N * q:
         raise ValueError(f"cache size must satisfy 0 <= M <= N, got M={M}")
-    t = Fraction(K, N) * M
-    t_int = math.floor(t)
-    alpha = t_int + 1 - t
-    return EqualCacheParams(N=N, K=K, M=M, t=t, t_int=t_int, alpha=alpha)
+    T, D = K * p, N * q
+    t_int = T // D
+    return M, T, D, t_int, (t_int + 1) * D - T
+
+
+def equal_params(N: int, K: int, M) -> EqualCacheParams:
+    """Compute t = K*M/N, its floor, and the memory-sharing weight alpha."""
+    M, T, D, t_int, a = _levels(N, K, M)
+    return EqualCacheParams(N=N, K=K, M=M, t=Fraction(T, D), t_int=t_int,
+                            alpha=Fraction(a, D))
 
 
 def rate_eq(N: int, K: int, M) -> Rational:
     """Worst-case rate of the equal-cache scheme, as an exact rational.
 
-    alpha * C(K, t_int+1)/C(K, t_int) + (1-alpha) * C(K, t_int+2)/C(K, t_int+1),
-    which reduces to (K-t)/(1+t) at integer t.
+    alpha * C(K, t+1)/C(K, t) + (1-alpha) * C(K, t+2)/C(K, t+1) at t = t_int,
+    which reduces to (K-t)/(1+t) at integer t.  As C(K, t+1)/C(K, t) =
+    (K-t)/(t+1), with alpha = a/D (``_levels``) it is the one fraction
+    (a(K-t)(t+2) + (D-a)(K-t-1)(t+1)) / (D(t+1)(t+2)), summed in integers.
     """
-    p = equal_params(N, K, M)
-    rate = p.alpha * Fraction(binom(K, p.t_int + 1), binom(K, p.t_int))
-    if p.alpha != 1:
-        rate += (1 - p.alpha) * Fraction(binom(K, p.t_int + 2), binom(K, p.t_int + 1))
-    return rate
+    _, _, D, t, a = _levels(N, K, M)
+    return Fraction(a * (K - t) * (t + 2) + (D - a) * (K - t - 1) * (t + 1),
+                    D * (t + 1) * (t + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -110,19 +110,24 @@ class UnequalParams:
 
 
 def unequal_params(cfg: UnequalConfig) -> UnequalParams:
-    """Second-level parameters F', M', R' and the scenario split."""
+    """Second-level parameters F', M', R' and the scenario split.
+
+    F', the pool content cached per large user and R' are sums of an alpha
+    term over C(K, t_int) and, when alpha < 1, a 1-alpha term over
+    C(K, t_int+1); with alpha = a/D each is summed as an integer numerator
+    over D*C(K, t_int)*C(K, t_int+1) and made one fraction, the second term
+    vanishing at a = D.
+    """
     base = equal_params(cfg.N, cfg.K, cfg.M)
     N, K, L = cfg.N, cfg.K, cfg.L
-    ti, aw = base.t_int, base.alpha
-    bw = 1 - aw
-
-    fprime = aw * Fraction(binom(L, ti), binom(K, ti))
-    occupied = aw * Fraction(binom(L - 1, ti - 1), binom(K, ti)) * N
-    rprime = aw * Fraction(binom(L, ti + 1), binom(K, ti))
-    if bw:
-        fprime += bw * Fraction(binom(L, ti + 1), binom(K, ti + 1))
-        occupied += bw * Fraction(binom(L - 1, ti), binom(K, ti + 1)) * N
-        rprime += bw * Fraction(binom(L, ti + 2), binom(K, ti + 1))
+    ti, a, D = base.t_int, base.alpha.numerator, base.alpha.denominator
+    c0 = binom(K, ti)
+    c1 = binom(K, ti + 1) if a < D else 1  # alpha = 1: no second term
+    wa, wb = a * c1, (D - a) * c0
+    den = D * c0 * c1
+    fprime = Fraction(wa * binom(L, ti) + wb * binom(L, ti + 1), den)
+    occupied = Fraction(N * (wa * binom(L - 1, ti - 1) + wb * binom(L - 1, ti)), den)
+    rprime = Fraction(wa * binom(L, ti + 1) + wb * binom(L, ti + 2), den)
 
     # fprime == 0: t exceeds the pool, no subfile lives entirely inside the
     # large group, so the extra cache is unusable by this construction.
@@ -317,7 +322,8 @@ class SchemeInstance:
                               t=p.t, t_int=p.t_int, alpha=p.alpha)
         if self.scheme == "proposed":
             return rate_ueq(self._config, self._params)
-        _, rate = scheme1_optimize(N, K, [self.Mhat] * self.L + [M] * (K - self.L))
+        cfg = self._config  # the proposed scheme's check of (N, K, L, Mhat, M)
+        _, rate = scheme1_optimize(N, K, [cfg.Mhat] * cfg.L + [cfg.M] * (K - cfg.L))
         return RateReport(scheme="scheme1", N=N, K=K, M=M, L=self.L, Mhat=self.Mhat,
                           rate=rate)
 

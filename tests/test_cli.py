@@ -52,6 +52,16 @@ class TestRate:
         assert code == 0
         assert out.splitlines()[0] == "rate 7/2 (3.5)"
 
+    @pytest.mark.parametrize("L", ["0", "4", "5"])
+    def test_scheme1_checks_L(self, capsys, L):
+        # the proposed scheme's check: no blank L= line for 0, and L named
+        code, out, err = run(
+            capsys, "rate", "--N", "10", "--K", "4", "--L", L,
+            "--Mhat", "3", "--M", "1", "--scheme", "scheme1",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: need 1 <= L < K, got L={L}, K=4\n"
+
     def test_invalid_params_exit_one(self, capsys):
         code, _, err = run(
             capsys, "rate", "--N", "4", "--K", "4", "--M", "9", "--scheme", "equal"

@@ -9,6 +9,7 @@ from cachecast.simulator import SchemeInstance
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
 
 WORKED = UnequalConfig(4, 4, 3, 2, 1)
+FIG5 = UnequalConfig(10, 4, 2, 10, Fraction(10, 3))  # Mhat = 3M at M = N/3
 
 
 def quarter_grid(N):
@@ -238,23 +239,46 @@ class TestTwoStageDelivery:
         assert loads == {Fraction(1)}
 
 
+def fractions_made(monkeypatch, fn):
+    """(fn(), the number of ``Fraction`` objects it created)."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    try:
+        return fn(), len(made)
+    finally:
+        monkeypatch.undo()
+
+
 class TestIntegerUnits:
     def test_construction_makes_few_fractions(self, monkeypatch):
         # every offset is an int in one unit fixed from the parameters; only
         # the derived parameters and that unit are rationals
-        made = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            made.append(cls)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        ctx = build_two_stage(UnequalConfig(20, 14, 7, 7, Fraction(5, 2)))
-        monkeypatch.undo()
+        cfg = UnequalConfig(20, 14, 7, 7, Fraction(5, 2))
+        ctx, made = fractions_made(monkeypatch, lambda: build_two_stage(cfg))
         assert len(ctx.placement.layout) == 396
         assert len(ctx.template.transmissions) == 417
-        assert len(made) < 200
+        assert made < 200
+
+    # the rate layer sums integer numerators and makes one fraction per value
+    # it returns; the fraction-by-fraction forms made 10, 56 and 255
+    @pytest.mark.parametrize("call,value,bound", [
+        (lambda: rate_eq(10, 4, FIG5.M), Fraction(11, 9), 1),
+        (lambda: rate_ueq(FIG5).rate, 1, 30),
+        (lambda: scheme1_optimize(10, 4, [6, 6, 2, 2]),
+         ((0, Fraction(2, 5), 0, Fraction(3, 5)), Fraction(23, 15)), 30),
+    ], ids=["rate_eq", "rate_ueq", "scheme1_optimize"])
+    def test_rates_make_few_fractions(self, monkeypatch, call, value, bound):
+        result, made = fractions_made(monkeypatch, call)
+        if isinstance(result, tuple):
+            result = (result[0].beta, result[1])
+        assert result == value
+        assert made <= bound
 
     @pytest.mark.parametrize("cfg", [
         UnequalConfig(10, 4, 2, Fraction(33, 4), Fraction(11, 4)),  # scenario 1
@@ -309,3 +333,10 @@ class TestSchemeInstance:
     def test_checked_when_built(self, scheme, L, message):
         with pytest.raises(ValueError, match=message):
             unequal.SchemeInstance(scheme, 4, 4, Fraction(1), L, Fraction(2))
+
+    @pytest.mark.parametrize("scheme", ["proposed", "scheme1"])
+    @pytest.mark.parametrize("L", [0, 4, 5])
+    def test_L_checked_alike(self, scheme, L):
+        inst = unequal.SchemeInstance(scheme, 4, 4, Fraction(1), L, Fraction(2))
+        with pytest.raises(ValueError, match=rf"need 1 <= L < K, got L={L}, K=4"):
+            inst.report

@@ -269,8 +269,10 @@ def cmd_sweep(opts: Options) -> int:
     # the pool starts all its workers at once: never more than there is work or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # a few chunks per worker: one round trip per task costs more than the task
+        chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_sweep_task, tasks))
+            rows = list(pool.map(_eval_sweep_task, tasks, chunksize=chunksize))
     else:
         rows = [_eval_sweep_task(t) for t in tasks]
 
@@ -337,7 +339,7 @@ def cmd_verify(opts: Options) -> int:
     total = verdict.demands.count
     if not verdict.passed:  # one verdict: every demand fails alike
         print(f"0/{total} demands pass; first failure:")
-        print(verdict[0].line())
+        print(next(iter(verdict)).line())
         return 2
     rate = verdict.report.measured_load
     print(f"{total}/{total} demands pass, load {format_rational(rate)} "

@@ -326,8 +326,6 @@ def aligned_transmissions(
     cuts = sorted({
         acc for segs, _ in components for acc in accumulate(s.n for s in segs[:-1])
     })
-    if not cuts:  # one segment per component: one transmission
-        return [Transmission(tuple(Part(segs[0], target) for segs, target in components))]
     pieces = [
         split_segments([(target, seg) for seg in segs], cuts)
         for segs, target in components

@@ -18,7 +18,8 @@ parts a user can cancel, and whether they complete its file, depend on no
 demand, and a received payload differs from the XOR of the server's parts
 only where the log was corrupted.  ``verify_demands`` therefore returns one
 ``Verdict``: the identity demand's report over a ``DemandSet`` that is
-counted arithmetically, with per-demand reports built only on request.
+counted arithmetically, and refused above ``core.MAX_ENUMERATION`` before
+any work, with per-demand reports built only as the verdict is iterated.
 
 This module holds only bits and is the only one that imports numpy; the
 placement, plan and rate it checks come from ``unequal.SchemeInstance``.
@@ -27,10 +28,9 @@ placement, plan and rate it checks come from ``unequal.SchemeInstance``.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice, permutations, product, repeat
+from itertools import permutations, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -322,21 +322,18 @@ def decode_all(
 # ---------------------------------------------------------------------------
 
 
-class DemandSet(Sequence[tuple[int, ...]]):
+class DemandSet:
     """The demand vectors of one mode, counted arithmetically.
 
     Exhaustive mode holds all N^K vectors, distinct mode the N!/(N-K)!
-    assignments of distinct files, both in lexicographic order.  Nothing is
-    listed until the set is iterated or indexed.  ``count`` is the size as
-    an int of any magnitude; ``len()`` holds only up to ``sys.maxsize``.
+    assignments of distinct files, both listed in lexicographic order.
+    ``count`` is the size as an int of any magnitude; nothing is listed
+    until the set is iterated.
     """
 
     def __init__(self, N: int, K: int, exhaustive: bool):
         self.N, self.K, self.exhaustive = N, K, exhaustive
         self.count = N ** K if exhaustive else math.perm(N, K)
-
-    def __len__(self) -> int:
-        return self.count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         files = range(1, self.N + 1)
@@ -344,51 +341,38 @@ class DemandSet(Sequence[tuple[int, ...]]):
             return product(files, repeat=self.K)
         return permutations(files, self.K)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = index + self.count if index < 0 else index
-        if not 0 <= i < self.count:
-            raise IndexError("demand index out of range")
-        if i > sys.maxsize:
-            raise ValueError(f"demand index {index} is past sys.maxsize: demands "
-                             "are listed in order, not unranked")
-        return next(islice(iter(self), i, None))
 
-
-def enumerate_demands(
-    N: int, K: int, mode: str, max_demands: int = MAX_ENUMERATION
-) -> DemandSet:
+def enumerate_demands(N: int, K: int, mode: str) -> DemandSet:
     """Demand vectors to test: all N^K of them, or all distinct assignments.
 
-    Either way 1 <= K <= N and the count against ``max_demands`` are
+    Either way 1 <= K <= N and the count against ``MAX_ENUMERATION`` are
     checked first, so an oversized request fails at once.
     """
     if not 1 <= K <= N:
         raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
     if mode == "exhaustive":
-        if count := excess("N^K", repeat(N, K), max_demands):
+        if count := excess("N^K", repeat(N, K), MAX_ENUMERATION):
             raise ValueError(
                 f"{count} demands is too many for exhaustive mode "
-                f"(limit {max_demands}); use distinct-demand mode"
+                f"(limit {MAX_ENUMERATION}); use distinct-demand mode"
             )
         return DemandSet(N, K, exhaustive=True)
     if mode == "distinct":
-        if count := excess("N!/(N-K)!", range(N, N - K, -1), max_demands):
+        if count := excess("N!/(N-K)!", range(N, N - K, -1), MAX_ENUMERATION):
             raise ValueError(
-                f"{count} distinct demands is too many (limit {max_demands})"
+                f"{count} distinct demands is too many (limit {MAX_ENUMERATION})"
             )
         return DemandSet(N, K, exhaustive=False)
     raise ValueError(f"unknown demand mode {mode!r}")
 
 
-class Verdict(Sequence[VerificationReport]):
+class Verdict:
     """One decode's verdict over a demand set.
 
     ``report`` is ``decode_all``'s report at the identity demand, and it
-    speaks for every demand in ``demands``.  As a sequence the verdict
-    yields one ``VerificationReport`` per demand, in enumeration order,
-    each built only when it is asked for.
+    speaks for every demand in ``demands``.  ``len()`` is the demand count;
+    iterating yields one ``VerificationReport`` per demand, in enumeration
+    order, each built as it is reached.
     """
 
     def __init__(self, report: VerificationReport, demands: DemandSet):
@@ -398,28 +382,17 @@ class Verdict(Sequence[VerificationReport]):
     def passed(self) -> bool:
         return self.report.passed
 
-    def _for(self, demand: tuple[int, ...]) -> VerificationReport:
-        r = self.report
-        return VerificationReport(demand, r.user_ok, r.measured_load_bits,
-                                  r.formula_load_bits, r.F_bits)
-
     def __len__(self) -> int:
         return self.demands.count
 
     def __iter__(self) -> Iterator[VerificationReport]:
-        return map(self._for, self.demands)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._for, self.demands[index]))
-        return self._for(self.demands[index])
+        return (replace(self.report, demand=d) for d in self.demands)
 
 
 def verify_demands(
     inst: SchemeInstance,
     mode: str = "distinct",
     seed: int = 0,
-    max_demands: int = MAX_ENUMERATION,
     flip_bit: tuple[int, int] | None = None,
 ) -> Verdict:
     """Decode verification for every demand of ``mode``, from one decode.
@@ -431,12 +404,12 @@ def verify_demands(
     part for user k reads file d[k], as in ``equal_cache.retarget``), while
     what a user can cancel, the widths, and with them the load, are the same
     for every file.  Per-demand reports are built only when the verdict is
-    iterated or indexed.
+    iterated.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
     """
-    demands = enumerate_demands(inst.N, inst.K, mode, max_demands)
+    demands = enumerate_demands(inst.N, inst.K, mode)
     identity = users_range(inst.K)
     plan = inst.plan(identity)
     store, caches = materialize(inst.placement, plan, seed=seed)

@@ -314,13 +314,14 @@ class TestSweep:
         assert code == 1 and out == ""
         assert f"error: --jobs must be at least 1, got {jobs}" in err
 
-    @pytest.mark.parametrize("cpus,workers", [(64, 4), (3, 3), (1, None)])
-    def test_jobs_bounded_by_tasks_and_cpus(self, capsys, monkeypatch, cpus, workers):
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Record each pool's worker count and chunksize; start no process."""
         started = []
 
-        class FakePool:  # records the worker count, starts no process
+        class FakePool:
             def __init__(self, max_workers):
-                started.append(max_workers)
+                started.append({"workers": max_workers})
 
             def __enter__(self):
                 return self
@@ -328,15 +329,30 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                started[-1]["chunksize"] = chunksize
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        return started
+
+    @pytest.mark.parametrize("cpus,workers", [(64, 4), (3, 3), (1, None)])
+    def test_jobs_bounded_by_tasks_and_cpus(self, capsys, monkeypatch, fake_pool,
+                                            cpus, workers):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         _, serial, _ = run(capsys, *self.SMALL_SWEEP)
         code, out, _ = run(capsys, *self.SMALL_SWEEP, "--jobs", "100000")
         assert code == 0 and out == serial
-        assert started == ([] if workers is None else [workers])
+        assert [p["workers"] for p in fake_pool] == ([] if workers is None else [workers])
+
+    def test_jobs_chunk_many_tasks_per_worker(self, capsys, monkeypatch, fake_pool):
+        # 25 M points: 12.5 tasks per worker go out in chunks of ceil(25/8) = 4
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        sweep = (*self.SMALL_SWEEP[:-4], "--step", "1/8", "--scheme", "proposed")
+        _, serial, _ = run(capsys, *sweep)
+        code, out, _ = run(capsys, *sweep, "--jobs", "2")
+        assert code == 0 and out == serial and len(out.splitlines()) == 26
+        assert fake_pool == [{"workers": 2, "chunksize": 4}]
 
 
 class TestVerify:
@@ -363,6 +379,15 @@ class TestVerify:
         )
         assert code == 2
         assert "first failure" in out
+
+    def test_injected_fault_prints_first_failure(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--N", "4", "--K", "4", "--L", "3",
+            "--Mhat", "7/2", "--M", "1", "--inject-fault",
+        )
+        assert (code, err) == (2, "")
+        assert out == ("0/24 demands pass; first failure:\n"
+                       "demand=1,2,3,4 status=FAIL,ok,ok,FAIL load=3/4\n")
 
     @pytest.mark.parametrize("point", [
         ("--L", "2", "--Mhat", "4", "--M", "4"),

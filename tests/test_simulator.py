@@ -2,6 +2,7 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cachecast.equal_cache import (
 )
 from cachecast.simulator import (
     CacheImage,
+    DemandSet,
     SchemeInstance,
     TransmissionLog,
     decode_all,
@@ -169,9 +171,12 @@ class TestWorstCaseLoad:
         assert largest_load(inst, mode="distinct") == 0
 
     def test_exhaustive_refuses_large_instances(self):
-        inst = SchemeInstance("equal", 30, 4, Fraction(1))
-        with pytest.raises(ValueError, match="distinct"):
-            verify_demands(inst, mode="exhaustive", max_demands=10**5)
+        # 30^5 = 24,300,000 demands: past MAX_ENUMERATION, refused before any work
+        inst = SchemeInstance("equal", 30, 5, Fraction(1))
+        with pytest.raises(ValueError, match=r"^N\^K = 24300000 demands is too many "
+                                             r"for exhaustive mode \(limit 1000000\); "
+                                             "use distinct-demand mode$"):
+            verify_demands(inst, mode="exhaustive")
 
     def test_distinct_mode_demand_count(self):
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
@@ -181,47 +186,17 @@ class TestWorstCaseLoad:
         (4, 3, "distinct"), (5, 5, "distinct"), (6, 1, "distinct"),
         (3, 3, "exhaustive"), (4, 1, "exhaustive"), (1, 1, "exhaustive"),
     ])
-    def test_indexing_agrees_with_enumeration(self, N, K, mode):
+    def test_count_agrees_with_enumeration(self, N, K, mode):
         demands = enumerate_demands(N, K, mode)
-        listed = list(demands)
-        assert len(demands) == len(listed)
-        assert [demands[i] for i in range(len(listed))] == listed
-        assert demands[0] == listed[0] and demands[-len(listed)] == listed[0]
-        assert demands[-1] == listed[-1] and demands[1::3] == listed[1::3]
-        for out_of_range in (len(listed), -len(listed) - 1):
-            with pytest.raises(IndexError):
-                demands[out_of_range]
+        assert demands.count == len(list(demands))
 
-    def test_indexing_lists_no_more_than_the_index(self):
-        # 20^14 demands: listing them all would never finish
-        demands = enumerate_demands(20, 14, "exhaustive", max_demands=20**14)
-        assert demands[0] == (1,) * 14
-        assert demands[21] == (1,) * 12 + (2, 2)
-
-    @pytest.mark.parametrize("mode,count", [
-        ("exhaustive", 30**30), ("distinct", math.factorial(30)),
-    ])
-    def test_indexing_past_the_index_sized_integer(self, mode, count):
-        # the count exceeds sys.maxsize, so len() cannot hold it
-        demands = enumerate_demands(30, 30, mode, max_demands=count)
+    @pytest.mark.parametrize("exhaustive,count", [
+        (True, 30**30), (False, math.factorial(30)),
+    ], ids=["exhaustive", "distinct"])
+    def test_count_past_the_index_sized_integer(self, exhaustive, count):
+        # counted, never listed: no len() could hold this count
+        demands = DemandSet(30, 30, exhaustive)
         assert demands.count == count > sys.maxsize
-        assert demands[0] == ((1,) * 30 if mode == "exhaustive" else tuple(range(1, 31)))
-        for out_of_range in (count, -count - 1):
-            with pytest.raises(IndexError):
-                demands[out_of_range]
-
-
-    @pytest.mark.parametrize("mode,count", [
-        ("exhaustive", 30**30), ("distinct", math.factorial(30)),
-    ])
-    def test_index_past_sys_maxsize_is_refused(self, mode, count):
-        # in range, but islice takes no index past sys.maxsize, and the
-        # enumeration is the only source of the order
-        demands = enumerate_demands(30, 30, mode, max_demands=count)
-        for index in (-1, 2**63, sys.maxsize + 1):
-            with pytest.raises(ValueError, match=f"^demand index {index} .* in order, "
-                                                 "not unranked$"):
-                demands[index]
 
 
 def flipped(log, transmission, bit):
@@ -247,7 +222,7 @@ class TestOneDecode:
         store, caches = materialize(inst.placement, template)
         reports = verify_demands(inst, mode=mode, flip_bit=flip_bit)
         assert len(reports) == len(list(enumerate_demands(inst.N, inst.K, mode)))
-        for report in reports[::7]:
+        for report in islice(reports, None, None, 7):
             plan = inst.plan(report.demand)
             log = execute_delivery(store, plan)
             if flip_bit is not None:
@@ -274,16 +249,15 @@ class TestOneDecode:
             built.append((args, kwargs))
             return report(*args, **kwargs)
 
+        def not_listed(*args, **kwargs):
+            raise AssertionError("demands listed to count them")
+
         monkeypatch.setattr(simulator, "VerificationReport", counted)
+        monkeypatch.setattr(simulator, "permutations", not_listed)
         assert cli.main(["verify", "--N", "10", "--K", "4", "--L", "2",
                          "--Mhat", "33/4", "--M", "11/4"]) == 0
         assert capsys.readouterr().out.startswith("5040/5040 demands pass")
         assert len(built) <= 1
-
-        def not_listed(*args, **kwargs):
-            raise AssertionError("demands listed to count them")
-
-        monkeypatch.setattr(simulator, "permutations", not_listed)
         point = SchemeInstance("proposed", 10, 4, Fraction(11, 4), L=2,
                                Mhat=Fraction(33, 4))
         assert len(verify_demands(point)) == math.perm(10, 4)

@@ -30,30 +30,36 @@ CachePoint = tuple[int, int, int, Rational, Rational]  # (N, K, L, Mhat, M)
 
 @dataclass(frozen=True)
 class BetaAllocation:
-    """File shares given to the K layered sub-problems; non-negative, sum 1."""
+    """File shares given to the K layered sub-problems; non-negative, sum 1,
+    both checked on integer numerators over the lcm of the denominators."""
 
     beta: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        if any(b < 0 for b in self.beta):
+        beta = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.beta)
+        object.__setattr__(self, "beta", beta)
+        if any(b.numerator < 0 for b in beta):
             raise ValueError("beta components must be non-negative")
-        if sum(self.beta) != 1:
-            raise ValueError(f"beta must sum to 1, got {sum(self.beta)}")
+        q = math.lcm(*(b.denominator for b in beta))
+        if sum(b.numerator * (q // b.denominator) for b in beta) != q:
+            raise ValueError(f"beta must sum to 1, got {sum(beta)}")
 
 
-def _cache_gaps(M_sorted: Sequence, N: int, K: int) -> list[Fraction]:
-    """Headroom M_i - M_{i+1} of each sub-problem i, with M_{K+1} = 0."""
-    M = [Fraction(x) for x in M_sorted]
+def _cache_gaps(M_sorted: Sequence, N: int, K: int) -> tuple[list[int], int]:
+    """Headroom M_i - M_{i+1} of each sub-problem i, with M_{K+1} = 0, as
+    integer numerators over Q, the lcm of the cache sizes' denominators."""
+    M = list(M_sorted)
     if K > N:
         raise ValueError(f"unsupported regime K > N (K={K}, N={N})")
     if len(M) != K:
         raise ValueError(f"cache vector must have length K={K}")
-    if any(M[i] < M[i + 1] for i in range(K - 1)):
+    q = math.lcm(*(x.denominator for x in M))
+    num = [x.numerator * (q // x.denominator) for x in M]
+    if any(num[i] < num[i + 1] for i in range(K - 1)):
         raise ValueError("cache vector must be sorted in descending order")
-    if M and (M[-1] < 0 or M[0] > N):
+    if num and (num[-1] < 0 or num[0] > N * q):
         raise ValueError("cache sizes must lie in [0, N]")
-    return [a - b for a, b in zip(M, M[1:] + [Fraction(0)])]
+    return [a - b for a, b in zip(num, num[1:] + [0])], q
 
 
 def _layer_cost(N: int, K: int, i: int, gap: Rational, b: Rational) -> Rational:
@@ -73,8 +79,9 @@ def scheme1_rate_at(
     """Sum rate of the K layered sub-problems under one beta allocation."""
     if not isinstance(beta, BetaAllocation):
         beta = BetaAllocation(tuple(beta))
-    gaps = _cache_gaps(M_sorted, N, K)
-    return sum(_layer_cost(N, K, i + 1, gaps[i], beta.beta[i]) for i in range(K))
+    gaps, q = _cache_gaps(M_sorted, N, K)
+    return sum(_layer_cost(N, K, i + 1, Fraction(gaps[i], q), beta.beta[i])
+               for i in range(K))
 
 
 def scheme1_optimize(
@@ -93,18 +100,18 @@ def scheme1_optimize(
     go to the lower layer, which keeps the result deterministic.
 
     All of it runs in integers: shares and breakpoints over W = Q*N*lcm(1..K),
-    Q the lcm of the gaps' denominators, and slopes over S = lcm(2..K+1).
+    Q the lcm of the cache sizes' denominators, which is that of the gaps
+    (each size is a sum of gaps), and slopes over S = lcm(2..K+1).
     Each layer takes its pieces from b = 0 up, so the rate is the sum of
     slope times share taken, made one fraction, and each beta_i is one.
     """
-    gaps = _cache_gaps(M_sorted, N, K)
-    q = math.lcm(*(g.denominator for g in gaps))
+    gaps, q = _cache_gaps(M_sorted, N, K)
     lcm_k = math.lcm(*range(1, K + 1))
     W = q * N * lcm_k
     S = math.lcm(*range(2, K + 2))
     pieces = []
     for i, g in enumerate(gaps, start=1):
-        clamp = g.numerator * (q // g.denominator) * lcm_k  # b = g/N, units of 1/W
+        clamp = g * lcm_k  # b = g/(Q*N), units of 1/W
         lo = 0
         # level t covers b up to g*i/(t*N); level i is the clamped piece
         for t in range(i, -1, -1):

@@ -29,10 +29,17 @@ each runs once, over one file's layout:
   of them, for a placement's layout or the refined pool's
   (``incremental.refine_pool``).  Both emit a template whose parts name
   offsets and a target but no file.
-- ``retarget`` gives each part of a template the file its target wants
-  under a demand; it is the one place a demand enters a plan.
-- ``split_segments`` cuts an ordered list of tagged segments at offsets; it
-  aligns XOR parts here and splits subfiles in the pooled refinement.
+- ``aligned_transmissions`` cuts the components of one XOR in a single pass
+  over the union of their segment ends, so each piece is one segment per
+  component; ``split_segments`` cuts an ordered list of tagged segments at
+  offsets for the pooled refinement.
+
+A demand is bound, never built in: ``BoundPlan`` pairs a template with a
+demand, and the part for user k reads file d[k-1].  Only its
+``transmissions`` view, built on request for readers that want each part's
+file, makes objects per demand; ``simulator`` reads the template and applies
+the demand where it reads file bits, compiling each template once per file
+size.
 
 All offsets and lengths are integers in units of F/unit, one unit per
 placement and plan: ``man_placement`` and ``equal_placement`` take it (by
@@ -45,9 +52,9 @@ realization only has to scale them (``simulator.required_bits``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .core import (
@@ -148,7 +155,7 @@ class Segment:
 
 @dataclass(frozen=True, slots=True)
 class FileSegment(Segment):
-    """A segment of one file, as ``retarget`` makes it for a demand."""
+    """A segment of one file, as a ``BoundPlan``'s view shows it."""
 
     file: int
 
@@ -268,12 +275,48 @@ class Transmission:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
+    """A template: transmissions whose parts name offsets and a target but no
+    file.  ``compiled`` holds its bit geometry per file size, filled by
+    ``simulator`` the first time a plan bound from it is delivered."""
+
     transmissions: tuple[Transmission, ...]
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_load(self) -> Rational:
         """Sum of transmission lengths, in units of F."""
         return _total_length(tx.parts[0].segment for tx in self.transmissions)
+
+
+@dataclass(frozen=True)
+class BoundPlan:
+    """A template bound to a demand: the part for user k reads file d[k-1].
+
+    Every file is laid out alike, so binding copies nothing; the load and
+    the bit geometry are the template's.
+    """
+
+    template: DeliveryPlan
+    demand: tuple[int, ...]
+
+    @property
+    def total_load(self) -> Rational:
+        return self.template.total_load
+
+    @property
+    def transmissions(self) -> tuple[Transmission, ...]:
+        """The template's transmissions with each part's file filled in,
+        built on every read for callers that list files; delivery never
+        reads it."""
+        d = self.demand
+        return tuple(
+            Transmission(tuple(
+                Part(FileSegment(p.segment.a, p.segment.n, p.segment.unit,
+                                 d[p.target - 1]), p.target)
+                for p in tx.parts
+            ))
+            for tx in self.template.transmissions
+        )
 
 
 def split_segments(
@@ -314,28 +357,35 @@ def aligned_transmissions(
     """Turn equal-length multi-segment components into aligned XOR pieces.
 
     Each component is (ordered segments, target user), all in one unit.
-    Content is cut at the union of all internal segment boundaries so that
-    every resulting transmission XORs exactly one contiguous segment per
-    component.
+    Content is cut at the union of all components' segment ends, in one pass
+    per component, so that every resulting transmission XORs exactly one
+    contiguous segment per component; a segment no other component cuts is
+    used as it is.
     """
-    totals = {sum(s.n for s in segs) for segs, _ in components}
+    ends: set[int] = set()
+    totals: set[int] = set()
+    for segs, _ in components:
+        pos = 0
+        for seg in segs:
+            pos += seg.n
+            ends.add(pos)
+        totals.add(pos)
     if len(totals) != 1:
         raise ValueError(f"XOR components must have equal total length, got {totals}")
     if not totals.pop():
         return []
-    cuts = sorted({
-        acc for segs, _ in components for acc in accumulate(s.n for s in segs[:-1])
-    })
-    pieces = [
-        split_segments([(target, seg) for seg in segs], cuts)
-        for segs, target in components
-    ]
-    out: list[Transmission] = []
-    for groups in zip(*pieces):
-        if any(len(group) != 1 for group in groups):
-            raise ValueError("cut groups must be single segments")
-        out.append(Transmission(tuple(Part(seg, target) for [(target, seg)] in groups)))
-    return out
+    bounds = sorted(ends)
+    columns = []
+    for segs, target in components:
+        column, i, pos = [], 0, 0
+        for seg in segs:
+            a, stop = seg.a, pos + seg.n
+            while pos < stop:  # stop is in bounds, so the walk ends on it
+                n = bounds[i] - pos
+                column.append(Part(seg if n == seg.n else Segment(a, n, seg.unit), target))
+                a, pos, i = a + n, pos + n, i + 1
+        columns.append(column)
+    return [Transmission(parts) for parts in zip(*columns, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +531,3 @@ def equal_delivery(
     """XOR delivery of an equal-cache layout over ``ground``: every subset
     ``delivery_subsets`` lists."""
     return xor_delivery(content, delivery_subsets(content, ground))
-
-
-def retarget(template: DeliveryPlan, d: Sequence[int]) -> DeliveryPlan:
-    """The plan for demand ``d``: the part for user k reads file d[k-1].
-
-    Every file is laid out alike, so a template's parts name only offsets
-    and a target, and the demand supplies each part's file.
-    """
-    return DeliveryPlan(tuple(
-        Transmission(tuple(
-            Part(FileSegment(p.segment.a, p.segment.n, p.segment.unit,
-                             d[p.target - 1]), p.target)
-            for p in tx.parts
-        ))
-        for tx in template.transmissions
-    ))

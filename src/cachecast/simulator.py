@@ -5,18 +5,20 @@ integer offset, in its unit of the file, land on an integer bit, so no
 rounding ever happens: measured loads are compared to formula rates with
 exact equality.
 
-``compile_plan`` is the one step that turns a plan's integer segments into
-bits, each transmission's parts as (target, file, bit range), once per plan
-and file size.  ``execute_delivery`` XORs the parts out of the files and
-``decode_all`` decodes the log one transmission at a time, as the paper
+``compile_plan`` is the one step that turns a template's integer segments
+into bits, each transmission's parts as (target, bit range), and it runs
+once per template and file size: every plan bound from the template
+(``equal_cache.BoundPlan``) reuses the result.  ``execute_delivery`` XORs
+the parts out of the files, reading the part for user k from file d[k-1],
+and ``decode_all`` decodes the log one transmission at a time, as the paper
 does; ``verify_demands`` is these steps at the identity demand.  One decode
-speaks for every demand: a demand enters a plan only through
-``equal_cache.retarget``, which picks the files its parts read, while
-transmission widths are fixed when the plan is compiled and caches are one
-mask row per user, since a placement lays out every file alike.  So which
-parts a user can cancel, and whether they complete its file, depend on no
-demand, and a received payload differs from the XOR of the server's parts
-only where the log was corrupted.  ``verify_demands`` therefore returns one
+speaks for every demand: a demand is bound, never built into the plan, and
+only picks the file rows its parts read, while transmission widths are
+fixed when the template is compiled and caches are one mask row per user,
+since a placement lays out every file alike.  So which parts a user can
+cancel, and whether they complete its file, depend on no demand, and a
+received payload differs from the XOR of the server's parts only where the
+log was corrupted.  ``verify_demands`` therefore returns one
 ``Verdict``: the identity demand's report over a ``DemandSet`` that is
 counted arithmetically, and refused above ``core.MAX_ENUMERATION`` before
 any work, with per-demand reports built only as the verdict is iterated.
@@ -38,7 +40,7 @@ import numpy as np
 from .core import (
     MAX_ENUMERATION, Rational, count_text, excess, format_rational, users_range,
 )
-from .equal_cache import DeliveryPlan, Placement, check_demands
+from .equal_cache import BoundPlan, DeliveryPlan, Placement, check_demands
 from .unequal import SchemeInstance
 # bound here for perfbench's TRACER_PROBE, which asserts the binding is traced
 from .unequal import build_two_stage  # noqa: F401
@@ -49,15 +51,21 @@ from .unequal import build_two_stage  # noqa: F401
 MAX_MATERIALIZE_BYTES = 2**30
 
 
-def required_bits(placement: Placement, *plans: DeliveryPlan) -> int:
+def _template(plan: DeliveryPlan | BoundPlan) -> DeliveryPlan:
+    return plan.template if isinstance(plan, BoundPlan) else plan
+
+
+def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int:
     """Smallest file size in bits realizing every segment boundary exactly.
 
     Offsets are whole units of F/unit, so for each unit that is the unit
     divided by the gcd of it and every offset and length in that unit (the
-    builders use one unit per placement and plan).
+    builders use one unit per placement and plan).  A bound plan is read
+    through its template.
     """
     segs = [seg for sf in placement.layout for seg in sf.segments] + [
-        part.segment for plan in plans for tx in plan.transmissions for part in tx.parts
+        part.segment for plan in plans
+        for tx in _template(plan).transmissions for part in tx.parts
     ]
     return math.lcm(*(
         unit // math.gcd(unit, *(x for seg in segs if seg.unit == unit
@@ -106,7 +114,7 @@ def _bit_range(seg, F_bits: int) -> tuple[int, int]:
 
 def materialize(
     placement: Placement,
-    plan: DeliveryPlan | None = None,
+    plan: DeliveryPlan | BoundPlan | None = None,
     F_bits: int | None = None,
     seed: int = 0,
 ) -> tuple[FileStore, CacheImage]:
@@ -131,18 +139,17 @@ def materialize(
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """A delivery plan's bit geometry at one file size.
+    """A template's bit geometry at one file size.
 
-    ``parts[t]`` lists transmission t's parts as (target user, file, a, b):
-    0-based user and file, bit range [a, b).  Every part of a transmission
-    has the transmission's width, so the widths, and with them the load, are
-    fixed here; which file a part reads is the plan's own choice, the file
-    its target wants.  A user decodes with its *own* part, its first part in
-    a transmission, and cancels the others.
+    ``parts[t]`` lists transmission t's parts as (target user, a, b): 0-based
+    user, bit range [a, b) of the file that user wants.  Every part of a
+    transmission has the transmission's width, so the widths, and with them
+    the load, are fixed here, for every demand.  A user decodes with its
+    *own* part, its first part in a transmission, and cancels the others.
     """
 
     F_bits: int
-    parts: list[list[tuple[int, int, int, int]]]
+    parts: list[list[tuple[int, int, int]]]
     sent: list[int]  # transmission t sends payload bits sent[t]:sent[t+1]
 
     @property
@@ -150,17 +157,17 @@ class CompiledPlan:
         return self.sent[-1]
 
 
-def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
-    """Fix a plan's bit geometry at ``F_bits``, checking it once.
+def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
+    """Fix a template's bit geometry at ``F_bits``, checking it once.
 
     Every transmission must have parts, every part boundary must be an
     integer bit, every part of a transmission must have the same width, and
     no user may be sent a bit twice, in any of its parts, so one user's own
     parts never overlap.  This is the only place delivery turns rational
-    offsets into bits.
+    offsets into bits.  A bound plan is compiled through its template.
     """
     parts, sent, ranges = [], [0], []
-    for t, tx in enumerate(plan.transmissions):
+    for t, tx in enumerate(_template(plan).transmissions):
         if not tx.parts:
             raise ValueError(f"transmission {t} has no parts")
         compiled, width = [], None
@@ -173,7 +180,7 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
             user = part.target - 1
             if width:
                 ranges.append((user, lo, hi))
-            compiled.append((user, part.segment.file - 1, lo, hi))
+            compiled.append((user, lo, hi))
         parts.append(compiled)
         sent.append(sent[-1] + width)
     ranges.sort(key=lambda r: r[:2])
@@ -184,14 +191,28 @@ def compile_plan(plan: DeliveryPlan, F_bits: int) -> CompiledPlan:
     return CompiledPlan(F_bits, parts, sent)
 
 
-def _xor(cp: CompiledPlan, store: FileStore) -> np.ndarray:
-    """Payload bits of every transmission: the XOR of its parts, each read
-    from the file the plan gives it in the server's store."""
+def _compiled(plan: BoundPlan, F_bits: int) -> CompiledPlan:
+    """The bound plan's template compiled at ``F_bits``: ``compile_plan``
+    runs on the first call per template and file size, and every later
+    plan bound from the template reuses its result."""
+    if not isinstance(plan, BoundPlan):
+        raise ValueError("delivery needs a plan bound to a demand, "
+                         f"got {type(plan).__name__}")
+    cache = plan.template.compiled
+    if F_bits not in cache:
+        cache[F_bits] = compile_plan(plan.template, F_bits)
+    return cache[F_bits]
+
+
+def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> np.ndarray:
+    """Payload bits of every transmission: the XOR of its parts, the part for
+    user k read from row d[k-1] - 1 of the server's store."""
+    rows = [store.bits[f - 1] for f in d]
     sent = np.zeros(cp.total_bits, dtype=np.uint8)
     for t, parts in enumerate(cp.parts):
         payload = sent[cp.sent[t]:cp.sent[t + 1]]
-        for _, f, a, b in parts:
-            payload ^= store.bits[f, a:b]
+        for user, a, b in parts:
+            payload ^= rows[user][a:b]
     return sent
 
 
@@ -213,9 +234,9 @@ def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
         if lo == hi:
             continue
         corrupt = bool(differs[lo:hi].any())
-        covered = [masks[:, a:b].all(axis=1).tolist() for _, _, a, b in parts]
+        covered = [masks[:, a:b].all(axis=1).tolist() for _, a, b in parts]
         read = set()
-        for i, (user, _, a, b) in enumerate(parts):
+        for i, (user, a, b) in enumerate(parts):
             if user in read:
                 continue
             read.add(user)
@@ -246,10 +267,12 @@ class TransmissionLog:
         return sum(len(p) for p in self.payloads)
 
 
-def execute_delivery(store: FileStore, plan: DeliveryPlan) -> TransmissionLog:
-    """XOR each transmission's parts out of the server's files."""
-    cp = compile_plan(plan, store.F_bits)
-    sent = _xor(cp, store)
+def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
+    """XOR each transmission's parts out of the server's files, each read
+    from the file its target wants under the plan's demand."""
+    cp = _compiled(plan, store.F_bits)
+    d = check_demands(plan.demand, store.N, len(plan.demand))
+    sent = _xor(cp, store, d)
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
@@ -286,7 +309,7 @@ def decode_all(
     caches: CacheImage,
     log: TransmissionLog,
     d: Sequence[int],
-    plan: DeliveryPlan,
+    plan: BoundPlan,
     store: FileStore,
     formula_rate: Rational | None = None,
 ) -> VerificationReport:
@@ -295,18 +318,17 @@ def decode_all(
     A user cancels a transmission's other parts only where its own cache
     covers them, and every bit it recovers must equal the server's copy, so
     any corruption in the log surfaces as a failed user, never as a silent
-    pass.
+    pass.  ``plan`` must be bound to ``d``.
     """
     F = store.F_bits
     d = check_demands(d, store.N, caches.masks.shape[0])
-    cp = compile_plan(plan, F)
-    for user, f, _, _ in (q for parts in cp.parts for q in parts):
-        if f != d[user] - 1:
-            raise ValueError(f"plan does not serve demand {d}: a part for user "
-                             f"{user + 1} carries file {f + 1}")
+    cp = _compiled(plan, F)
+    if tuple(plan.demand) != d:
+        raise ValueError(f"plan does not serve demand {d}: it is bound to "
+                         f"demand {plan.demand}")
     if [len(p) for p in log.payloads] != [b - a for a, b in zip(cp.sent, cp.sent[1:])]:
         raise ValueError("transmission log does not match the plan's widths")
-    ok = _decode(cp, caches.masks, log, _xor(cp, store))
+    ok = _decode(cp, caches.masks, log, _xor(cp, store, d))
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok),
@@ -401,10 +423,11 @@ def verify_demands(
     before any work.  Then the identity-demand plan is materialized,
     executed and decoded by ``decode_all``, and that one verdict covers the
     whole demand set: a demand only chooses which file each part reads (the
-    part for user k reads file d[k], as in ``equal_cache.retarget``), while
-    what a user can cancel, the widths, and with them the load, are the same
-    for every file.  Per-demand reports are built only when the verdict is
-    iterated.
+    part for user k reads file d[k], as ``equal_cache.BoundPlan`` binds it),
+    while what a user can cancel, the widths, and with them the load, are
+    the same for every file.  The template is compiled once, for the
+    execution and the decode alike.  Per-demand reports are built only when
+    the verdict is iterated.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.

@@ -24,8 +24,8 @@ once built.
 
 ``build_two_stage`` builds one file's layout and the template plan once,
 whatever N is, with every offset an integer in one unit it fixes from the
-parameters first; ``TwoStageContext.plan`` hands the template to
-``equal_cache.retarget``, the one place a demand enters a plan.
+parameters first; ``TwoStageContext.plan`` binds a demand to the template
+(``equal_cache.BoundPlan``) without copying it.
 
 ``SchemeInstance`` is one scheme at one parameter point, and the one place
 a scheme name is dispatched on: its ``RateReport`` and, but for scheme 1,
@@ -44,6 +44,7 @@ from .baselines import scheme1_optimize
 from .core import Rational, UserSet, binom, users_range
 from .equal_cache import (
     ONE,
+    BoundPlan,
     DeliveryPlan,
     EqualCacheParams,
     Placement,
@@ -54,7 +55,6 @@ from .equal_cache import (
     equal_params,
     equal_placement,
     rate_eq,
-    retarget,
     window_unit,
     xor_delivery,
 )
@@ -197,14 +197,14 @@ def rate_ueq(cfg: UnequalConfig, params: UnequalParams | None = None) -> RateRep
 
 @dataclass(frozen=True)
 class TwoStageContext:
-    """Canonical placement of a config and its identity-demand plan."""
+    """Canonical placement of a config and its template plan."""
 
     cfg: UnequalConfig
     placement: Placement
     template: DeliveryPlan
 
-    def plan(self, d: Sequence[int]) -> DeliveryPlan:
-        return retarget(self.template, check_demands(d, self.cfg.N, self.cfg.K))
+    def plan(self, d: Sequence[int]) -> BoundPlan:
+        return BoundPlan(self.template, check_demands(d, self.cfg.N, self.cfg.K))
 
 
 def _pooled_unit(cfg: UnequalConfig, base: EqualCacheParams,
@@ -240,7 +240,7 @@ def _pooled(cfg: UnequalConfig, second: EqualCacheParams | None, width: Rational
 
 def build_two_stage(cfg: UnequalConfig,
                     params: UnequalParams | None = None) -> TwoStageContext:
-    """Construct the canonical two-stage placement and its identity-demand plan.
+    """Construct the canonical two-stage placement and its template plan.
 
     ``params`` is ``unequal_params(cfg)`` when the caller has it already.
     Every offset is a whole number of one unit, fixed from the parameters
@@ -283,10 +283,11 @@ SCHEMES = ("equal", "proposed", "scheme1")
 class SchemeInstance:
     """One (scheme, parameter point): its rate report, placement and plans.
 
-    The equal and proposed schemes build their plan once, for the identity
-    demand (user k wants file k), and ``plan`` retargets it to any demand
-    with ``equal_cache.retarget``.  Scheme 1 is a rate only: its
-    ``placement`` and ``plan`` raise ``ValueError``.
+    The equal and proposed schemes build their template plan once, and
+    ``plan`` binds it to any demand (``equal_cache.BoundPlan``), so a demand
+    costs no construction and every bound plan shares the template's
+    compiled bits.  Scheme 1 is a rate only: its ``placement`` and ``plan``
+    raise ``ValueError``.
     """
 
     scheme: str  # one of SCHEMES
@@ -329,7 +330,7 @@ class SchemeInstance:
 
     @cached_property
     def _built(self) -> tuple[Placement, DeliveryPlan]:
-        """The placement and its identity-demand plan."""
+        """The placement and its template plan."""
         if self.scheme == "equal":
             placement = equal_placement(self.N, self.K, self.M)
             return placement, DeliveryPlan(tuple(equal_delivery(
@@ -348,5 +349,5 @@ class SchemeInstance:
     def placement(self) -> Placement:
         return self._built[0]
 
-    def plan(self, d: Sequence[int]) -> DeliveryPlan:
-        return retarget(self._built[1], check_demands(d, self.N, self.K))
+    def plan(self, d: Sequence[int]) -> BoundPlan:
+        return BoundPlan(self._built[1], check_demands(d, self.N, self.K))

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from cachecast import equal_cache
 from cachecast.core import binom, enumerate_subsets
 from cachecast.equal_cache import (
+    BoundPlan,
     delivery_subsets,
     equal_params,
     equal_placement,
     man_placement,
     rate_eq,
-    retarget,
 )
 from cachecast.incremental import refine_pool
 from cachecast.simulator import SchemeInstance
@@ -255,17 +256,33 @@ class TestDeliverySubsets:
         assert delivery_subsets({}, (1, 2, 3)) == []
 
 
-class TestRetarget:
-    def test_only_swaps_files(self):
-        template = SchemeInstance("equal", 5, 3, Fraction(7, 4)).plan((1, 2, 3))
+class TestBoundPlan:
+    def test_view_reads_each_target_s_file(self):
+        inst = SchemeInstance("equal", 5, 3, Fraction(7, 4))
+        template = inst.plan((1, 2, 3)).template
         d = (2, 5, 2)
-        plan = retarget(template, d)
+        plan = inst.plan(d)
+        assert plan == BoundPlan(template, d)
         assert len(plan.transmissions) == len(template.transmissions)
-        for tx, tx0 in zip(plan.transmissions, template.transmissions):
+        for tx, tx0 in zip(plan.transmissions, template.transmissions, strict=True):
             for p, p0 in zip(tx.parts, tx0.parts, strict=True):
                 assert p.target == p0.target and p.segment.file == d[p.target - 1]
-                assert (p.segment.start, p.segment.length) == (
-                    p0.segment.start, p0.segment.length)
+                assert (p.segment.a, p.segment.n, p.segment.unit) == (
+                    p0.segment.a, p0.segment.n, p0.segment.unit)
+        assert plan.total_load == template.total_load
+
+    def test_binding_builds_no_part_or_transmission(self, monkeypatch):
+        inst = SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2))
+        template = inst.plan((1, 2, 3, 4)).template  # built once, for every demand
+        built = []
+        for name in ("Part", "Transmission"):
+            cls = getattr(equal_cache, name)
+            monkeypatch.setattr(equal_cache, name,
+                                lambda *a, _cls=cls, _name=name: built.append(_name) or _cls(*a))
+        plan = inst.plan((3, 1, 3, 6))
+        assert plan.template is template and built == []
+        plan.transmissions  # the view, built on request
+        assert "Part" in built and "Transmission" in built
 
 
 class TestEqualScheme:

@@ -9,6 +9,7 @@ examples, with a bounded example count and no per-example deadline.
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,13 @@ def points(draw, k_max=5, n_max=8):
 def instance(point) -> SchemeInstance:
     N, K, L, Mhat, M = point
     return SchemeInstance("proposed", N, K, M, L=L, Mhat=Mhat)
+
+
+def repeated_file_demand(data, inst) -> tuple[int, ...]:
+    """A random demand whose last user wants a file another user wants."""
+    head = data.draw(st.lists(st.integers(1, inst.N), min_size=inst.K - 1,
+                              max_size=inst.K - 1))
+    return (*head, data.draw(st.sampled_from(head)))
 
 
 @PROFILE
@@ -92,13 +100,33 @@ def test_every_distinct_demand_decodes(point, data):
     assert len(reports) == math.perm(inst.N, inst.K)
     assert all(r.passed for r in reports)
 
-    head = data.draw(st.lists(st.integers(1, inst.N), min_size=inst.K - 1,
-                              max_size=inst.K - 1))
-    d = (*head, data.draw(st.sampled_from(head)))
+    d = repeated_file_demand(data, inst)
     plan = inst.plan(d)
     store, caches = materialize(inst.placement, plan)
     log = execute_delivery(store, plan)
     assert decode_all(caches, log, d, plan, store, inst.formula_rate).passed
+
+
+@PROFILE
+@given(points(), st.data())
+def test_payloads_read_each_target_s_file(point, data):
+    """Under a demand with a repeated file, every payload is the XOR, over
+    the template's parts, of store row d[target] - 1 at the part's bits."""
+    inst = instance(point)
+    d = repeated_file_demand(data, inst)
+    plan = inst.plan(d)
+    store, _ = materialize(inst.placement, plan, seed=data.draw(st.integers(0, 2**16)))
+    log = execute_delivery(store, plan)
+    F = store.F_bits
+    txs = plan.template.transmissions
+    assert len(log.payloads) == len(txs)
+    for tx, payload in zip(txs, log.payloads):
+        expect = np.zeros(len(payload), dtype=np.uint8)
+        for part in tx.parts:
+            a, b = part.segment.start * F, part.segment.stop * F
+            assert a.denominator == b.denominator == 1 and b - a == len(payload)
+            expect ^= store.bits[d[part.target - 1] - 1, int(a):int(b)]
+        assert np.array_equal(payload, expect)
 
 
 @PROFILE

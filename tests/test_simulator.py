@@ -9,8 +9,8 @@ import pytest
 
 from cachecast import cli, simulator
 from cachecast.equal_cache import (
+    BoundPlan,
     DeliveryPlan,
-    FileSegment,
     Part,
     Transmission,
     equal_placement,
@@ -279,7 +279,8 @@ class TestDecodeOutcomes:
         log = execute_delivery(store, plan)
         d = (1, 2, 3, 4)
         assert decode_all(caches, flipped(log, t, 0), d, plan, store).user_ok == user_ok
-        dropped = DeliveryPlan(plan.transmissions[:t] + plan.transmissions[t + 1:])
+        txs = plan.template.transmissions
+        dropped = BoundPlan(DeliveryPlan(txs[:t] + txs[t + 1:]), d)
         dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:])
         assert decode_all(caches, dropped_log, d, dropped, store).user_ok == user_ok
 
@@ -296,10 +297,10 @@ class TestDecodeOutcomes:
         # that half cleared from its cache the plain part refills it, but the
         # XOR, whose other part user 1 no longer caches, gives it nothing
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        (tx,) = inst.plan((1, 2)).transmissions
+        (tx,) = inst.plan((1, 2)).template.transmissions
         other = next(p.segment for p in tx.parts if p.target == 2)
-        plain = Transmission((Part(FileSegment(other.a, other.n, other.unit, 1), 1),))
-        plan = DeliveryPlan((tx, plain))
+        plain = Transmission((Part(other, 1),))
+        plan = BoundPlan(DeliveryPlan((tx, plain)), (1, 2))
         store, caches = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
         assert decode_all(caches, log, (1, 2), plan, store).user_ok == (True, True)
@@ -312,12 +313,11 @@ class TestDecodeOutcomes:
         # user 1's first part is the half it caches, its second the half it
         # lacks: it would have to cancel the second to read the first
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        (tx,) = inst.plan((1, 2)).transmissions
+        (tx,) = inst.plan((1, 2)).template.transmissions
         lacks = next(p.segment for p in tx.parts if p.target == 1)
         has = next(p.segment for p in tx.parts if p.target == 2)
-        plan = DeliveryPlan((Transmission((
-            Part(FileSegment(has.a, has.n, has.unit, 1), 1), Part(lacks, 1),
-        )),))
+        plan = BoundPlan(DeliveryPlan((Transmission((Part(has, 1), Part(lacks, 1))),)),
+                         (1, 2))
         store, caches = materialize(inst.placement, plan)
         report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
         assert report.user_ok == (False, False)
@@ -328,7 +328,7 @@ class TestCompile:
         # widths are checked in bits, once, when a plan is compiled; building
         # a Transmission checks nothing
         _, plan, store, _ = worked_system()
-        tx = plan.transmissions[0]
+        tx = plan.template.transmissions[0]
         seg = tx.parts[0].segment
         # the same start in a unit twice as fine: half the length
         short = Part(replace(seg, a=2 * seg.a, unit=2 * seg.unit), tx.parts[0].target)
@@ -342,16 +342,17 @@ class TestCompile:
 
     def test_rejects_bits_sent_twice(self):
         _, plan, store, _ = worked_system()
-        twice = DeliveryPlan(plan.transmissions[:1] * 2)
+        twice = DeliveryPlan(plan.template.transmissions[:1] * 2)
         with pytest.raises(ValueError, match="of its file twice"):
             simulator.compile_plan(twice, store.F_bits)
 
     def test_rejects_a_part_sent_twice_in_one_transmission(self):
         # the second copy is not the user's first part in the transmission
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        part = next(p for p in inst.plan((1, 2)).transmissions[0].parts if p.target == 1)
+        (tx,) = inst.plan((1, 2)).template.transmissions
+        part = next(p for p in tx.parts if p.target == 1)
         once = DeliveryPlan((Transmission((part,)),))
-        assert simulator.compile_plan(once, 2).parts == [[(0, 0, 1, 2)]]
+        assert simulator.compile_plan(once, 2).parts == [[(0, 1, 2)]]
         twice = DeliveryPlan((Transmission((part, part)),))
         with pytest.raises(ValueError, match=r"user 1 bits \[1, 2\) of its file twice"):
             simulator.compile_plan(twice, 2)
@@ -363,6 +364,36 @@ class TestCompile:
         assert cp.total_bits == WORKED.formula_rate * F
         assert all(r.measured_load_bits == cp.total_bits
                    for r in verify_demands(WORKED, mode="exhaustive"))
+
+    def test_one_verify_compiles_once(self, monkeypatch):
+        # execute_delivery and decode_all share the template's compiled bits,
+        # and every plan bound from the template later reuses them
+        compiled = []
+
+        def counted(plan, F_bits):
+            compiled.append(F_bits)
+            return compile_plan(plan, F_bits)
+
+        compile_plan = simulator.compile_plan
+        monkeypatch.setattr(simulator, "compile_plan", counted)
+        inst = SchemeInstance("proposed", 4, 4, Fraction(1), L=3, Mhat=Fraction(2))
+        assert verify_demands(inst, mode="exhaustive").passed
+        assert compiled == [8]
+        plan = inst.plan((4, 4, 1, 2))
+        store, caches = materialize(inst.placement, plan)
+        log = execute_delivery(store, plan)
+        assert decode_all(caches, log, (4, 4, 1, 2), plan, store).passed
+        assert compiled == [8]
+
+    @pytest.mark.parametrize("step", ["execute", "decode"])
+    def test_an_unbound_template_is_refused(self, step):
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        with pytest.raises(ValueError, match="plan bound to a demand, got DeliveryPlan"):
+            if step == "execute":
+                execute_delivery(store, plan.template)
+            else:
+                decode_all(caches, log, (1, 2, 3, 4), plan.template, store)
 
     def test_decode_refuses_plan_for_another_demand(self):
         _, plan, store, caches = worked_system()

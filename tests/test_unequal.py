@@ -271,7 +271,7 @@ class TestIntegerUnits:
         (lambda: rate_eq(10, 4, FIG5.M), Fraction(11, 9), 1),
         (lambda: rate_ueq(FIG5).rate, 1, 30),
         (lambda: scheme1_optimize(10, 4, [6, 6, 2, 2]),
-         ((0, Fraction(2, 5), 0, Fraction(3, 5)), Fraction(23, 15)), 30),
+         ((0, Fraction(2, 5), 0, Fraction(3, 5)), Fraction(23, 15)), 6),
     ], ids=["rate_eq", "rate_ueq", "scheme1_optimize"])
     def test_rates_make_few_fractions(self, monkeypatch, call, value, bound):
         result, made = fractions_made(monkeypatch, call)

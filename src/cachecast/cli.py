@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Mhat", help="large cache size (rational, units of F)")
         p.add_argument("--scheme", help="|".join(SCHEMES))
         p.add_argument("--config", help="JSON file with default flag values")
-        p.add_argument("--seed", type=int, help="RNG seed for file contents")
 
     p_rate = sub.add_parser("rate", help="rate at a single parameter point")
     add_common(p_rate)
@@ -108,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="bit-exact decode verification")
     add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, help="RNG seed for file contents")
     p_verify.add_argument("--exhaustive", action="store_true", default=None,
                           help="enumerate all N^K demands (default: distinct)")
     p_verify.add_argument("--inject-fault", dest="inject_fault", action="store_true",
@@ -327,6 +327,8 @@ def cmd_verify(opts: Options) -> int:
     L = opts.get("L", cast=int)
     Mhat = opts.get("Mhat", cast=_rat)
     seed = opts.get("seed", 0, int)
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     mode = "exhaustive" if opts.get("exhaustive") else "distinct"
     flip = (0, 0) if opts.get("inject_fault") else None
 

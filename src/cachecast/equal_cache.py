@@ -29,10 +29,11 @@ each runs once, over one file's layout:
   of them, for a placement's layout or the refined pool's
   (``incremental.refine_pool``).  Both emit a template whose parts name
   offsets and a target but no file.
-- ``aligned_transmissions`` cuts the components of one XOR in a single pass
-  over the union of their segment ends, so each piece is one segment per
-  component; ``split_segments`` cuts an ordered list of tagged segments at
-  offsets for the pooled refinement.
+- ``cut_segments`` is the one interval cutter: one walk over an ordered run
+  of segments against increasing offsets.  ``aligned_transmissions`` runs it
+  on each component of one XOR at the union of their segment ends, so each
+  piece is one segment per component; the pooled refinement runs it to cut
+  a kept share and equal promoted parts.
 
 A demand is bound, never built in: ``BoundPlan`` pairs a template with a
 demand, and the part for user k reads file d[k-1].  Only its
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Rational, UserSet, binom, divide, enumerate_subsets, user_set, users_range,
@@ -69,8 +70,6 @@ BETA = "beta"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-Tag = TypeVar("Tag")
 
 
 @dataclass(frozen=True)
@@ -319,36 +318,38 @@ class BoundPlan:
         )
 
 
-def split_segments(
-    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[int]
-) -> list[list[tuple[Tag, Segment]]]:
-    """Cut the concatenation of ``items``' segments at the given content offsets.
+def cut_segments(
+    segments: Iterable[Segment], bounds: Sequence[int]
+) -> Iterator[tuple[int, int, Segment]]:
+    """Cut the concatenation of ``segments`` at increasing content offsets.
 
-    Each item is a (tag, segment) pair; both halves of a cut segment keep its
-    tag, so a caller can tell where every piece came from without searching.
-    ``cuts`` are in the segments' unit, strictly increasing and at most the
-    total length; returns len(cuts)+1 ordered groups that tile the input.
+    ``bounds`` are offsets in the segments' unit, non-decreasing, and the last
+    one is the content length; interval k runs from bounds[k-1] (0 for k = 0)
+    to bounds[k].  Yields (k, i, piece) in content order: the piece of segment
+    i that falls in interval k.  A segment no bound cuts is yielded as the
+    same object; an empty interval yields nothing.  Bounds that end before or
+    past the content raise ``ValueError``.
     """
-    groups: list[list[tuple[Tag, Segment]]] = [[]]
-    pos = 0
-    cut_iter = iter(cuts)
-    cut = next(cut_iter, None)
-    for tag, seg in items:
-        while cut is not None and pos < cut < pos + seg.n:
-            head = cut - pos
-            groups[-1].append((tag, Segment(seg.a, head, seg.unit)))
-            seg = Segment(seg.a + head, seg.n - head, seg.unit)
-            pos = cut
-            groups.append([])
-            cut = next(cut_iter, None)
-        groups[-1].append((tag, seg))
-        pos += seg.n
-        if cut is not None and cut == pos:
-            groups.append([])
-            cut = next(cut_iter, None)
-    if cut is not None:
-        raise ValueError("cut offsets exceed the content length")
-    return groups
+    k, pos, end = 0, 0, bounds[-1]
+    bound = bounds[0]
+    for i, seg in enumerate(segments):
+        stop = pos + seg.n
+        if stop > end:
+            raise ValueError(f"cut bounds end at {end}, inside the content")
+        if stop == pos:
+            continue
+        while bound <= pos:  # end >= stop > pos, so k stays in range
+            k += 1
+            bound = bounds[k]
+        a = seg.a
+        while bound < stop:
+            yield k, i, Segment(a, bound - pos, seg.unit)
+            a, pos, k = a + bound - pos, bound, k + 1
+            bound = bounds[k]
+        yield k, i, seg if a == seg.a else Segment(a, stop - pos, seg.unit)
+        pos = stop
+    if pos != end:
+        raise ValueError(f"cut bounds end at {end}, past the content length {pos}")
 
 
 def aligned_transmissions(
@@ -357,8 +358,8 @@ def aligned_transmissions(
     """Turn equal-length multi-segment components into aligned XOR pieces.
 
     Each component is (ordered segments, target user), all in one unit.
-    Content is cut at the union of all components' segment ends, in one pass
-    per component, so that every resulting transmission XORs exactly one
+    Every component is cut at the union of all components' segment ends
+    (``cut_segments``), so that every resulting transmission XORs exactly one
     contiguous segment per component; a segment no other component cuts is
     used as it is.
     """
@@ -376,14 +377,10 @@ def aligned_transmissions(
         return []
     bounds = sorted(ends)
     columns = []
-    for segs, target in components:
-        column, i, pos = [], 0, 0
-        for seg in segs:
-            a, stop = seg.a, pos + seg.n
-            while pos < stop:  # stop is in bounds, so the walk ends on it
-                n = bounds[i] - pos
-                column.append(Part(seg if n == seg.n else Segment(a, n, seg.unit), target))
-                a, pos, i = a + n, pos + n, i + 1
+    for segs, target in components:  # a loop, not a comprehension: no frame each
+        column = []
+        for _, _, seg in cut_segments(segs, bounds):
+            column.append(Part(seg, target))
         columns.append(column)
     return [Transmission(parts) for parts in zip(*columns, strict=True)]
 

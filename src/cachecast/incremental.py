@@ -9,8 +9,10 @@ reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
 runs it on the large-cache group; with the pool set to every user it is one
 plain refinement step of an equal-cache placement.  Every file is laid out
 alike, so the refinement runs once, on the one file a ``Placement`` stores.
-Besides the refined placement it returns the pool's content keyed by owner
-set, which ``equal_cache.equal_delivery`` serves like any equal-cache layout.
+Each promotion cuts an owner set's pieces with one ``equal_cache.cut_segments``
+walk and appends every part straight to the next level's owner set.  Besides
+the refined placement it returns the pool's content keyed by owner set, which
+``equal_cache.equal_delivery`` serves like any equal-cache layout.
 
 The kept/promoted split uses a uniform keep fraction across the merged level
 content; the source only fixes sizes, so the specific byte choice is ours and
@@ -25,7 +27,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .core import Rational, UserSet, binom, divide, user_set
-from .equal_cache import ZERO, Placement, Segment, Subfile, split_segments
+from .equal_cache import ZERO, Placement, Segment, Subfile, cut_segments
 
 # A refinement piece: one contiguous segment, tagged with the stage-1 subfile
 # it was cut from.  Its owner set is the key it is filed under in a State.
@@ -55,39 +57,30 @@ def split_factor(pool_size: int, s0: int, t2_int: int, alpha2: Rational) -> int:
 
 
 def _promote_once(
-    state: State, ground: UserSet, keep_fraction: Rational
-) -> tuple[State, State]:
-    """Split every owner set's content into kept and promoted shares.
+    state: State, ground: UserSet, keep_fraction: Rational, promoted: State
+) -> State:
+    """Keep ``keep_fraction`` of every owner set's content and promote the rest.
 
     The promoted share of set T is divided into |ground - T| equal parts;
-    part r is added to the cache of the r-th user of ground - T (ascending),
-    moving that content's owner set to T + {j}.  Returns (kept, promoted).
+    part r is appended to promoted[T + {j}] for the r-th user j of ground - T
+    (ascending), so it joins the next level's state.  One ``cut_segments``
+    walk per set cuts the kept share and every part.  Returns the kept shares.
     """
     kept: State = {}
-    promoted: State = {}
     for T in sorted(state):
         pieces = state[T]
         total = _pieces_length(pieces)
         if total == 0:
             continue
-        rest, rest_total = pieces, total
-        if keep_fraction > 0:
-            kept_length = divide(total * keep_fraction.numerator, keep_fraction.denominator)
-            kept[T], rest = split_segments(pieces, [kept_length])
-            rest_total -= kept_length
         others = [u for u in ground if u not in T]
-        width = divide(rest_total, len(others))
-        cuts = [width * i for i in range(1, len(others))]
-        for j, part in zip(others, split_segments(rest, cuts)):
-            promoted.setdefault(user_set(T + (j,)), []).extend(part)
-    return kept, promoted
-
-
-def _merge_states(base: State, additions: State) -> State:
-    out: State = {T: list(pieces) for T, pieces in base.items()}
-    for T, pieces in additions.items():
-        out.setdefault(T, []).extend(pieces)
-    return out
+        kept_length = divide(total * keep_fraction.numerator, keep_fraction.denominator)
+        width = divide(total - kept_length, len(others))
+        bounds = [kept_length + width * r for r in range(len(others) + 1)]
+        shares = [kept.setdefault(T, [])]
+        shares += (promoted.setdefault(user_set(T + (j,)), []) for j in others)
+        for k, i, seg in cut_segments([seg for _, seg in pieces], bounds):
+            shares[k].append((pieces[i][0], seg))
+    return kept
 
 
 def _scaled(placement: Placement, factor: int) -> Placement:
@@ -162,15 +155,14 @@ def refine_pool(
         target = low if len(sf.owners) == s0 else high
         target.setdefault(sf.owners, []).extend((sf, seg) for seg in sf.segments)
     for _ in range(s0, t2_int):
-        _, promoted = _promote_once(low, pool, ZERO)
-        low, high = _merge_states(high, promoted), {}
+        _promote_once(low, pool, ZERO, high)
+        low, high = high, {}
     low_length = _pieces_length([pc for pieces in low.values() for pc in pieces])
     if low_length * alpha2.denominator < alpha2.numerator * pool_total:
         raise ValueError("inconsistent refinement target")  # ruled out by budget
     if low_length * alpha2.denominator > alpha2.numerator * pool_total:
         keep = Fraction(alpha2 * pool_total, low_length)  # alpha2 / (low_length/pool_total)
-        low, promoted = _promote_once(low, pool, keep)
-        high = _merge_states(high, promoted)
+        low = _promote_once(low, pool, keep, high)
 
     refined_block: list[Subfile] = []
     content: dict[UserSet, tuple[Segment, ...]] = {}

@@ -400,6 +400,17 @@ class TestVerify:
         assert code == 1
         assert err == "error: no transmitted bit to flip\n"
 
+    def test_seed_is_verify_only_and_refuses_negatives(self, capsys):
+        code, out, err = run(capsys, "verify", "--scheme", "equal", "--N", "4", "--K", "4",
+                             "--M", "1", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
+        # rate and sweep draw no file contents, so they take no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--N", "4", "--K", "4", "--M", "1", "--seed", "5"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert "unrecognized arguments: --seed 5" in err
+
     def test_report_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
         code, _, _ = run(
@@ -513,6 +524,13 @@ class TestConfigFile:
         code, out, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and f"{key!r} must be an integer" in err
+
+    def test_negative_seed_refused_by_name(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg), "--scheme", "equal",
+                             "--N", "4", "--K", "4", "--M", "1")
+        assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
 
     def test_unknown_key_refused(self, capsys, tmp_path):
         # the flag's spelling is no config key: its destination is

@@ -28,7 +28,7 @@ INTS = (["1", "2", "3", "4", "6"], ["0", "-1", "", "x", "2.5", "1" * 20])
 RATS = (["0", "1", "1/2", "1/3", "7/4", "3", "6"],
         ["-1", "1/0", "nan", "inf", "1e400", "1e-400", "1e4299", "", "x", "2.5"])
 COMMON = {
-    "--N": INTS, "--K": INTS, "--L": INTS, "--seed": INTS, "--M": RATS, "--Mhat": RATS,
+    "--N": INTS, "--K": INTS, "--L": INTS, "--M": RATS, "--Mhat": RATS,
     "--scheme": (["equal", "proposed", "scheme1", "equal,proposed,scheme1"],
                  ["bogus", "", "equal,"]),
 }
@@ -37,7 +37,7 @@ FLAGS = {
     "sweep": {**COMMON, "--from": RATS, "--to": RATS, "--step": RATS,
               "--Mhat-factor": RATS, "--sweep-axis": (["M", "Mhat", "both"], ["z"]),
               "--format": (["csv", "json"], ["xml"]), "--jobs": (["1"], ["0", "-1", "x"])},
-    "verify": {**COMMON, "--exhaustive": None, "--inject-fault": None},
+    "verify": {**COMMON, "--seed": INTS, "--exhaustive": None, "--inject-fault": None},
 }
 # every flag's config key but jobs, plus names no flag has
 CONFIG_KEYS = ["N", "K", "L", "M", "Mhat", "scheme", "seed", "sweep_axis", "from",

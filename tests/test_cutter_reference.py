@@ -1,27 +1,65 @@
-"""The one-pass XOR cutter against the cutter it replaced.
+"""The one interval cutter against the cutter it replaced.
 
-``equal_cache.aligned_transmissions`` cuts every component of one XOR in a
-single pass over the union of the components' segment ends.  The reference
-below is the form it replaced: the internal segment ends as cut offsets,
-each component split by ``split_segments`` into tagged groups, and one
-transmission per group position.  Both must return equal transmissions on
-random equal-total components (derandomized), including a zero total, and
-both must refuse unequal totals.
+``equal_cache.cut_segments`` is the one function that cuts a run of segments
+at interior offsets.  ``aligned_transmissions`` cuts every component of one
+XOR at the union of the components' segment ends, and the pooled refinement
+cuts each owner set's pieces into a kept share and equal promoted parts.
+``split_segments`` below is the cutter both replaced, kept as the
+reference.  ``cut_segments`` must equal it, piece by piece and tag by tag,
+at arbitrary bounds; the one-pass XOR builder must equal the form that split
+each component at the internal segment ends, on random equal-total
+components (derandomized), including a zero total; and bounds that end
+before or past the content, or unequal totals, are refused.
 """
 
 from itertools import accumulate
+from typing import Sequence, TypeVar
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecast.equal_cache import (
-    Part, Segment, Transmission, aligned_transmissions, split_segments,
+    Part, Segment, Transmission, aligned_transmissions, cut_segments,
 )
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 UNIT = 7
+
+Tag = TypeVar("Tag")
+
+
+def split_segments(
+    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[int]
+) -> list[list[tuple[Tag, Segment]]]:
+    """Cut the concatenation of ``items``' segments at the given content offsets.
+
+    Each item is a (tag, segment) pair; both halves of a cut segment keep its
+    tag, so a caller can tell where every piece came from without searching.
+    ``cuts`` are in the segments' unit, strictly increasing and at most the
+    total length; returns len(cuts)+1 ordered groups that tile the input.
+    """
+    groups: list[list[tuple[Tag, Segment]]] = [[]]
+    pos = 0
+    cut_iter = iter(cuts)
+    cut = next(cut_iter, None)
+    for tag, seg in items:
+        while cut is not None and pos < cut < pos + seg.n:
+            head = cut - pos
+            groups[-1].append((tag, Segment(seg.a, head, seg.unit)))
+            seg = Segment(seg.a + head, seg.n - head, seg.unit)
+            pos = cut
+            groups.append([])
+            cut = next(cut_iter, None)
+        groups[-1].append((tag, seg))
+        pos += seg.n
+        if cut is not None and cut == pos:
+            groups.append([])
+            cut = next(cut_iter, None)
+    if cut is not None:
+        raise ValueError("cut offsets exceed the content length")
+    return groups
 
 
 def ref_aligned_transmissions(components):
@@ -101,3 +139,48 @@ def test_a_whole_segment_is_reused():
     txs = aligned_transmissions([(whole, 2), ([Segment(9, 4, UNIT)], 1)])
     assert len(txs) == 2 and all(tx.parts[0].segment is seg for tx, seg in zip(txs, whole))
     assert [tx.parts[1].segment for tx in txs] == [Segment(9, 2, UNIT), Segment(11, 2, UNIT)]
+
+
+@st.composite
+def cut_runs(draw):
+    """A run of 1-5 positive segments at arbitrary offsets, and increasing
+    bounds that end at its total, as the pooled refinement draws them: an
+    optional empty first interval (nothing kept), then interior cuts."""
+    total = draw(st.integers(1, 16))
+    lengths = draw(compositions(total))
+    offsets = draw(st.lists(st.integers(0, 40), min_size=len(lengths),
+                            max_size=len(lengths)))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=6))) if total > 1 else []
+    head = [0] if draw(st.booleans()) else []
+    return _segments(lengths, offsets), head + cuts + [total]
+
+
+@PROFILE
+@given(cut_runs())
+def test_cut_segments_matches_split_segments(run):
+    segs, bounds = run
+    groups = [[] for _ in bounds]
+    for k, i, piece in cut_segments(segs, bounds):
+        groups[k].append((i, piece))
+        if piece.n == segs[i].n:
+            assert piece is segs[i]
+    interior = [b for b in bounds[:-1] if b]
+    expected = split_segments(list(enumerate(segs)), interior)
+    assert groups == ([[]] if bounds[0] == 0 else []) + expected
+    # a segment no interior bound cuts comes back whole, as the same object
+    pos = 0
+    for i, seg in enumerate(segs):
+        if not any(pos < b < pos + seg.n for b in bounds):
+            pieces = [p for group in groups for j, p in group if j == i]
+            assert len(pieces) == 1 and pieces[0] is seg
+        pos += seg.n
+
+
+@PROFILE
+@given(cut_runs(), st.integers(1, 5), st.booleans())
+def test_bounds_off_the_content_length_are_refused(run, off, past):
+    segs, bounds = run
+    last = bounds[-1] + off if past else bounds[-1] - off
+    wrong = [b for b in bounds[:-1] if b < last] + [last]
+    with pytest.raises(ValueError, match="cut bounds end at"):
+        list(cut_segments(segs, wrong))

@@ -24,8 +24,8 @@ from .baselines import scheme1_optimize  # noqa: F401
 from .core import MAX_ENUMERATION, excess, format_rational, parse_rational
 from .unequal import SCHEMES, RateReport, SchemeInstance
 
-# Config keys whose values must be JSON integers.
-INTEGER_KEYS = ("N", "K", "L", "seed", "jobs")
+# What a config value must be, by its flag's type; null always means unset.
+KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string or a number"}
 
 CSV_COLUMNS = [
     "N", "K", "L", "Mhat", "M", "scheme", "rate_rational", "rate_decimal",
@@ -114,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None, help="flip one transmitted bit")
     p_verify.add_argument("--report", help="write per-demand records to this file")
     p_verify.set_defaults(func=cmd_verify)
-    # one config file serves every subcommand: its keys are their flags' destinations
-    parser.config_keys = frozenset(
-        action.dest.rstrip("_") for p in sub.choices.values() for action in p._actions
+    # one config file serves every subcommand: its keys are their flags'
+    # destinations, and each value has its flag's JSON type (a switch's is bool)
+    parser.config_types = {
+        action.dest.rstrip("_"): bool if action.nargs == 0 else action.type or str
+        for p in sub.choices.values() for action in p._actions
         if action.option_strings and action.dest != "help"
-    )
+    }
     return parser
 
 
@@ -133,14 +135,16 @@ class Options:
                 self._config = json.load(fh)
             if not isinstance(self._config, dict):
                 raise ValueError(f"config file {args.config} must hold a JSON object")
-            for key in self._config:
-                if key not in build_parser().config_keys:
+            types = build_parser().config_types
+            for key, value in self._config.items():
+                kind = types.get(key)
+                if kind is None:
                     raise ValueError(f"config key {key!r} names no flag")
-            for key in INTEGER_KEYS:
-                value = self._config.get(key)
-                if value is not None and type(value) is not int:
-                    raise ValueError(f"config value {key!r} must be an integer, "
-                                     f"got {value!r}")
+                if kind is str and type(value) in (int, float):
+                    self._config[key] = str(value)  # a number is read as its text
+                elif value is not None and type(value) is not kind:
+                    raise ValueError(f"config value {key!r} must be {KIND_NAMES[kind]}, "
+                                     f"got {json.dumps(value)}")
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self._args, name, None)

@@ -15,12 +15,13 @@ expands them over the N files only for callers that list every copy.
 This module holds the one builder of each basic step, shared by both schemes;
 each runs once, over one file's layout:
 
-- ``man_placement`` lays out one memory-sharing layer over a ground set of
-  users; ``equal_placement`` stacks the layers in a window [start, start +
-  width) of the file, the whole file by default.  It is the two-level
-  scheme's stage 1, and over the small users its scenario-2 remainder: there
-  the window is the remainder's share, and the large users, passed as
-  ``also``, own every subfile besides its stage-1 set.
+- ``equal_placement`` is the one layered placement builder: it lays out
+  both memory-sharing layers in a window [start, start + width) of the file,
+  the whole file by default, each layer cut into one equal subfile per
+  owner set.  It is the equal-cache scheme, the two-level scheme's stage 1,
+  and over the small users its scenario-2 remainder: there the window is the
+  remainder's share, and the large users, passed as ``also``, own every
+  subfile besides its stage-1 set.
 - ``delivery_subsets`` is the one delivery rule.  Content is keyed by owner
   set alone: within one layout, the alpha layer's owner sets have size
   t_int and the beta layer's t_int + 1, so the keys' sizes say what to send,
@@ -43,9 +44,10 @@ the demand where it reads file bits, compiling each template once per file
 size.
 
 All offsets and lengths are integers in units of F/unit, one unit per
-placement and plan: ``man_placement`` and ``equal_placement`` take it (by
-default the coarsest one in which their layout is whole, ``window_unit``)
-and every cut is exact, so a remainder raises rather than rounds.  A
+placement and plan, fixed before anything is built: ``equal_placement``
+takes it (by default the coarsest one in which its layout is whole,
+``window_unit``), nothing rescales a built placement, and every cut is
+exact, so a remainder raises rather than rounds.  A
 ``Segment`` reads its integers back as fractions of F, and a bit-level
 realization only has to scale them (``simulator.required_bits``).
 """
@@ -390,52 +392,6 @@ def aligned_transmissions(
 # ---------------------------------------------------------------------------
 
 
-def man_placement(
-    N: int,
-    K: int,
-    t: int,
-    layer: str = ALPHA,
-    layer_fraction: Rational = ONE,
-    layer_start: Rational = ZERO,
-    ground: UserSet | None = None,
-    also: UserSet = (),
-    unit: int | None = None,
-) -> Placement:
-    """Owner-subset placement of one memory-sharing layer.
-
-    The layer [layer_start, layer_start + layer_fraction) of each file is split
-    into C(|ground|, t) equal subfiles, one per size-t subset T of ``ground``
-    (all K users by default), laid out in subset-lexicographic order.  The
-    subfile of T is owned by T and by the users ``also``, who cache the whole
-    layer; its ``stage1_set`` is T.  Offsets are whole units of F/``unit``
-    (by default the coarsest unit that makes them whole); a unit that does
-    not cut the layer evenly raises ``ValueError``.
-    """
-    ground = users_range(K) if ground is None else ground
-    if t < 0 or t > len(ground):
-        raise ValueError(f"need 0 <= t <= |ground|, got t={t}")
-    if layer_fraction == 0:
-        return Placement(N=N, K=K, blocks=())
-    subsets = enumerate_subsets(ground, t)
-    if unit is None:
-        unit = _layer_unit(layer_start, layer_fraction, len(subsets))
-    start = divide(layer_start.numerator * unit, layer_start.denominator)
-    size = divide(layer_fraction.numerator * unit,
-                  layer_fraction.denominator * len(subsets))
-    block = tuple(
-        Subfile(layer, T, user_set(T + also) if also else T,
-                (Segment(start + j * size, size, unit),))
-        for j, T in enumerate(subsets)
-    )
-    return Placement(N=N, K=K, blocks=(block,))
-
-
-def _layer_unit(start: Rational, fraction: Rational, parts: int) -> int:
-    """The coarsest unit in which [start, start + fraction), cut into
-    ``parts`` equal subfiles, has whole offsets."""
-    return math.lcm(Fraction(start).denominator, Fraction(fraction, parts).denominator)
-
-
 def _layers(p: EqualCacheParams, start: Rational, width: Rational):
     """(layer, t, start, fraction) of each memory-sharing layer of the window
     [start, start + width); beta is absent when t is an integer."""
@@ -446,9 +402,11 @@ def _layers(p: EqualCacheParams, start: Rational, width: Rational):
 
 def window_unit(p: EqualCacheParams, start: Rational = ZERO, width: Rational = ONE) -> int:
     """The coarsest unit in which ``equal_placement`` at ``p`` (over p.K
-    users) lays out the window [start, start + width) in whole units."""
-    return math.lcm(*(_layer_unit(layer_start, fraction, binom(p.K, t))
-                      for _, t, layer_start, fraction in _layers(p, start, width)))
+    users) lays out the window [start, start + width) in whole units: every
+    layer's start, and its share of each of its C(p.K, t) subfiles."""
+    return math.lcm(*chain.from_iterable(
+        (Fraction(layer_start).denominator, Fraction(fraction, binom(p.K, t)).denominator)
+        for _, t, layer_start, fraction in _layers(p, start, width)))
 
 
 def equal_placement(
@@ -467,19 +425,29 @@ def equal_placement(
     them by default); the scheme is then the one for |ground| users.  The
     placement fills the window [start, start + width) of every file (the
     whole file by default): the alpha layer [start, start + width*alpha), the
-    beta layer the rest.  The users ``also`` cache the whole window besides.
-    Offsets are whole units of F/``unit``, by default ``window_unit``'s.
+    beta layer the rest.  Each layer, at owner-set size t, is one block of
+    C(|ground|, t) equal subfiles, one per size-t subset T of ``ground`` in
+    subset-lexicographic order; the subfile of T is owned by T and by the
+    users ``also``, who cache the whole window besides, and its
+    ``stage1_set`` is T.  Offsets are whole units of F/``unit``, by default
+    ``window_unit``'s; a unit that does not cut the window evenly raises
+    ``ValueError``.
     """
     ground = users_range(K) if ground is None else ground
     p = equal_params(N, len(ground), M)
-    layers = _layers(p, start, width)
     if unit is None:
         unit = window_unit(p, start, width)
-    blocks = tuple(chain.from_iterable(
-        man_placement(N, K, t, layer, fraction, layer_start, ground, also, unit).blocks
-        for layer, t, layer_start, fraction in layers
-    ))
-    return Placement(N=N, K=K, blocks=blocks)
+    blocks = []
+    for layer, t, layer_start, fraction in _layers(p, start, width):
+        subsets = enumerate_subsets(ground, t)
+        a = divide(layer_start.numerator * unit, layer_start.denominator)
+        size = divide(fraction.numerator * unit, fraction.denominator * len(subsets))
+        blocks.append(tuple(
+            Subfile(layer, T, user_set(T + also) if also else T,
+                    (Segment(a + j * size, size, unit),))
+            for j, T in enumerate(subsets)
+        ))
+    return Placement(N=N, K=K, blocks=tuple(blocks))
 
 
 def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:

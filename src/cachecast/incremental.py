@@ -23,7 +23,6 @@ parts go to candidate users in increasing index order).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .core import Rational, UserSet, binom, divide, user_set
@@ -83,16 +82,6 @@ def _promote_once(
     return kept
 
 
-def _scaled(placement: Placement, factor: int) -> Placement:
-    """``placement`` in a unit ``factor`` times finer, every offset alike."""
-    return Placement(placement.N, placement.K, tuple(
-        tuple(replace(sf, segments=tuple(
-            Segment(seg.a * factor, seg.n * factor, seg.unit * factor)
-            for seg in sf.segments)) for sf in block)
-        for block in placement.blocks
-    ))
-
-
 def refine_pool(
     placement: Placement,
     pool_users: UserSet,
@@ -106,8 +95,9 @@ def refine_pool(
     until the lower level reaches t2_int, then a uniform alpha2/p share of
     each subfile is kept there and the remainder promoted once more.
     Content never moves; each user in the pool gains exactly the same length.
-    Every cut is a whole number of units: the placement is first moved to a
-    finer unit when its pool pieces are not multiples of ``split_factor``.
+    Every cut is a whole number of the placement's unit: the caller lays the
+    pool out in a unit that ``split_factor`` divides, and a cut that does not
+    divide it raises ``ValueError``.
 
     Returns the refined placement and the pool as an equal-cache layout over
     the pool users: a map from owner set to the ordered segments it owns,
@@ -139,11 +129,6 @@ def refine_pool(
     if t_target > len(pool):
         raise ValueError("nothing to refine: owner sets already cover the pool")
 
-    factor = split_factor(len(pool), s0, t2_int, alpha2)
-    scale = factor // math.gcd(factor, *(seg.n for sf in pool_sfs for seg in sf.segments))
-    if scale > 1:
-        placement, pool_total = _scaled(placement, scale), pool_total * scale
-        pool_sfs = [sf for sf in placement.layout if members.issuperset(sf.owners)]
     rest = tuple(
         tuple(sf for sf in block if not members.issuperset(sf.owners))
         for block in placement.blocks

@@ -10,8 +10,8 @@ from pathlib import Path
 
 from cachecast.baselines import scheme1_optimize
 from cachecast.core import users_range
-from cachecast.equal_cache import man_placement, rate_eq
-from cachecast.incremental import refine_pool
+from cachecast.equal_cache import equal_params, equal_placement, rate_eq, window_unit
+from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance, verify_demands
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
 
@@ -120,20 +120,26 @@ def test_criterion_5_incremental_merge_equivalence():
                 totals[key] = totals.get(key, Fraction(0)) + sf.length
         return {(f, o, length) for (f, o), length in totals.items()}
 
+    # the layout and its refinement do not depend on N, and equal_params
+    # refuses K > N: K <= N still reaches every (K, t) with t < K <= 5
     bad = []
     for N in range(1, 6):
-        for K in range(1, 6):
+        for K in range(1, N + 1):
             for t in range(0, K):
+                M = Fraction(t * N, K)
+                unit = window_unit(equal_params(N, K, M)) * split_factor(
+                    K, t, t + 1, Fraction(1))
                 refined, _ = refine_pool(
-                    man_placement(N, K, t), users_range(K), t + 1, Fraction(1)
+                    equal_placement(N, K, M, unit=unit), users_range(K), t + 1,
+                    Fraction(1)
                 )
-                direct = man_placement(N, K, t + 1)
+                direct = equal_placement(N, K, Fraction((t + 1) * N, K))
                 for user in range(1, K + 1):
                     if content_sets(refined, user) != content_sets(direct, user):
                         bad.append((N, K, t, user))
     ok = not bad
     _emit(5, ok, "merged refinement equals the direct (t+1)-placement "
-                 "for all t < K <= 5, N <= 5")
+                 "for all t < K <= N <= 5")
     assert ok
 
 

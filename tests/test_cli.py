@@ -552,3 +552,40 @@ class TestConfigFile:
         code, out, _ = run(capsys, "rate", "--config", str(cfg), "--M", "0")
         assert code == 0
         assert out.splitlines()[0] == "rate 4 (4)"
+
+    VERIFY = ("verify", "--N", "4", "--K", "3", "--L", "1", "--Mhat", "3", "--M", "1")
+
+    @pytest.mark.parametrize("key,value,expect", [
+        ("inject_fault", "no", "true or false"),
+        ("exhaustive", "false", "true or false"),
+        ("exhaustive", 1, "true or false"),
+        ("report", True, "a string or a number"),
+    ])
+    def test_values_must_have_their_flag_s_type(self, capsys, tmp_path, key, value,
+                                                expect):
+        # a string switch once injected the fault or ran every demand, and
+        # report=true wrote the records to (and closed) file descriptor 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *self.VERIFY, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == (f"error: config value {key!r} must be {expect}, "
+                       f"got {json.dumps(value)}\n")
+
+    def test_a_number_names_a_file_by_its_text(self, capsys, tmp_path, monkeypatch):
+        # report=7 once wrote the records to file descriptor 7
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"report": 7, "M": 1.0}))
+        code, out, _ = run(capsys, *self.VERIFY[:-2], "--config", "cfg.json")
+        assert code == 0 and out.startswith("24/24 demands pass")
+        assert len((tmp_path / "7").read_text().splitlines()) == 24
+
+    def test_a_number_for_a_path_exits_1(self, capsys, tmp_path, monkeypatch):
+        # external_rates=3 once escaped main as a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"external_rates": 3}))
+        code, out, err = run(capsys, "sweep", "--N", "4", "--K", "4", "--L", "2",
+                             "--from", "1", "--to", "1", "--step", "1",
+                             "--config", "cfg.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'3'" in err

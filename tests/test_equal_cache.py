@@ -9,10 +9,10 @@ from cachecast.equal_cache import (
     delivery_subsets,
     equal_params,
     equal_placement,
-    man_placement,
     rate_eq,
+    window_unit,
 )
-from cachecast.incremental import refine_pool
+from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance
 from cachecast.unequal import UnequalConfig, unequal_params
 
@@ -91,9 +91,10 @@ class TestRateEq:
 
 
 class TestManPlacement:
+    # at integer t = K*M/N the placement is one layer of C(K, t) subfiles
     def test_worked_example_caches(self):
         # t=1: user i caches the i-th quarter of every file
-        pl = man_placement(4, 4, 1)
+        pl = equal_placement(4, 4, 1)
         for user in range(1, 5):
             cached = [sf for sf in pl.subfiles if user in sf.owners]
             assert len(cached) == 4  # one subfile per file
@@ -102,23 +103,28 @@ class TestManPlacement:
             assert all(sf.owners == (user,) for sf in cached)
 
     def test_t_zero_nothing_cached(self):
-        pl = man_placement(3, 3, 0)
+        pl = equal_placement(3, 3, 0)
         assert all(sf.owners == () for sf in pl.subfiles)
         assert all(pl.user_load(u) == 0 for u in range(1, 4))
 
     def test_t_full_everything_cached(self):
-        pl = man_placement(3, 3, 3)
+        pl = equal_placement(3, 3, 3)
         assert all(sf.owners == (1, 2, 3) for sf in pl.subfiles)
         assert all(pl.user_load(u) == 3 for u in range(1, 4))
 
     def test_per_user_load_per_file(self):
-        # layer_fraction * C(K-1, t-1) / C(K, t) cached per file per user
-        pl = man_placement(5, 4, 2, layer_fraction=Fraction(1, 2))
+        # t = 15/8 * 4/5 = 3/2: the beta layer is the second half of the
+        # file at t=2, so each user caches 1/2 * C(3, 1) / C(4, 2) of it
+        # per file
+        pl = equal_placement(5, 4, Fraction(15, 8))
+        beta = pl.blocks[1]
+        assert {(sf.layer, len(sf.owners)) for sf in beta} == {("beta", 2)}
+        assert sum(sf.length for sf in beta) == Fraction(1, 2)
         expect = Fraction(1, 2) * Fraction(binom(3, 1), binom(4, 2))
         for user in range(1, 5):
             per_file = {}
             for sf in pl.subfiles:
-                if user in sf.owners:
+                if sf.layer == "beta" and user in sf.owners:
                     per_file[sf.file] = per_file.get(sf.file, Fraction(0)) + sf.length
             assert all(v == expect for v in per_file.values())
 
@@ -186,7 +192,7 @@ class TestUnits:
 
     def test_a_unit_that_does_not_divide_raises(self):
         with pytest.raises(ValueError, match="does not divide evenly"):
-            man_placement(4, 4, 1, unit=2)
+            equal_placement(4, 4, 1, unit=2)
         with pytest.raises(ValueError, match="does not divide evenly"):
             equal_placement(4, 4, Fraction(3, 2), unit=8)
         with pytest.raises(ValueError, match="does not divide evenly"):
@@ -195,10 +201,12 @@ class TestUnits:
 
 
 class TestManDelivery:
-    # At integer t the equal-cache scheme is a single man_placement layer.
+    # At integer t the equal-cache scheme is a single placement layer.
     def test_worked_example_transmissions(self):
         inst = SchemeInstance("equal", 4, 4, 1)
-        assert inst.placement == man_placement(4, 4, 1)
+        (block,) = inst.placement.blocks
+        assert [(sf.owners, sf.length) for sf in block] == [
+            ((u,), Fraction(1, 4)) for u in range(1, 5)]
         plan = inst.plan((1, 2, 3, 4))
         assert len(plan.transmissions) == 6
         assert plan.total_load == Fraction(3, 2)
@@ -246,8 +254,11 @@ class TestDeliverySubsets:
         # and no 3-subset
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         second = equal_params(6, 2, unequal_params(cfg).Mprime)
+        base = equal_params(6, 4, Fraction(3, 2))
+        unit = window_unit(base) * split_factor(2, base.t_int, second.t_int, second.alpha)
         _, pool = refine_pool(
-            equal_placement(6, 4, Fraction(3, 2)), (1, 2), second.t_int, second.alpha
+            equal_placement(6, 4, Fraction(3, 2), unit=unit), (1, 2), second.t_int,
+            second.alpha
         )
         assert {len(T) for T in pool} == {1, 2}
         assert delivery_subsets(pool, (1, 2)) == [(1, 2)]

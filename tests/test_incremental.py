@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cachecast.core import users_range
-from cachecast.equal_cache import equal_params, equal_placement, man_placement
-from cachecast.incremental import refine_pool
+from cachecast.equal_cache import equal_params, equal_placement, window_unit
+from cachecast.incremental import refine_pool, split_factor
 from cachecast.unequal import UnequalConfig, unequal_params
 
 
@@ -22,6 +22,20 @@ def coverage(placement, user):
     return placement.user_intervals(user)
 
 
+def refinable(N, K, M, pool, t2_int, alpha2):
+    """``equal_placement(N, K, M)`` in the unit ``unequal._pooled_unit`` fixes
+    for refining ``pool`` to (t2_int, alpha2): ``refine_pool`` cuts in the
+    unit it is given."""
+    p = equal_params(N, K, M)
+    unit = window_unit(p) * split_factor(len(pool), p.t_int, t2_int, alpha2)
+    return equal_placement(N, K, M, unit=unit)
+
+
+def step_base(N, K, t):
+    """The integer-t placement, laid out for one refinement step t -> t + 1."""
+    return refinable(N, K, Fraction(t * N, K), users_range(K), t + 1, Fraction(1))
+
+
 def refine_step(placement, t):
     """One refinement step of a t-placement over all K users: t -> t + 1."""
     refined, _ = refine_pool(placement, users_range(placement.K), t + 1, Fraction(1))
@@ -29,15 +43,15 @@ def refine_step(placement, t):
 
 
 class TestRefinePlacement:
-    @pytest.mark.parametrize("N,K,t", [(3, 3, 1), (2, 4, 2), (4, 4, 1), (5, 5, 3)])
+    @pytest.mark.parametrize("N,K,t", [(3, 3, 1), (4, 4, 2), (4, 4, 1), (5, 5, 3)])
     def test_merge_equivalence(self, N, K, t):
-        refined = refine_step(man_placement(N, K, t), t)
-        direct = man_placement(N, K, t + 1)
+        refined = refine_step(step_base(N, K, t), t)
+        direct = equal_placement(N, K, Fraction((t + 1) * N, K))
         for user in range(1, K + 1):
             assert content_sets(refined, user) == content_sets(direct, user)
 
     def test_nondestructive(self):
-        base = man_placement(3, 3, 1)
+        base = step_base(3, 3, 1)
         refined = refine_step(base, 1)
         for user in range(1, 4):
             before = coverage(base, user)
@@ -50,13 +64,13 @@ class TestRefinePlacement:
     def test_added_bytes_per_user(self):
         # refinement adds N/K per unit file to every cache
         N, K, t = 4, 4, 1
-        base = man_placement(N, K, t)
+        base = step_base(N, K, t)
         refined = refine_step(base, t)
         for user in range(1, K + 1):
             assert refined.user_load(user) - base.user_load(user) == Fraction(N, K)
 
     def test_single_part_at_t_K_minus_1(self):
-        base = man_placement(3, 3, 2)
+        base = step_base(3, 3, 2)
         refined = refine_step(base, 2)
         # each subfile splits into exactly one part, same segment geometry
         assert {sf.segments for sf in refined.subfiles} == {
@@ -64,7 +78,7 @@ class TestRefinePlacement:
         }
 
     def test_nothing_to_refine_at_t_K(self):
-        base = man_placement(3, 3, 3)
+        base = equal_placement(3, 3, 3)
         with pytest.raises(ValueError, match="nothing to refine"):
             refine_pool(base, users_range(3), 3, Fraction(1, 2))
 
@@ -73,7 +87,7 @@ class TestRefinePool:
     def test_piece_assignment_is_deterministic(self):
         # pool {1,2,3}, t=1 -> t'=2: the first half of subfile {1} goes to
         # user 2, the second half to user 3, and so on cyclically
-        base = equal_placement(4, 4, 1)
+        base = refinable(4, 4, 1, (1, 2, 3), 2, Fraction(1))
         refined, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
         segs12 = pool[(1, 2)]
         assert [(s.start, s.length) for s in segs12] == [
@@ -93,7 +107,7 @@ class TestRefinePool:
 
     def test_pool_merge_matches_direct_second_level(self):
         # merged pool subfiles carry F'/C(L, t') content each
-        base = equal_placement(4, 4, 1)
+        base = refinable(4, 4, 1, (1, 2, 3), 2, Fraction(1))
         _, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
         assert {len(T) for T in pool} == {2}  # one level, t' = 2
         for segs in pool.values():
@@ -109,8 +123,8 @@ class TestRefinePool:
         # (N,K,L,Mhat,M) = (6,4,2,9/4,3/2): each pool user gains exactly 3/4
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         params = unequal_params(cfg)
-        base = equal_placement(6, 4, Fraction(3, 2))
         second = equal_params(6, 2, params.Mprime)
+        base = refinable(6, 4, Fraction(3, 2), (1, 2), second.t_int, second.alpha)
         refined, _ = refine_pool(base, (1, 2), second.t_int, second.alpha)
         for user in (1, 2):
             gain = refined.user_load(user) - base.user_load(user)
@@ -125,7 +139,7 @@ class TestRefinePool:
 
     def test_multi_step_promotion(self):
         # t=1 placement refined to t'=3 over a pool of 3 users: two promotions
-        base = equal_placement(4, 4, 1)
+        base = refinable(4, 4, 1, (1, 2, 3), 3, Fraction(1))
         refined, pool = refine_pool(base, (1, 2, 3), 3, Fraction(1))
         assert set(pool) == {(1, 2, 3)}
         for segs in pool.values():
@@ -136,9 +150,9 @@ class TestRefinePool:
             assert gain == 2  # from M=1 to occupying 1 + 2 = 3F of cache
 
     def test_nondestructive_restricted(self):
-        base = equal_placement(6, 4, Fraction(3, 2))
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         second = equal_params(6, 2, unequal_params(cfg).Mprime)
+        base = refinable(6, 4, Fraction(3, 2), (1, 2), second.t_int, second.alpha)
         refined, _ = refine_pool(base, (1, 2), second.t_int, second.alpha)
         for user in range(1, 5):
             before = coverage(base, user)
@@ -147,3 +161,20 @@ class TestRefinePool:
                 covered = after.get(file, [])
                 for start, stop in ivs:
                     assert any(a <= start and stop <= b for a, b in covered)
+
+
+class TestRefineUnit:
+    def test_a_unit_the_cuts_do_not_divide_raises(self):
+        # the default unit 4 cuts each quarter into two eighths: nothing
+        # rescales it to a finer unit
+        with pytest.raises(ValueError, match="does not divide evenly"):
+            refine_pool(equal_placement(4, 4, 1), (1, 2, 3), 2, Fraction(1))
+
+    def test_refined_in_the_unit_it_is_given(self):
+        cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
+        second = equal_params(6, 2, unequal_params(cfg).Mprime)
+        base = refinable(6, 4, Fraction(3, 2), (1, 2), second.t_int, second.alpha)
+        (unit,) = {seg.unit for sf in base.layout for seg in sf.segments}
+        refined, pool = refine_pool(base, (1, 2), second.t_int, second.alpha)
+        assert {seg.unit for sf in refined.layout for seg in sf.segments} == {unit}
+        assert {seg.unit for segs in pool.values() for seg in segs} == {unit}

@@ -14,7 +14,6 @@ from cachecast.equal_cache import (
     Part,
     Transmission,
     equal_placement,
-    man_placement,
 )
 from cachecast.simulator import (
     CacheImage,
@@ -87,7 +86,9 @@ class TestExecuteDelivery:
 
     def test_xor_of_two_parts(self):
         inst = SchemeInstance("equal", 4, 4, 1)
-        assert inst.placement == man_placement(4, 4, 1)
+        (block,) = inst.placement.blocks
+        assert [(sf.owners, sf.length) for sf in block] == [
+            ((u,), Fraction(1, 4)) for u in range(1, 5)]
         plan = inst.plan((1, 2, 3, 4))
         store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)

@@ -67,3 +67,28 @@ def test_rate_and_sweep_load_no_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-3:] == ["False", "True", "True"]
+
+
+def _constructors(names: set[str]) -> dict[str, set[str]]:
+    """Map each class in ``names`` to the functions whose bodies call it."""
+    found: dict[str, set[str]] = {name: set() for name in names}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in names):
+                    found[node.func.id].add(func.name)
+    return found
+
+
+def test_one_layered_placement_builder():
+    # subfiles are laid out by equal_placement alone and re-owned only by the
+    # pooled refinement; segments are made only there and by the one interval
+    # cutter, so nothing rescales a built placement
+    assert _constructors({"Subfile", "Segment"}) == {
+        "Subfile": {"equal_placement", "refine_pool"},
+        "Segment": {"equal_placement", "cut_segments"},
+    }

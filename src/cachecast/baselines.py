@@ -137,9 +137,11 @@ def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:
     """Load externally computed rates from 'N,K,L,Mhat,M,rate' rows.
 
     Rationals are accepted as 'p/q' or decimals; '#' starts a comment.
-    A malformed row raises with its line number.
+    A malformed row raises with its line number, and a row for a point an
+    earlier row gave (whatever the spelling of its rationals) with both.
     """
     table: dict[CachePoint, Rational] = {}
+    lines: dict[CachePoint, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -156,5 +158,9 @@ def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:
             mhat, m, rate = (parse_rational(fields[i]) for i in range(3, 6))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        table[(N, K, L, mhat, m)] = rate
+        point = (N, K, L, mhat, m)
+        if point in lines:
+            raise ValueError(f"{path}:{lineno}: point {N},{K},{L},{mhat},{m} "
+                             f"repeats line {lines[point]}")
+        table[point], lines[point] = rate, lineno
     return table

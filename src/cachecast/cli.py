@@ -115,11 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", help="write per-demand records to this file")
     p_verify.set_defaults(func=cmd_verify)
     # one config file serves every subcommand: its keys are their flags'
-    # destinations, and each value has its flag's JSON type (a switch's is bool)
+    # destinations, --config's aside (a config file names no other one), and
+    # each value has its flag's JSON type (a switch's is bool)
     parser.config_types = {
         action.dest.rstrip("_"): bool if action.nargs == 0 else action.type or str
         for p in sub.choices.values() for action in p._actions
-        if action.option_strings and action.dest != "help"
+        if action.option_strings and action.dest not in ("help", "config")
     }
     return parser
 
@@ -139,7 +140,7 @@ class Options:
             for key, value in self._config.items():
                 kind = types.get(key)
                 if kind is None:
-                    raise ValueError(f"config key {key!r} names no flag")
+                    raise ValueError(f"config key {key!r} names no flag a config file sets")
                 if kind is str and type(value) in (int, float):
                     self._config[key] = str(value)  # a number is read as its text
                 elif value is not None and type(value) is not kind:

@@ -13,18 +13,18 @@ one XOR per (k+1)-subset of its users.  Stage one keeps the subsets that
 reach a small-cache user; the pool's own ``equal_delivery`` replaces the
 rest.
 
-When M' would exceed N (scenario 2, the first branch of ``build_two_stage``),
-files are split: the share [0, gamma) runs the construction at the boundary
-cache size Phi (where M' = N and the pool delivery disappears), and on
-[gamma, 1) the large users store everything and drop out, leaving an
-equal-cache system over the K - L small users.  The builders take the share
-they fill (``equal_placement``'s window and ``also``), so each share is laid
-out at its final offsets in one pass and no placement or plan is rescaled
-once built.
-
-``build_two_stage`` builds one file's layout and the template plan once,
-whatever N is, with every offset an integer in one unit it fixes from the
-parameters first; ``TwoStageContext.plan`` binds a demand to the template
+``build_two_stage`` takes one path: it splits every file at gamma.  The
+share [0, gamma) holds stage 1 and the pooled refinement to min(M', N); the
+share [gamma, 1) holds an equal-cache system over the K - L small users,
+which the large users store whole.  When M' would exceed N (scenario 2),
+gamma < 1 and the first share is the construction at the boundary cache
+size Phi, where M' = N and the pool delivery disappears; in scenario 1, or
+with an empty pool, gamma = 1 and the second share is empty.  The builders
+take the share they fill (``equal_placement``'s window and ``also``), so
+each share is laid out at its final offsets in one pass, in integers of one
+unit fixed from the parameters first, and no placement or plan is rescaled
+once built.  The layout and the template plan are one file's, whatever N
+is; ``TwoStageContext.plan`` binds a demand to the template
 (``equal_cache.BoundPlan``) without copying it.
 
 ``SchemeInstance`` is one scheme at one parameter point, and the one place
@@ -48,7 +48,6 @@ from .equal_cache import (
     DeliveryPlan,
     EqualCacheParams,
     Placement,
-    Transmission,
     check_demands,
     delivery_subsets,
     equal_delivery,
@@ -207,69 +206,52 @@ class TwoStageContext:
         return BoundPlan(self.template, check_demands(d, self.cfg.N, self.cfg.K))
 
 
-def _pooled_unit(cfg: UnequalConfig, base: EqualCacheParams,
-                 second: EqualCacheParams | None, width: Rational) -> int:
-    """A unit in which stage 1 over [0, width) and its pooled refinement to
-    ``second`` have whole offsets: stage 1's unit times the refinement's
-    ``split_factor``, so that no pool piece needs a finer unit."""
-    unit = window_unit(base, width=width)
-    if second is not None:
-        unit *= split_factor(cfg.L, base.t_int, second.t_int, second.alpha)
-    return unit
-
-
-def _pooled(cfg: UnequalConfig, second: EqualCacheParams | None, width: Rational,
-            unit: int) -> tuple[Placement, list[Transmission]]:
-    """Stage 1 in [0, width) of every file, with its pool refined to the
-    equal-cache layout ``second`` over the large users (None: no pool): the
-    placement and the transmissions, offsets in units of F/``unit``."""
-    # Stage 1: every transmission that serves a small-cache user, i.e. whose
-    # (sorted) subset S ends above L.  Those inside the large-cache group are
-    # replaced by the pool's delivery.
-    placement = equal_placement(cfg.N, cfg.K, cfg.M, width=width, unit=unit)
-    content = placement.stage1_content
-    subsets = delivery_subsets(content, users_range(cfg.K))
-    txs = xor_delivery(content, [S for S in subsets if S[-1] > cfg.L])
-    if second is not None:
-        placement, pool = refine_pool(
-            placement, cfg.large_users, second.t_int, second.alpha
-        )
-        txs.extend(equal_delivery(pool, cfg.large_users))
-    return placement, txs
-
-
 def build_two_stage(cfg: UnequalConfig,
                     params: UnequalParams | None = None) -> TwoStageContext:
     """Construct the canonical two-stage placement and its template plan.
 
     ``params`` is ``unequal_params(cfg)`` when the caller has it already.
-    Every offset is a whole number of one unit, fixed from the parameters
-    before anything is built.  In scenario 2 the file is split in place:
-    [0, gamma) is this construction at Mhat = Phi (skipped when gamma = 0),
-    and the rest is the equal-cache placement over the small users, with the
-    large users owning all of it.
+    Every file is split at gamma (1 in scenario 1 or with an empty pool):
+    [0, gamma) is stage 1 with its pool refined to the equal-cache layout
+    for min(M', N) over the large users, and [gamma, 1) the equal-cache
+    placement over the small users, which the large users own whole.  The
+    one unit is fixed first: stage 1's over [0, gamma) times the
+    refinement's ``split_factor``, so that no pool piece needs a finer
+    unit, and the small users' over [gamma, 1).
     """
     p = unequal_params(cfg) if params is None else params
-    if p.scenario == 1:
-        second = None if p.pool_empty else equal_params(cfg.N, cfg.L, p.Mprime)
-        placement, txs = _pooled(cfg, second, ONE, _pooled_unit(cfg, p.base, second, ONE))
-        return TwoStageContext(cfg, placement, DeliveryPlan(tuple(txs)))
+    N, K, L = cfg.N, cfg.K, cfg.L
+    gamma = ONE if p.gamma is None else p.gamma
+    second = None if p.pool_empty else equal_params(N, L, min(p.Mprime, N))
+    unit = 1
+    if gamma:
+        unit = window_unit(p.base, width=gamma)
+        if second is not None:
+            unit *= split_factor(L, p.base.t_int, second.t_int, second.alpha)
+    if gamma < 1:
+        small = equal_params(N, K - L, cfg.M)
+        unit = math.lcm(unit, window_unit(small, gamma, 1 - gamma))
 
-    small = equal_params(cfg.N, cfg.K - cfg.L, cfg.M)
-    unit = window_unit(small, p.gamma, 1 - p.gamma)
     blocks, txs = (), []
-    if p.gamma:
-        # at Mhat = Phi, M' = N: the pool is refined until each large user
-        # caches all of it
-        full = equal_params(cfg.N, cfg.L, cfg.N)
-        unit = math.lcm(unit, _pooled_unit(cfg, p.base, full, p.gamma))
-        share, txs = _pooled(cfg, full, p.gamma, unit)
-        blocks = share.blocks
-    rest = equal_placement(cfg.N, cfg.K, cfg.M, cfg.small_users, start=p.gamma,
-                           width=1 - p.gamma, also=cfg.large_users, unit=unit)
-    txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
-    return TwoStageContext(cfg, Placement(cfg.N, cfg.K, blocks + rest.blocks),
-                           DeliveryPlan(tuple(txs)))
+    if gamma:
+        # Stage 1 on [0, gamma): every transmission that serves a small-cache
+        # user, i.e. whose (sorted) subset S ends above L.  Those inside the
+        # large-cache group are replaced by the pooled refinement's delivery.
+        placement = equal_placement(N, K, cfg.M, width=gamma, unit=unit)
+        content = placement.stage1_content
+        txs = xor_delivery(content, [S for S in delivery_subsets(content, users_range(K))
+                                     if S[-1] > L])
+        if second is not None:
+            placement, pool = refine_pool(placement, cfg.large_users, second.t_int,
+                                          second.alpha)
+            txs.extend(equal_delivery(pool, cfg.large_users))
+        blocks = placement.blocks
+    if gamma < 1:  # [gamma, 1): the equal-cache scheme over the small users
+        rest = equal_placement(N, K, cfg.M, cfg.small_users, start=gamma,
+                               width=1 - gamma, also=cfg.large_users, unit=unit)
+        blocks += rest.blocks
+        txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
+    return TwoStageContext(cfg, Placement(N, K, blocks), DeliveryPlan(tuple(txs)))
 
 
 # ---------------------------------------------------------------------------

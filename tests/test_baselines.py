@@ -152,3 +152,10 @@ class TestImportExternalRates:
         path.write_text("4,4,3,2,1,1.0\n4,4,3,2\n")
         with pytest.raises(ValueError, match=":2:"):
             import_external_rates(path)
+
+    def test_repeated_point_names_both_lines(self, tmp_path):
+        # the later row once won silently; 1/2 and 0.5 spell one point
+        path = tmp_path / "rates.txt"
+        path.write_text("10,4,2,3,1/2,2\n# comment\n10,4,2,3.0,0.5,3\n")
+        with pytest.raises(ValueError, match=r":3: point 10,4,2,3,1/2 repeats line 1$"):
+            import_external_rates(path)

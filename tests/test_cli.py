@@ -216,6 +216,17 @@ class TestSweep:
         assert "max proposed/external ratio: 1" in err
         assert "matches no grid point" in err
 
+    def test_external_rates_repeating_a_point_exit_1(self, capsys, tmp_path):
+        rates = tmp_path / "ext.txt"
+        rates.write_text("4,4,3,2,1,1\n4,4,3,2,1,2\n")
+        code, out, err = run(
+            capsys, "sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+            "--sweep-axis", "M", "--from", "1", "--to", "1", "--step", "1",
+            "--scheme", "proposed", "--external-rates", str(rates),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {rates}:2: point 4,4,3,2,1 repeats line 1\n"
+
     def test_external_ratio_above_float_range(self, capsys, tmp_path):
         rates = tmp_path / "ext.txt"
         rates.write_text("4,4,3,2,1,1e-400\n")
@@ -545,6 +556,15 @@ class TestConfigFile:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.splitlines()[1].startswith("10,4,2,6,2,proposed,7/5,")
+
+    def test_config_cannot_name_another_config(self, capsys, tmp_path):
+        # a nested config key was once accepted and its file never read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "nonexistent.json", "N": 4, "K": 4,
+                                   "M": "1", "scheme": "equal"}))
+        code, out, err = run(capsys, "rate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'config'" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

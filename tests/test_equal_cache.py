@@ -61,6 +61,10 @@ class TestEqualParams:
         with pytest.raises(ValueError):
             equal_params(3, 4, 1)  # K > N unsupported
 
+    def test_no_users_refused(self):
+        with pytest.raises(ValueError, match="^need at least one user, got K=0$"):
+            equal_params(4, 0, 1)
+
 
 class TestRateEq:
     def test_worked_example(self):
@@ -294,6 +298,12 @@ class TestBoundPlan:
         assert plan.template is template and built == []
         plan.transmissions  # the view, built on request
         assert "Part" in built and "Transmission" in built
+
+    def test_demand_of_the_wrong_length_refused(self):
+        inst = SchemeInstance("equal", 4, 3, 1)
+        with pytest.raises(ValueError, match="^demand vector must have length K=3, "
+                                             "got 2$"):
+            inst.plan((1, 2))
 
 
 class TestEqualScheme:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cachecast.core import users_range
-from cachecast.equal_cache import equal_params, equal_placement, window_unit
+from cachecast.equal_cache import Placement, equal_params, equal_placement, window_unit
 from cachecast.incremental import refine_pool, split_factor
 from cachecast.unequal import UnequalConfig, unequal_params
 
@@ -23,9 +23,9 @@ def coverage(placement, user):
 
 
 def refinable(N, K, M, pool, t2_int, alpha2):
-    """``equal_placement(N, K, M)`` in the unit ``unequal._pooled_unit`` fixes
-    for refining ``pool`` to (t2_int, alpha2): ``refine_pool`` cuts in the
-    unit it is given."""
+    """``equal_placement(N, K, M)`` in the unit ``unequal.build_two_stage``
+    fixes for refining ``pool`` to (t2_int, alpha2), stage 1's unit times the
+    ``split_factor``: ``refine_pool`` cuts in the unit it is given."""
     p = equal_params(N, K, M)
     unit = window_unit(p) * split_factor(len(pool), p.t_int, t2_int, alpha2)
     return equal_placement(N, K, M, unit=unit)
@@ -81,6 +81,30 @@ class TestRefinePlacement:
         base = equal_placement(3, 3, 3)
         with pytest.raises(ValueError, match="nothing to refine"):
             refine_pool(base, users_range(3), 3, Fraction(1, 2))
+
+    def test_empty_pool_refused(self):
+        # at t = 2 no subfile is owned inside the pool {1}
+        with pytest.raises(ValueError, match="^empty pool: no subfile is owned "
+                                             "entirely inside the pool$"):
+            refine_pool(equal_placement(4, 4, 2), (1,), 1, Fraction(1))
+
+    def test_levels_not_consecutive_refused(self):
+        # owner sets of sizes 1 and 3 are no memory-sharing placement
+        half = Fraction(1, 2)
+        low = equal_placement(4, 4, 1, width=half)
+        high = equal_placement(4, 4, 3, start=half, width=half)
+        mixed = Placement(4, 4, low.blocks + high.blocks)
+        with pytest.raises(ValueError, match=r"^pool is not a memory-sharing "
+                                             r"placement, levels \[1, 3\]$"):
+            refine_pool(mixed, users_range(4), 3, Fraction(1))
+
+    @pytest.mark.parametrize("t2_int,alpha2", [
+        (4, Fraction(1)), (-1, Fraction(1)), (2, Fraction(0)), (2, Fraction(3, 2)),
+    ])
+    def test_target_outside_the_pool_refused(self, t2_int, alpha2):
+        with pytest.raises(ValueError, match=rf"^invalid refinement target "
+                                             rf"\({t2_int}, {alpha2}\)$"):
+            refine_pool(equal_placement(4, 4, 1), (1, 2, 3), t2_int, alpha2)
 
 
 class TestRefinePool:

@@ -142,6 +142,14 @@ class TestDecodeAll:
             decode_all(caches, log, (1, 2, 3, 4), plan, store,
                        formula_rate=Fraction(1, 3))
 
+    def test_log_of_other_widths_refused(self):
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        short = TransmissionLog(log.payloads[:-1])
+        with pytest.raises(ValueError, match="^transmission log does not match "
+                                             "the plan's widths$"):
+            decode_all(caches, short, (1, 2, 3, 4), plan, store)
+
     def test_worked_example_exhaustive(self):
         reports = verify_demands(WORKED, mode="exhaustive")
         assert len(reports) == 256
@@ -182,6 +190,10 @@ class TestWorstCaseLoad:
     def test_distinct_mode_demand_count(self):
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
         assert len(list(enumerate_demands(3, 3, "exhaustive"))) == 27
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown demand mode 'bogus'$"):
+            enumerate_demands(4, 4, "bogus")
 
     @pytest.mark.parametrize("N,K,mode", [
         (4, 3, "distinct"), (5, 5, "distinct"), (6, 1, "distinct"),

@@ -70,7 +70,8 @@ def test_rate_and_sweep_load_no_numpy():
 
 
 def _constructors(names: set[str]) -> dict[str, set[str]]:
-    """Map each class in ``names`` to the functions whose bodies call it."""
+    """Map each class or function in ``names`` to the functions whose bodies
+    call it by name."""
     found: dict[str, set[str]] = {name: set() for name in names}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -91,4 +92,25 @@ def test_one_layered_placement_builder():
     assert _constructors({"Subfile", "Segment"}) == {
         "Subfile": {"equal_placement", "refine_pool"},
         "Segment": {"equal_placement", "cut_segments"},
+    }
+
+
+def test_one_two_level_build_path():
+    # the two-level scheme is built along one path: stage 1, the pooled
+    # refinement and the scenario-2 split are all laid out in build_two_stage
+    found = _constructors({"refine_pool", "equal_placement"})
+    assert found == {
+        "refine_pool": {"build_two_stage"},
+        "equal_placement": {"build_two_stage", "_built"},
+    }
+
+
+def test_one_xor_delivery_builder_and_one_way_to_bits():
+    # every template XOR is cut by aligned_transmissions (BoundPlan's view
+    # only fills in files), and every plan reaches bits through compile_plan
+    assert _constructors({"Transmission", "Part", "CompiledPlan", "_bit_range"}) == {
+        "Transmission": {"aligned_transmissions", "transmissions"},
+        "Part": {"aligned_transmissions", "transmissions"},
+        "CompiledPlan": {"compile_plan"},
+        "_bit_range": {"compile_plan", "materialize"},
     }

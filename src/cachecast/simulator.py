@@ -3,15 +3,20 @@
 Files become pseudo-random bit arrays whose length makes every segment's
 integer offset, in its unit of the file, land on an integer bit, so no
 rounding ever happens: measured loads are compared to formula rates with
-exact equality.
+exact equality.  ``materialize`` draws all N files in one step from the
+generator's raw stream, and the store's bits are read-only.
 
 ``compile_plan`` is the one step that turns a template's integer segments
 into bits, each transmission's parts as (target, bit range), and it runs
 once per template and file size: every plan bound from the template
-(``equal_cache.BoundPlan``) reuses the result.  ``execute_delivery`` XORs
-the parts out of the files, reading the part for user k from file d[k-1],
-and ``decode_all`` decodes the log one transmission at a time, as the paper
-does; ``verify_demands`` is these steps at the identity demand.  One decode
+(``equal_cache.BoundPlan``) reuses the result.  It also lays the grid of
+distinct part boundaries, whose cells every part covers whole.
+``execute_delivery`` XORs the parts out of the files, reading the part for
+user k from file d[k-1], and keeps a copy of the payloads on the store, its
+last delivery.  ``decode_all`` checks the log against that copy and decodes
+it one transmission at a time, as the paper does, counting each user's
+cached bits once per grid cell rather than once per part;
+``verify_demands`` is these steps at the identity demand.  One decode
 speaks for every demand: a demand is bound, never built into the plan, and
 only picks the file rows its parts read, while transmission widths are
 fixed when the template is compiled and caches are one mask row per user,
@@ -30,7 +35,7 @@ placement, plan and rate it checks come from ``unequal.SchemeInstance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product, repeat
 from typing import Iterator, Sequence
@@ -76,9 +81,22 @@ def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int
 
 @dataclass(frozen=True)
 class FileStore:
-    """N files as rows of a {0,1} uint8 array of width F_bits."""
+    """N files as rows of a read-only {0,1} uint8 array of width F_bits.
+
+    ``delivered`` holds the payloads of the store's last delivery, keyed by
+    (compiled plan, demand), filled by ``execute_delivery`` and read back by
+    ``decode_all``.  The bits cannot change, so neither can those payloads:
+    a writable array is copied in, never shared.
+    """
 
     bits: np.ndarray
+    delivered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.bits.flags.writeable:
+            bits = self.bits.copy()
+            bits.flags.writeable = False
+            object.__setattr__(self, "bits", bits)
 
     @property
     def N(self) -> int:
@@ -118,16 +136,29 @@ def materialize(
     F_bits: int | None = None,
     seed: int = 0,
 ) -> tuple[FileStore, CacheImage]:
-    """Draw file contents from ``seed`` and fill caches per the placement."""
+    """Draw file contents from ``seed`` and fill caches per the placement.
+
+    The files are the bits ``np.random.default_rng(seed).integers(0, 2,
+    size=(N, F_bits), dtype=np.uint8)`` returns, drawn in one step: that call
+    takes the top bit of each byte of the generator's raw 64-bit stream, read
+    as little-endian bytes.
+    """
     if F_bits is None:
         F_bits = required_bits(placement, *([] if plan is None else [plan]))
+    if F_bits < 1:
+        raise ValueError(f"F_bits must be at least 1, got {F_bits}")
     nbytes = (placement.K + placement.N) * F_bits
     if nbytes > MAX_MATERIALIZE_BYTES:
         raise ValueError(
             f"{excess('F_bits', [F_bits], 0)} needs {count_text(nbytes)} bytes of masks "
             f"and file store (limit {MAX_MATERIALIZE_BYTES})")
-    rng = np.random.default_rng(seed)
-    store = FileStore(rng.integers(0, 2, size=(placement.N, F_bits), dtype=np.uint8))
+    n = placement.N * F_bits
+    raw = np.random.PCG64(seed).random_raw(-(-n // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8)
+    bits >>= 7
+    bits = bits[:n].reshape(placement.N, F_bits)
+    bits.flags.writeable = False
+    store = FileStore(bits)
     masks = np.zeros((placement.K, F_bits), dtype=bool)
     for sf in placement.layout:
         for seg in sf.segments:
@@ -146,11 +177,20 @@ class CompiledPlan:
     transmission has the transmission's width, so the widths, and with them
     the load, are fixed here, for every demand.  A user decodes with its
     *own* part, its first part in a transmission, and cancels the others.
+
+    ``grid`` lists the distinct part boundaries below ``F_bits`` in
+    ascending order: cell i is bits grid[i]:grid[i+1], the last cell ends at
+    ``F_bits``, and every part is a run of whole cells.  ``live`` lists the
+    transmissions that send bits as (first payload bit, width, parts), each
+    part as (target user, first cell, end cell), where the end cell of a
+    part that ends at ``F_bits`` is len(grid).
     """
 
     F_bits: int
     parts: list[list[tuple[int, int, int]]]
     sent: list[int]  # transmission t sends payload bits sent[t]:sent[t+1]
+    grid: list[int]
+    live: list[tuple[int, int, list[tuple[int, int, int]]]]
 
     @property
     def total_bits(self) -> int:
@@ -166,7 +206,7 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
     parts never overlap.  This is the only place delivery turns rational
     offsets into bits.  A bound plan is compiled through its template.
     """
-    parts, sent, ranges = [], [0], []
+    parts, sent, ranges, bounds = [], [0], [], set()
     for t, tx in enumerate(_template(plan).transmissions):
         if not tx.parts:
             raise ValueError(f"transmission {t} has no parts")
@@ -180,6 +220,8 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
             user = part.target - 1
             if width:
                 ranges.append((user, lo, hi))
+                bounds.add(lo)
+                bounds.add(hi)
             compiled.append((user, lo, hi))
         parts.append(compiled)
         sent.append(sent[-1] + width)
@@ -188,7 +230,13 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
         if u == v and a < b:
             raise ValueError(f"plan sends user {v + 1} bits "
                              f"[{a}, {min(b, b2)}) of its file twice")
-    return CompiledPlan(F_bits, parts, sent)
+    bounds.discard(F_bits)
+    grid = sorted(bounds)
+    cell = {x: i for i, x in enumerate(grid)}
+    cell[F_bits] = len(grid)
+    live = [(lo, hi - lo, [(user, cell[a], cell[b]) for user, a, b in tx])
+            for tx, lo, hi in zip(parts, sent, sent[1:]) if lo < hi]
+    return CompiledPlan(F_bits, parts, sent, grid, live)
 
 
 def _compiled(plan: BoundPlan, F_bits: int) -> CompiledPlan:
@@ -225,24 +273,32 @@ def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
     What it reads is wrong exactly where the received payload differs from
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
     is missing and nothing it read was wrong.
+
+    Coverage is counted once per cell of ``cp.grid``: ``cached[u][j]`` is the
+    number of bits user u caches from the first cell up to cell j, so user
+    u caches cached[u][j] - cached[u][i] bits of a part spanning cells i:j.
     """
-    missing = [masks.shape[1] - np.count_nonzero(row) for row in masks]
+    missing = (masks.shape[1] - np.count_nonzero(masks, axis=1)).tolist()
     wrong = [False] * len(missing)
-    differs = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads]) != clean
-    for t, parts in enumerate(cp.parts):
-        lo, hi = cp.sent[t], cp.sent[t + 1]
-        if lo == hi:
-            continue
-        corrupt = bool(differs[lo:hi].any())
-        covered = [masks[:, a:b].all(axis=1).tolist() for _, a, b in parts]
+    if not cp.live:
+        return [not m for m in missing]
+    prefix = np.zeros((masks.shape[0], len(cp.grid) + 1), dtype=np.int64)
+    np.cumsum(np.add.reduceat(masks, cp.grid, axis=1, dtype=np.int64), axis=1,
+              out=prefix[:, 1:])
+    cached = prefix.tolist()
+    differs = np.concatenate(log.payloads) != clean
+    corrupt = np.logical_or.reduceat(differs, [lo for lo, _, _ in cp.live]).tolist()
+    for (_, width, parts), bad in zip(cp.live, corrupt):
         read = set()
         for i, (user, a, b) in enumerate(parts):
             if user in read:
                 continue
             read.add(user)
-            if all(c[user] for j, c in enumerate(covered) if j != i):
-                missing[user] -= b - a - np.count_nonzero(masks[user, a:b])
-                wrong[user] |= corrupt
+            row = cached[user]
+            if all(row[b2] - row[a2] == width
+                   for j, (_, a2, b2) in enumerate(parts) if j != i):
+                missing[user] -= width - (row[b] - row[a])
+                wrong[user] |= bad
     return [not m and not w for m, w in zip(missing, wrong)]
 
 
@@ -269,10 +325,16 @@ class TransmissionLog:
 
 def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files, each read
-    from the file its target wants under the plan's demand."""
+    from the file its target wants under the plan's demand.  A read-only copy
+    of the payloads stays on the store, in place of any earlier delivery's,
+    for ``decode_all`` to check the log against."""
     cp = _compiled(plan, store.F_bits)
     d = check_demands(plan.demand, store.N, len(plan.demand))
     sent = _xor(cp, store, d)
+    clean = sent.copy()
+    clean.flags.writeable = False
+    store.delivered.clear()
+    store.delivered[cp, d] = clean
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
@@ -318,9 +380,16 @@ def decode_all(
     A user cancels a transmission's other parts only where its own cache
     covers them, and every bit it recovers must equal the server's copy, so
     any corruption in the log surfaces as a failed user, never as a silent
-    pass.  ``plan`` must be bound to ``d``.
+    pass.  The server's copy is the payloads ``execute_delivery`` kept on
+    ``store`` for this plan and demand, XORed afresh only if it kept none.
+    ``plan`` must be bound to ``d``, and ``caches`` must hold as many files
+    of as many bits as ``store``.
     """
     F = store.F_bits
+    if caches.masks.shape[1] != F or caches.N != store.N:
+        raise ValueError(
+            f"cache image of {caches.N} files of {caches.masks.shape[1]} bits does "
+            f"not fit the store's {store.N} files of {F} bits")
     d = check_demands(d, store.N, caches.masks.shape[0])
     cp = _compiled(plan, F)
     if tuple(plan.demand) != d:
@@ -328,7 +397,10 @@ def decode_all(
                          f"demand {plan.demand}")
     if [len(p) for p in log.payloads] != [b - a for a, b in zip(cp.sent, cp.sent[1:])]:
         raise ValueError("transmission log does not match the plan's widths")
-    ok = _decode(cp, caches.masks, log, _xor(cp, store, d))
+    clean = store.delivered.get((cp, d))
+    if clean is None:
+        clean = _xor(cp, store, d)
+    ok = _decode(cp, caches.masks, log, clean)
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok),

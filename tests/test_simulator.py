@@ -72,6 +72,34 @@ class TestMaterialize:
         for user, m in budgets.items():
             assert caches.user_bits(user) == m * store.F_bits
 
+    @pytest.mark.parametrize("F_bits", [0, -3])
+    def test_refuses_fewer_than_one_bit(self, F_bits):
+        placement = equal_placement(4, 4, 1)
+        with pytest.raises(ValueError, match=f"^F_bits must be at least 1, got {F_bits}$"):
+            materialize(placement, F_bits=F_bits)
+
+    @pytest.mark.parametrize("N,F_bits", [(1, 1), (3, 1), (2, 3), (3, 7), (5, 8),
+                                          (4, 13), (10, 2400), (7, 1001)])
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**31 - 1])
+    def test_draw_is_the_generators_integers(self, N, F_bits, seed):
+        # one raw draw gives the bits integers(0, 2) gives, N * F_bits % 8 or not
+        store, _ = materialize(equal_placement(N, 1, 0), F_bits=F_bits, seed=seed)
+        expect = np.random.default_rng(seed).integers(0, 2, size=(N, F_bits),
+                                                      dtype=np.uint8)
+        assert store.bits.dtype == np.uint8
+        assert np.array_equal(store.bits, expect)
+
+    def test_store_is_read_only(self):
+        _, _, store, _ = worked_system()
+        with pytest.raises(ValueError, match="read-only"):
+            store.bits[0, 0] ^= 1
+        bits = np.zeros((2, 4), dtype=np.uint8)
+        copied = simulator.FileStore(bits)
+        bits[0, 0] = 1
+        assert not copied.bits.any()
+        with pytest.raises(ValueError, match="read-only"):
+            copied.bits[0, 0] = 1
+
 
 class TestExecuteDelivery:
     def test_single_part_is_plaintext(self):
@@ -141,6 +169,23 @@ class TestDecodeAll:
         with pytest.raises(ValueError, match="formula rate"):
             decode_all(caches, log, (1, 2, 3, 4), plan, store,
                        formula_rate=Fraction(1, 3))
+
+    @pytest.mark.parametrize("N,extra", [(4, 8), (4, -8), (5, 0)],
+                             ids=["wider", "narrower", "more-files"])
+    def test_cache_image_of_another_size_refused(self, N, extra):
+        inst = SchemeInstance("proposed", 10, 4, Fraction(11, 4), L=2,
+                              Mhat=Fraction(33, 4))
+        plan = inst.plan((1, 2, 3, 4))
+        store, caches = materialize(inst.placement, plan, F_bits=2400)
+        if extra > 0:
+            masks = np.hstack([caches.masks, np.ones((4, extra), dtype=bool)])
+        else:
+            masks = caches.masks[:, :2400 + extra]
+        log = execute_delivery(store, plan)
+        with pytest.raises(ValueError, match=(
+                rf"^cache image of {N} files of {2400 + extra} bits does not fit "
+                r"the store's 10 files of 2400 bits$")):
+            decode_all(CacheImage(N, masks), log, (1, 2, 3, 4), plan, store)
 
     def test_log_of_other_widths_refused(self):
         _, plan, store, caches = worked_system()
@@ -254,6 +299,28 @@ class TestOneDecode:
         assert len(verify_demands(WORKED, mode="exhaustive")) == 256
         assert calls == [(1, 2, 3, 4)]
 
+    def test_xors_once(self, monkeypatch):
+        # decode_all checks the log against the payloads execute_delivery kept
+        calls = []
+        xor = simulator._xor
+
+        def counted(*args):
+            calls.append(args[2])
+            return xor(*args)
+
+        monkeypatch.setattr(simulator, "_xor", counted)
+        assert verify_demands(WORKED, mode="exhaustive").passed
+        assert calls == [(1, 2, 3, 4)]
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        assert decode_all(caches, log, (1, 2, 3, 4), plan, store).passed
+        assert len(calls) == 2
+        # another delivery from the same store replaces the kept payloads
+        other = WORKED.plan((2, 1, 4, 3))
+        execute_delivery(store, other)
+        assert decode_all(caches, log, (1, 2, 3, 4), plan, store).passed
+        assert len(calls) == 4
+
     def test_verify_builds_one_report(self, capsys, monkeypatch):
         built = []
         report = simulator.VerificationReport
@@ -296,6 +363,14 @@ class TestDecodeOutcomes:
         dropped = BoundPlan(DeliveryPlan(txs[:t] + txs[t + 1:]), d)
         dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:])
         assert decode_all(caches, dropped_log, d, dropped, store).user_ok == user_ok
+
+    def test_log_written_in_place(self):
+        # the payloads kept on the store are a copy, not the log's arrays
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        log.payloads[0][0] ^= 1
+        report = decode_all(caches, log, (1, 2, 3, 4), plan, store)
+        assert report.user_ok == (False, True, True, False)
 
     def test_cleared_cache_bit(self):
         _, plan, store, caches = worked_system()

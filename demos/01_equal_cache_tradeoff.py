@@ -26,14 +26,16 @@ while M <= N:
 M = Fraction(N, K)
 inst = SchemeInstance("equal", N, K, M)
 plan = inst.plan((1, 2, 3, 4))
+txs = plan.template.transmissions
 print(f"\nat M = {M} (t = 1): {len(inst.placement.subfiles)} placed subfiles,")
-print(f"{len(plan.transmissions)} transmissions of length "
-      f"{plan.transmissions[0].length} each, total load {plan.total_load}")
+print(f"{len(txs)} transmissions of length "
+      f"{txs[0].length} each, total load {plan.total_load}")
 
 print("\nfirst three transmissions (file, [start, stop), for user):")
-for tx in plan.transmissions[:3]:
+for tx in txs[:3]:
+    # the part for user k reads file d[k-1] of the demand the plan is bound to
     desc = " XOR ".join(
-        f"W{p.segment.file}[{p.segment.start},{p.segment.stop})->{p.target}"
+        f"W{plan.demand[p.target - 1]}[{p.segment.start},{p.segment.stop})->{p.target}"
         for p in tx.parts
     )
     print("  " + desc)

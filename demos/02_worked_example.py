@@ -30,17 +30,23 @@ print("two-level rate:", report.rate, f"(scenario {report.scenario})")
 ctx = build_two_stage(cfg)
 print("\ncache contents (merged [start, stop) ranges per file):")
 for user in range(1, 5):
-    ivs = ctx.placement.user_intervals(user)
-    ranges = ivs.get(1, [])
+    # every file is cached alike: merge the user's segments of one layout
+    ranges = []
+    for a, b in sorted((seg.start, seg.stop) for sf in ctx.placement.layout
+                       if user in sf.owners for seg in sf.segments):
+        if ranges and a <= ranges[-1][1]:
+            ranges[-1] = (ranges[-1][0], max(ranges[-1][1], b))
+        else:
+            ranges.append((a, b))
     pretty = " ".join(f"[{a},{b})" for a, b in ranges)
     print(f"  user {user}: {pretty} of every file "
           f"(total {ctx.placement.user_load(user)}F)")
 
 print("\ndelivery plan for demands (W1, W2, W3, W4):")
 plan = ctx.plan((1, 2, 3, 4))
-for tx in plan.transmissions:
+for tx in plan.template.transmissions:
     desc = " XOR ".join(
-        f"W{pt.segment.file}[{pt.segment.start},{pt.segment.stop})"
+        f"W{plan.demand[pt.target - 1]}[{pt.segment.start},{pt.segment.stop})"
         for pt in tx.parts
     )
     targets = ",".join(str(pt.target) for pt in tx.parts)

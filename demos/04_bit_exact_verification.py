@@ -41,8 +41,8 @@ for user in range(1, 5):
 log = execute_delivery(store, plan)
 print(f"\ntransmitted payloads ({log.total_bits} bits total, rate "
       f"{Fraction(log.total_bits, F)}):")
-for tx, payload in zip(plan.transmissions, log.payloads):
-    desc = " XOR ".join(f"W{p.segment.file}[{p.segment.start},{p.segment.stop})"
+for tx, payload in zip(plan.template.transmissions, log.payloads):
+    desc = " XOR ".join(f"W{demands[p.target - 1]}[{p.segment.start},{p.segment.stop})"
                         for p in tx.parts)
     print(f"  {''.join(map(str, payload))}  = {desc}")
 

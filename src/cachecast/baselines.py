@@ -6,8 +6,11 @@ and optimizes the file share beta_i given to each sub-problem.  Each
 sub-problem's rate is convex and piecewise linear in its share, so the exact
 optimum follows from sorting the pieces by slope.  ``scheme1_optimize`` takes
 the slopes in closed form and runs on integers: shares over
-W = Q*N*lcm(1..K) and slopes over S = lcm(2..K+1).  ``scheme1_rate_at``
-evaluates any allocation layer by layer through ``rate_eq``.
+W = Q*N*lcm(1..K) and slopes over S = lcm(2..K+1).  It returns the shares as
+a plain tuple of fractions, exact by construction.  ``scheme1_rate_at`` is
+the one entry point for an arbitrary allocation: it checks once that the
+shares are non-negative and sum to 1, then evaluates them layer by layer
+through ``rate_eq``.
 
 Rates produced by schemes we do not implement (e.g. the exponential-size
 linear program for uncoded-placement/linear-delivery systems) are imported
@@ -17,7 +20,6 @@ from a plain-text table and attached to comparison output as-is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -26,23 +28,6 @@ from .core import Rational, parse_rational
 from .equal_cache import rate_eq
 
 CachePoint = tuple[int, int, int, Rational, Rational]  # (N, K, L, Mhat, M)
-
-
-@dataclass(frozen=True)
-class BetaAllocation:
-    """File shares given to the K layered sub-problems; non-negative, sum 1,
-    both checked on integer numerators over the lcm of the denominators."""
-
-    beta: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        beta = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.beta)
-        object.__setattr__(self, "beta", beta)
-        if any(b.numerator < 0 for b in beta):
-            raise ValueError("beta components must be non-negative")
-        q = math.lcm(*(b.denominator for b in beta))
-        if sum(b.numerator * (q // b.denominator) for b in beta) != q:
-            raise ValueError(f"beta must sum to 1, got {sum(beta)}")
 
 
 def _cache_gaps(M_sorted: Sequence, N: int, K: int) -> tuple[list[int], int]:
@@ -73,21 +58,24 @@ def _layer_cost(N: int, K: int, i: int, gap: Rational, b: Rational) -> Rational:
     return b * rate_eq(N, i, min(gap / b, Fraction(N))) + b * (K - i)
 
 
-def scheme1_rate_at(
-    beta: BetaAllocation | Sequence, N: int, K: int, M_sorted: Sequence
-) -> Rational:
-    """Sum rate of the K layered sub-problems under one beta allocation."""
-    if not isinstance(beta, BetaAllocation):
-        beta = BetaAllocation(tuple(beta))
+def scheme1_rate_at(beta: Sequence, N: int, K: int, M_sorted: Sequence) -> Rational:
+    """Sum rate of the K layered sub-problems under one beta allocation: the
+    file shares, which must be non-negative and sum to 1."""
+    beta = [Fraction(b) for b in beta]
+    if any(b < 0 for b in beta):
+        raise ValueError("beta components must be non-negative")
+    if sum(beta) != 1:
+        raise ValueError(f"beta must sum to 1, got {sum(beta)}")
     gaps, q = _cache_gaps(M_sorted, N, K)
-    return sum(_layer_cost(N, K, i + 1, Fraction(gaps[i], q), beta.beta[i])
+    return sum(_layer_cost(N, K, i + 1, Fraction(gaps[i], q), beta[i])
                for i in range(K))
 
 
 def scheme1_optimize(
     N: int, K: int, M_sorted: Sequence
-) -> tuple[BetaAllocation, Rational]:
-    """The exact scheme-1 optimum and a beta allocation attaining it.
+) -> tuple[tuple[Rational, ...], Rational]:
+    """The exact scheme-1 optimum and the file shares (beta_1, ..., beta_K)
+    attaining it.
 
     Sub-problem i's cost is convex and piecewise linear in its share b.  With
     gap g, its per-user cache g/b puts it at level t_real = g*i/(N*b), and
@@ -111,6 +99,9 @@ def scheme1_optimize(
     S = math.lcm(*range(2, K + 2))
     pieces = []
     for i, g in enumerate(gaps, start=1):
+        if not g:  # no headroom: the one piece is level 0, unicast to all K
+            pieces.append((K * S, i, 0, W))
+            continue
         clamp = g * lcm_k  # b = g/(Q*N), units of 1/W
         lo = 0
         # level t covers b up to g*i/(t*N); level i is the clamped piece
@@ -129,8 +120,7 @@ def scheme1_optimize(
         left -= take
         if left == 0:
             break
-    alloc = BetaAllocation(tuple(Fraction(b, W) for b in beta))
-    return alloc, Fraction(rate, S * W)
+    return tuple(Fraction(b, W) for b in beta), Fraction(rate, S * W)
 
 
 def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rational = Fraction
 
@@ -105,17 +105,6 @@ def enumerate_subsets(ground: Iterable[int], size: int) -> list[UserSet]:
     if size < 0 or size > len(members):
         return []
     return list(combinations(members, size))
-
-
-def lcm_denominators(lengths: Sequence[Fraction]) -> int:
-    """Least common multiple of the denominators of ``lengths``.
-
-    Used to pick the smallest file size (in bits) for which every subfile
-    boundary lands on an integer bit position.
-    """
-    if not lengths:
-        raise ValueError("no lengths")
-    return math.lcm(*(x.denominator for x in lengths))
 
 
 # The decimal exponent of a number as ``fractions.Fraction`` reads it.

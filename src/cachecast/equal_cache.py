@@ -37,11 +37,9 @@ each runs once, over one file's layout:
   a kept share and equal promoted parts.
 
 A demand is bound, never built in: ``BoundPlan`` pairs a template with a
-demand, and the part for user k reads file d[k-1].  Only its
-``transmissions`` view, built on request for readers that want each part's
-file, makes objects per demand; ``simulator`` reads the template and applies
-the demand where it reads file bits, compiling each template once per file
-size.
+demand, and the part for user k reads file d[k-1].  Nothing is made per
+demand; ``simulator`` reads the template and applies the demand where it
+reads file bits, compiling each template once per file size.
 
 All offsets and lengths are integers in units of F/unit, one unit per
 placement and plan, fixed before anything is built: ``equal_placement``
@@ -154,13 +152,6 @@ class Segment:
         return Fraction(self.a + self.n, self.unit)
 
 
-@dataclass(frozen=True, slots=True)
-class FileSegment(Segment):
-    """A segment of one file, as a ``BoundPlan``'s view shows it."""
-
-    file: int
-
-
 def _total_length(segments: Iterable[Segment]) -> Rational:
     """The summed length of ``segments`` in fractions of F: their integer
     lengths are added per unit, and each sum becomes one fraction."""
@@ -227,18 +218,6 @@ class Placement:
         return self.N * _total_length(
             seg for sf in self.layout if user in sf.owners for seg in sf.segments)
 
-    def user_intervals(self, user: int) -> dict[int, list[tuple[Rational, Rational]]]:
-        """Merged (start, stop) coverage per file for one user's cache; every
-        file is cached alike, so each file maps to the same list."""
-        ivs: list[tuple[Rational, Rational]] = []
-        for start, stop in sorted((seg.start, seg.stop) for sf in self.layout
-                                  if user in sf.owners for seg in sf.segments):
-            if ivs and start <= ivs[-1][1]:
-                ivs[-1] = (ivs[-1][0], max(ivs[-1][1], stop))
-            else:
-                ivs.append((start, stop))
-        return dict.fromkeys(range(1, self.N + 1), ivs) if ivs else {}
-
     @property
     def stage1_content(self) -> dict[UserSet, tuple[Segment, ...]]:
         """Map stage-1 set -> the subfile's segments in every file.
@@ -293,8 +272,9 @@ class DeliveryPlan:
 class BoundPlan:
     """A template bound to a demand: the part for user k reads file d[k-1].
 
-    Every file is laid out alike, so binding copies nothing; the load and
-    the bit geometry are the template's.
+    Every file is laid out alike, so binding copies nothing: the load and
+    the bit geometry are the template's, and a part's file is read off the
+    demand as d[part.target - 1] wherever it is needed.
     """
 
     template: DeliveryPlan
@@ -303,21 +283,6 @@ class BoundPlan:
     @property
     def total_load(self) -> Rational:
         return self.template.total_load
-
-    @property
-    def transmissions(self) -> tuple[Transmission, ...]:
-        """The template's transmissions with each part's file filled in,
-        built on every read for callers that list files; delivery never
-        reads it."""
-        d = self.demand
-        return tuple(
-            Transmission(tuple(
-                Part(FileSegment(p.segment.a, p.segment.n, p.segment.unit,
-                                 d[p.target - 1]), p.target)
-                for p in tx.parts
-            ))
-            for tx in self.template.transmissions
-        )
 
 
 def cut_segments(

@@ -15,6 +15,8 @@ from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance, verify_demands
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
 
+from views import bound_parts
+
 GRID_N = (4, 5, 6)
 GRID_K = (3, 4)
 
@@ -38,9 +40,8 @@ def test_criterion_2_delivery_reproduction():
     ctx = build_two_stage(UnequalConfig(4, 4, 3, 2, 1))
     plan = ctx.plan((1, 2, 3, 4))
     got = {
-        frozenset((p.segment.file, p.segment.start, p.segment.length, p.target)
-                  for p in tx.parts)
-        for tx in plan.transmissions
+        frozenset((file, seg.start, seg.length, target) for file, seg, target in tx)
+        for tx in bound_parts(plan)
     }
     q, e = Fraction(1, 4), Fraction(1, 8)
     expected = {
@@ -52,7 +53,7 @@ def test_criterion_2_delivery_reproduction():
         frozenset({(1, 3 * e, e, 1), (2, 1 * e, e, 2), (3, 0 * e, e, 3)}),
         frozenset({(1, 5 * e, e, 1), (2, 4 * e, e, 2), (3, 2 * e, e, 3)}),
     }
-    ok = got == expected and len(plan.transmissions) == 5
+    ok = got == expected and len(plan.template.transmissions) == 5
     _emit(2, ok, "(4,4,3,2,1) plan is 3 user-4 pairs + 2 intra-group triples")
     assert ok
 

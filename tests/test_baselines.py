@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from cachecast.baselines import (
-    BetaAllocation,
     import_external_rates,
     scheme1_optimize,
     scheme1_rate_at,
@@ -16,17 +15,15 @@ from cachecast.unequal import UnequalConfig, rate_ueq
 TWO_LEVEL = [Fraction(2), Fraction(2), Fraction(2), Fraction(1)]
 
 
-class TestBetaAllocation:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            BetaAllocation((Fraction(1, 2), Fraction(1, 4)))
-
-    def test_non_negative(self):
-        with pytest.raises(ValueError):
-            BetaAllocation((Fraction(-1, 2), Fraction(3, 2)))
-
-
 class TestScheme1RateAt:
+    def test_beta_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="^beta must sum to 1, got 3/4$"):
+            scheme1_rate_at((Fraction(1, 2), Fraction(1, 4)), 4, 2, [1, 1])
+
+    def test_beta_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^beta components must be non-negative$"):
+            scheme1_rate_at((Fraction(-1, 2), Fraction(3, 2)), 4, 2, [1, 1])
+
     def test_boundary_family_values(self):
         # beta = (0, 0, x, 1-x) on (N,K) = (4,4), caches (2,2,2,1); values
         # frozen from a dense-grid evaluation of the two active sub-problems
@@ -62,12 +59,12 @@ class TestScheme1Optimize:
     def test_equal_caches_optimum(self):
         alloc, value = scheme1_optimize(4, 4, [1, 1, 1, 1])
         assert value == rate_eq(4, 4, 1)
-        assert alloc.beta == (0, 0, 0, 1)
+        assert alloc == (0, 0, 0, 1)
 
     def test_two_level_worked_point(self):
         alloc, value = scheme1_optimize(4, 4, TWO_LEVEL)
         assert value == Fraction(9, 8)
-        assert alloc.beta == (0, 0, Fraction(3, 8), Fraction(5, 8))
+        assert alloc == (0, 0, Fraction(3, 8), Fraction(5, 8))
 
     def test_rejects_more_users_than_files(self):
         for N, K in ((0, 1), (2, 3)):
@@ -79,7 +76,7 @@ class TestScheme1Optimize:
         caches = [10, 10, Fraction(19, 2), Fraction(19, 2)]
         alloc, value = scheme1_optimize(10, 4, caches)
         assert value == Fraction(1, 20)
-        assert alloc.beta == (0, 0, 0, 1)
+        assert alloc == (0, 0, 0, 1)
 
     def test_optimum_bounds_every_feasible_point(self):
         _, value = scheme1_optimize(4, 4, TWO_LEVEL)

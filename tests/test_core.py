@@ -10,7 +10,6 @@ from cachecast.core import (
     enumerate_subsets,
     excess,
     format_rational,
-    lcm_denominators,
     parse_rational,
     user_set,
 )
@@ -65,17 +64,6 @@ def test_enumerate_subsets_counts_and_uniqueness():
             assert len(subs) == binom(len(ground), size)
             assert len(set(subs)) == len(subs)
             assert subs == sorted(subs)
-
-
-def test_lcm_denominators():
-    assert lcm_denominators([Fraction(1, 4), Fraction(1, 8)]) == 8
-    assert lcm_denominators([Fraction(1)]) == 1
-    assert lcm_denominators([Fraction(3, 4), Fraction(1, 6)]) == 12
-
-
-def test_lcm_denominators_empty():
-    with pytest.raises(ValueError, match="no lengths"):
-        lcm_denominators([])
 
 
 def test_rational_roundtrip_exact():

@@ -16,6 +16,8 @@ from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance
 from cachecast.unequal import UnequalConfig, unequal_params
 
+from views import bound_parts, user_intervals
+
 
 def grid_M(N, step=Fraction(1, 2)):
     out = []
@@ -181,7 +183,7 @@ class TestEqualPlacement:
         for user in range(1, 5):
             assert pl.user_load(user) == width * (
                 6 if user in also else whole.user_load(user))
-        assert pl.user_intervals(1)[1] == [(start, start + width)]
+        assert user_intervals(pl, 1)[1] == [(start, start + width)]
 
 
 class TestUnits:
@@ -212,16 +214,15 @@ class TestManDelivery:
         assert [(sf.owners, sf.length) for sf in block] == [
             ((u,), Fraction(1, 4)) for u in range(1, 5)]
         plan = inst.plan((1, 2, 3, 4))
-        assert len(plan.transmissions) == 6
+        assert len(plan.template.transmissions) == 6
         assert plan.total_load == Fraction(3, 2)
         # A2 xor B1: segment [1/4,1/2) of file 1 to user 1, [0,1/4) of file 2 to user 2
-        first = plan.transmissions[0]
-        got = {(p.segment.file, p.segment.start, p.target) for p in first.parts}
+        got = {(file, seg.start, target) for file, seg, target in bound_parts(plan)[0]}
         assert got == {(1, Fraction(1, 4), 1), (2, Fraction(0), 2)}
 
     def test_t_equals_K_empty_plan(self):
         plan = SchemeInstance("equal", 3, 3, 3).plan((1, 2, 3))
-        assert plan.transmissions == ()
+        assert plan.template.transmissions == ()
         assert plan.total_load == 0
 
     def test_repeated_demand_two_users(self):
@@ -229,10 +230,9 @@ class TestManDelivery:
         assert plan.total_load == Fraction(1, 2)
         # brute-force decode: each user holds half of file 1 and the single
         # transmission supplies the other half
-        (tx,) = plan.transmissions
-        by_target = {p.target: p.segment for p in tx.parts}
-        assert by_target[1].file == 1 and by_target[2].file == 1
-        assert {by_target[1].start, by_target[2].start} == {Fraction(0), Fraction(1, 2)}
+        (tx,) = bound_parts(plan)
+        assert {(file, target) for file, _, target in tx} == {(1, 1), (1, 2)}
+        assert {seg.start for _, seg, _ in tx} == {Fraction(0), Fraction(1, 2)}
 
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError, match="demand"):
@@ -278,12 +278,12 @@ class TestBoundPlan:
         d = (2, 5, 2)
         plan = inst.plan(d)
         assert plan == BoundPlan(template, d)
-        assert len(plan.transmissions) == len(template.transmissions)
-        for tx, tx0 in zip(plan.transmissions, template.transmissions, strict=True):
-            for p, p0 in zip(tx.parts, tx0.parts, strict=True):
-                assert p.target == p0.target and p.segment.file == d[p.target - 1]
-                assert (p.segment.a, p.segment.n, p.segment.unit) == (
-                    p0.segment.a, p0.segment.n, p0.segment.unit)
+        view = bound_parts(plan)
+        assert len(view) == len(template.transmissions)
+        for tx, tx0 in zip(view, template.transmissions, strict=True):
+            for (file, seg, target), p0 in zip(tx, tx0.parts, strict=True):
+                assert target == p0.target and file == d[target - 1]
+                assert seg is p0.segment
         assert plan.total_load == template.total_load
 
     def test_binding_builds_no_part_or_transmission(self, monkeypatch):
@@ -296,7 +296,8 @@ class TestBoundPlan:
                                 lambda *a, _cls=cls, _name=name: built.append(_name) or _cls(*a))
         plan = inst.plan((3, 1, 3, 6))
         assert plan.template is template and built == []
-        plan.transmissions  # the view, built on request
+        SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2)).plan(
+            (3, 1, 3, 6))  # a new template is built through the counted names
         assert "Part" in built and "Transmission" in built
 
     def test_demand_of_the_wrong_length_refused(self):
@@ -316,12 +317,12 @@ class TestEqualScheme:
         inst = SchemeInstance("equal", 4, 1, 1)
         plan = inst.plan((2,))
         assert plan.total_load == Fraction(3, 4)
-        assert all(len(tx.parts) == 1 for tx in plan.transmissions)
+        assert all(len(tx.parts) == 1 for tx in plan.template.transmissions)
         assert inst.placement.user_load(1) == 1
 
     def test_full_cache_empty_plan(self):
         plan = SchemeInstance("equal", 5, 3, 5).plan((1, 2, 3))
-        assert plan.transmissions == ()
+        assert plan.template.transmissions == ()
 
     @pytest.mark.parametrize("N,K", [(4, 4), (5, 3), (6, 4)])
     def test_plan_load_matches_formula(self, N, K):
@@ -332,5 +333,5 @@ class TestEqualScheme:
 
     def test_transmission_parts_have_equal_length(self):
         plan = SchemeInstance("equal", 5, 4, Fraction(7, 4)).plan((1, 2, 3, 4))
-        for tx in plan.transmissions:
+        for tx in plan.template.transmissions:
             assert len({p.segment.length for p in tx.parts}) == 1

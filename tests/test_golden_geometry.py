@@ -10,8 +10,11 @@ digest does not depend on ``PYTHONHASHSEED``: nothing here iterates a set.
 import hashlib
 from fractions import Fraction
 
-from cachecast.core import lcm_denominators
+import pytest
+
 from cachecast.simulator import SchemeInstance, required_bits
+
+from views import bound_parts, lcm_denominators
 
 GRID_N = (4, 5)
 GRID_K = (3, 4)
@@ -31,9 +34,8 @@ def _instance_text(inst: SchemeInstance) -> str:
         for sf in inst.placement.subfiles
     ]
     plan = [
-        [(p.segment.file, _q(p.segment.start), _q(p.segment.length), p.target)
-         for p in tx.parts]
-        for tx in inst.plan(tuple(range(1, inst.K + 1))).transmissions
+        [(file, _q(seg.start), _q(seg.length), target) for file, seg, target in tx]
+        for tx in bound_parts(inst.plan(tuple(range(1, inst.K + 1))))
     ]
     return f"{placement}|{plan}\n"
 
@@ -74,7 +76,18 @@ def test_required_bits_is_the_lcm_of_the_segment_denominators():
     for inst in _grid():
         plan = inst.plan(tuple(range(1, inst.K + 1)))
         segs = [seg for sf in inst.placement.layout for seg in sf.segments] + [
-            part.segment for tx in plan.transmissions for part in tx.parts]
+            part.segment for tx in plan.template.transmissions for part in tx.parts]
         fracs = [x for seg in segs for x in (seg.start, seg.length)]
         assert required_bits(inst.placement, plan) == (
             lcm_denominators(fracs) if fracs else 1)
+
+
+def test_lcm_denominators():
+    assert lcm_denominators([Fraction(1, 4), Fraction(1, 8)]) == 8
+    assert lcm_denominators([Fraction(1)]) == 1
+    assert lcm_denominators([Fraction(3, 4), Fraction(1, 6)]) == 12
+
+
+def test_lcm_denominators_empty():
+    with pytest.raises(ValueError, match="no lengths"):
+        lcm_denominators([])

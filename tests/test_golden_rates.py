@@ -49,7 +49,7 @@ def _lines():
         yield SchemeInstance("proposed", N, K, M, L, Mhat).report, None
         caches = [Mhat] * L + [M] * (K - L)
         yield SchemeInstance("scheme1", N, K, M, L, Mhat).report, scheme1_optimize(
-            N, K, caches)[0].beta
+            N, K, caches)[0]
 
 
 def rates_digest() -> tuple[int, str]:

@@ -7,6 +7,8 @@ from cachecast.equal_cache import Placement, equal_params, equal_placement, wind
 from cachecast.incremental import refine_pool, split_factor
 from cachecast.unequal import UnequalConfig, unequal_params
 
+from views import user_intervals
+
 
 def content_sets(placement, user):
     """Per-user multiset of (file, merged owner set, total length)."""
@@ -16,10 +18,6 @@ def content_sets(placement, user):
             key = (sf.file, sf.owners)
             totals[key] = totals.get(key, Fraction(0)) + sf.length
     return {(f, o, length) for (f, o), length in totals.items()}
-
-
-def coverage(placement, user):
-    return placement.user_intervals(user)
 
 
 def refinable(N, K, M, pool, t2_int, alpha2):
@@ -54,8 +52,8 @@ class TestRefinePlacement:
         base = step_base(3, 3, 1)
         refined = refine_step(base, 1)
         for user in range(1, 4):
-            before = coverage(base, user)
-            after = coverage(refined, user)
+            before = user_intervals(base, user)
+            after = user_intervals(refined, user)
             for file, ivs in before.items():
                 covered = after.get(file, [])
                 for start, stop in ivs:
@@ -179,8 +177,8 @@ class TestRefinePool:
         base = refinable(6, 4, Fraction(3, 2), (1, 2), second.t_int, second.alpha)
         refined, _ = refine_pool(base, (1, 2), second.t_int, second.alpha)
         for user in range(1, 5):
-            before = coverage(base, user)
-            after = coverage(refined, user)
+            before = user_intervals(base, user)
+            after = user_intervals(refined, user)
             for file, ivs in before.items():
                 covered = after.get(file, [])
                 for start, stop in ivs:

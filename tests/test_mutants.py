@@ -1,0 +1,164 @@
+"""Mutation gate: each oracle catches a known fault.
+
+Each mutant names a function of ``cachecast``, one exact substring of its
+source and the text that replaces it.  The test recompiles the function from
+``inspect.getsource`` with that one edit, puts the result at every place a
+``cachecast`` module binds the original, and runs the mutant's oracle, which
+must now fail.  A substring the source no longer holds fails the test, so
+the list follows the code.  Every oracle passes on the code as it is.
+"""
+
+import __future__
+
+import importlib
+import inspect
+import pkgutil
+import textwrap
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+import pytest
+
+import cachecast
+from cachecast import baselines, simulator
+from cachecast.equal_cache import BoundPlan, DeliveryPlan, Transmission
+from cachecast.simulator import (
+    SchemeInstance, decode_all, execute_delivery, materialize, verify_demands,
+)
+
+MODULES = [cachecast] + [importlib.import_module(f"cachecast.{m.name}")
+                         for m in pkgutil.iter_modules(cachecast.__path__)]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: each returns on the code as it is and raises on a fault.  A
+# mutated function is called through its module, where the mutant is bound.
+# ---------------------------------------------------------------------------
+
+
+def proposed_scheme_verifies():
+    """Bit-exact decode at the formula load: the worked example, memory
+    sharing with a refined pool, and scenario 2."""
+    for N, K, L, Mhat, M in [(4, 4, 3, 2, 1),
+                             (6, 4, 2, Fraction(9, 4), Fraction(3, 2)),
+                             (5, 4, 2, Fraction(15, 4), Fraction(5, 4))]:
+        inst = SchemeInstance("proposed", N, K, M, L=L, Mhat=Mhat)
+        assert verify_demands(inst, "distinct").passed, (N, K, L, Mhat, M)
+
+
+def flipped_payload_bit_fails():
+    inst = SchemeInstance("equal", 4, 4, 1)
+    assert not verify_demands(inst, "distinct", flip_bit=(0, 0)).passed
+
+
+def uncancellable_part_is_not_read():
+    """One XOR of two users' uncached files serves neither of them."""
+    inst = SchemeInstance("equal", 2, 2, 0)
+    (a,), (b,) = (tx.parts for tx in inst.plan((1, 2)).template.transmissions)
+    plan = BoundPlan(DeliveryPlan((Transmission((a, b)),)), (1, 2))
+    store, caches = materialize(inst.placement, plan)
+    report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
+    assert report.user_ok == (False, False)
+
+
+def bit_sent_twice_is_refused():
+    tx = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4)).template.transmissions[0]
+    try:
+        simulator.compile_plan(DeliveryPlan((tx, tx)), 4)
+    except ValueError as exc:
+        assert "twice" in str(exc)
+    else:
+        raise AssertionError("a plan that sends a bit twice was compiled")
+
+
+def scheme1_ties_go_to_the_lowest_layer():
+    # with no cache every layer costs K per unit of share: all pieces tie
+    assert baselines.scheme1_optimize(4, 4, [0, 0, 0, 0]) == ((1, 0, 0, 0), 4)
+
+
+def demand_outside_the_library_is_refused():
+    try:
+        SchemeInstance("equal", 3, 3, 1).plan((1, 2, 4))
+    except ValueError as exc:
+        assert "outside 1..3" in str(exc)
+    else:
+        raise AssertionError("a demand for file 4 of 3 was bound")
+
+
+ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
+           uncancellable_part_is_not_read, bit_sent_twice_is_refused,
+           scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
+
+
+# ---------------------------------------------------------------------------
+# Mutants
+# ---------------------------------------------------------------------------
+
+
+class Mutant(NamedTuple):
+    name: str
+    function: str  # module.function inside cachecast
+    old: str
+    new: str
+    oracle: Callable[[], None]
+
+
+MUTANTS = [
+    Mutant("decode-every-own-part-usable", "simulator._decode",
+           "if all(row[b2] - row[a2] == width",
+           "if True or all(row[b2] - row[a2] == width", uncancellable_part_is_not_read),
+    Mutant("decode-ignores-corruption", "simulator._decode",
+           "wrong[user] |= bad", "wrong[user] |= False", flipped_payload_bit_fails),
+    Mutant("decode-never-fills-missing", "simulator._decode",
+           "missing[user] -= width - (row[b] - row[a])", "missing[user] -= 0",
+           proposed_scheme_verifies),
+    Mutant("compile-skips-sent-twice", "simulator.compile_plan",
+           "if u == v and a < b:", "if False:", bit_sent_twice_is_refused),
+    Mutant("cut-one-unit-short", "equal_cache.cut_segments",
+           "Segment(a, bound - pos, seg.unit)", "Segment(a, bound - pos - 1, seg.unit)",
+           proposed_scheme_verifies),
+    Mutant("rate-eq-alpha-swapped", "equal_cache.rate_eq",
+           "a * (K - t) * (t + 2) + (D - a) * (K - t - 1) * (t + 1)",
+           "(D - a) * (K - t) * (t + 2) + a * (K - t - 1) * (t + 1)",
+           proposed_scheme_verifies),
+    Mutant("scheme1-ties-to-the-upper-layer", "baselines.scheme1_optimize",
+           "in sorted(pieces):", "in sorted(pieces, key=lambda p: (p[0], -p[1])):",
+           scheme1_ties_go_to_the_lowest_layer),
+    Mutant("split-factor-is-one", "incremental.split_factor",
+           "return factor", "return 1", proposed_scheme_verifies),
+    Mutant("demands-unchecked-range", "equal_cache.check_demands",
+           "if bad:", "if False:", demand_outside_the_library_is_refused),
+]
+
+
+def install(monkeypatch, mutant: Mutant) -> None:
+    """Recompile ``mutant.function`` with its one edit and bind the result
+    wherever a cachecast module binds the original."""
+    module_name, name = mutant.function.rsplit(".", 1)
+    module = importlib.import_module(f"cachecast.{module_name}")
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    if source.count(mutant.old) != 1:
+        raise AssertionError(f"{mutant.function} holds {mutant.old!r} "
+                             f"{source.count(mutant.old)} times, not once")
+    code = compile(source.replace(mutant.old, mutant.new),
+                   inspect.getsourcefile(original), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope: dict = {}
+    exec(code, vars(module), scope)
+    bound = [(mod, attr) for mod in MODULES for attr, value in vars(mod).items()
+             if value is original]
+    for mod, attr in bound:
+        monkeypatch.setattr(mod, attr, scope[name])
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=[o.__name__ for o in ORACLES])
+def test_oracle_passes_on_the_code(oracle):
+    oracle()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_caught(monkeypatch, mutant):
+    install(monkeypatch, mutant)
+    with pytest.raises(Exception):
+        mutant.oracle()

@@ -13,13 +13,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cachecast.core import lcm_denominators
 from cachecast.equal_cache import rate_eq
 from cachecast.simulator import (
     SchemeInstance, decode_all, execute_delivery, materialize, required_bits,
     verify_demands,
 )
 from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
+
+from views import lcm_denominators
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -81,7 +82,7 @@ def test_integer_units_read_as_fractions(point):
     placement = inst.placement
     plan = inst.plan(tuple(range(1, inst.K + 1)))
     segs = [seg for sf in placement.layout for seg in sf.segments] + [
-        part.segment for tx in plan.transmissions for part in tx.parts]
+        part.segment for tx in plan.template.transmissions for part in tx.parts]
     assert required_bits(placement, plan) == lcm_denominators(
         [x for seg in segs for x in (seg.start, seg.length)])
     for user in range(1, inst.K + 1):

@@ -177,7 +177,7 @@ def check_unequal(cfg):
 def check_scheme1(N, K, caches):
     alloc, rate = scheme1_optimize(N, K, caches)
     beta, ref_rate = ref_scheme1_optimize(N, K, caches)
-    assert repr((alloc.beta, rate)) == repr((beta, ref_rate))
+    assert repr((alloc, rate)) == repr((beta, ref_rate))
     assert scheme1_rate_at(alloc, N, K, caches) == rate
 
 

@@ -30,6 +30,8 @@ from cachecast.simulator import (
 )
 from cachecast.unequal import UnequalConfig, build_two_stage
 
+from views import bound_parts
+
 WORKED = SchemeInstance("proposed", 4, 4, Fraction(1), L=3, Mhat=Fraction(2))
 
 
@@ -107,10 +109,10 @@ class TestExecuteDelivery:
         plan = inst.plan((2,))
         store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
-        seg = plan.transmissions[0].parts[0].segment
+        ((file, seg, _),) = bound_parts(plan)[0]
         a = int(seg.start * store.F_bits)
         b = int(seg.stop * store.F_bits)
-        assert np.array_equal(log.payloads[0], store.bits[seg.file - 1, a:b])
+        assert np.array_equal(log.payloads[0], store.bits[file - 1, a:b])
 
     def test_xor_of_two_parts(self):
         inst = SchemeInstance("equal", 4, 4, 1)
@@ -120,12 +122,11 @@ class TestExecuteDelivery:
         plan = inst.plan((1, 2, 3, 4))
         store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
-        tx = plan.transmissions[0]  # A2 xor B1
-        (s1, s2) = (p.segment for p in tx.parts)
+        (f1, s1, _), (f2, s2, _) = bound_parts(plan)[0]  # A2 xor B1
         F = store.F_bits
         expect = (
-            store.bits[s1.file - 1, int(s1.start * F): int(s1.stop * F)]
-            ^ store.bits[s2.file - 1, int(s2.start * F): int(s2.stop * F)]
+            store.bits[f1 - 1, int(s1.start * F): int(s1.stop * F)]
+            ^ store.bits[f2 - 1, int(s2.start * F): int(s2.stop * F)]
         )
         assert np.array_equal(log.payloads[0], expect)
 
@@ -138,7 +139,7 @@ class TestExecuteDelivery:
         _, plan, store, _ = worked_system()
         log = execute_delivery(store, plan)
         per_tx = sum(
-            int(tx.length * store.F_bits) for tx in plan.transmissions
+            int(tx.length * store.F_bits) for tx in plan.template.transmissions
         )
         assert log.total_bits == per_tx
 

@@ -106,11 +106,37 @@ def test_one_two_level_build_path():
 
 
 def test_one_xor_delivery_builder_and_one_way_to_bits():
-    # every template XOR is cut by aligned_transmissions (BoundPlan's view
-    # only fills in files), and every plan reaches bits through compile_plan
+    # every XOR is cut by aligned_transmissions, nothing is built per demand,
+    # and every plan reaches bits through compile_plan
     assert _constructors({"Transmission", "Part", "CompiledPlan", "_bit_range"}) == {
-        "Transmission": {"aligned_transmissions", "transmissions"},
-        "Part": {"aligned_transmissions", "transmissions"},
+        "Transmission": {"aligned_transmissions"},
+        "Part": {"aligned_transmissions"},
         "CompiledPlan": {"compile_plan"},
         "_bit_range": {"compile_plan", "materialize"},
     }
+
+
+def _names(node: ast.AST) -> str | None:
+    """The name a node defines or reads, if it is a definition or a name."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_views_and_second_checks_stay_out_of_the_package():
+    # the per-demand view, the re-check of scheme 1's shares and the helpers
+    # that only tests read live in tests/views.py or nowhere
+    gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _names(node) in gone:
+                found.append(f"{path.name}:{node.lineno} {_names(node)}")
+            if isinstance(node, ast.ClassDef) and node.name == "BoundPlan":
+                found += [f"{path.name}:{item.lineno} BoundPlan.transmissions"
+                          for item in node.body if _names(item) == "transmissions"]
+    assert found == []

@@ -1,0 +1,38 @@
+"""Read views that tests share and the package never builds.
+
+A bound plan names no file in its parts (the part for user k reads file
+d[k-1]), and a placement stores one file's layout for every file alike;
+these helpers list what a reader of one demand or one user's cache wants
+to see.
+"""
+
+import math
+from fractions import Fraction
+
+
+def bound_parts(plan):
+    """Each transmission of a bound plan as a tuple of (file, segment,
+    target), one per part, in plan order."""
+    return [tuple((plan.demand[p.target - 1], p.segment, p.target) for p in tx.parts)
+            for tx in plan.template.transmissions]
+
+
+def user_intervals(placement, user):
+    """Merged (start, stop) coverage per file for one user's cache; every
+    file is cached alike, so each file maps to the same list."""
+    ivs = []
+    for start, stop in sorted((seg.start, seg.stop) for sf in placement.layout
+                              if user in sf.owners for seg in sf.segments):
+        if ivs and start <= ivs[-1][1]:
+            ivs[-1] = (ivs[-1][0], max(ivs[-1][1], stop))
+        else:
+            ivs.append((start, stop))
+    return dict.fromkeys(range(1, placement.N + 1), ivs) if ivs else {}
+
+
+def lcm_denominators(lengths: list[Fraction]) -> int:
+    """Least common multiple of the denominators of ``lengths``: the
+    smallest file size in bits that puts every boundary on a whole bit."""
+    if not lengths:
+        raise ValueError("no lengths")
+    return math.lcm(*(x.denominator for x in lengths))

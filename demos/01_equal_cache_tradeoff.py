@@ -26,16 +26,18 @@ while M <= N:
 M = Fraction(N, K)
 inst = SchemeInstance("equal", N, K, M)
 plan = inst.plan((1, 2, 3, 4))
-txs = plan.template.transmissions
+unit, txs = plan.template.unit, plan.template.transmissions
 print(f"\nat M = {M} (t = 1): {len(inst.placement.subfiles)} placed subfiles,")
 print(f"{len(txs)} transmissions of length "
-      f"{txs[0].length} each, total load {plan.total_load}")
+      f"{Fraction(txs[0][0], unit)} each, total load {plan.total_load}")
 
 print("\nfirst three transmissions (file, [start, stop), for user):")
-for tx in txs[:3]:
-    # the part for user k reads file d[k-1] of the demand the plan is bound to
+for width, row in txs[:3]:
+    # a row is (width, ((target, offset), ...)) in units of F/unit; the part
+    # for user k reads file d[k-1] of the demand the plan is bound to
     desc = " XOR ".join(
-        f"W{plan.demand[p.target - 1]}[{p.segment.start},{p.segment.stop})->{p.target}"
-        for p in tx.parts
+        f"W{plan.demand[target - 1]}[{Fraction(offset, unit)},"
+        f"{Fraction(offset + width, unit)})->{target}"
+        for target, offset in row
     )
     print("  " + desc)

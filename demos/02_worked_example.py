@@ -44,12 +44,14 @@ for user in range(1, 5):
 
 print("\ndelivery plan for demands (W1, W2, W3, W4):")
 plan = ctx.plan((1, 2, 3, 4))
-for tx in plan.template.transmissions:
+unit = plan.template.unit
+for width, row in plan.template.transmissions:
     desc = " XOR ".join(
-        f"W{plan.demand[pt.target - 1]}[{pt.segment.start},{pt.segment.stop})"
-        for pt in tx.parts
+        f"W{plan.demand[target - 1]}[{Fraction(offset, unit)},"
+        f"{Fraction(offset + width, unit)})"
+        for target, offset in row
     )
-    targets = ",".join(str(pt.target) for pt in tx.parts)
+    targets = ",".join(str(target) for target, _ in row)
     print(f"  {desc}   (serves users {targets})")
 print("total load:", plan.total_load)
 

@@ -41,9 +41,11 @@ for user in range(1, 5):
 log = execute_delivery(store, plan)
 print(f"\ntransmitted payloads ({log.total_bits} bits total, rate "
       f"{Fraction(log.total_bits, F)}):")
-for tx, payload in zip(plan.template.transmissions, log.payloads):
-    desc = " XOR ".join(f"W{demands[p.target - 1]}[{p.segment.start},{p.segment.stop})"
-                        for p in tx.parts)
+unit = plan.template.unit
+for (width, row), payload in zip(plan.template.transmissions, log.payloads):
+    desc = " XOR ".join(f"W{demands[target - 1]}[{Fraction(offset, unit)},"
+                        f"{Fraction(offset + width, unit)})"
+                        for target, offset in row)
     print(f"  {''.join(map(str, payload))}  = {desc}")
 
 report = decode_all(caches, log, demands, plan, store)

@@ -28,14 +28,16 @@ each runs once, over one file's layout:
   one XOR per (k+1)-subset for each owner-set size k.  ``xor_delivery``
   sends the XORs of the subsets a caller picks; ``equal_delivery`` sends all
   of them, for a placement's layout or the refined pool's
-  (``incremental.refine_pool``).  Both emit a template whose parts name
-  offsets and a target but no file.
+  (``incremental.refine_pool``).  Both emit template rows.
 - ``cut_segments`` is the one interval cutter: one walk over an ordered run
   of segments against increasing offsets.  ``aligned_transmissions`` runs it
   on each component of one XOR at the union of their segment ends, so each
-  piece is one segment per component; the pooled refinement runs it to cut
-  a kept share and equal promoted parts.
+  piece is one segment per component, and emits one row per piece; the
+  pooled refinement runs it to cut a kept share and equal promoted parts.
 
+A template (``DeliveryPlan``) is one unit and integer rows: transmission t
+is (width, ((target, offset), ...)), the XOR of parts that are all
+``width`` units long, so equal widths need no check.  A row names no file.
 A demand is bound, never built in: ``BoundPlan`` pairs a template with a
 demand, and the part for user k reads file d[k-1].  Nothing is made per
 demand; ``simulator`` reads the template and applies the demand where it
@@ -44,10 +46,11 @@ reads file bits, compiling each template once per file size.
 All offsets and lengths are integers in units of F/unit, one unit per
 placement and plan, fixed before anything is built: ``equal_placement``
 takes it (by default the coarsest one in which its layout is whole,
-``window_unit``), nothing rescales a built placement, and every cut is
-exact, so a remainder raises rather than rounds.  A
-``Segment`` reads its integers back as fractions of F, and a bit-level
-realization only has to scale them (``simulator.required_bits``).
+``window_unit``), the template is made where that unit is fixed, nothing
+rescales a built placement, and every cut is exact, so a remainder raises
+rather than rounds.  A ``Segment`` reads its integers back as fractions of
+F, and a bit-level realization only has to scale them
+(``simulator.required_bits``).
 """
 
 from __future__ import annotations
@@ -233,39 +236,28 @@ class Placement:
         return content
 
 
-@dataclass(frozen=True, slots=True)
-class Part:
-    """One XOR component of a transmission, useful to exactly one user."""
-
-    segment: Segment
-    target: int
-
-
-@dataclass(frozen=True, slots=True)
-class Transmission:
-    """XOR of equal-length parts, broadcast once over the shared link
-    (``simulator.compile_plan`` checks the widths, in bits)."""
-
-    parts: tuple[Part, ...]
-
-    @property
-    def length(self) -> Rational:
-        return self.parts[0].segment.length
+# One transmission of a template: the XOR of parts ``width`` units long,
+# each (target user, offset).  Every part is equally long by construction.
+Row = tuple[int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """A template: transmissions whose parts name offsets and a target but no
-    file.  ``compiled`` holds its bit geometry per file size, filled by
-    ``simulator`` the first time a plan bound from it is delivered."""
+    """A template: one unit and integer rows.  Transmission t is
+    (width, ((target, offset), ...)) in units of F/``unit``: the XOR of the
+    parts [offset, offset + width), the one for ``target`` read from the file
+    it wants, named by no row.  ``compiled`` holds its bit geometry per file
+    size, filled by ``simulator`` the first time a plan bound from it is
+    delivered."""
 
-    transmissions: tuple[Transmission, ...]
+    unit: int
+    transmissions: tuple[Row, ...]
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_load(self) -> Rational:
-        """Sum of transmission lengths, in units of F."""
-        return _total_length(tx.parts[0].segment for tx in self.transmissions)
+        """Sum of transmission widths, in units of F."""
+        return Fraction(sum(width for width, _ in self.transmissions), self.unit)
 
 
 @dataclass(frozen=True)
@@ -274,7 +266,7 @@ class BoundPlan:
 
     Every file is laid out alike, so binding copies nothing: the load and
     the bit geometry are the template's, and a part's file is read off the
-    demand as d[part.target - 1] wherever it is needed.
+    demand as d[target - 1] wherever it is needed.
     """
 
     template: DeliveryPlan
@@ -321,14 +313,14 @@ def cut_segments(
 
 def aligned_transmissions(
     components: Sequence[tuple[Sequence[Segment], int]]
-) -> list[Transmission]:
-    """Turn equal-length multi-segment components into aligned XOR pieces.
+) -> list[Row]:
+    """Turn equal-length multi-segment components into aligned XOR rows.
 
     Each component is (ordered segments, target user), all in one unit.
     Every component is cut at the union of all components' segment ends
     (``cut_segments``), so that every resulting transmission XORs exactly one
-    contiguous segment per component; a segment no other component cuts is
-    used as it is.
+    contiguous segment per component, and the widths are the gaps between
+    those ends.
     """
     ends: set[int] = set()
     totals: set[int] = set()
@@ -347,9 +339,10 @@ def aligned_transmissions(
     for segs, target in components:  # a loop, not a comprehension: no frame each
         column = []
         for _, _, seg in cut_segments(segs, bounds):
-            column.append(Part(seg, target))
+            column.append((target, seg.a))
         columns.append(column)
-    return [Transmission(parts) for parts in zip(*columns, strict=True)]
+    widths = [b - a for a, b in zip([0] + bounds, bounds)]
+    return list(zip(widths, zip(*columns, strict=True), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +434,13 @@ def delivery_subsets(
 
 def xor_delivery(
     content: Mapping[UserSet, Sequence[Segment]], subsets: Iterable[UserSet]
-) -> list[Transmission]:
-    """XOR delivery over the given user subsets, as a template.
+) -> list[Row]:
+    """XOR delivery over the given user subsets, as template rows.
 
     For each subset S, in order: the XOR over s in S of the piece owned by
     S - {s}, looked up as content[S - {s}], for user s.
     """
-    out: list[Transmission] = []
+    out: list[Row] = []
     for S in subsets:
         out.extend(aligned_transmissions([
             (content[S[:i] + S[i + 1:]], s) for i, s in enumerate(S)
@@ -457,7 +450,7 @@ def xor_delivery(
 
 def equal_delivery(
     content: Mapping[UserSet, Sequence[Segment]], ground: UserSet
-) -> list[Transmission]:
+) -> list[Row]:
     """XOR delivery of an equal-cache layout over ``ground``: every subset
     ``delivery_subsets`` lists."""
     return xor_delivery(content, delivery_subsets(content, ground))

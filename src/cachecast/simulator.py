@@ -6,16 +6,16 @@ rounding ever happens: measured loads are compared to formula rates with
 exact equality.  ``materialize`` draws all N files in one step from the
 generator's raw stream, and the store's bits are read-only.
 
-``compile_plan`` is the one step that turns a template's integer segments
-into bits, each transmission's parts as (target, bit range), and it runs
-once per template and file size: every plan bound from the template
-(``equal_cache.BoundPlan``) reuses the result.  It also lays the grid of
-distinct part boundaries, whose cells every part covers whole.
+``compile_plan`` is the one step that turns a template's integer rows into
+bits, and it runs once per template and file size: every plan bound from
+the template (``equal_cache.BoundPlan``) reuses the result.  It scales each
+distinct part boundary to a bit once, and holds each part once, as a user
+and a run of the cells between those boundaries.
 ``execute_delivery`` XORs the parts out of the files, reading the part for
 user k from file d[k-1], and keeps a copy of the payloads on the store, its
 last delivery.  ``decode_all`` checks the log against that copy and decodes
 it one transmission at a time, as the paper does, counting each user's
-cached bits once per grid cell rather than once per part;
+cached bits once per cell rather than once per part, one mask row at a time;
 ``verify_demands`` is these steps at the identity demand.  One decode
 speaks for every demand: a demand is bound, never built into the plan, and
 only picks the file rows its parts read, while transmission widths are
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import permutations, product, repeat
+from itertools import accumulate, permutations, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,15 +68,14 @@ def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int
     builders use one unit per placement and plan).  A bound plan is read
     through its template.
     """
-    segs = [seg for sf in placement.layout for seg in sf.segments] + [
-        part.segment for plan in plans
-        for tx in _template(plan).transmissions for part in tx.parts
-    ]
-    return math.lcm(*(
-        unit // math.gcd(unit, *(x for seg in segs if seg.unit == unit
-                                 for x in (seg.a, seg.n)))
-        for unit in {seg.unit for seg in segs}
-    ))
+    values = [(seg.unit, (seg.a, seg.n)) for sf in placement.layout for seg in sf.segments]
+    for plan in map(_template, plans):
+        values += [(plan.unit, (width, *(offset for _, offset in row)))
+                   for width, row in plan.transmissions]
+    gcds: dict[int, int] = {}
+    for unit, xs in values:
+        gcds[unit] = math.gcd(gcds.get(unit, unit), *xs)
+    return math.lcm(*(unit // g for unit, g in gcds.items()))
 
 
 @dataclass(frozen=True)
@@ -172,25 +171,20 @@ def materialize(
 class CompiledPlan:
     """A template's bit geometry at one file size.
 
-    ``parts[t]`` lists transmission t's parts as (target user, a, b): 0-based
-    user, bit range [a, b) of the file that user wants.  Every part of a
-    transmission has the transmission's width, so the widths, and with them
-    the load, are fixed here, for every demand.  A user decodes with its
-    *own* part, its first part in a transmission, and cancels the others.
-
-    ``grid`` lists the distinct part boundaries below ``F_bits`` in
-    ascending order: cell i is bits grid[i]:grid[i+1], the last cell ends at
-    ``F_bits``, and every part is a run of whole cells.  ``live`` lists the
-    transmissions that send bits as (first payload bit, width, parts), each
-    part as (target user, first cell, end cell), where the end cell of a
-    part that ends at ``F_bits`` is len(grid).
+    ``edges`` lists the distinct part boundaries in bits, ascending, and
+    ends at the file size: cell i is bits edges[i]:edges[i+1], and every
+    part is a run of whole cells.  ``parts[t]`` lists transmission t's parts
+    as (user, first cell, end cell): 0-based user and bits
+    edges[first]:edges[end] of the file that user wants.  Transmission t
+    sends payload bits sent[t]:sent[t+1], as wide as each of its parts, so
+    the widths, and with them the load, are fixed here, for every demand.
+    A user decodes with its *own* part, its first part in a transmission,
+    and cancels the others.
     """
 
-    F_bits: int
     parts: list[list[tuple[int, int, int]]]
-    sent: list[int]  # transmission t sends payload bits sent[t]:sent[t+1]
-    grid: list[int]
-    live: list[tuple[int, int, list[tuple[int, int, int]]]]
+    sent: list[int]
+    edges: list[int]
 
     @property
     def total_bits(self) -> int:
@@ -200,43 +194,41 @@ class CompiledPlan:
 def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
     """Fix a template's bit geometry at ``F_bits``, checking it once.
 
-    Every transmission must have parts, every part boundary must be an
-    integer bit, every part of a transmission must have the same width, and
-    no user may be sent a bit twice, in any of its parts, so one user's own
-    parts never overlap.  This is the only place delivery turns rational
-    offsets into bits.  A bound plan is compiled through its template.
+    Every transmission must have parts and a width, every part boundary
+    must be an integer bit, and no user may be sent a bit twice, in any of
+    its parts, so one user's own parts never overlap.  This is the only
+    place delivery turns a plan's integer offsets into bits: each distinct
+    boundary is scaled once.  A bound plan is compiled through its template.
     """
-    parts, sent, ranges, bounds = [], [0], [], set()
-    for t, tx in enumerate(_template(plan).transmissions):
-        if not tx.parts:
+    template = _template(plan)
+    unit, txs = template.unit, template.transmissions
+    ranges, bounds = [], {unit}
+    for t, (width, row) in enumerate(txs):
+        if not row:
             raise ValueError(f"transmission {t} has no parts")
-        compiled, width = [], None
-        for part in tx.parts:
-            lo, hi = _bit_range(part.segment, F_bits)
-            if width is None:
-                width = hi - lo
-            elif hi - lo != width:
-                raise ValueError("unequal segment lengths inside one transmission")
-            user = part.target - 1
-            if width:
-                ranges.append((user, lo, hi))
-                bounds.add(lo)
-                bounds.add(hi)
-            compiled.append((user, lo, hi))
-        parts.append(compiled)
-        sent.append(sent[-1] + width)
-    ranges.sort(key=lambda r: r[:2])
+        if not width:
+            raise ValueError(f"transmission {t} sends no bits")
+        for target, offset in row:
+            ranges.append((target - 1, offset, offset + width))
+            bounds.add(offset)
+            bounds.add(offset + width)
+    cell, edges = {}, []
+    for x in sorted(bounds):
+        bit, rest = divmod(x * F_bits, unit)
+        if rest:
+            raise ValueError(f"F_bits={F_bits} cannot realize the part boundary "
+                             f"{Fraction(x, unit)}: boundaries must be integer bits")
+        cell[x] = len(edges)
+        edges.append(bit)
+    ranges.sort()
     for (u, _, b), (v, a, b2) in zip(ranges, ranges[1:]):
         if u == v and a < b:
-            raise ValueError(f"plan sends user {v + 1} bits "
-                             f"[{a}, {min(b, b2)}) of its file twice")
-    bounds.discard(F_bits)
-    grid = sorted(bounds)
-    cell = {x: i for i, x in enumerate(grid)}
-    cell[F_bits] = len(grid)
-    live = [(lo, hi - lo, [(user, cell[a], cell[b]) for user, a, b in tx])
-            for tx, lo, hi in zip(parts, sent, sent[1:]) if lo < hi]
-    return CompiledPlan(F_bits, parts, sent, grid, live)
+            raise ValueError(f"plan sends user {v + 1} bits [{edges[cell[a]]}, "
+                             f"{edges[cell[min(b, b2)]]}) of its file twice")
+    parts = [[(target - 1, cell[offset], cell[offset + width]) for target, offset in row]
+             for width, row in txs]
+    sent = list(accumulate((width * F_bits // unit for width, _ in txs), initial=0))
+    return CompiledPlan(parts, sent, edges)
 
 
 def _compiled(plan: BoundPlan, F_bits: int) -> CompiledPlan:
@@ -256,11 +248,12 @@ def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> np.ndarray:
     """Payload bits of every transmission: the XOR of its parts, the part for
     user k read from row d[k-1] - 1 of the server's store."""
     rows = [store.bits[f - 1] for f in d]
+    edges = cp.edges
     sent = np.zeros(cp.total_bits, dtype=np.uint8)
-    for t, parts in enumerate(cp.parts):
-        payload = sent[cp.sent[t]:cp.sent[t + 1]]
-        for user, a, b in parts:
-            payload ^= rows[user][a:b]
+    for lo, hi, parts in zip(cp.sent, cp.sent[1:], cp.parts):
+        payload = sent[lo:hi]
+        for user, i, j in parts:
+            payload ^= rows[user][edges[i]:edges[j]]
     return sent
 
 
@@ -274,21 +267,22 @@ def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
     is missing and nothing it read was wrong.
 
-    Coverage is counted once per cell of ``cp.grid``: ``cached[u][j]`` is the
-    number of bits user u caches from the first cell up to cell j, so user
-    u caches cached[u][j] - cached[u][i] bits of a part spanning cells i:j.
+    Coverage is counted once per cell of ``cp.edges``, one mask row at a
+    time: ``cached[u][j]`` is the number of bits user u caches from the
+    first edge up to edge j, so user u caches cached[u][j] - cached[u][i]
+    bits of a part spanning cells i:j.
     """
     missing = (masks.shape[1] - np.count_nonzero(masks, axis=1)).tolist()
     wrong = [False] * len(missing)
-    if not cp.live:
-        return [not m for m in missing]
-    prefix = np.zeros((masks.shape[0], len(cp.grid) + 1), dtype=np.int64)
-    np.cumsum(np.add.reduceat(masks, cp.grid, axis=1, dtype=np.int64), axis=1,
-              out=prefix[:, 1:])
-    cached = prefix.tolist()
-    differs = np.concatenate(log.payloads) != clean
-    corrupt = np.logical_or.reduceat(differs, [lo for lo, _, _ in cp.live]).tolist()
-    for (_, width, parts), bad in zip(cp.live, corrupt):
+    starts = np.array(cp.edges[:-1], dtype=np.intp)
+    prefix = np.zeros((masks.shape[0], len(cp.edges)), dtype=np.int64)
+    for row, out in zip(masks, prefix):
+        np.add.reduceat(row, starts, dtype=np.int64, out=out[1:])
+    cached = prefix.cumsum(axis=1).tolist()
+    differs = np.concatenate((clean[:0], *log.payloads)) != clean
+    corrupt = np.logical_or.reduceat(differs, cp.sent[:-1]).tolist()
+    for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
+        width = hi - lo
         read = set()
         for i, (user, a, b) in enumerate(parts):
             if user in read:
@@ -495,7 +489,7 @@ def verify_demands(
     before any work.  Then the identity-demand plan is materialized,
     executed and decoded by ``decode_all``, and that one verdict covers the
     whole demand set: a demand only chooses which file each part reads (the
-    part for user k reads file d[k], as ``equal_cache.BoundPlan`` binds it),
+    part for user k reads file d[k-1], as ``equal_cache.BoundPlan`` binds it),
     while what a user can cancel, the widths, and with them the load, are
     the same for every file.  The template is compiled once, for the
     execution and the decode alike.  Per-demand reports are built only when

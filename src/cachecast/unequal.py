@@ -251,7 +251,7 @@ def build_two_stage(cfg: UnequalConfig,
                                width=1 - gamma, also=cfg.large_users, unit=unit)
         blocks += rest.blocks
         txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
-    return TwoStageContext(cfg, Placement(N, K, blocks), DeliveryPlan(tuple(txs)))
+    return TwoStageContext(cfg, Placement(N, K, blocks), DeliveryPlan(unit, tuple(txs)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +314,9 @@ class SchemeInstance:
     def _built(self) -> tuple[Placement, DeliveryPlan]:
         """The placement and its template plan."""
         if self.scheme == "equal":
-            placement = equal_placement(self.N, self.K, self.M)
-            return placement, DeliveryPlan(tuple(equal_delivery(
+            unit = window_unit(equal_params(self.N, self.K, self.M))
+            placement = equal_placement(self.N, self.K, self.M, unit=unit)
+            return placement, DeliveryPlan(unit, tuple(equal_delivery(
                 placement.stage1_content, users_range(self.K)
             )))
         if self.scheme == "proposed":

@@ -19,9 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachecast.equal_cache import (
-    Part, Segment, Transmission, aligned_transmissions, cut_segments,
-)
+from cachecast.equal_cache import Segment, aligned_transmissions, cut_segments
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -79,7 +77,8 @@ def ref_aligned_transmissions(components):
     for groups in zip(*pieces):
         if any(len(group) != 1 for group in groups):
             raise ValueError("cut groups must be single segments")
-        out.append(Transmission(tuple(Part(seg, target) for [(target, seg)] in groups)))
+        ((_, first),) = groups[0]
+        out.append((first.n, tuple((target, seg.a) for [(target, seg)] in groups)))
     return out
 
 
@@ -134,11 +133,11 @@ def test_unequal_totals_are_refused(comps, extra):
 
 
 def test_a_whole_segment_is_reused():
-    # the second component's ends cut the first one's only segment
+    # the first component's ends cut the second one's only segment, and each
+    # of the first one's segments is one part of its own
     whole = [Segment(3, 2, UNIT), Segment(20, 2, UNIT)]
     txs = aligned_transmissions([(whole, 2), ([Segment(9, 4, UNIT)], 1)])
-    assert len(txs) == 2 and all(tx.parts[0].segment is seg for tx, seg in zip(txs, whole))
-    assert [tx.parts[1].segment for tx in txs] == [Segment(9, 2, UNIT), Segment(11, 2, UNIT)]
+    assert txs == [(2, ((2, 3), (1, 9))), (2, ((2, 20), (1, 11)))]
 
 
 @st.composite

@@ -1,13 +1,13 @@
 """The interval decoder against the per-part decoder it replaced.
 
-``simulator._decode`` counts each user's cache coverage once per cell of the
-compiled plan's grid of part boundaries, and reads every (user, part) count
-as a difference of two prefix sums.  ``reference_decode`` below is the
-decoder it replaced, which reduced the masks once per part; it is kept as
-the reference.  Over random rational points (K <= 6, N <= 9, cache-size
-denominators at most 9), random demands, toggled cache bits and flipped
-payload bits (derandomized), ``decode_all`` must give every user the
-reference's outcome.
+``simulator._decode`` counts each user's cache coverage once per cell
+between the compiled plan's part boundaries (``CompiledPlan.edges``), and
+reads every (user, part) count as a difference of two prefix sums.
+``reference_decode`` below is the decoder it replaced, which reduced the
+masks once per part; it is kept as the reference.  Over random rational
+points (K <= 6, N <= 9, cache-size denominators at most 9), random demands,
+toggled cache bits and flipped payload bits (derandomized), ``decode_all``
+must give every user the reference's outcome.
 """
 
 import math
@@ -39,10 +39,9 @@ def reference_decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
     missing = [masks.shape[1] - np.count_nonzero(row) for row in masks]
     wrong = [False] * len(missing)
     differs = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads]) != clean
-    for t, parts in enumerate(cp.parts):
+    for t, cells in enumerate(cp.parts):
         lo, hi = cp.sent[t], cp.sent[t + 1]
-        if lo == hi:
-            continue
+        parts = [(user, cp.edges[i], cp.edges[j]) for user, i, j in cells]
         corrupt = bool(differs[lo:hi].any())
         covered = [masks[:, a:b].all(axis=1).tolist() for _, a, b in parts]
         read = set()

@@ -280,25 +280,29 @@ class TestBoundPlan:
         assert plan == BoundPlan(template, d)
         view = bound_parts(plan)
         assert len(view) == len(template.transmissions)
-        for tx, tx0 in zip(view, template.transmissions, strict=True):
-            for (file, seg, target), p0 in zip(tx, tx0.parts, strict=True):
-                assert target == p0.target and file == d[target - 1]
-                assert seg is p0.segment
+        for tx, (width, row) in zip(view, template.transmissions, strict=True):
+            for (file, seg, target), (target0, offset) in zip(tx, row, strict=True):
+                assert target == target0 and file == d[target - 1]
+                assert (seg.a, seg.n, seg.unit) == (offset, width, template.unit)
         assert plan.total_load == template.total_load
 
     def test_binding_builds_no_part_or_transmission(self, monkeypatch):
         inst = SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2))
         template = inst.plan((1, 2, 3, 4)).template  # built once, for every demand
         built = []
-        for name in ("Part", "Transmission"):
-            cls = getattr(equal_cache, name)
-            monkeypatch.setattr(equal_cache, name,
-                                lambda *a, _cls=cls, _name=name: built.append(_name) or _cls(*a))
+        aligned = equal_cache.aligned_transmissions
+
+        def counted(components):
+            rows = aligned(components)
+            built.extend(rows)
+            return rows
+
+        monkeypatch.setattr(equal_cache, "aligned_transmissions", counted)
         plan = inst.plan((3, 1, 3, 6))
         assert plan.template is template and built == []
-        SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2)).plan(
-            (3, 1, 3, 6))  # a new template is built through the counted names
-        assert "Part" in built and "Transmission" in built
+        new = SchemeInstance("proposed", 6, 4, Fraction(5, 4), L=2, Mhat=Fraction(7, 2))
+        # a new template is built through the counted row builder
+        assert new.plan((3, 1, 3, 6)).template.transmissions == tuple(built)
 
     def test_demand_of_the_wrong_length_refused(self):
         inst = SchemeInstance("equal", 4, 3, 1)
@@ -317,7 +321,7 @@ class TestEqualScheme:
         inst = SchemeInstance("equal", 4, 1, 1)
         plan = inst.plan((2,))
         assert plan.total_load == Fraction(3, 4)
-        assert all(len(tx.parts) == 1 for tx in plan.template.transmissions)
+        assert all(len(row) == 1 for _, row in plan.template.transmissions)
         assert inst.placement.user_load(1) == 1
 
     def test_full_cache_empty_plan(self):
@@ -333,5 +337,6 @@ class TestEqualScheme:
 
     def test_transmission_parts_have_equal_length(self):
         plan = SchemeInstance("equal", 5, 4, Fraction(7, 4)).plan((1, 2, 3, 4))
-        for tx in plan.template.transmissions:
-            assert len({p.segment.length for p in tx.parts}) == 1
+        for tx in bound_parts(plan):
+            assert len({seg.length for _, seg, _ in tx}) == 1
+        assert all(width > 0 for width, _ in plan.template.transmissions)

@@ -76,7 +76,7 @@ def test_required_bits_is_the_lcm_of_the_segment_denominators():
     for inst in _grid():
         plan = inst.plan(tuple(range(1, inst.K + 1)))
         segs = [seg for sf in inst.placement.layout for seg in sf.segments] + [
-            part.segment for tx in plan.template.transmissions for part in tx.parts]
+            seg for tx in bound_parts(plan) for _, seg, _ in tx]
         fracs = [x for seg in segs for x in (seg.start, seg.length)]
         assert required_bits(inst.placement, plan) == (
             lcm_denominators(fracs) if fracs else 1)

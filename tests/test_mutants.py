@@ -21,7 +21,7 @@ import pytest
 
 import cachecast
 from cachecast import baselines, simulator
-from cachecast.equal_cache import BoundPlan, DeliveryPlan, Transmission
+from cachecast.equal_cache import BoundPlan, DeliveryPlan
 from cachecast.simulator import (
     SchemeInstance, decode_all, execute_delivery, materialize, verify_demands,
 )
@@ -54,21 +54,37 @@ def flipped_payload_bit_fails():
 def uncancellable_part_is_not_read():
     """One XOR of two users' uncached files serves neither of them."""
     inst = SchemeInstance("equal", 2, 2, 0)
-    (a,), (b,) = (tx.parts for tx in inst.plan((1, 2)).template.transmissions)
-    plan = BoundPlan(DeliveryPlan((Transmission((a, b)),)), (1, 2))
+    template = inst.plan((1, 2)).template
+    (width, (a,)), (_, (b,)) = template.transmissions
+    plan = BoundPlan(DeliveryPlan(template.unit, ((width, (a, b)),)), (1, 2))
     store, caches = materialize(inst.placement, plan)
     report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
     assert report.user_ok == (False, False)
 
 
-def bit_sent_twice_is_refused():
-    tx = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4)).template.transmissions[0]
+def compile_refuses(plan, F_bits, message):
     try:
-        simulator.compile_plan(DeliveryPlan((tx, tx)), 4)
+        simulator.compile_plan(plan, F_bits)
     except ValueError as exc:
-        assert "twice" in str(exc)
+        assert message in str(exc)
     else:
-        raise AssertionError("a plan that sends a bit twice was compiled")
+        raise AssertionError(f"compiled a plan that should fail with {message!r}")
+
+
+def bit_sent_twice_is_refused():
+    template = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4)).template
+    tx = template.transmissions[0]
+    compile_refuses(DeliveryPlan(template.unit, (tx, tx)), 4, "twice")
+
+
+def zero_width_transmission_is_refused():
+    compile_refuses(DeliveryPlan(4, ((0, ((1, 0),)),)), 4, "sends no bits")
+
+
+def boundary_off_the_bits_is_refused():
+    # the equal scheme at (4, 4, 1) cuts files in quarters: 2 bits is too few
+    template = SchemeInstance("equal", 4, 4, 1).plan((1, 2, 3, 4)).template
+    compile_refuses(template, 2, "integer bits")
 
 
 def scheme1_ties_go_to_the_lowest_layer():
@@ -87,6 +103,7 @@ def demand_outside_the_library_is_refused():
 
 ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
+           zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
            scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
 
 
@@ -114,6 +131,10 @@ MUTANTS = [
            proposed_scheme_verifies),
     Mutant("compile-skips-sent-twice", "simulator.compile_plan",
            "if u == v and a < b:", "if False:", bit_sent_twice_is_refused),
+    Mutant("compile-sends-zero-widths", "simulator.compile_plan",
+           "if not width:", "if False:", zero_width_transmission_is_refused),
+    Mutant("compile-floors-boundaries", "simulator.compile_plan",
+           "if rest:", "if False:", boundary_off_the_bits_is_refused),
     Mutant("cut-one-unit-short", "equal_cache.cut_segments",
            "Segment(a, bound - pos, seg.unit)", "Segment(a, bound - pos - 1, seg.unit)",
            proposed_scheme_verifies),

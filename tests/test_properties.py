@@ -20,7 +20,7 @@ from cachecast.simulator import (
 )
 from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
 
-from views import lcm_denominators
+from views import bound_parts, lcm_denominators
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -82,7 +82,7 @@ def test_integer_units_read_as_fractions(point):
     placement = inst.placement
     plan = inst.plan(tuple(range(1, inst.K + 1)))
     segs = [seg for sf in placement.layout for seg in sf.segments] + [
-        part.segment for tx in plan.template.transmissions for part in tx.parts]
+        seg for tx in bound_parts(plan) for _, seg, _ in tx]
     assert required_bits(placement, plan) == lcm_denominators(
         [x for seg in segs for x in (seg.start, seg.length)])
     for user in range(1, inst.K + 1):
@@ -119,14 +119,14 @@ def test_payloads_read_each_target_s_file(point, data):
     store, _ = materialize(inst.placement, plan, seed=data.draw(st.integers(0, 2**16)))
     log = execute_delivery(store, plan)
     F = store.F_bits
-    txs = plan.template.transmissions
+    txs = bound_parts(plan)
     assert len(log.payloads) == len(txs)
     for tx, payload in zip(txs, log.payloads):
         expect = np.zeros(len(payload), dtype=np.uint8)
-        for part in tx.parts:
-            a, b = part.segment.start * F, part.segment.stop * F
+        for _, seg, target in tx:
+            a, b = seg.start * F, seg.stop * F
             assert a.denominator == b.denominator == 1 and b - a == len(payload)
-            expect ^= store.bits[d[part.target - 1] - 1, int(a):int(b)]
+            expect ^= store.bits[d[target - 1] - 1, int(a):int(b)]
         assert np.array_equal(payload, expect)
 
 

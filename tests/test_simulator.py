@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from cachecast import cli, simulator
-from cachecast.equal_cache import (
-    BoundPlan,
-    DeliveryPlan,
-    Part,
-    Transmission,
-    equal_placement,
-)
+from cachecast.equal_cache import BoundPlan, DeliveryPlan, equal_placement
 from cachecast.simulator import (
     CacheImage,
     DemandSet,
@@ -139,7 +133,8 @@ class TestExecuteDelivery:
         _, plan, store, _ = worked_system()
         log = execute_delivery(store, plan)
         per_tx = sum(
-            int(tx.length * store.F_bits) for tx in plan.template.transmissions
+            int(Fraction(width, plan.template.unit) * store.F_bits)
+            for width, _ in plan.template.transmissions
         )
         assert log.total_bits == per_tx
 
@@ -163,6 +158,21 @@ class TestDecodeAll:
         )
         assert not report.passed
         assert not all(report.user_ok)
+
+    def test_coverage_is_counted_one_mask_row_at_a_time(self):
+        # an int64 copy of every mask row at once would take 8*K*F_bits bytes
+        inst = SchemeInstance("proposed", 20, 14, Fraction(5, 2), L=7, Mhat=7)
+        plan = inst.plan(tuple(range(1, 15)))
+        store, caches = materialize(inst.placement, plan)
+        log = execute_delivery(store, plan)
+        tracemalloc.start()
+        try:
+            report = decode_all(caches, log, plan.demand, plan, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * 14 * store.F_bits
 
     def test_unrealizable_formula_rate_raises(self):
         _, plan, store, caches = worked_system()  # F_bits = 8
@@ -361,7 +371,7 @@ class TestDecodeOutcomes:
         d = (1, 2, 3, 4)
         assert decode_all(caches, flipped(log, t, 0), d, plan, store).user_ok == user_ok
         txs = plan.template.transmissions
-        dropped = BoundPlan(DeliveryPlan(txs[:t] + txs[t + 1:]), d)
+        dropped = BoundPlan(DeliveryPlan(plan.template.unit, txs[:t] + txs[t + 1:]), d)
         dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:])
         assert decode_all(caches, dropped_log, d, dropped, store).user_ok == user_ok
 
@@ -386,10 +396,12 @@ class TestDecodeOutcomes:
         # that half cleared from its cache the plain part refills it, but the
         # XOR, whose other part user 1 no longer caches, gives it nothing
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        (tx,) = inst.plan((1, 2)).template.transmissions
-        other = next(p.segment for p in tx.parts if p.target == 2)
-        plain = Transmission((Part(other, 1),))
-        plan = BoundPlan(DeliveryPlan((tx, plain)), (1, 2))
+        template = inst.plan((1, 2)).template
+        (tx,) = template.transmissions
+        width, row = tx
+        other = next(offset for target, offset in row if target == 2)
+        plain = (width, ((1, other),))
+        plan = BoundPlan(DeliveryPlan(template.unit, (tx, plain)), (1, 2))
         store, caches = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
         assert decode_all(caches, log, (1, 2), plan, store).user_ok == (True, True)
@@ -402,10 +414,11 @@ class TestDecodeOutcomes:
         # user 1's first part is the half it caches, its second the half it
         # lacks: it would have to cancel the second to read the first
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        (tx,) = inst.plan((1, 2)).template.transmissions
-        lacks = next(p.segment for p in tx.parts if p.target == 1)
-        has = next(p.segment for p in tx.parts if p.target == 2)
-        plan = BoundPlan(DeliveryPlan((Transmission((Part(has, 1), Part(lacks, 1))),)),
+        template = inst.plan((1, 2)).template
+        ((width, row),) = template.transmissions
+        lacks = next(offset for target, offset in row if target == 1)
+        has = next(offset for target, offset in row if target == 2)
+        plan = BoundPlan(DeliveryPlan(template.unit, ((width, ((1, has), (1, lacks))),)),
                          (1, 2))
         store, caches = materialize(inst.placement, plan)
         report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
@@ -413,36 +426,40 @@ class TestDecodeOutcomes:
 
 
 class TestCompile:
-    def test_rejects_unequal_widths(self):
-        # widths are checked in bits, once, when a plan is compiled; building
-        # a Transmission checks nothing
-        _, plan, store, _ = worked_system()
-        tx = plan.template.transmissions[0]
-        seg = tx.parts[0].segment
-        # the same start in a unit twice as fine: half the length
-        short = Part(replace(seg, a=2 * seg.a, unit=2 * seg.unit), tx.parts[0].target)
-        tx = Transmission((short, *tx.parts[1:]))
-        with pytest.raises(ValueError, match="unequal segment lengths"):
-            simulator.compile_plan(DeliveryPlan((tx,)), store.F_bits)
-
     def test_rejects_a_transmission_without_parts(self):
         with pytest.raises(ValueError, match="transmission 0 has no parts"):
-            simulator.compile_plan(DeliveryPlan((Transmission(()),)), 4)
+            simulator.compile_plan(DeliveryPlan(4, ((1, ()),)), 4)
+
+    def test_rejects_a_transmission_without_bits(self):
+        # no builder emits a zero-width row, and none is compiled
+        plan = DeliveryPlan(4, ((1, ((1, 0),)), (0, ((2, 1),))))
+        with pytest.raises(ValueError, match="^transmission 1 sends no bits$"):
+            simulator.compile_plan(plan, 4)
+
+    def test_rejects_a_boundary_off_the_bits(self):
+        # the worked example's parts are eighths of a file: 4 bits is too few
+        _, plan, _, _ = worked_system()
+        with pytest.raises(ValueError, match="^F_bits=4 cannot realize the part "
+                                             "boundary 1/8: boundaries must be "
+                                             "integer bits$"):
+            simulator.compile_plan(plan, 4)
 
     def test_rejects_bits_sent_twice(self):
         _, plan, store, _ = worked_system()
-        twice = DeliveryPlan(plan.template.transmissions[:1] * 2)
+        twice = DeliveryPlan(plan.template.unit, plan.template.transmissions[:1] * 2)
         with pytest.raises(ValueError, match="of its file twice"):
             simulator.compile_plan(twice, store.F_bits)
 
     def test_rejects_a_part_sent_twice_in_one_transmission(self):
         # the second copy is not the user's first part in the transmission
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
-        (tx,) = inst.plan((1, 2)).template.transmissions
-        part = next(p for p in tx.parts if p.target == 1)
-        once = DeliveryPlan((Transmission((part,)),))
-        assert simulator.compile_plan(once, 2).parts == [[(0, 1, 2)]]
-        twice = DeliveryPlan((Transmission((part, part)),))
+        template = inst.plan((1, 2)).template
+        ((width, row),) = template.transmissions
+        part = next(p for p in row if p[0] == 1)
+        once = DeliveryPlan(template.unit, ((width, (part,)),))
+        cp = simulator.compile_plan(once, 2)
+        assert (cp.parts, cp.edges) == ([[(0, 0, 1)]], [1, 2])  # bits [1, 2)
+        twice = DeliveryPlan(template.unit, ((width, (part, part)),))
         with pytest.raises(ValueError, match=r"user 1 bits \[1, 2\) of its file twice"):
             simulator.compile_plan(twice, 2)
 

@@ -4,9 +4,14 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import cachecast
+from cachecast import equal_cache
+from cachecast.simulator import SchemeInstance
 
 PACKAGE = Path(cachecast.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -106,14 +111,36 @@ def test_one_two_level_build_path():
 
 
 def test_one_xor_delivery_builder_and_one_way_to_bits():
-    # every XOR is cut by aligned_transmissions, nothing is built per demand,
-    # and every plan reaches bits through compile_plan
-    assert _constructors({"Transmission", "Part", "CompiledPlan", "_bit_range"}) == {
-        "Transmission": {"aligned_transmissions"},
-        "Part": {"aligned_transmissions"},
+    # every XOR row is cut by aligned_transmissions, a template is made only
+    # where its unit is fixed, nothing is built per demand, and every plan
+    # reaches bits through compile_plan
+    assert _constructors({"DeliveryPlan", "CompiledPlan", "_bit_range"}) == {
+        "DeliveryPlan": {"build_two_stage", "_built"},
         "CompiledPlan": {"compile_plan"},
-        "_bit_range": {"compile_plan", "materialize"},
+        "_bit_range": {"materialize"},
     }
+
+
+@pytest.mark.parametrize("inst", [
+    SchemeInstance("equal", 5, 3, Fraction(7, 4)),
+    SchemeInstance("proposed", 6, 4, Fraction(3, 2), L=2, Mhat=Fraction(9, 4)),
+    SchemeInstance("proposed", 5, 4, Fraction(5, 4), L=2, Mhat=Fraction(15, 4)),
+], ids=["equal", "scenario-1", "scenario-2"])
+def test_rows_are_built_only_by_aligned_transmissions(monkeypatch, inst):
+    # a row is a plain tuple, so the pin is by identity: every row of a
+    # template is an object aligned_transmissions returned, in its order
+    made = []
+    aligned = equal_cache.aligned_transmissions
+
+    def recorded(components):
+        rows = aligned(components)
+        made.extend(rows)
+        return rows
+
+    monkeypatch.setattr(equal_cache, "aligned_transmissions", recorded)
+    rows = inst.plan(tuple(range(1, inst.K + 1))).template.transmissions
+    assert made and len(rows) == len(made)
+    assert all(row is out for row, out in zip(rows, made))
 
 
 def _names(node: ast.AST) -> str | None:
@@ -129,14 +156,17 @@ def _names(node: ast.AST) -> str | None:
 
 def test_views_and_second_checks_stay_out_of_the_package():
     # the per-demand view, the re-check of scheme 1's shares and the helpers
-    # that only tests read live in tests/views.py or nowhere
-    gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators"}
+    # that only tests read live in tests/views.py or nowhere; a plan holds
+    # integer rows, not an object per part, and a compiled plan each part once
+    gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
+            "Part", "Transmission"}
+    members = {"BoundPlan": "transmissions", "CompiledPlan": "live"}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if _names(node) in gone:
                 found.append(f"{path.name}:{node.lineno} {_names(node)}")
-            if isinstance(node, ast.ClassDef) and node.name == "BoundPlan":
-                found += [f"{path.name}:{item.lineno} BoundPlan.transmissions"
-                          for item in node.body if _names(item) == "transmissions"]
+            if isinstance(node, ast.ClassDef) and node.name in members:
+                found += [f"{path.name}:{item.lineno} {node.name}.{_names(item)}"
+                          for item in node.body if _names(item) == members[node.name]]
     assert found == []

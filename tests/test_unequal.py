@@ -201,10 +201,10 @@ class TestTwoStageDelivery:
     def test_worked_example_structure(self):
         plan = build_two_stage(WORKED).plan((1, 2, 3, 4))
         assert plan.total_load == 1
-        pairs = [tx for tx in plan.template.transmissions if len(tx.parts) == 2]
-        triples = [tx for tx in plan.template.transmissions if len(tx.parts) == 3]
+        pairs = [row for _, row in plan.template.transmissions if len(row) == 2]
+        triples = [row for _, row in plan.template.transmissions if len(row) == 3]
         assert len(pairs) == 3 and len(triples) == 2
-        assert all(4 in {p.target for p in tx.parts} for tx in pairs)
+        assert all(4 in {target for target, _ in row} for row in pairs)
 
     def test_degenerate_matches_equal_plan(self):
         cfg = UnequalConfig(4, 4, 3, 1, 1)
@@ -286,9 +286,8 @@ class TestIntegerUnits:
     ])
     def test_one_unit_per_build(self, cfg):
         ctx = build_two_stage(cfg)
-        segs = [seg for sf in ctx.placement.layout for seg in sf.segments] + [
-            p.segment for tx in ctx.template.transmissions for p in tx.parts]
-        assert len({seg.unit for seg in segs}) == 1
+        units = {seg.unit for sf in ctx.placement.layout for seg in sf.segments}
+        assert units == {ctx.template.unit}
 
     def test_instance_derives_its_parameters_once(self, monkeypatch):
         calls = []

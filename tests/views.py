@@ -1,6 +1,6 @@
 """Read views that tests share and the package never builds.
 
-A bound plan names no file in its parts (the part for user k reads file
+A bound plan names no file in its rows (the part for user k reads file
 d[k-1]), and a placement stores one file's layout for every file alike;
 these helpers list what a reader of one demand or one user's cache wants
 to see.
@@ -9,12 +9,17 @@ to see.
 import math
 from fractions import Fraction
 
+from cachecast.equal_cache import Segment
+
 
 def bound_parts(plan):
     """Each transmission of a bound plan as a tuple of (file, segment,
-    target), one per part, in plan order."""
-    return [tuple((plan.demand[p.target - 1], p.segment, p.target) for p in tx.parts)
-            for tx in plan.template.transmissions]
+    target), one per part, in plan order: a row (width, ((target, offset),
+    ...)) of the template gives each part Segment(offset, width, unit)."""
+    unit = plan.template.unit
+    return [tuple((plan.demand[target - 1], Segment(offset, width, unit), target)
+                  for target, offset in row)
+            for width, row in plan.template.transmissions]
 
 
 def user_intervals(placement, user):

@@ -29,16 +29,18 @@ print("two-level rate:", report.rate, f"(scenario {report.scenario})")
 
 ctx = build_two_stage(cfg)
 print("\ncache contents (merged [start, stop) ranges per file):")
+unit = ctx.placement.unit
 for user in range(1, 5):
-    # every file is cached alike: merge the user's segments of one layout
+    # every file is cached alike: merge the user's subfiles of one layout,
+    # each n units from offset a, in units of F/unit
     ranges = []
-    for a, b in sorted((seg.start, seg.stop) for sf in ctx.placement.layout
-                       if user in sf.owners for seg in sf.segments):
+    for a, b in sorted((sf.a, sf.a + sf.n) for sf in ctx.placement.layout
+                       if user in sf.owners):
         if ranges and a <= ranges[-1][1]:
             ranges[-1] = (ranges[-1][0], max(ranges[-1][1], b))
         else:
             ranges.append((a, b))
-    pretty = " ".join(f"[{a},{b})" for a, b in ranges)
+    pretty = " ".join(f"[{Fraction(a, unit)},{Fraction(b, unit)})" for a, b in ranges)
     print(f"  user {user}: {pretty} of every file "
           f"(total {ctx.placement.user_load(user)}F)")
 

@@ -33,12 +33,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return parse_rational(str(value))
-
-
 def _dec(x: Fraction) -> str:
     """``x`` to 12 significant digits: as ``.12g`` prints ``float(x)`` where
     that float is zero or normal, else rounded from ``x`` itself, so a value
@@ -165,10 +159,10 @@ class Options:
 def cmd_rate(opts: Options) -> int:
     N = opts.require("N", cast=int)
     K = opts.require("K", cast=int)
-    M = opts.require("M", cast=_rat)
+    M = opts.require("M", cast=parse_rational)
     scheme = opts.get("scheme", "proposed")
     L = opts.get("L", cast=int)
-    Mhat = opts.get("Mhat", cast=_rat)
+    Mhat = opts.get("Mhat", cast=parse_rational)
     rep = SchemeInstance(scheme, N, K, M, L, Mhat).report
     # every line is formatted before any is written, so a failure prints nothing
     lines = [f"rate {_text(rep.rate, 'rate')} ({_dec(rep.rate)})",
@@ -211,9 +205,9 @@ def cmd_sweep(opts: Options) -> int:
     K = opts.require("K", cast=int)
     L = opts.require("L", cast=int)
     axis = opts.get("sweep_axis", "M")
-    start = opts.require("from_", cast=_rat)
-    stop = opts.require("to", cast=_rat)
-    step = opts.require("step", cast=_rat)
+    start = opts.require("from_", cast=parse_rational)
+    stop = opts.require("to", cast=parse_rational)
+    step = opts.require("step", cast=parse_rational)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if start < 0 or stop > N:
@@ -222,9 +216,9 @@ def cmd_sweep(opts: Options) -> int:
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-    mhat_factor = opts.get("mhat_factor", cast=_rat)
-    fixed_M = opts.get("M", cast=_rat)
-    fixed_Mhat = opts.get("Mhat", cast=_rat)
+    mhat_factor = opts.get("mhat_factor", cast=parse_rational)
+    fixed_M = opts.get("M", cast=parse_rational)
+    fixed_Mhat = opts.get("Mhat", cast=parse_rational)
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")
@@ -325,12 +319,12 @@ def cmd_verify(opts: Options) -> int:
 
     N = opts.require("N", cast=int)
     K = opts.require("K", cast=int)
-    M = opts.require("M", cast=_rat)
+    M = opts.require("M", cast=parse_rational)
     scheme = opts.get("scheme", "proposed")
     if scheme not in ("equal", "proposed"):
         raise ValueError("verification supports the equal and proposed schemes")
     L = opts.get("L", cast=int)
-    Mhat = opts.get("Mhat", cast=_rat)
+    Mhat = opts.get("Mhat", cast=parse_rational)
     seed = opts.get("seed", 0, int)
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")

@@ -30,10 +30,11 @@ each runs once, over one file's layout:
   of them, for a placement's layout or the refined pool's
   (``incremental.refine_pool``).  Both emit template rows.
 - ``cut_segments`` is the one interval cutter: one walk over an ordered run
-  of segments against increasing offsets.  ``aligned_transmissions`` runs it
-  on each component of one XOR at the union of their segment ends, so each
-  piece is one segment per component, and emits one row per piece; the
-  pooled refinement runs it to cut a kept share and equal promoted parts.
+  of (offset, length) pairs against increasing offsets.
+  ``aligned_transmissions`` runs it on each component of one XOR at the
+  union of their pair ends, so each piece is one pair per component, and
+  emits one row per piece; the pooled refinement runs it to cut a kept
+  share and equal promoted parts.
 
 A template (``DeliveryPlan``) is one unit and integer rows: transmission t
 is (width, ((target, offset), ...)), the XOR of parts that are all
@@ -43,14 +44,15 @@ demand, and the part for user k reads file d[k-1].  Nothing is made per
 demand; ``simulator`` reads the template and applies the demand where it
 reads file bits, compiling each template once per file size.
 
-All offsets and lengths are integers in units of F/unit, one unit per
-placement and plan, fixed before anything is built: ``equal_placement``
-takes it (by default the coarsest one in which its layout is whole,
-``window_unit``), the template is made where that unit is fixed, nothing
-rescales a built placement, and every cut is exact, so a remainder raises
-rather than rounds.  A ``Segment`` reads its integers back as fractions of
-F, and a bit-level realization only has to scale them
-(``simulator.required_bits``).
+A placement is one unit and integer subfiles in the same way:
+``Placement(N, K, unit, blocks)``, each subfile ``n`` units from offset
+``a``, in units of F/``unit``.  The unit is fixed before anything is built:
+``equal_placement`` takes it (by default the coarsest one in which its
+layout is whole, ``window_unit``), the template is made where that unit is
+fixed, nothing rescales a built placement, and every cut is exact, so a
+remainder raises rather than rounds.  Delivery content maps owner sets to
+tuples of (offset, length) pairs in that unit, and a bit-level realization
+only has to scale the integers (``simulator.required_bits``).
 """
 
 from __future__ import annotations
@@ -132,56 +134,25 @@ def rate_eq(N: int, K: int, M) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """A contiguous slice at the same offsets of every file: ``n`` units from
-    offset ``a``, in units of F/``unit``.  ``start``, ``length`` and ``stop``
-    read it in fractions of F."""
-
-    a: int
-    n: int
-    unit: int
-
-    @property
-    def start(self) -> Rational:
-        return Fraction(self.a, self.unit)
-
-    @property
-    def length(self) -> Rational:
-        return Fraction(self.n, self.unit)
-
-    @property
-    def stop(self) -> Rational:
-        return Fraction(self.a + self.n, self.unit)
-
-
-def _total_length(segments: Iterable[Segment]) -> Rational:
-    """The summed length of ``segments`` in fractions of F: their integer
-    lengths are added per unit, and each sum becomes one fraction."""
-    sums: dict[int, int] = {}
-    for seg in segments:
-        sums[seg.unit] = sums.get(seg.unit, 0) + seg.n
-    return sum((Fraction(n, unit) for unit, n in sums.items()), ZERO)
+# A run of content as (offset, length), integers in units of F/unit.
+Span = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
 class Subfile:
-    """A placed piece of content, cut alike from every file.
+    """A placed piece of content, cut alike from every file: ``n`` units
+    from offset ``a``, in the unit of its placement.
 
     ``stage1_set`` is the owner set assigned by the first-stage placement and
     never changes; ``owners`` grows when an incremental refinement adds the
-    piece to further caches.  ``segments`` is ordered (refined pieces keep the
-    order in which they were concatenated, which delivery relies on).
+    piece to further caches.
     """
 
     layer: str
     stage1_set: UserSet
     owners: UserSet
-    segments: tuple[Segment, ...]
-
-    @property
-    def length(self) -> Rational:
-        return _total_length(self.segments)
+    a: int
+    n: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,13 +164,15 @@ class FileSubfile(Subfile):
 
 @dataclass(frozen=True)
 class Placement:
-    """N files over K users, laid out alike: ``blocks`` holds one file's
-    subfiles in the groups the builders emit (a layer, a refinement's kept or
-    refined part, a scenario-2 share).  ``subfiles`` lists every file's copy,
-    block by block and file-major within each block."""
+    """N files over K users, laid out alike in one unit: ``blocks`` holds
+    one file's subfiles, at integer offsets and lengths in units of
+    F/``unit``, in the groups the builders emit (a layer, a refinement's
+    kept or refined part, a scenario-2 share).  ``subfiles`` lists every
+    file's copy, block by block and file-major within each block."""
 
     N: int
     K: int
+    unit: int
     blocks: tuple[tuple[Subfile, ...], ...]
 
     @property
@@ -210,7 +183,7 @@ class Placement:
     @property
     def subfiles(self) -> tuple[FileSubfile, ...]:
         return tuple(
-            FileSubfile(sf.layer, sf.stage1_set, sf.owners, sf.segments, file)
+            FileSubfile(sf.layer, sf.stage1_set, sf.owners, sf.a, sf.n, file)
             for block in self.blocks
             for file in range(1, self.N + 1)
             for sf in block
@@ -218,19 +191,19 @@ class Placement:
 
     def user_load(self, user: int) -> Rational:
         """Total cached length at ``user`` over all N files, in units of F."""
-        return self.N * _total_length(
-            seg for sf in self.layout if user in sf.owners for seg in sf.segments)
+        return Fraction(self.N * sum(sf.n for sf in self.layout if user in sf.owners),
+                        self.unit)
 
     @property
-    def stage1_content(self) -> dict[UserSet, tuple[Segment, ...]]:
-        """Map stage-1 set -> the subfile's segments in every file.
+    def stage1_content(self) -> dict[UserSet, tuple[Span, ...]]:
+        """Map stage-1 set -> its subfile's (offset, length), alone in a tuple.
 
         Only an unrefined placement has one subfile per key (its two layers
         have owner sets of different sizes); refinement scatters a stage-1
         subfile over several entries.
         """
         layout = self.layout
-        content = {sf.stage1_set: sf.segments for sf in layout}
+        content = {sf.stage1_set: ((sf.a, sf.n),) for sf in layout}
         if len(content) != len(layout):
             raise ValueError("refined placement: its stage-1 subfiles are scattered")
         return content
@@ -278,21 +251,23 @@ class BoundPlan:
 
 
 def cut_segments(
-    segments: Iterable[Segment], bounds: Sequence[int]
-) -> Iterator[tuple[int, int, Segment]]:
-    """Cut the concatenation of ``segments`` at increasing content offsets.
+    segments: Iterable[Span], bounds: Sequence[int]
+) -> Iterator[tuple[int, int, Span]]:
+    """Cut the concatenation of ``segments``, (offset, length) pairs, at
+    increasing content offsets.
 
-    ``bounds`` are offsets in the segments' unit, non-decreasing, and the last
+    ``bounds`` are offsets in the pairs' unit, non-decreasing, and the last
     one is the content length; interval k runs from bounds[k-1] (0 for k = 0)
-    to bounds[k].  Yields (k, i, piece) in content order: the piece of segment
-    i that falls in interval k.  A segment no bound cuts is yielded as the
-    same object; an empty interval yields nothing.  Bounds that end before or
+    to bounds[k].  Yields (k, i, piece) in content order: the piece of pair
+    i that falls in interval k.  A pair no bound cuts is yielded as the same
+    object; an empty interval yields nothing.  Bounds that end before or
     past the content raise ``ValueError``.
     """
     k, pos, end = 0, 0, bounds[-1]
     bound = bounds[0]
     for i, seg in enumerate(segments):
-        stop = pos + seg.n
+        a, n = seg
+        stop = pos + n
         if stop > end:
             raise ValueError(f"cut bounds end at {end}, inside the content")
         if stop == pos:
@@ -300,34 +275,33 @@ def cut_segments(
         while bound <= pos:  # end >= stop > pos, so k stays in range
             k += 1
             bound = bounds[k]
-        a = seg.a
         while bound < stop:
-            yield k, i, Segment(a, bound - pos, seg.unit)
+            yield k, i, (a, bound - pos)
             a, pos, k = a + bound - pos, bound, k + 1
             bound = bounds[k]
-        yield k, i, seg if a == seg.a else Segment(a, stop - pos, seg.unit)
+        yield k, i, seg if a == seg[0] else (a, stop - pos)
         pos = stop
     if pos != end:
         raise ValueError(f"cut bounds end at {end}, past the content length {pos}")
 
 
 def aligned_transmissions(
-    components: Sequence[tuple[Sequence[Segment], int]]
+    components: Sequence[tuple[Sequence[Span], int]]
 ) -> list[Row]:
-    """Turn equal-length multi-segment components into aligned XOR rows.
+    """Turn equal-length multi-pair components into aligned XOR rows.
 
-    Each component is (ordered segments, target user), all in one unit.
-    Every component is cut at the union of all components' segment ends
-    (``cut_segments``), so that every resulting transmission XORs exactly one
-    contiguous segment per component, and the widths are the gaps between
-    those ends.
+    Each component is (ordered (offset, length) pairs, target user), all in
+    one unit.  Every component is cut at the union of all components' pair
+    ends (``cut_segments``), so that every resulting transmission XORs
+    exactly one contiguous run per component, and the widths are the gaps
+    between those ends.
     """
     ends: set[int] = set()
     totals: set[int] = set()
     for segs, _ in components:
         pos = 0
-        for seg in segs:
-            pos += seg.n
+        for _, n in segs:
+            pos += n
             ends.add(pos)
         totals.add(pos)
     if len(totals) != 1:
@@ -338,8 +312,8 @@ def aligned_transmissions(
     columns = []
     for segs, target in components:  # a loop, not a comprehension: no frame each
         column = []
-        for _, _, seg in cut_segments(segs, bounds):
-            column.append((target, seg.a))
+        for _, _, (a, _) in cut_segments(segs, bounds):
+            column.append((target, a))
         columns.append(column)
     widths = [b - a for a, b in zip([0] + bounds, bounds)]
     return list(zip(widths, zip(*columns, strict=True), strict=True))
@@ -401,11 +375,10 @@ def equal_placement(
         a = divide(layer_start.numerator * unit, layer_start.denominator)
         size = divide(fraction.numerator * unit, fraction.denominator * len(subsets))
         blocks.append(tuple(
-            Subfile(layer, T, user_set(T + also) if also else T,
-                    (Segment(a + j * size, size, unit),))
+            Subfile(layer, T, user_set(T + also) if also else T, a + j * size, size)
             for j, T in enumerate(subsets)
         ))
-    return Placement(N=N, K=K, blocks=tuple(blocks))
+    return Placement(N, K, unit, tuple(blocks))
 
 
 def check_demands(d: Sequence[int], N: int, K: int) -> tuple[int, ...]:
@@ -433,7 +406,7 @@ def delivery_subsets(
 
 
 def xor_delivery(
-    content: Mapping[UserSet, Sequence[Segment]], subsets: Iterable[UserSet]
+    content: Mapping[UserSet, Sequence[Span]], subsets: Iterable[UserSet]
 ) -> list[Row]:
     """XOR delivery over the given user subsets, as template rows.
 
@@ -449,7 +422,7 @@ def xor_delivery(
 
 
 def equal_delivery(
-    content: Mapping[UserSet, Sequence[Segment]], ground: UserSet
+    content: Mapping[UserSet, Sequence[Span]], ground: UserSet
 ) -> list[Row]:
     """XOR delivery of an equal-cache layout over ``ground``: every subset
     ``delivery_subsets`` lists."""

@@ -9,9 +9,11 @@ reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
 runs it on the large-cache group; with the pool set to every user it is one
 plain refinement step of an equal-cache placement.  Every file is laid out
 alike, so the refinement runs once, on the one file a ``Placement`` stores.
-Each promotion cuts an owner set's pieces with one ``equal_cache.cut_segments``
-walk and appends every part straight to the next level's owner set.  Besides
-the refined placement it returns the pool's content keyed by owner set, which
+Every offset and length is an integer in the placement's unit.  Each
+promotion cuts an owner set's (offset, length) pieces with one
+``equal_cache.cut_segments`` walk and appends every part straight to the
+next level's owner set; each piece ends as one refined subfile.  Besides the
+refined placement it returns the pool's content keyed by owner set, which
 ``equal_cache.equal_delivery`` serves like any equal-cache layout.
 
 The kept/promoted split uses a uniform keep fraction across the merged level
@@ -26,16 +28,17 @@ import math
 from fractions import Fraction
 
 from .core import Rational, UserSet, binom, divide, user_set
-from .equal_cache import ZERO, Placement, Segment, Subfile, cut_segments
+from .equal_cache import ZERO, Placement, Span, Subfile, cut_segments
 
-# A refinement piece: one contiguous segment, tagged with the stage-1 subfile
-# it was cut from.  Its owner set is the key it is filed under in a State.
-Piece = tuple[Subfile, Segment]
+# A refinement piece: one (offset, length) run, tagged with the stage-1
+# subfile it was cut from.  Its owner set is the key it is filed under in a
+# State.
+Piece = tuple[Subfile, Span]
 State = dict[UserSet, list[Piece]]
 
 
 def _pieces_length(pieces: list[Piece]) -> int:
-    return sum(seg.n for _, seg in pieces)
+    return sum(n for _, (_, n) in pieces)
 
 
 def split_factor(pool_size: int, s0: int, t2_int: int, alpha2: Rational) -> int:
@@ -77,8 +80,8 @@ def _promote_once(
         bounds = [kept_length + width * r for r in range(len(others) + 1)]
         shares = [kept.setdefault(T, [])]
         shares += (promoted.setdefault(user_set(T + (j,)), []) for j in others)
-        for k, i, seg in cut_segments([seg for _, seg in pieces], bounds):
-            shares[k].append((pieces[i][0], seg))
+        for k, i, span in cut_segments([span for _, span in pieces], bounds):
+            shares[k].append((pieces[i][0], span))
     return kept
 
 
@@ -87,7 +90,7 @@ def refine_pool(
     pool_users: UserSet,
     t2_int: int,
     alpha2: Rational,
-) -> tuple[Placement, dict[UserSet, tuple[Segment, ...]]]:
+) -> tuple[Placement, dict[UserSet, tuple[Span, ...]]]:
     """Refine the intra-pool subfiles toward a memory-sharing target.
 
     Subfiles entirely owned inside ``pool_users`` form a pooled file placed
@@ -100,8 +103,8 @@ def refine_pool(
     divide it raises ``ValueError``.
 
     Returns the refined placement and the pool as an equal-cache layout over
-    the pool users: a map from owner set to the ordered segments it owns,
-    the same in every file.  Owner sets of size t2_int hold the kept level,
+    the pool users: a map from owner set to the ordered (offset, length)
+    pairs it owns, the same in every file.  Owner sets of size t2_int hold the kept level,
     those of size t2_int + 1 (present when alpha2 < 1) the promoted one,
     whatever stage-1 layer the bits came from.
     """
@@ -118,8 +121,8 @@ def refine_pool(
     if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
         raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
 
-    pool_total = sum(seg.n for sf in pool_sfs for seg in sf.segments)
-    low0 = sum(seg.n for sf in pool_sfs if len(sf.owners) == s0 for seg in sf.segments)
+    pool_total = sum(sf.n for sf in pool_sfs)
+    low0 = sum(sf.n for sf in pool_sfs if len(sf.owners) == s0)
     t_pool = s0 + 1 - Fraction(low0, pool_total)
     t_target = t2_int + 1 - alpha2
     if t_target < t_pool:
@@ -138,7 +141,7 @@ def refine_pool(
     high: State = {}
     for sf in pool_sfs:
         target = low if len(sf.owners) == s0 else high
-        target.setdefault(sf.owners, []).extend((sf, seg) for seg in sf.segments)
+        target.setdefault(sf.owners, []).append((sf, (sf.a, sf.n)))
     for _ in range(s0, t2_int):
         _promote_once(low, pool, ZERO, high)
         low, high = high, {}
@@ -150,14 +153,15 @@ def refine_pool(
         low = _promote_once(low, pool, keep, high)
 
     refined_block: list[Subfile] = []
-    content: dict[UserSet, tuple[Segment, ...]] = {}
+    content: dict[UserSet, tuple[Span, ...]] = {}
     for state in (low, high):
         for T in sorted(state):
             pieces = state[T]
             refined_block.extend(
-                Subfile(sf.layer, sf.stage1_set, T, (seg,)) for sf, seg in pieces
+                Subfile(sf.layer, sf.stage1_set, T, a, n) for sf, (a, n) in pieces
             )
-            content[T] = tuple(seg for _, seg in pieces)
+            content[T] = tuple(span for _, span in pieces)
 
-    refined = Placement(placement.N, placement.K, rest + (tuple(refined_block),))
+    refined = Placement(placement.N, placement.K, placement.unit,
+                        rest + (tuple(refined_block),))
     return refined, content

@@ -1,10 +1,12 @@
 """Bit-exact realization of placements and delivery plans.
 
-Files become pseudo-random bit arrays whose length makes every segment's
-integer offset, in its unit of the file, land on an integer bit, so no
-rounding ever happens: measured loads are compared to formula rates with
-exact equality.  ``materialize`` draws all N files in one step from the
-generator's raw stream, and the store's bits are read-only.
+Files become pseudo-random bit arrays whose length puts every integer
+offset and length of the placement and the plan, each in its unit of the
+file, on an integer bit, so no rounding ever happens: measured loads are
+compared to formula rates with exact equality.  ``materialize`` draws all
+N files in one step from the generator's raw stream, and the store's bits
+are read-only; it turns each subfile, (offset, length) in the placement's
+unit, into one bit range of every owner's mask row.
 
 ``compile_plan`` is the one step that turns a template's integer rows into
 bits, and it runs once per template and file size: every plan bound from
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, permutations, product, repeat
+from itertools import accumulate, chain, permutations, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,21 +63,19 @@ def _template(plan: DeliveryPlan | BoundPlan) -> DeliveryPlan:
 
 
 def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int:
-    """Smallest file size in bits realizing every segment boundary exactly.
+    """Smallest file size in bits realizing every boundary exactly.
 
-    Offsets are whole units of F/unit, so for each unit that is the unit
-    divided by the gcd of it and every offset and length in that unit (the
-    builders use one unit per placement and plan).  A bound plan is read
-    through its template.
+    Offsets and lengths are whole units of F/unit, one unit per placement
+    and plan, so each needs its unit divided by the gcd of that unit and
+    its integers, and the file size is the lcm of those.  A bound plan is
+    read through its template.
     """
-    values = [(seg.unit, (seg.a, seg.n)) for sf in placement.layout for seg in sf.segments]
-    for plan in map(_template, plans):
-        values += [(plan.unit, (width, *(offset for _, offset in row)))
-                   for width, row in plan.transmissions]
-    gcds: dict[int, int] = {}
-    for unit, xs in values:
-        gcds[unit] = math.gcd(gcds.get(unit, unit), *xs)
-    return math.lcm(*(unit // g for unit, g in gcds.items()))
+    layout = placement.layout
+    runs = [(placement.unit, chain.from_iterable((sf.a, sf.n) for sf in layout))]
+    runs += [(plan.unit, chain.from_iterable((width, *(offset for _, offset in row))
+                                             for width, row in plan.transmissions))
+             for plan in map(_template, plans)]
+    return math.lcm(*(unit // math.gcd(unit, *xs) for unit, xs in runs))
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,17 @@ class CacheImage:
         return self.N * int(self.masks[user - 1].sum())
 
 
-def _bit_range(seg, F_bits: int) -> tuple[int, int]:
-    a, rest_a = divmod(seg.a * F_bits, seg.unit)
-    n, rest_n = divmod(seg.n * F_bits, seg.unit)
+def _bit_range(a: int, n: int, unit: int, F_bits: int) -> tuple[int, int]:
+    """The bits of the run of ``n`` units from offset ``a`` in units of
+    F/``unit``, refused unless both ends are whole bits."""
+    start, rest_a = divmod(a * F_bits, unit)
+    length, rest_n = divmod(n * F_bits, unit)
     if rest_a or rest_n:
         raise ValueError(
-            f"F_bits={F_bits} cannot realize the file segment "
-            f"[{seg.start}, {seg.stop}): boundaries must be integer bits"
+            f"F_bits={F_bits} cannot realize the file segment [{Fraction(a, unit)}, "
+            f"{Fraction(a + n, unit)}): boundaries must be integer bits"
         )
-    return a, a + n
+    return start, start + length
 
 
 def materialize(
@@ -160,10 +162,9 @@ def materialize(
     store = FileStore(bits)
     masks = np.zeros((placement.K, F_bits), dtype=bool)
     for sf in placement.layout:
-        for seg in sf.segments:
-            a, b = _bit_range(seg, F_bits)
-            for owner in sf.owners:
-                masks[owner - 1, a:b] = True
+        a, b = _bit_range(sf.a, sf.n, placement.unit, F_bits)
+        for owner in sf.owners:
+            masks[owner - 1, a:b] = True
     return store, CacheImage(placement.N, masks)
 
 

@@ -251,7 +251,8 @@ def build_two_stage(cfg: UnequalConfig,
                                width=1 - gamma, also=cfg.large_users, unit=unit)
         blocks += rest.blocks
         txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
-    return TwoStageContext(cfg, Placement(N, K, blocks), DeliveryPlan(unit, tuple(txs)))
+    return TwoStageContext(cfg, Placement(N, K, unit, blocks),
+                           DeliveryPlan(unit, tuple(txs)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,8 @@ def test_criterion_1_worked_example_exactness():
 def test_criterion_2_delivery_reproduction():
     ctx = build_two_stage(UnequalConfig(4, 4, 3, 2, 1))
     plan = ctx.plan((1, 2, 3, 4))
-    got = {
-        frozenset((file, seg.start, seg.length, target) for file, seg, target in tx)
-        for tx in bound_parts(plan)
-    }
+    # each part as (file, start, length, target)
+    got = {frozenset(tx) for tx in bound_parts(plan)}
     q, e = Fraction(1, 4), Fraction(1, 8)
     expected = {
         # pairs serving user 4, unchanged from the single-level scheme
@@ -118,8 +116,8 @@ def test_criterion_5_incremental_merge_equivalence():
         for sf in placement.subfiles:
             if user in sf.owners:
                 key = (sf.file, sf.owners)
-                totals[key] = totals.get(key, Fraction(0)) + sf.length
-        return {(f, o, length) for (f, o), length in totals.items()}
+                totals[key] = totals.get(key, 0) + sf.n
+        return {(f, o, Fraction(n, placement.unit)) for (f, o), n in totals.items()}
 
     # the layout and its refinement do not depend on N, and equal_params
     # refuses K > N: K <= N still reaches every (K, t) with t < K <= 5

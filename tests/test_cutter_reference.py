@@ -1,8 +1,9 @@
 """The one interval cutter against the cutter it replaced.
 
-``equal_cache.cut_segments`` is the one function that cuts a run of segments
-at interior offsets.  ``aligned_transmissions`` cuts every component of one
-XOR at the union of the components' segment ends, and the pooled refinement
+``equal_cache.cut_segments`` is the one function that cuts a run of
+(offset, length) segments at interior offsets.  ``aligned_transmissions``
+cuts every component of one XOR at the union of the components' segment
+ends, and the pooled refinement
 cuts each owner set's pieces into a kept share and equal promoted parts.
 ``split_segments`` below is the cutter both replaced, kept as the
 reference.  ``cut_segments`` must equal it, piece by piece and tag by tag,
@@ -19,18 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachecast.equal_cache import Segment, aligned_transmissions, cut_segments
+from cachecast.equal_cache import Span, aligned_transmissions, cut_segments
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
-
-UNIT = 7
 
 Tag = TypeVar("Tag")
 
 
 def split_segments(
-    items: Sequence[tuple[Tag, Segment]], cuts: Sequence[int]
-) -> list[list[tuple[Tag, Segment]]]:
+    items: Sequence[tuple[Tag, Span]], cuts: Sequence[int]
+) -> list[list[tuple[Tag, Span]]]:
     """Cut the concatenation of ``items``' segments at the given content offsets.
 
     Each item is a (tag, segment) pair; both halves of a cut segment keep its
@@ -38,20 +37,22 @@ def split_segments(
     ``cuts`` are in the segments' unit, strictly increasing and at most the
     total length; returns len(cuts)+1 ordered groups that tile the input.
     """
-    groups: list[list[tuple[Tag, Segment]]] = [[]]
+    groups: list[list[tuple[Tag, Span]]] = [[]]
     pos = 0
     cut_iter = iter(cuts)
     cut = next(cut_iter, None)
     for tag, seg in items:
-        while cut is not None and pos < cut < pos + seg.n:
+        a, n = seg
+        while cut is not None and pos < cut < pos + n:
             head = cut - pos
-            groups[-1].append((tag, Segment(seg.a, head, seg.unit)))
-            seg = Segment(seg.a + head, seg.n - head, seg.unit)
+            groups[-1].append((tag, (a, head)))
+            a, n = a + head, n - head
+            seg = (a, n)
             pos = cut
             groups.append([])
             cut = next(cut_iter, None)
         groups[-1].append((tag, seg))
-        pos += seg.n
+        pos += n
         if cut is not None and cut == pos:
             groups.append([])
             cut = next(cut_iter, None)
@@ -61,13 +62,13 @@ def split_segments(
 
 
 def ref_aligned_transmissions(components):
-    totals = {sum(s.n for s in segs) for segs, _ in components}
+    totals = {sum(n for _, n in segs) for segs, _ in components}
     if len(totals) != 1:
         raise ValueError(f"XOR components must have equal total length, got {totals}")
     if not totals.pop():
         return []
     cuts = sorted({
-        acc for segs, _ in components for acc in accumulate(s.n for s in segs[:-1])
+        acc for segs, _ in components for acc in accumulate(n for _, n in segs[:-1])
     })
     pieces = [
         split_segments([(target, seg) for seg in segs], cuts)
@@ -77,13 +78,13 @@ def ref_aligned_transmissions(components):
     for groups in zip(*pieces):
         if any(len(group) != 1 for group in groups):
             raise ValueError("cut groups must be single segments")
-        ((_, first),) = groups[0]
-        out.append((first.n, tuple((target, seg.a) for [(target, seg)] in groups)))
+        ((_, (_, width)),) = groups[0]
+        out.append((width, tuple((target, a) for [(target, (a, _))] in groups)))
     return out
 
 
 def _segments(lengths, offsets):
-    return [Segment(a, n, UNIT) for a, n in zip(offsets, lengths)]
+    return [(a, n) for a, n in zip(offsets, lengths)]
 
 
 @st.composite
@@ -126,7 +127,7 @@ def test_one_pass_matches_the_split_segments_cutter(comps):
 @given(components(), st.integers(1, 5))
 def test_unequal_totals_are_refused(comps, extra):
     segs, target = comps[0]
-    longer = comps + [(segs + [Segment(0, extra, UNIT)], target)]
+    longer = comps + [(segs + [(0, extra)], target)]
     for cutter in (aligned_transmissions, ref_aligned_transmissions):
         with pytest.raises(ValueError, match="equal total length"):
             cutter(longer)
@@ -135,8 +136,8 @@ def test_unequal_totals_are_refused(comps, extra):
 def test_a_whole_segment_is_reused():
     # the first component's ends cut the second one's only segment, and each
     # of the first one's segments is one part of its own
-    whole = [Segment(3, 2, UNIT), Segment(20, 2, UNIT)]
-    txs = aligned_transmissions([(whole, 2), ([Segment(9, 4, UNIT)], 1)])
+    whole = [(3, 2), (20, 2)]
+    txs = aligned_transmissions([(whole, 2), ([(9, 4)], 1)])
     assert txs == [(2, ((2, 3), (1, 9))), (2, ((2, 20), (1, 11)))]
 
 
@@ -161,7 +162,7 @@ def test_cut_segments_matches_split_segments(run):
     groups = [[] for _ in bounds]
     for k, i, piece in cut_segments(segs, bounds):
         groups[k].append((i, piece))
-        if piece.n == segs[i].n:
+        if piece[1] == segs[i][1]:
             assert piece is segs[i]
     interior = [b for b in bounds[:-1] if b]
     expected = split_segments(list(enumerate(segs)), interior)
@@ -169,10 +170,10 @@ def test_cut_segments_matches_split_segments(run):
     # a segment no interior bound cuts comes back whole, as the same object
     pos = 0
     for i, seg in enumerate(segs):
-        if not any(pos < b < pos + seg.n for b in bounds):
+        if not any(pos < b < pos + seg[1] for b in bounds):
             pieces = [p for group in groups for j, p in group if j == i]
             assert len(pieces) == 1 and pieces[0] is seg
-        pos += seg.n
+        pos += seg[1]
 
 
 @PROFILE

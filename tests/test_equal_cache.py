@@ -16,7 +16,7 @@ from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance
 from cachecast.unequal import UnequalConfig, unequal_params
 
-from views import bound_parts, user_intervals
+from views import bound_parts, extent, user_intervals
 
 
 def grid_M(N, step=Fraction(1, 2)):
@@ -105,7 +105,7 @@ class TestManPlacement:
             cached = [sf for sf in pl.subfiles if user in sf.owners]
             assert len(cached) == 4  # one subfile per file
             assert {sf.file for sf in cached} == {1, 2, 3, 4}
-            assert all(sf.length == Fraction(1, 4) for sf in cached)
+            assert all(Fraction(sf.n, pl.unit) == Fraction(1, 4) for sf in cached)
             assert all(sf.owners == (user,) for sf in cached)
 
     def test_t_zero_nothing_cached(self):
@@ -125,14 +125,14 @@ class TestManPlacement:
         pl = equal_placement(5, 4, Fraction(15, 8))
         beta = pl.blocks[1]
         assert {(sf.layer, len(sf.owners)) for sf in beta} == {("beta", 2)}
-        assert sum(sf.length for sf in beta) == Fraction(1, 2)
+        assert Fraction(sum(sf.n for sf in beta), pl.unit) == Fraction(1, 2)
         expect = Fraction(1, 2) * Fraction(binom(3, 1), binom(4, 2))
         for user in range(1, 5):
             per_file = {}
             for sf in pl.subfiles:
                 if sf.layer == "beta" and user in sf.owners:
-                    per_file[sf.file] = per_file.get(sf.file, Fraction(0)) + sf.length
-            assert all(v == expect for v in per_file.values())
+                    per_file[sf.file] = per_file.get(sf.file, 0) + sf.n
+            assert all(Fraction(v, pl.unit) == expect for v in per_file.values())
 
 
 class TestEqualPlacement:
@@ -149,18 +149,13 @@ class TestEqualPlacement:
             totals = {}
             for sf in pl.subfiles:
                 if user in sf.owners:
-                    totals[sf.file] = totals.get(sf.file, Fraction(0)) + sf.length
+                    totals[sf.file] = totals.get(sf.file, 0) + sf.n
             assert len(set(totals.values())) == 1
 
     def test_layers_partition_each_file(self):
         pl = equal_placement(4, 4, Fraction(5, 4))
         for file in range(1, 5):
-            ivs = sorted(
-                (seg.start, seg.stop)
-                for sf in pl.subfiles
-                if sf.file == file
-                for seg in sf.segments
-            )
+            ivs = sorted(extent(pl, sf) for sf in pl.subfiles if sf.file == file)
             pos = Fraction(0)
             for start, stop in ivs:
                 assert start == pos
@@ -176,8 +171,8 @@ class TestEqualPlacement:
                              also=also)
         assert {sf.layer for sf in pl.layout} == {"alpha", "beta"}
         for sf in pl.layout:
-            assert all(start <= seg.start and seg.stop <= start + width
-                       for seg in sf.segments)
+            lo, hi = extent(pl, sf)
+            assert start <= lo and hi <= start + width
             assert set(sf.stage1_set) <= set(ground)
             assert sf.owners == tuple(sorted(sf.stage1_set + also))
         for user in range(1, 5):
@@ -191,10 +186,11 @@ class TestUnits:
         # t = 3/2: alpha layer 1/2 in four subfiles of 1/8, beta layer 1/2 in
         # six of 1/12, so offsets are whole in units of F/24
         pl = equal_placement(4, 4, Fraction(3, 2))
-        assert {seg.unit for sf in pl.layout for seg in sf.segments} == {24}
+        assert pl.unit == 24
         finer = equal_placement(4, 4, Fraction(3, 2), unit=48)
-        assert [(s.start, s.length) for sf in finer.layout for s in sf.segments] == [
-            (s.start, s.length) for sf in pl.layout for s in sf.segments]
+        assert finer.unit == 48
+        assert [extent(finer, sf) for sf in finer.layout] == [
+            extent(pl, sf) for sf in pl.layout]
 
     def test_a_unit_that_does_not_divide_raises(self):
         with pytest.raises(ValueError, match="does not divide evenly"):
@@ -211,13 +207,13 @@ class TestManDelivery:
     def test_worked_example_transmissions(self):
         inst = SchemeInstance("equal", 4, 4, 1)
         (block,) = inst.placement.blocks
-        assert [(sf.owners, sf.length) for sf in block] == [
+        assert [(sf.owners, Fraction(sf.n, inst.placement.unit)) for sf in block] == [
             ((u,), Fraction(1, 4)) for u in range(1, 5)]
         plan = inst.plan((1, 2, 3, 4))
         assert len(plan.template.transmissions) == 6
         assert plan.total_load == Fraction(3, 2)
         # A2 xor B1: segment [1/4,1/2) of file 1 to user 1, [0,1/4) of file 2 to user 2
-        got = {(file, seg.start, target) for file, seg, target in bound_parts(plan)[0]}
+        got = {(file, start, target) for file, start, _, target in bound_parts(plan)[0]}
         assert got == {(1, Fraction(1, 4), 1), (2, Fraction(0), 2)}
 
     def test_t_equals_K_empty_plan(self):
@@ -231,8 +227,8 @@ class TestManDelivery:
         # brute-force decode: each user holds half of file 1 and the single
         # transmission supplies the other half
         (tx,) = bound_parts(plan)
-        assert {(file, target) for file, _, target in tx} == {(1, 1), (1, 2)}
-        assert {seg.start for _, seg, _ in tx} == {Fraction(0), Fraction(1, 2)}
+        assert {(file, target) for file, _, _, target in tx} == {(1, 1), (1, 2)}
+        assert {start for _, start, _, _ in tx} == {Fraction(0), Fraction(1, 2)}
 
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError, match="demand"):
@@ -281,9 +277,11 @@ class TestBoundPlan:
         view = bound_parts(plan)
         assert len(view) == len(template.transmissions)
         for tx, (width, row) in zip(view, template.transmissions, strict=True):
-            for (file, seg, target), (target0, offset) in zip(tx, row, strict=True):
+            for (file, start, length, target), (target0, offset) in zip(tx, row,
+                                                                         strict=True):
                 assert target == target0 and file == d[target - 1]
-                assert (seg.a, seg.n, seg.unit) == (offset, width, template.unit)
+                assert (start, length) == (Fraction(offset, template.unit),
+                                           Fraction(width, template.unit))
         assert plan.total_load == template.total_load
 
     def test_binding_builds_no_part_or_transmission(self, monkeypatch):
@@ -338,5 +336,5 @@ class TestEqualScheme:
     def test_transmission_parts_have_equal_length(self):
         plan = SchemeInstance("equal", 5, 4, Fraction(7, 4)).plan((1, 2, 3, 4))
         for tx in bound_parts(plan):
-            assert len({seg.length for _, seg, _ in tx}) == 1
+            assert len({length for _, _, length, _ in tx}) == 1
         assert all(width > 0 for width, _ in plan.template.transmissions)

@@ -28,13 +28,15 @@ def _q(x: Fraction) -> str:
 
 
 def _instance_text(inst: SchemeInstance) -> str:
+    # a subfile is one (start, length), written as a list of one pair
+    unit = inst.placement.unit
     placement = [
         (sf.file, sf.layer, sf.stage1_set, sf.owners,
-         [(_q(s.start), _q(s.length)) for s in sf.segments])
+         [(_q(Fraction(sf.a, unit)), _q(Fraction(sf.n, unit)))])
         for sf in inst.placement.subfiles
     ]
     plan = [
-        [(file, _q(seg.start), _q(seg.length), target) for file, seg, target in tx]
+        [(file, _q(start), _q(length), target) for file, start, length, target in tx]
         for tx in bound_parts(inst.plan(tuple(range(1, inst.K + 1))))
     ]
     return f"{placement}|{plan}\n"
@@ -75,9 +77,10 @@ def test_required_bits_is_the_lcm_of_the_segment_denominators():
     # fractions they stand for over the whole grid
     for inst in _grid():
         plan = inst.plan(tuple(range(1, inst.K + 1)))
-        segs = [seg for sf in inst.placement.layout for seg in sf.segments] + [
-            seg for tx in bound_parts(plan) for _, seg, _ in tx]
-        fracs = [x for seg in segs for x in (seg.start, seg.length)]
+        unit = inst.placement.unit
+        fracs = [Fraction(x, unit) for sf in inst.placement.layout for x in (sf.a, sf.n)]
+        fracs += [x for tx in bound_parts(plan) for _, start, length, _ in tx
+                  for x in (start, length)]
         assert required_bits(inst.placement, plan) == (
             lcm_denominators(fracs) if fracs else 1)
 

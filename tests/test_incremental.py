@@ -16,8 +16,8 @@ def content_sets(placement, user):
     for sf in placement.subfiles:
         if user in sf.owners:
             key = (sf.file, sf.owners)
-            totals[key] = totals.get(key, Fraction(0)) + sf.length
-    return {(f, o, length) for (f, o), length in totals.items()}
+            totals[key] = totals.get(key, 0) + sf.n
+    return {(f, o, Fraction(n, placement.unit)) for (f, o), n in totals.items()}
 
 
 def refinable(N, K, M, pool, t2_int, alpha2):
@@ -70,9 +70,10 @@ class TestRefinePlacement:
     def test_single_part_at_t_K_minus_1(self):
         base = step_base(3, 3, 2)
         refined = refine_step(base, 2)
-        # each subfile splits into exactly one part, same segment geometry
-        assert {sf.segments for sf in refined.subfiles} == {
-            sf.segments for sf in base.subfiles
+        # each subfile splits into exactly one part, same geometry
+        assert refined.unit == base.unit
+        assert {(sf.a, sf.n) for sf in refined.subfiles} == {
+            (sf.a, sf.n) for sf in base.subfiles
         }
 
     def test_nothing_to_refine_at_t_K(self):
@@ -91,7 +92,7 @@ class TestRefinePlacement:
         half = Fraction(1, 2)
         low = equal_placement(4, 4, 1, width=half)
         high = equal_placement(4, 4, 3, start=half, width=half)
-        mixed = Placement(4, 4, low.blocks + high.blocks)
+        mixed = Placement(4, 4, low.unit, low.blocks + high.blocks)
         with pytest.raises(ValueError, match=r"^pool is not a memory-sharing "
                                              r"placement, levels \[1, 3\]$"):
             refine_pool(mixed, users_range(4), 3, Fraction(1))
@@ -111,18 +112,22 @@ class TestRefinePool:
         # user 2, the second half to user 3, and so on cyclically
         base = refinable(4, 4, 1, (1, 2, 3), 2, Fraction(1))
         refined, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
+
+        def fractions(spans):
+            return [(Fraction(a, base.unit), Fraction(n, base.unit)) for a, n in spans]
+
         segs12 = pool[(1, 2)]
-        assert [(s.start, s.length) for s in segs12] == [
+        assert fractions(segs12) == [
             (Fraction(0), Fraction(1, 8)),      # first half of A_1
             (Fraction(1, 4), Fraction(1, 8)),   # first half of A_2
         ]
         segs13 = pool[(1, 3)]
-        assert [(s.start, s.length) for s in segs13] == [
+        assert fractions(segs13) == [
             (Fraction(1, 8), Fraction(1, 8)),   # second half of A_1
             (Fraction(1, 2), Fraction(1, 8)),   # first half of A_3
         ]
         segs23 = pool[(2, 3)]
-        assert [(s.start, s.length) for s in segs23] == [
+        assert fractions(segs23) == [
             (Fraction(3, 8), Fraction(1, 8)),   # second half of A_2
             (Fraction(5, 8), Fraction(1, 8)),   # second half of A_3
         ]
@@ -132,13 +137,14 @@ class TestRefinePool:
         base = refinable(4, 4, 1, (1, 2, 3), 2, Fraction(1))
         _, pool = refine_pool(base, (1, 2, 3), 2, Fraction(1))
         assert {len(T) for T in pool} == {2}  # one level, t' = 2
-        for segs in pool.values():
-            assert sum(s.length for s in segs) == Fraction(1, 4)  # (3/4) / C(3,2)
+        for segs in pool.values():  # (3/4) / C(3,2) each
+            assert Fraction(sum(n for _, n in segs), base.unit) == Fraction(1, 4)
 
     def test_noop_when_target_is_current(self):
         base = equal_placement(4, 4, 1)
         p = equal_params(4, 4, 1)
         refined, _ = refine_pool(base, (1, 2, 3), p.t_int, p.alpha)
+        assert refined.unit == base.unit
         assert set(refined.subfiles) == set(base.subfiles)
 
     def test_budget_accounting_noninteger_target(self):
@@ -165,7 +171,7 @@ class TestRefinePool:
         refined, pool = refine_pool(base, (1, 2, 3), 3, Fraction(1))
         assert set(pool) == {(1, 2, 3)}
         for segs in pool.values():
-            assert sum(s.length for s in segs) == Fraction(3, 4)
+            assert Fraction(sum(n for _, n in segs), base.unit) == Fraction(3, 4)
         # every pool user now caches the entire pool of every file
         for user in (1, 2, 3):
             gain = refined.user_load(user) - base.user_load(user)
@@ -196,7 +202,11 @@ class TestRefineUnit:
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         second = equal_params(6, 2, unequal_params(cfg).Mprime)
         base = refinable(6, 4, Fraction(3, 2), (1, 2), second.t_int, second.alpha)
-        (unit,) = {seg.unit for sf in base.layout for seg in sf.segments}
         refined, pool = refine_pool(base, (1, 2), second.t_int, second.alpha)
-        assert {seg.unit for sf in refined.layout for seg in sf.segments} == {unit}
-        assert {seg.unit for segs in pool.values() for seg in segs} == {unit}
+        assert refined.unit == base.unit
+        # the pool's runs are integers in that unit, one per refined pool
+        # subfile
+        assert all(isinstance(x, int) for segs in pool.values() for run in segs
+                   for x in run)
+        assert sorted(run for segs in pool.values() for run in segs) == sorted(
+            (sf.a, sf.n) for sf in refined.layout if set(sf.owners) <= {1, 2})

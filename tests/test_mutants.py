@@ -87,6 +87,19 @@ def boundary_off_the_bits_is_refused():
     compile_refuses(template, 2, "integer bits")
 
 
+def subfile_off_the_bits_is_refused():
+    # the same quarters, laid out as a placement: its masks need whole bits
+    placement = SchemeInstance("equal", 4, 4, 1).placement
+    message = ("F_bits=2 cannot realize the file segment [0, 1/4): boundaries "
+               "must be integer bits")
+    try:
+        simulator.materialize(placement, F_bits=2)
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError("materialized a placement off the bits")
+
+
 def scheme1_ties_go_to_the_lowest_layer():
     # with no cache every layer costs K per unit of share: all pieces tie
     assert baselines.scheme1_optimize(4, 4, [0, 0, 0, 0]) == ((1, 0, 0, 0), 4)
@@ -104,7 +117,7 @@ def demand_outside_the_library_is_refused():
 ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
-           scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
+           subfile_off_the_bits_is_refused, scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +148,10 @@ MUTANTS = [
            "if not width:", "if False:", zero_width_transmission_is_refused),
     Mutant("compile-floors-boundaries", "simulator.compile_plan",
            "if rest:", "if False:", boundary_off_the_bits_is_refused),
+    Mutant("materialize-floors-boundaries", "simulator._bit_range",
+           "if rest_a or rest_n:", "if False:", subfile_off_the_bits_is_refused),
     Mutant("cut-one-unit-short", "equal_cache.cut_segments",
-           "Segment(a, bound - pos, seg.unit)", "Segment(a, bound - pos - 1, seg.unit)",
+           "yield k, i, (a, bound - pos)", "yield k, i, (a, bound - pos - 1)",
            proposed_scheme_verifies),
     Mutant("rate-eq-alpha-swapped", "equal_cache.rate_eq",
            "a * (K - t) * (t + 2) + (D - a) * (K - t - 1) * (t + 1)",

@@ -81,14 +81,15 @@ def test_integer_units_read_as_fractions(point):
     inst = instance(point)
     placement = inst.placement
     plan = inst.plan(tuple(range(1, inst.K + 1)))
-    segs = [seg for sf in placement.layout for seg in sf.segments] + [
-        seg for tx in bound_parts(plan) for _, seg, _ in tx]
-    assert required_bits(placement, plan) == lcm_denominators(
-        [x for seg in segs for x in (seg.start, seg.length)])
+    unit = placement.unit
+    fracs = [Fraction(x, unit) for sf in placement.layout for x in (sf.a, sf.n)]
+    fracs += [x for tx in bound_parts(plan) for _, start, length, _ in tx
+              for x in (start, length)]
+    assert required_bits(placement, plan) == lcm_denominators(fracs)
     for user in range(1, inst.K + 1):
         assert placement.user_load(user) == sum(
-            (seg.length for sf in placement.subfiles if user in sf.owners
-             for seg in sf.segments), Fraction(0))
+            (Fraction(sf.n, unit) for sf in placement.subfiles if user in sf.owners),
+            Fraction(0))
 
 
 @PROFILE
@@ -123,8 +124,8 @@ def test_payloads_read_each_target_s_file(point, data):
     assert len(log.payloads) == len(txs)
     for tx, payload in zip(txs, log.payloads):
         expect = np.zeros(len(payload), dtype=np.uint8)
-        for _, seg, target in tx:
-            a, b = seg.start * F, seg.stop * F
+        for _, start, length, target in tx:
+            a, b = start * F, (start + length) * F
             assert a.denominator == b.denominator == 1 and b - a == len(payload)
             expect ^= store.bits[d[target - 1] - 1, int(a):int(b)]
         assert np.array_equal(payload, expect)

@@ -62,6 +62,14 @@ class TestMaterialize:
         with pytest.raises(ValueError, match="file"):
             materialize(placement, F_bits=3)
 
+    def test_rejects_a_subfile_boundary_off_the_bits(self):
+        # the equal scheme at (4, 4, 1) cuts files in quarters: 2 bits is too few
+        placement = SchemeInstance("equal", 4, 4, 1).placement
+        with pytest.raises(ValueError, match=r"^F_bits=2 cannot realize the file segment "
+                                             r"\[0, 1/4\): boundaries must be integer "
+                                             r"bits$"):
+            materialize(placement, F_bits=2)
+
     def test_cache_budget_in_bits(self):
         _, _, store, caches = worked_system()
         budgets = {1: 2, 2: 2, 3: 2, 4: 1}
@@ -103,24 +111,24 @@ class TestExecuteDelivery:
         plan = inst.plan((2,))
         store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
-        ((file, seg, _),) = bound_parts(plan)[0]
-        a = int(seg.start * store.F_bits)
-        b = int(seg.stop * store.F_bits)
+        ((file, start, length, _),) = bound_parts(plan)[0]
+        a = int(start * store.F_bits)
+        b = int((start + length) * store.F_bits)
         assert np.array_equal(log.payloads[0], store.bits[file - 1, a:b])
 
     def test_xor_of_two_parts(self):
         inst = SchemeInstance("equal", 4, 4, 1)
         (block,) = inst.placement.blocks
-        assert [(sf.owners, sf.length) for sf in block] == [
+        assert [(sf.owners, Fraction(sf.n, inst.placement.unit)) for sf in block] == [
             ((u,), Fraction(1, 4)) for u in range(1, 5)]
         plan = inst.plan((1, 2, 3, 4))
         store, _ = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
-        (f1, s1, _), (f2, s2, _) = bound_parts(plan)[0]  # A2 xor B1
+        (f1, a1, n1, _), (f2, a2, n2, _) = bound_parts(plan)[0]  # A2 xor B1
         F = store.F_bits
         expect = (
-            store.bits[f1 - 1, int(s1.start * F): int(s1.stop * F)]
-            ^ store.bits[f2 - 1, int(s2.start * F): int(s2.stop * F)]
+            store.bits[f1 - 1, int(a1 * F): int((a1 + n1) * F)]
+            ^ store.bits[f2 - 1, int(a2 * F): int((a2 + n2) * F)]
         )
         assert np.array_equal(log.payloads[0], expect)
 

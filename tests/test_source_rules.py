@@ -92,11 +92,10 @@ def _constructors(names: set[str]) -> dict[str, set[str]]:
 
 def test_one_layered_placement_builder():
     # subfiles are laid out by equal_placement alone and re-owned only by the
-    # pooled refinement; segments are made only there and by the one interval
-    # cutter, so nothing rescales a built placement
-    assert _constructors({"Subfile", "Segment"}) == {
+    # pooled refinement, each as integers in its placement's one unit, so
+    # nothing rescales a built placement
+    assert _constructors({"Subfile"}) == {
         "Subfile": {"equal_placement", "refine_pool"},
-        "Segment": {"equal_placement", "cut_segments"},
     }
 
 
@@ -157,10 +156,12 @@ def _names(node: ast.AST) -> str | None:
 def test_views_and_second_checks_stay_out_of_the_package():
     # the per-demand view, the re-check of scheme 1's shares and the helpers
     # that only tests read live in tests/views.py or nowhere; a plan holds
-    # integer rows, not an object per part, and a compiled plan each part once
+    # integer rows, not an object per part, and a compiled plan each part
+    # once; a placement holds integer subfiles in one unit, not segments
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
-            "Part", "Transmission"}
-    members = {"BoundPlan": "transmissions", "CompiledPlan": "live"}
+            "Part", "Transmission", "Segment", "_total_length"}
+    members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
+               "Subfile": {"segments", "length"}}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -168,5 +169,5 @@ def test_views_and_second_checks_stay_out_of_the_package():
                 found.append(f"{path.name}:{node.lineno} {_names(node)}")
             if isinstance(node, ast.ClassDef) and node.name in members:
                 found += [f"{path.name}:{item.lineno} {node.name}.{_names(item)}"
-                          for item in node.body if _names(item) == members[node.name]]
+                          for item in node.body if _names(item) in members[node.name]]
     assert found == []

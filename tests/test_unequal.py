@@ -134,7 +134,9 @@ class TestTwoStagePlacement:
 
     def test_degenerate_matches_equal_placement(self):
         pl = build_two_stage(UnequalConfig(4, 4, 3, 1, 1)).placement
-        assert set(pl.subfiles) == set(equal_placement(4, 4, 1).subfiles)
+        equal = equal_placement(4, 4, 1)
+        assert pl.unit == equal.unit
+        assert set(pl.subfiles) == set(equal.subfiles)
 
     def test_one_file_layout_does_not_grow_with_N(self):
         # every file is laid out alike, so only the expansion scales with N
@@ -180,7 +182,9 @@ class TestTwoStagePlacement:
     def test_empty_pool_keeps_stage_one(self):
         cfg = UnequalConfig(4, 4, 1, 4, 3)
         pl = build_two_stage(cfg).placement
-        assert set(pl.subfiles) == set(equal_placement(4, 4, 3).subfiles)
+        equal = equal_placement(4, 4, 3)
+        assert pl.unit == equal.unit
+        assert set(pl.subfiles) == set(equal.subfiles)
 
     @pytest.mark.parametrize("cfg", [
         UnequalConfig(4, 4, 3, 4, 1),  # gamma = 0: rest share is the file
@@ -280,14 +284,14 @@ class TestIntegerUnits:
         assert result == value
         assert made <= bound
 
-    @pytest.mark.parametrize("cfg", [
-        UnequalConfig(10, 4, 2, Fraction(33, 4), Fraction(11, 4)),  # scenario 1
-        UnequalConfig(5, 4, 2, Fraction(15, 4), Fraction(5, 4)),  # scenario 2
-    ])
-    def test_one_unit_per_build(self, cfg):
-        ctx = build_two_stage(cfg)
-        units = {seg.unit for sf in ctx.placement.layout for seg in sf.segments}
-        assert units == {ctx.template.unit}
+    @pytest.mark.parametrize("inst", [
+        SchemeInstance("equal", 5, 3, Fraction(7, 4)),
+        SchemeInstance("proposed", 10, 4, Fraction(11, 4), L=2, Mhat=Fraction(33, 4)),
+        SchemeInstance("proposed", 5, 4, Fraction(5, 4), L=2, Mhat=Fraction(15, 4)),
+    ], ids=["equal", "scenario-1", "scenario-2"])
+    def test_one_unit_per_build(self, inst):
+        placement, template = inst.placement, inst.plan(tuple(range(1, inst.K + 1))).template
+        assert placement.unit == template.unit
 
     def test_instance_derives_its_parameters_once(self, monkeypatch):
         calls = []

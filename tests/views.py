@@ -9,25 +9,31 @@ to see.
 import math
 from fractions import Fraction
 
-from cachecast.equal_cache import Segment
-
 
 def bound_parts(plan):
-    """Each transmission of a bound plan as a tuple of (file, segment,
+    """Each transmission of a bound plan as a tuple of (file, start, length,
     target), one per part, in plan order: a row (width, ((target, offset),
-    ...)) of the template gives each part Segment(offset, width, unit)."""
+    ...)) of the template gives each part start Fraction(offset, unit) and
+    length Fraction(width, unit), in fractions of F."""
     unit = plan.template.unit
-    return [tuple((plan.demand[target - 1], Segment(offset, width, unit), target)
+    return [tuple((plan.demand[target - 1], Fraction(offset, unit), Fraction(width, unit),
+                   target)
                   for target, offset in row)
             for width, row in plan.template.transmissions]
+
+
+def extent(placement, sf):
+    """A subfile's (start, stop) in fractions of F: ``sf.n`` units from
+    ``sf.a``, in units of F/``placement.unit``."""
+    return Fraction(sf.a, placement.unit), Fraction(sf.a + sf.n, placement.unit)
 
 
 def user_intervals(placement, user):
     """Merged (start, stop) coverage per file for one user's cache; every
     file is cached alike, so each file maps to the same list."""
     ivs = []
-    for start, stop in sorted((seg.start, seg.stop) for sf in placement.layout
-                              if user in sf.owners for seg in sf.segments):
+    for start, stop in sorted(extent(placement, sf) for sf in placement.layout
+                              if user in sf.owners):
         if ivs and start <= ivs[-1][1]:
             ivs[-1] = (ivs[-1][0], max(ivs[-1][1], stop))
         else:

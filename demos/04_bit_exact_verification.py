@@ -34,7 +34,8 @@ for file in range(1, 5):
 
 print("\ncache coverage (1 = cached bit), user x file:")
 for user in range(1, 5):
-    # every file is cached alike: one mask row per user serves all four files
+    # every file is cached alike: one interval list per user, shown as the
+    # mask row it builds on request, serves all four files
     row = "".join("1" if b else "." for b in caches.masks[user - 1])
     print(f"  user {user}: " + "  ".join([row] * 4))
 

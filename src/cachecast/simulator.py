@@ -6,7 +6,8 @@ file, on an integer bit, so no rounding ever happens: measured loads are
 compared to formula rates with exact equality.  ``materialize`` draws all
 N files in one step from the generator's raw stream, and the store's bits
 are read-only; it turns each subfile, (offset, length) in the placement's
-unit, into one bit range of every owner's mask row.
+unit, into one bit range of every owner's cache, and a cache is that user's
+bit ranges sorted and merged into integer intervals (``CacheImage``).
 
 ``compile_plan`` is the one step that turns a template's integer rows into
 bits, and it runs once per template and file size: every plan bound from
@@ -17,12 +18,12 @@ and a run of the cells between those boundaries.
 user k from file d[k-1], and keeps a copy of the payloads on the store, its
 last delivery.  ``decode_all`` checks the log against that copy and decodes
 it one transmission at a time, as the paper does, counting each user's
-cached bits once per cell rather than once per part, one mask row at a time;
+cached bits below every part boundary in one walk of its intervals;
 ``verify_demands`` is these steps at the identity demand.  One decode
 speaks for every demand: a demand is bound, never built into the plan, and
 only picks the file rows its parts read, while transmission widths are
-fixed when the template is compiled and caches are one mask row per user,
-since a placement lays out every file alike.  So which parts a user can
+fixed when the template is compiled and caches are one interval list per
+user, since a placement lays out every file alike.  So which parts a user can
 cancel, and whether they complete its file, depend on no demand, and a
 received payload differs from the XOR of the server's parts only where the
 log was corrupted.  ``verify_demands`` therefore returns one
@@ -53,8 +54,9 @@ from .unequal import SchemeInstance
 from .unequal import build_two_stage  # noqa: F401
 
 
-# Most bytes materialize may allocate: K*F_bits of masks, one row per user
-# for every file alike, and N*F_bits of files.
+# The bound on materialize, counted as (K+N)*F_bits bytes: N*F_bits of files
+# and K*F_bits, a byte per bit of one cache mask row per user.  Caches are
+# held as intervals, so the second term overcounts what materialize allocates.
 MAX_MATERIALIZE_BYTES = 2**30
 
 
@@ -108,14 +110,54 @@ class FileStore:
 
 @dataclass(frozen=True)
 class CacheImage:
-    """Per-user boolean coverage masks, one row for all N files alike."""
+    """Each user's cached bits, one interval list for all N files alike.
+
+    ``ranges[k]`` lists user k+1's cached bits of every file as (start,
+    end) intervals of [0, F_bits): non-empty, sorted, and merged, so that
+    an uncached bit separates any two; any other list is refused.
+    ``masks`` builds the (K, F_bits) bool rows on request, for display.
+    """
 
     N: int
-    masks: np.ndarray  # shape (K, F_bits)
+    F_bits: int
+    ranges: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self):
+        for user, ranges in enumerate(self.ranges, 1):
+            ends = [x for r in ranges for x in r]
+            if ends and not (0 <= ends[0] and ends[-1] <= self.F_bits
+                             and all(x < y for x, y in zip(ends, ends[1:]))):
+                raise ValueError(
+                    f"user {user} caches bits {list(ranges)}: cache ranges must be "
+                    f"non-empty, sorted, merged intervals of [0, {self.F_bits})")
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The (K, F_bits) bool coverage rows, built on each request."""
+        masks = np.zeros((len(self.ranges), self.F_bits), dtype=bool)
+        for row, ranges in zip(masks, self.ranges):
+            for a, b in ranges:
+                row[a:b] = True
+        return masks
 
     def user_bits(self, user: int) -> int:
         """Bits ``user`` caches over all N files."""
-        return self.N * int(self.masks[user - 1].sum())
+        return self.N * sum(b - a for a, b in self.ranges[user - 1])
+
+
+def _merged(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted bit ranges with every overlapping or touching pair joined and
+    empty ones dropped."""
+    out: list[tuple[int, int]] = []
+    last = -1
+    for a, b in sorted(ranges):
+        if last < a < b:
+            out.append((a, b))
+            last = b
+        elif a <= last < b:
+            out[-1] = (out[-1][0], b)
+            last = b
+    return tuple(out)
 
 
 def _bit_range(a: int, n: int, unit: int, F_bits: int) -> tuple[int, int]:
@@ -142,7 +184,9 @@ def materialize(
     The files are the bits ``np.random.default_rng(seed).integers(0, 2,
     size=(N, F_bits), dtype=np.uint8)`` returns, drawn in one step: that call
     takes the top bit of each byte of the generator's raw 64-bit stream, read
-    as little-endian bytes.
+    as little-endian bytes.  Each subfile's bit range is appended to every
+    owner's list, and each list is sorted and merged into that user's cache
+    intervals, so nothing wider than the files is allocated.
     """
     if F_bits is None:
         F_bits = required_bits(placement, *([] if plan is None else [plan]))
@@ -160,12 +204,12 @@ def materialize(
     bits = bits[:n].reshape(placement.N, F_bits)
     bits.flags.writeable = False
     store = FileStore(bits)
-    masks = np.zeros((placement.K, F_bits), dtype=bool)
+    owned: list[list[tuple[int, int]]] = [[] for _ in range(placement.K)]
     for sf in placement.layout:
-        a, b = _bit_range(sf.a, sf.n, placement.unit, F_bits)
+        run = _bit_range(sf.a, sf.n, placement.unit, F_bits)
         for owner in sf.owners:
-            masks[owner - 1, a:b] = True
-    return store, CacheImage(placement.N, masks)
+            owned[owner - 1].append(run)
+    return store, CacheImage(placement.N, F_bits, tuple(map(_merged, owned)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +302,7 @@ def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> np.ndarray:
     return sent
 
 
-def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
+def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
             clean: np.ndarray) -> list[bool]:
     """Decode outcome per user, transmission by transmission.
 
@@ -268,18 +312,27 @@ def _decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
     is missing and nothing it read was wrong.
 
-    Coverage is counted once per cell of ``cp.edges``, one mask row at a
-    time: ``cached[u][j]`` is the number of bits user u caches from the
-    first edge up to edge j, so user u caches cached[u][j] - cached[u][i]
-    bits of a part spanning cells i:j.
+    Coverage is counted in one walk of each user's cache intervals against
+    ``cp.edges``: ``cached[u][j]`` is the number of bits user u caches below
+    edge j, the intervals wholly below it plus the part of the one it cuts,
+    so user u caches cached[u][j] - cached[u][i] bits of a part spanning
+    cells i:j.
     """
-    missing = (masks.shape[1] - np.count_nonzero(masks, axis=1)).tolist()
+    F = caches.F_bits
+    missing = [F - sum(b - a for a, b in ranges) for ranges in caches.ranges]
+    cached = []
+    for ranges in caches.ranges:
+        counts, below, k = [], 0, 0
+        walk = ranges + ((F + 1, F + 1),)  # ends past every edge
+        start, end = walk[0]
+        for edge in cp.edges:
+            while end <= edge:
+                below += end - start
+                k += 1
+                start, end = walk[k]
+            counts.append(below + edge - start if edge > start else below)
+        cached.append(counts)
     wrong = [False] * len(missing)
-    starts = np.array(cp.edges[:-1], dtype=np.intp)
-    prefix = np.zeros((masks.shape[0], len(cp.edges)), dtype=np.int64)
-    for row, out in zip(masks, prefix):
-        np.add.reduceat(row, starts, dtype=np.int64, out=out[1:])
-    cached = prefix.cumsum(axis=1).tolist()
     differs = np.concatenate((clean[:0], *log.payloads)) != clean
     corrupt = np.logical_or.reduceat(differs, cp.sent[:-1]).tolist()
     for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
@@ -381,11 +434,11 @@ def decode_all(
     of as many bits as ``store``.
     """
     F = store.F_bits
-    if caches.masks.shape[1] != F or caches.N != store.N:
+    if caches.F_bits != F or caches.N != store.N:
         raise ValueError(
-            f"cache image of {caches.N} files of {caches.masks.shape[1]} bits does "
+            f"cache image of {caches.N} files of {caches.F_bits} bits does "
             f"not fit the store's {store.N} files of {F} bits")
-    d = check_demands(d, store.N, caches.masks.shape[0])
+    d = check_demands(d, store.N, len(caches.ranges))
     cp = _compiled(plan, F)
     if tuple(plan.demand) != d:
         raise ValueError(f"plan does not serve demand {d}: it is bound to "
@@ -395,7 +448,7 @@ def decode_all(
     clean = store.delivered.get((cp, d))
     if clean is None:
         clean = _xor(cp, store, d)
-    ok = _decode(cp, caches.masks, log, clean)
+    ok = _decode(cp, caches, log, clean)
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok),

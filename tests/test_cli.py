@@ -484,13 +484,13 @@ class TestVerify:
         assert "integer string conversion" not in err
 
     def test_refuses_oversized_materialization(self, capsys, monkeypatch):
-        # (5 + 12) * F_bits bytes of masks and store: refused before numpy is asked
+        # (5 + 12) * F_bits bytes counted: refused before any file bit is drawn
         import cachecast.simulator
 
         def no_rng(*args, **kwargs):
             raise AssertionError("file contents drawn before the size check")
 
-        monkeypatch.setattr(cachecast.simulator.np.random, "default_rng", no_rng)
+        monkeypatch.setattr(cachecast.simulator.np.random, "PCG64", no_rng)
         code, _, err = run(
             capsys, "verify", "--N", "12", "--K", "5", "--L", "3",
             "--Mhat", "99991/10007", "--M", "1/9973",

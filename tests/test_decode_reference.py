@@ -1,13 +1,14 @@
 """The interval decoder against the per-part decoder it replaced.
 
-``simulator._decode`` counts each user's cache coverage once per cell
-between the compiled plan's part boundaries (``CompiledPlan.edges``), and
-reads every (user, part) count as a difference of two prefix sums.
-``reference_decode`` below is the decoder it replaced, which reduced the
-masks once per part; it is kept as the reference.  Over random rational
-points (K <= 6, N <= 9, cache-size denominators at most 9), random demands,
-toggled cache bits and flipped payload bits (derandomized), ``decode_all``
-must give every user the reference's outcome.
+``simulator._decode`` walks each user's cache intervals once against the
+compiled plan's part boundaries (``CompiledPlan.edges``), and reads every
+(user, part) count as a difference of two prefix sums.
+``reference_decode`` below is the decoder it replaced, which reduced
+(K, F_bits) cache masks once per part; it is kept as the reference.  Over
+random rational points (K <= 6, N <= 9, cache-size denominators at most 9),
+random demands, toggled cache bits and flipped payload bits (derandomized),
+``decode_all``, handed the toggled masks as intervals by
+``views.cache_from_masks``, must give every user the reference's outcome.
 """
 
 import math
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 from cachecast import simulator
 from cachecast.simulator import (
-    CacheImage, CompiledPlan, SchemeInstance, TransmissionLog, decode_all,
-    execute_delivery, materialize,
+    CompiledPlan, SchemeInstance, TransmissionLog, decode_all, execute_delivery,
+    materialize,
 )
+
+from views import cache_from_masks
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -91,5 +94,5 @@ def test_decoder_matches_reference(point, data):
             payloads[t][bit - cp.sent[t]] ^= 1
     log = TransmissionLog(tuple(payloads))
     expected = reference_decode(cp, masks, log, simulator._xor(cp, store, d))
-    report = decode_all(CacheImage(N, masks), log, d, plan, store)
+    report = decode_all(cache_from_masks(N, masks), log, d, plan, store)
     assert report.user_ok == tuple(expected)

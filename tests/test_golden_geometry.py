@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from cachecast.simulator import SchemeInstance, required_bits
+from cachecast.simulator import SchemeInstance, materialize, required_bits
 
-from views import bound_parts, lcm_denominators
+from views import bound_parts, cache_from_masks, lcm_denominators
 
 GRID_N = (4, 5)
 GRID_K = (3, 4)
@@ -83,6 +83,18 @@ def test_required_bits_is_the_lcm_of_the_segment_denominators():
                   for x in (start, length)]
         assert required_bits(inst.placement, plan) == (
             lcm_denominators(fracs) if fracs else 1)
+
+
+def test_cache_intervals_round_trip_through_masks():
+    # the on-request mask rows hold exactly the intervals, and each user's
+    # budget in bits is the same read from either
+    for inst in _grid():
+        plan = inst.plan(tuple(range(1, inst.K + 1)))
+        _, caches = materialize(inst.placement, plan)
+        masks = caches.masks
+        assert cache_from_masks(inst.N, masks) == caches
+        assert [caches.user_bits(u) for u in range(1, inst.K + 1)] == [
+            inst.N * int(row.sum()) for row in masks]
 
 
 def test_lcm_denominators():

@@ -1,11 +1,12 @@
 """Mutation gate: each oracle catches a known fault.
 
-Each mutant names a function of ``cachecast``, one exact substring of its
-source and the text that replaces it.  The test recompiles the function from
+Each mutant names a function or method of ``cachecast``, one exact substring
+of its source and the text that replaces it.  The test recompiles it from
 ``inspect.getsource`` with that one edit, puts the result at every place a
-``cachecast`` module binds the original, and runs the mutant's oracle, which
-must now fail.  A substring the source no longer holds fails the test, so
-the list follows the code.  Every oracle passes on the code as it is.
+``cachecast`` module binds the original function, or on the method's class,
+and runs the mutant's oracle, which must now fail.  A substring the source
+no longer holds fails the test, so the list follows the code.  Every oracle
+passes on the code as it is.
 """
 
 import __future__
@@ -23,7 +24,8 @@ import cachecast
 from cachecast import baselines, simulator
 from cachecast.equal_cache import BoundPlan, DeliveryPlan
 from cachecast.simulator import (
-    SchemeInstance, decode_all, execute_delivery, materialize, verify_demands,
+    CacheImage, SchemeInstance, decode_all, execute_delivery, materialize,
+    verify_demands,
 )
 
 MODULES = [cachecast] + [importlib.import_module(f"cachecast.{m.name}")
@@ -100,6 +102,20 @@ def subfile_off_the_bits_is_refused():
         raise AssertionError("materialized a placement off the bits")
 
 
+def unmerged_cache_ranges_are_refused():
+    # two overlapping runs, and a run past the file's 8 bits
+    for ranges, shown in [(((0, 4), (2, 6)), "[(0, 4), (2, 6)]"),
+                          (((4, 9),), "[(4, 9)]")]:
+        message = (f"user 1 caches bits {shown}: cache ranges must be non-empty, "
+                   "sorted, merged intervals of [0, 8)")
+        try:
+            CacheImage(4, 8, (ranges,))
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            raise AssertionError(f"a cache image took the bits {shown}")
+
+
 def scheme1_ties_go_to_the_lowest_layer():
     # with no cache every layer costs K per unit of share: all pieces tie
     assert baselines.scheme1_optimize(4, 4, [0, 0, 0, 0]) == ((1, 0, 0, 0), 4)
@@ -117,7 +133,8 @@ def demand_outside_the_library_is_refused():
 ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
-           subfile_off_the_bits_is_refused, scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
+           subfile_off_the_bits_is_refused, unmerged_cache_ranges_are_refused,
+           scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +144,7 @@ ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
 
 class Mutant(NamedTuple):
     name: str
-    function: str  # module.function inside cachecast
+    function: str  # module.function or module.Class.method inside cachecast
     old: str
     new: str
     oracle: Callable[[], None]
@@ -142,6 +159,11 @@ MUTANTS = [
     Mutant("decode-never-fills-missing", "simulator._decode",
            "missing[user] -= width - (row[b] - row[a])", "missing[user] -= 0",
            proposed_scheme_verifies),
+    Mutant("decode-drops-partial-interval", "simulator._decode",
+           "below + edge - start if edge > start else below", "below",
+           proposed_scheme_verifies),
+    Mutant("cache-accepts-unmerged-ranges", "simulator.CacheImage.__post_init__",
+           "if ends and not (", "if False and not (", unmerged_cache_ranges_are_refused),
     Mutant("compile-skips-sent-twice", "simulator.compile_plan",
            "if u == v and a < b:", "if False:", bit_sent_twice_is_refused),
     Mutant("compile-sends-zero-widths", "simulator.compile_plan",
@@ -169,10 +191,15 @@ MUTANTS = [
 
 def install(monkeypatch, mutant: Mutant) -> None:
     """Recompile ``mutant.function`` with its one edit and bind the result
-    wherever a cachecast module binds the original."""
-    module_name, name = mutant.function.rsplit(".", 1)
+    on its class if it is a method, else wherever a cachecast module binds
+    the original."""
+    module_name, qualname = mutant.function.split(".", 1)
     module = importlib.import_module(f"cachecast.{module_name}")
-    original = getattr(module, name)
+    *classes, name = qualname.split(".")
+    owner = module
+    for attr in classes:
+        owner = getattr(owner, attr)
+    original = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(original))
     if source.count(mutant.old) != 1:
         raise AssertionError(f"{mutant.function} holds {mutant.old!r} "
@@ -182,6 +209,9 @@ def install(monkeypatch, mutant: Mutant) -> None:
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     scope: dict = {}
     exec(code, vars(module), scope)
+    if classes:
+        monkeypatch.setattr(owner, name, scope[name])
+        return
     bound = [(mod, attr) for mod in MODULES for attr, value in vars(mod).items()
              if value is original]
     for mod, attr in bound:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,7 @@ from cachecast.simulator import (
 )
 from cachecast.unequal import UnequalConfig, build_two_stage
 
-from views import bound_parts
+from views import bound_parts, cache_from_masks
 
 WORKED = SchemeInstance("proposed", 4, 4, Fraction(1), L=3, Mhat=Fraction(2))
 
@@ -104,6 +105,47 @@ class TestMaterialize:
         with pytest.raises(ValueError, match="read-only"):
             copied.bits[0, 0] = 1
 
+    def test_caches_allocate_nothing_K_by_F_bits(self):
+        # the draw takes N*F_bits bytes; (K, F_bits) masks would add K*F_bits
+        N, K = 20, 14
+        inst = SchemeInstance("proposed", N, K, Fraction(5, 2), L=7, Mhat=7)
+        plan = inst.plan(tuple(range(1, K + 1)))
+        tracemalloc.start()
+        try:
+            store, _ = materialize(inst.placement, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.F_bits == 43680
+        assert peak < (2 * N + K // 2) * store.F_bits
+
+
+class TestCacheImage:
+    def test_caches_are_merged_bit_intervals(self):
+        # the worked example's 8-bit files: users 1-3 cache 4 bits of each
+        # file and user 4 two, as runs with an uncached bit between any two
+        _, _, _, caches = worked_system()
+        assert (caches.N, caches.F_bits) == (4, 8)
+        assert caches.ranges == (((0, 3), (4, 5)), ((0, 1), (2, 4), (5, 6)),
+                                 ((1, 2), (3, 6)), ((6, 8),))
+
+    def test_masks_are_built_from_the_intervals(self):
+        caches = CacheImage(2, 6, (((0, 2), (4, 5)), ()))
+        assert caches.masks.tolist() == [[True, True, False, False, True, False],
+                                         [False] * 6]
+        assert [caches.user_bits(u) for u in (1, 2)] == [6, 0]
+
+    @pytest.mark.parametrize("ranges", [
+        ((2, 4), (0, 1)), ((0, 4), (2, 6)), ((0, 2), (2, 4)), ((3, 3),), ((1, 0),),
+        ((-1, 2),), ((4, 9),)],
+        ids=["unsorted", "overlapping", "adjacent", "empty", "reversed", "below-0",
+             "past-F_bits"])
+    def test_refuses_ranges_that_are_not_merged_intervals(self, ranges):
+        with pytest.raises(ValueError, match=(
+                rf"^user 2 caches bits {re.escape(str(list(ranges)))}: cache ranges "
+                r"must be non-empty, sorted, merged intervals of \[0, 8\)$")):
+            CacheImage(4, 8, (((0, 8),), ranges))
+
 
 class TestExecuteDelivery:
     def test_single_part_is_plaintext(self):
@@ -168,7 +210,8 @@ class TestDecodeAll:
         assert not all(report.user_ok)
 
     def test_coverage_is_counted_one_mask_row_at_a_time(self):
-        # an int64 copy of every mask row at once would take 8*K*F_bits bytes
+        # nothing K*F_bits wide is allocated: an int64 copy of (K, F_bits)
+        # cache masks alone would take 8*K*F_bits bytes
         inst = SchemeInstance("proposed", 20, 14, Fraction(5, 2), L=7, Mhat=7)
         plan = inst.plan(tuple(range(1, 15)))
         store, caches = materialize(inst.placement, plan)
@@ -204,7 +247,7 @@ class TestDecodeAll:
         with pytest.raises(ValueError, match=(
                 rf"^cache image of {N} files of {2400 + extra} bits does not fit "
                 r"the store's 10 files of 2400 bits$")):
-            decode_all(CacheImage(N, masks), log, (1, 2, 3, 4), plan, store)
+            decode_all(cache_from_masks(N, masks), log, (1, 2, 3, 4), plan, store)
 
     def test_log_of_other_widths_refused(self):
         _, plan, store, caches = worked_system()
@@ -395,8 +438,8 @@ class TestDecodeOutcomes:
         _, plan, store, caches = worked_system()
         masks = caches.masks.copy()
         masks[3, np.flatnonzero(masks[3])[0]] = False
-        report = decode_all(CacheImage(caches.N, masks), execute_delivery(store, plan),
-                            (1, 2, 3, 4), plan, store)
+        report = decode_all(cache_from_masks(caches.N, masks),
+                            execute_delivery(store, plan), (1, 2, 3, 4), plan, store)
         assert report.user_ok == (True, True, True, False)
 
     def test_part_read_only_where_the_others_are_cancelled(self):
@@ -415,7 +458,7 @@ class TestDecodeOutcomes:
         assert decode_all(caches, log, (1, 2), plan, store).user_ok == (True, True)
         masks = caches.masks.copy()
         masks[0] = False
-        report = decode_all(CacheImage(2, masks), log, (1, 2), plan, store)
+        report = decode_all(cache_from_masks(2, masks), log, (1, 2), plan, store)
         assert report.user_ok == (False, True)
 
     def test_user_reads_only_its_first_part(self):

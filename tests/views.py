@@ -3,11 +3,16 @@
 A bound plan names no file in its rows (the part for user k reads file
 d[k-1]), and a placement stores one file's layout for every file alike;
 these helpers list what a reader of one demand or one user's cache wants
-to see.
+to see.  ``cache_from_masks`` goes the other way, so that a test may edit a
+cache bit by bit and hand the decoder the intervals it stands for.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from cachecast.simulator import CacheImage
 
 
 def bound_parts(plan):
@@ -47,3 +52,14 @@ def lcm_denominators(lengths: list[Fraction]) -> int:
     if not lengths:
         raise ValueError("no lengths")
     return math.lcm(*(x.denominator for x in lengths))
+
+
+def cache_from_masks(N, masks):
+    """The ``CacheImage`` whose rows are ``masks``, a (K, F_bits) bool array:
+    each row's runs of set bits become that user's (start, end) intervals."""
+    masks = np.asarray(masks, dtype=bool)
+    ranges = []
+    for row in masks:
+        ends = np.flatnonzero(np.diff(row, prepend=False, append=False)).tolist()
+        ranges.append(tuple(zip(ends[::2], ends[1::2])))
+    return CacheImage(N, masks.shape[1], tuple(ranges))

@@ -27,7 +27,7 @@ M = Fraction(N, K)
 inst = SchemeInstance("equal", N, K, M)
 plan = inst.plan((1, 2, 3, 4))
 unit, txs = plan.template.unit, plan.template.transmissions
-print(f"\nat M = {M} (t = 1): {len(inst.placement.subfiles)} placed subfiles,")
+print(f"\nat M = {M} (t = 1): {len(inst.placement.layout) * N} placed subfiles,")
 print(f"{len(txs)} transmissions of length "
       f"{Fraction(txs[0][0], unit)} each, total load {plan.total_load}")
 

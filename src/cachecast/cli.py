@@ -56,6 +56,19 @@ def _text(x, name: str) -> str:
     return format_rational(x, name) if isinstance(x, Fraction) else str(x)
 
 
+# A rate report's printed fields, the rate first: it is the one refused if unprintable
+REPORT_FIELDS = ("rate", "scheme", "N", "K", "L", "Mhat", "M", "t", "t_int", "alpha",
+                 "Fprime", "Mprime", "Rprime", "scenario", "Phi", "gamma")
+
+
+def _texts(rep: RateReport, **given) -> dict[str, str]:
+    """Each report field as printed, ``given`` ones replaced, and the CSV's rate columns."""
+    values = vars(rep) | given
+    text = {name: _text(values[name], name) for name in REPORT_FIELDS}
+    text["rate_rational"], text["rate_decimal"] = text["rate"], _dec(rep.rate)
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is invalid input: exit 1, not 2
         self.print_usage(sys.stderr)
@@ -164,40 +177,21 @@ def cmd_rate(opts: Options) -> int:
     L = opts.get("L", cast=int)
     Mhat = opts.get("Mhat", cast=parse_rational)
     rep = SchemeInstance(scheme, N, K, M, L, Mhat).report
-    # every line is formatted before any is written, so a failure prints nothing
-    lines = [f"rate {_text(rep.rate, 'rate')} ({_dec(rep.rate)})",
-             f"scheme={rep.scheme} N={rep.N} K={rep.K} L={_text(rep.L, 'L')} "
-             f"Mhat={_text(rep.Mhat, 'Mhat')} M={_text(rep.M, 'M')}"]
+    text = _texts(rep)  # every field is formatted before any line is written
+    lines = ["rate {rate} ({rate_decimal})",
+             "scheme={scheme} N={N} K={K} L={L} Mhat={Mhat} M={M}"]
     if rep.t is not None:
-        lines.append(f"t={_text(rep.t, 't')} t_int={rep.t_int} "
-                     f"alpha={_text(rep.alpha, 'alpha')}")
+        lines.append("t={t} t_int={t_int} alpha={alpha}")
     if rep.scheme == "proposed":
-        lines += [
-            f"Fprime={_text(rep.Fprime, 'Fprime')} Mprime={_text(rep.Mprime, 'Mprime')} "
-            f"Rprime={_text(rep.Rprime, 'Rprime')}",
-            f"scenario={rep.scenario} Phi={_text(rep.Phi, 'Phi')} "
-            f"gamma={_text(rep.gamma, 'gamma')}"
-            + (" pool_empty" if rep.pool_empty else ""),
-        ]
-    print("\n".join(lines))
+        lines += ["Fprime={Fprime} Mprime={Mprime} Rprime={Rprime}",
+                  "scenario={scenario} Phi={Phi} gamma={gamma}"]
+    print("\n".join(lines).format_map(text) + (" pool_empty" if rep.pool_empty else ""))
     return 0
 
 
-def _report_row(rep: RateReport, L, Mhat) -> dict[str, str]:
-    return {
-        "N": str(rep.N), "K": str(rep.K), "L": _text(L, "L"), "Mhat": _text(Mhat, "Mhat"),
-        "M": _text(rep.M, "M"), "scheme": rep.scheme,
-        "rate_rational": _text(rep.rate, "rate"), "rate_decimal": _dec(rep.rate),
-        "scenario": _text(rep.scenario, "scenario"), "t_int": _text(rep.t_int, "t_int"),
-        "alpha": _text(rep.alpha, "alpha"), "Fprime": _text(rep.Fprime, "Fprime"),
-        "Mprime": _text(rep.Mprime, "Mprime"), "Rprime": _text(rep.Rprime, "Rprime"),
-        "Phi": _text(rep.Phi, "Phi"), "gamma": _text(rep.gamma, "gamma"),
-    }
-
-
-def _eval_sweep_task(task) -> dict[str, str]:
+def _eval_sweep_task(task) -> RateReport:
     scheme, N, K, L, Mhat, M = task
-    return _report_row(SchemeInstance(scheme, N, K, M, L, Mhat).report, L, Mhat)
+    return SchemeInstance(scheme, N, K, M, L, Mhat).report
 
 
 def cmd_sweep(opts: Options) -> int:
@@ -271,9 +265,12 @@ def cmd_sweep(opts: Options) -> int:
         # a few chunks per worker: one round trip per task costs more than the task
         chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_sweep_task, tasks, chunksize=chunksize))
+            reports = list(pool.map(_eval_sweep_task, tasks, chunksize=chunksize))
     else:
-        rows = [_eval_sweep_task(t) for t in tasks]
+        reports = [_eval_sweep_task(t) for t in tasks]
+    # a row shows its grid point's L and Mhat, which the equal scheme's report omits
+    rows = [_texts(rep, L=l, Mhat=mhat)
+            for rep, (_, _, _, l, mhat, _) in zip(reports, tasks)]
 
     columns = list(CSV_COLUMNS)
     external_path = opts.get("external_rates")
@@ -282,7 +279,7 @@ def cmd_sweep(opts: Options) -> int:
         columns += ["external", "ratio_external"]
         matched = set()
         worst_ratio = None
-        for task, row in zip(tasks, rows):
+        for task, rep, row in zip(tasks, reports, rows):
             scheme, n, k, l, mhat, m = task
             key = (n, k, l, mhat, m)
             row["external"] = row["ratio_external"] = ""
@@ -291,7 +288,7 @@ def cmd_sweep(opts: Options) -> int:
                 ext = table[key]
                 row["external"] = _text(ext, "external rate")
                 if ext > 0:
-                    ratio = parse_rational(row["rate_rational"]) / ext
+                    ratio = rep.rate / ext
                     row["ratio_external"] = _dec(ratio)
                     if scheme == "proposed" and (worst_ratio is None or ratio > worst_ratio):
                         worst_ratio = ratio
@@ -304,7 +301,8 @@ def cmd_sweep(opts: Options) -> int:
 
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n",
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())

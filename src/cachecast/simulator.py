@@ -195,8 +195,8 @@ def materialize(
     nbytes = (placement.K + placement.N) * F_bits
     if nbytes > MAX_MATERIALIZE_BYTES:
         raise ValueError(
-            f"{excess('F_bits', [F_bits], 0)} needs {count_text(nbytes)} bytes of masks "
-            f"and file store (limit {MAX_MATERIALIZE_BYTES})")
+            f"{excess('F_bits', [F_bits], 0)} needs {count_text(nbytes)} bytes "
+            f"(limit {MAX_MATERIALIZE_BYTES})")
     n = placement.N * F_bits
     raw = np.random.PCG64(seed).random_raw(-(-n // 8))
     bits = raw.astype("<u8", copy=False).view(np.uint8)
@@ -223,7 +223,7 @@ class CompiledPlan:
     edges[first]:edges[end] of the file that user wants.  Transmission t
     sends payload bits sent[t]:sent[t+1], as wide as each of its parts, so
     the widths, and with them the load, are fixed here, for every demand.
-    A user decodes with its *own* part, its first part in a transmission,
+    A transmission names each user once: a user decodes with its own part
     and cancels the others.
     """
 
@@ -240,8 +240,9 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
     """Fix a template's bit geometry at ``F_bits``, checking it once.
 
     Every transmission must have parts and a width, every part boundary
-    must be an integer bit, and no user may be sent a bit twice, in any of
-    its parts, so one user's own parts never overlap.  This is the only
+    must be an integer bit, no user may be sent a bit twice, in any of its
+    parts, so one user's own parts never overlap, and no transmission may
+    name a user twice, so each target has one part to read.  This is the only
     place delivery turns a plan's integer offsets into bits: each distinct
     boundary is scaled once.  A bound plan is compiled through its template.
     """
@@ -270,6 +271,10 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
         if u == v and a < b:
             raise ValueError(f"plan sends user {v + 1} bits [{edges[cell[a]]}, "
                              f"{edges[cell[min(b, b2)]]}) of its file twice")
+    for t, (_, row) in enumerate(txs):
+        if len(dict(row)) < len(row):  # a row's (target, offset) pairs, keyed by target
+            twice = next(u for i, (u, _) in enumerate(row) if u in dict(row[:i]))
+            raise ValueError(f"transmission {t} names user {twice} twice")
     parts = [[(target - 1, cell[offset], cell[offset + width]) for target, offset in row]
              for width, row in txs]
     sent = list(accumulate((width * F_bits // unit for width, _ in txs), initial=0))
@@ -306,8 +311,8 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
             clean: np.ndarray) -> list[bool]:
     """Decode outcome per user, transmission by transmission.
 
-    A user reads its own part of a transmission only if its cache covers
-    every other part, and that part fills the bits its cache lacks there.
+    Each target reads its one part of a transmission wherever its cache
+    covers every other part, and that part fills the bits its cache lacks.
     What it reads is wrong exactly where the received payload differs from
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
     is missing and nothing it read was wrong.
@@ -337,11 +342,7 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
     corrupt = np.logical_or.reduceat(differs, cp.sent[:-1]).tolist()
     for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
         width = hi - lo
-        read = set()
         for i, (user, a, b) in enumerate(parts):
-            if user in read:
-                continue
-            read.add(user)
             row = cached[user]
             if all(row[b2] - row[a2] == width
                    for j, (_, a2, b2) in enumerate(parts) if j != i):

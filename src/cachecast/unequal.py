@@ -24,8 +24,9 @@ take the share they fill (``equal_placement``'s window and ``also``), so
 each share is laid out at its final offsets in one pass, in integers of one
 unit fixed from the parameters first, and no placement or plan is rescaled
 once built.  The layout and the template plan are one file's, whatever N
-is; ``TwoStageContext.plan`` binds a demand to the template
-(``equal_cache.BoundPlan``) without copying it.
+is.  A build is that pair and nothing else,
+``TwoStageContext(placement, template)``; ``SchemeInstance.plan`` binds a
+demand to the template (``equal_cache.BoundPlan``) without copying it.
 
 ``SchemeInstance`` is one scheme at one parameter point, and the one place
 a scheme name is dispatched on: its ``RateReport`` and, but for scheme 1,
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .baselines import scheme1_optimize
 from .core import Rational, UserSet, binom, users_range
@@ -194,16 +195,14 @@ def rate_ueq(cfg: UnequalConfig, params: UnequalParams | None = None) -> RateRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoStageContext:
-    """Canonical placement of a config and its template plan."""
+class TwoStageContext(NamedTuple):
+    """A build: the placement and its template plan, in one unit."""
 
-    cfg: UnequalConfig
     placement: Placement
     template: DeliveryPlan
 
     def plan(self, d: Sequence[int]) -> BoundPlan:
-        return BoundPlan(self.template, check_demands(d, self.cfg.N, self.cfg.K))
+        return BoundPlan(self.template, check_demands(d, self.placement.N, self.placement.K))
 
 
 def build_two_stage(cfg: UnequalConfig,
@@ -251,8 +250,7 @@ def build_two_stage(cfg: UnequalConfig,
                                width=1 - gamma, also=cfg.large_users, unit=unit)
         blocks += rest.blocks
         txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
-    return TwoStageContext(cfg, Placement(N, K, unit, blocks),
-                           DeliveryPlan(unit, tuple(txs)))
+    return TwoStageContext(Placement(N, K, unit, blocks), DeliveryPlan(unit, tuple(txs)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +311,13 @@ class SchemeInstance:
 
     @cached_property
     def _built(self) -> tuple[Placement, DeliveryPlan]:
-        """The placement and its template plan."""
+        """The build: the placement and its template plan."""
         if self.scheme == "equal":
-            unit = window_unit(equal_params(self.N, self.K, self.M))
-            placement = equal_placement(self.N, self.K, self.M, unit=unit)
-            return placement, DeliveryPlan(unit, tuple(equal_delivery(
-                placement.stage1_content, users_range(self.K)
-            )))
+            placement = equal_placement(self.N, self.K, self.M)
+            txs = equal_delivery(placement.stage1_content, users_range(self.K))
+            return placement, DeliveryPlan(placement.unit, tuple(txs))
         if self.scheme == "proposed":
-            ctx = build_two_stage(self._config, self._params)
-            return ctx.placement, ctx.template
+            return build_two_stage(self._config, self._params)
         raise ValueError(f"scheme {self.scheme} has a rate only, no placement or plan")
 
     @property

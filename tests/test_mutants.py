@@ -79,6 +79,15 @@ def bit_sent_twice_is_refused():
     compile_refuses(DeliveryPlan(template.unit, (tx, tx)), 4, "twice")
 
 
+def user_named_twice_is_refused():
+    # user 1's two halves, the one it caches and the one it lacks, in one XOR
+    template = SchemeInstance("equal", 2, 2, 1).plan((1, 2)).template
+    ((width, row),) = template.transmissions
+    halves = tuple((1, offset) for _, offset in row)
+    compile_refuses(DeliveryPlan(template.unit, ((width, halves),)), 2,
+                    "transmission 0 names user 1 twice")
+
+
 def zero_width_transmission_is_refused():
     compile_refuses(DeliveryPlan(4, ((0, ((1, 0),)),)), 4, "sends no bits")
 
@@ -132,6 +141,7 @@ def demand_outside_the_library_is_refused():
 
 ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
+           user_named_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
            subfile_off_the_bits_is_refused, unmerged_cache_ranges_are_refused,
            scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
@@ -166,6 +176,8 @@ MUTANTS = [
            "if ends and not (", "if False and not (", unmerged_cache_ranges_are_refused),
     Mutant("compile-skips-sent-twice", "simulator.compile_plan",
            "if u == v and a < b:", "if False:", bit_sent_twice_is_refused),
+    Mutant("compile-allows-a-user-twice", "simulator.compile_plan",
+           "if len(dict(row)) < len(row):", "if False:", user_named_twice_is_refused),
     Mutant("compile-sends-zero-widths", "simulator.compile_plan",
            "if not width:", "if False:", zero_width_transmission_is_refused),
     Mutant("compile-floors-boundaries", "simulator.compile_plan",

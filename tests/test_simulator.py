@@ -461,9 +461,9 @@ class TestDecodeOutcomes:
         report = decode_all(cache_from_masks(2, masks), log, (1, 2), plan, store)
         assert report.user_ok == (False, True)
 
-    def test_user_reads_only_its_first_part(self):
-        # user 1's first part is the half it caches, its second the half it
-        # lacks: it would have to cancel the second to read the first
+    def test_a_transmission_naming_a_user_twice_is_refused(self):
+        # user 1 is sent the half it caches and the half it lacks in one XOR:
+        # two parts for one target, which no builder emits, are not decoded
         inst = SchemeInstance("equal", 2, 2, Fraction(1))
         template = inst.plan((1, 2)).template
         ((width, row),) = template.transmissions
@@ -471,9 +471,12 @@ class TestDecodeOutcomes:
         has = next(offset for target, offset in row if target == 2)
         plan = BoundPlan(DeliveryPlan(template.unit, ((width, ((1, has), (1, lacks))),)),
                          (1, 2))
-        store, caches = materialize(inst.placement, plan)
-        report = decode_all(caches, execute_delivery(store, plan), (1, 2), plan, store)
-        assert report.user_ok == (False, False)
+        store, _ = materialize(inst.placement, plan)
+        message = "^transmission 0 names user 1 twice$"
+        with pytest.raises(ValueError, match=message):
+            simulator.compile_plan(plan, store.F_bits)
+        with pytest.raises(ValueError, match=message):
+            execute_delivery(store, plan)
 
 
 class TestCompile:

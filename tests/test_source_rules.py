@@ -157,11 +157,12 @@ def test_views_and_second_checks_stay_out_of_the_package():
     # the per-demand view, the re-check of scheme 1's shares and the helpers
     # that only tests read live in tests/views.py or nowhere; a plan holds
     # integer rows, not an object per part, and a compiled plan each part
-    # once; a placement holds integer subfiles in one unit, not segments
+    # once; a placement holds integer subfiles in one unit, not segments; a
+    # build is its placement and template, with no copy of the config
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
             "Part", "Transmission", "Segment", "_total_length"}
     members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
-               "Subfile": {"segments", "length"}}
+               "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"}}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -202,6 +202,17 @@ class TestTwoStagePlacement:
 
 
 class TestTwoStageDelivery:
+    @pytest.mark.parametrize("cfg", [
+        WORKED,
+        UnequalConfig(4, 4, 3, Fraction(7, 2), 1),  # scenario 2, gamma = 1/2
+        UnequalConfig(4, 4, 1, 4, 3),  # empty pool
+    ])
+    def test_build_is_the_placement_and_template(self, cfg):
+        placement, template = build_two_stage(cfg)
+        inst = SchemeInstance("proposed", cfg.N, cfg.K, cfg.M, L=cfg.L, Mhat=cfg.Mhat)
+        assert placement == inst.placement
+        assert template == inst.plan(tuple(range(1, cfg.K + 1))).template
+
     def test_worked_example_structure(self):
         plan = build_two_stage(WORKED).plan((1, 2, 3, 4))
         assert plan.total_load == 1

@@ -15,18 +15,18 @@ the template (``equal_cache.BoundPlan``) reuses the result.  It scales each
 distinct part boundary to a bit once, and holds each part once, as a user
 and a run of the cells between those boundaries.
 ``execute_delivery`` XORs the parts out of the files, reading the part for
-user k from file d[k-1], and keeps a copy of the payloads on the store, its
-last delivery.  ``decode_all`` checks the log against that copy and decodes
-it one transmission at a time, as the paper does, counting each user's
-cached bits below every part boundary in one walk of its intervals;
-``verify_demands`` is these steps at the identity demand.  One decode
+user k from file d[k-1].  ``decode_all`` decodes the log one transmission
+at a time, as the paper does: it XORs each part, read from the files, out
+of the received payload, and a reader recovers its own part exactly where
+that residue is zero; coverage is counted in one walk of each user's
+intervals below every part boundary.  ``verify_demands`` is these steps at
+the identity demand, with each cache held to its size.  One decode
 speaks for every demand: a demand is bound, never built into the plan, and
 only picks the file rows its parts read, while transmission widths are
 fixed when the template is compiled and caches are one interval list per
 user, since a placement lays out every file alike.  So which parts a user can
-cancel, and whether they complete its file, depend on no demand, and a
-received payload differs from the XOR of the server's parts only where the
-log was corrupted.  ``verify_demands`` therefore returns one
+cancel, and whether they complete its file, depend on no demand.
+``verify_demands`` therefore returns one
 ``Verdict``: the identity demand's report over a ``DemandSet`` that is
 counted arithmetically, and refused above ``core.MAX_ENUMERATION`` before
 any work, with per-demand reports built only as the verdict is iterated.
@@ -38,7 +38,7 @@ placement, plan and rate it checks come from ``unequal.SchemeInstance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
 from typing import Iterator, Sequence
@@ -84,14 +84,10 @@ def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int
 class FileStore:
     """N files as rows of a read-only {0,1} uint8 array of width F_bits.
 
-    ``delivered`` holds the payloads of the store's last delivery, keyed by
-    (compiled plan, demand), filled by ``execute_delivery`` and read back by
-    ``decode_all``.  The bits cannot change, so neither can those payloads:
-    a writable array is copied in, never shared.
+    The bits cannot change: a writable array is copied in, never shared.
     """
 
     bits: np.ndarray
-    delivered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bits.flags.writeable:
@@ -308,14 +304,16 @@ def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> np.ndarray:
 
 
 def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
-            clean: np.ndarray) -> list[bool]:
+            store: FileStore, d: tuple[int, ...]) -> list[bool]:
     """Decode outcome per user, transmission by transmission.
 
     Each target reads its one part of a transmission wherever its cache
     covers every other part, and that part fills the bits its cache lacks.
-    What it reads is wrong exactly where the received payload differs from
-    ``clean``, the XOR of the server's parts.  A user decodes when nothing
-    is missing and nothing it read was wrong.
+    A transmission's residue is its received payload XOR each of its parts,
+    the part for user k read from file d[k-1] of ``store``: what a reader
+    recovers, the payload XOR the other parts, is its own part exactly where
+    the residue is zero, so it reads wrong bits where the residue is not.
+    A user decodes when nothing is missing and nothing it read was wrong.
 
     Coverage is counted in one walk of each user's cache intervals against
     ``cp.edges``: ``cached[u][j]`` is the number of bits user u caches below
@@ -338,8 +336,13 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
             counts.append(below + edge - start if edge > start else below)
         cached.append(counts)
     wrong = [False] * len(missing)
-    differs = np.concatenate((clean[:0], *log.payloads)) != clean
-    corrupt = np.logical_or.reduceat(differs, cp.sent[:-1]).tolist()
+    edges, wants = cp.edges, [store.bits[f - 1] for f in d]
+    residue = np.concatenate((store.bits[0, :0], *log.payloads))
+    for lo, hi, parts in zip(cp.sent, cp.sent[1:], cp.parts):
+        out = residue[lo:hi]
+        for user, a, b in parts:
+            out ^= wants[user][edges[a]:edges[b]]
+    corrupt = np.logical_or.reduceat(residue, cp.sent[:-1]).tolist()
     for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
         width = hi - lo
         for i, (user, a, b) in enumerate(parts):
@@ -374,16 +377,9 @@ class TransmissionLog:
 
 def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files, each read
-    from the file its target wants under the plan's demand.  A read-only copy
-    of the payloads stays on the store, in place of any earlier delivery's,
-    for ``decode_all`` to check the log against."""
+    from the file its target wants under the plan's demand."""
     cp = _compiled(plan, store.F_bits)
-    d = check_demands(plan.demand, store.N, len(plan.demand))
-    sent = _xor(cp, store, d)
-    clean = sent.copy()
-    clean.flags.writeable = False
-    store.delivered.clear()
-    store.delivered[cp, d] = clean
+    sent = _xor(cp, store, check_demands(plan.demand, store.N, len(plan.demand)))
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
@@ -424,13 +420,12 @@ def decode_all(
     store: FileStore,
     formula_rate: Rational | None = None,
 ) -> VerificationReport:
-    """Run every user's decoder on ``log`` and check it against the server.
+    """Run every user's decoder on ``log`` and check it against the files.
 
     A user cancels a transmission's other parts only where its own cache
-    covers them, and every bit it recovers must equal the server's copy, so
-    any corruption in the log surfaces as a failed user, never as a silent
-    pass.  The server's copy is the payloads ``execute_delivery`` kept on
-    ``store`` for this plan and demand, XORed afresh only if it kept none.
+    covers them, and every bit it recovers must equal its file's bits in
+    ``store``, so a log corrupted in transit or XORed wrong by the server
+    fails a user, never passes silently; nothing else is consulted.
     ``plan`` must be bound to ``d``, and ``caches`` must hold as many files
     of as many bits as ``store``.
     """
@@ -446,10 +441,7 @@ def decode_all(
                          f"demand {plan.demand}")
     if [len(p) for p in log.payloads] != [b - a for a, b in zip(cp.sent, cp.sent[1:])]:
         raise ValueError("transmission log does not match the plan's widths")
-    clean = store.delivered.get((cp, d))
-    if clean is None:
-        clean = _xor(cp, store, d)
-    ok = _decode(cp, caches, log, clean)
+    ok = _decode(cp, caches, log, store, d)
     return VerificationReport(
         demand=tuple(d),
         user_ok=tuple(ok),
@@ -547,8 +539,10 @@ def verify_demands(
     part for user k reads file d[k-1], as ``equal_cache.BoundPlan`` binds it),
     while what a user can cancel, the widths, and with them the load, are
     the same for every file.  The template is compiled once, for the
-    execution and the decode alike.  Per-demand reports are built only when
-    the verdict is iterated.
+    execution and the decode alike.  A user whose cache holds more than its
+    size times ``F_bits`` bits of all N files fails too: the size is Mhat
+    for users 1..L of the proposed scheme and M for every other user.
+    Per-demand reports are built only when the verdict is iterated.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
@@ -569,7 +563,11 @@ def verify_demands(
         payloads[t][bit] ^= 1
         log = TransmissionLog(tuple(payloads))
     report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
-    return Verdict(report, demands)
+    large = inst.L if inst.scheme == "proposed" else 0
+    sizes = [inst.Mhat] * large + [inst.M] * (inst.K - large)
+    ok = [ok and caches.user_bits(user) <= size * store.F_bits
+          for user, (ok, size) in enumerate(zip(report.user_ok, sizes), 1)]
+    return Verdict(replace(report, user_ok=tuple(ok)), demands)
 
 
 def report_lines(verdict: Verdict) -> list[str]:

@@ -22,7 +22,7 @@ import pytest
 
 import cachecast
 from cachecast import baselines, simulator
-from cachecast.equal_cache import BoundPlan, DeliveryPlan
+from cachecast.equal_cache import BoundPlan, DeliveryPlan, rate_eq
 from cachecast.simulator import (
     CacheImage, SchemeInstance, decode_all, execute_delivery, materialize,
     verify_demands,
@@ -46,6 +46,16 @@ def proposed_scheme_verifies():
                              (5, 4, 2, Fraction(15, 4), Fraction(5, 4))]:
         inst = SchemeInstance("proposed", N, K, M, L=L, Mhat=Mhat)
         assert verify_demands(inst, "distinct").passed, (N, K, L, Mhat, M)
+
+
+def proposed_rate_is_between_the_equal_caches():
+    """rate_eq(N, K, Mhat) <= proposed <= min(rate_eq(N, K, M), scheme 1), the
+    property of tests/test_paper_comparison.py, at two points it drew: an
+    empty pool, and scenario 2 with a seven-file library."""
+    for N, K, L, Mhat, M in [(5, 3, 1, 4, 4), (7, 4, 2, 5, Fraction(127, 26))]:
+        proposed, scheme1 = (SchemeInstance(s, N, K, M, L=L, Mhat=Mhat).formula_rate
+                             for s in ("proposed", "scheme1"))
+        assert rate_eq(N, K, Mhat) <= proposed <= min(rate_eq(N, K, M), scheme1)
 
 
 def flipped_payload_bit_fails():
@@ -139,7 +149,8 @@ def demand_outside_the_library_is_refused():
         raise AssertionError("a demand for file 4 of 3 was bound")
 
 
-ORACLES = [proposed_scheme_verifies, flipped_payload_bit_fails,
+ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
+           flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
            user_named_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
@@ -198,6 +209,15 @@ MUTANTS = [
            "return factor", "return 1", proposed_scheme_verifies),
     Mutant("demands-unchecked-range", "equal_cache.check_demands",
            "if bad:", "if False:", demand_outside_the_library_is_refused),
+    Mutant("xor-reads-the-next-file", "simulator._xor",
+           "store.bits[f - 1]", "store.bits[f % store.N]", proposed_scheme_verifies),
+    Mutant("materialize-caches-everything", "simulator.materialize",
+           "for owner in sf.owners:", "for owner in range(1, placement.K + 1):",
+           proposed_scheme_verifies),
+    Mutant("gamma-complemented", "unequal.unequal_params",
+           "gamma = Fraction(N - cfg.Mhat, N - phi)",
+           "gamma = 1 - Fraction(N - cfg.Mhat, N - phi)",
+           proposed_rate_is_between_the_equal_caches),
 ]
 
 

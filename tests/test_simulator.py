@@ -209,6 +209,22 @@ class TestDecodeAll:
         assert not report.passed
         assert not all(report.user_ok)
 
+    @pytest.mark.parametrize("inst,user", [
+        (WORKED, 1), (WORKED, 4), (SchemeInstance("equal", 4, 4, Fraction(1)), 2),
+    ], ids=["large-user", "small-user", "equal-scheme"])
+    def test_over_full_cache_fails_verify(self, monkeypatch, inst, user):
+        # a user handed every bit still decodes, but its cache is over budget
+        def overfilled(*args, **kwargs):
+            store, caches = materialize(*args, **kwargs)
+            ranges = list(caches.ranges)
+            ranges[user - 1] = ((0, caches.F_bits),)
+            return store, CacheImage(caches.N, caches.F_bits, tuple(ranges))
+
+        monkeypatch.setattr(simulator, "materialize", overfilled)
+        verdict = verify_demands(inst)
+        assert verdict.report.user_ok == tuple(u != user for u in range(1, 5))
+        assert not verdict.passed
+
     def test_coverage_is_counted_one_mask_row_at_a_time(self):
         # nothing K*F_bits wide is allocated: an int64 copy of (K, F_bits)
         # cache masks alone would take 8*K*F_bits bytes
@@ -362,7 +378,8 @@ class TestOneDecode:
         assert calls == [(1, 2, 3, 4)]
 
     def test_xors_once(self, monkeypatch):
-        # decode_all checks the log against the payloads execute_delivery kept
+        # the server XORs once; decode_all checks the log against the files
+        # without the server's XOR, and nothing a delivery leaves behind
         calls = []
         xor = simulator._xor
 
@@ -375,13 +392,18 @@ class TestOneDecode:
         assert calls == [(1, 2, 3, 4)]
         _, plan, store, caches = worked_system()
         log = execute_delivery(store, plan)
-        assert decode_all(caches, log, (1, 2, 3, 4), plan, store).passed
-        assert len(calls) == 2
-        # another delivery from the same store replaces the kept payloads
-        other = WORKED.plan((2, 1, 4, 3))
-        execute_delivery(store, other)
-        assert decode_all(caches, log, (1, 2, 3, 4), plan, store).passed
-        assert len(calls) == 4
+        report = decode_all(caches, log, (1, 2, 3, 4), plan, store)
+        assert report.passed
+        # after another delivery from the same store, and with the server's
+        # XOR refused, the same log decodes to the same report
+        execute_delivery(store, WORKED.plan((2, 1, 4, 3)))
+        assert calls == [(1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 4, 3)]
+
+        def refused(*args):
+            raise AssertionError("decode_all called the server's XOR")
+
+        monkeypatch.setattr(simulator, "_xor", refused)
+        assert decode_all(caches, log, (1, 2, 3, 4), plan, store) == report
 
     def test_verify_builds_one_report(self, capsys, monkeypatch):
         built = []

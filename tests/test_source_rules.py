@@ -120,6 +120,12 @@ def test_one_xor_delivery_builder_and_one_way_to_bits():
     }
 
 
+def test_the_decoder_never_borrows_the_server_s_xor():
+    # decode_all checks a log against the files with its own XOR, so a fault
+    # in the server's XOR cannot hide behind the check
+    assert _constructors({"_xor"}) == {"_xor": {"execute_delivery"}}
+
+
 @pytest.mark.parametrize("inst", [
     SchemeInstance("equal", 5, 3, Fraction(7, 4)),
     SchemeInstance("proposed", 6, 4, Fraction(3, 2), L=2, Mhat=Fraction(9, 4)),
@@ -158,11 +164,13 @@ def test_views_and_second_checks_stay_out_of_the_package():
     # that only tests read live in tests/views.py or nowhere; a plan holds
     # integer rows, not an object per part, and a compiled plan each part
     # once; a placement holds integer subfiles in one unit, not segments; a
-    # build is its placement and template, with no copy of the config
+    # build is its placement and template, with no copy of the config; a
+    # store keeps no copy of what it delivered
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
             "Part", "Transmission", "Segment", "_total_length"}
     members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
-               "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"}}
+               "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"},
+               "FileStore": {"delivered"}}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -32,7 +32,7 @@ counted arithmetically, and refused above ``core.MAX_ENUMERATION`` before
 any work, with per-demand reports built only as the verdict is iterated.
 
 This module holds only bits and is the only one that imports numpy; the
-placement, plan and rate it checks come from ``unequal.SchemeInstance``.
+placement, plan, rate and cache sizes it checks come from ``SchemeInstance``.
 """
 
 from __future__ import annotations
@@ -345,10 +345,10 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
     corrupt = np.logical_or.reduceat(residue, cp.sent[:-1]).tolist()
     for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
         width = hi - lo
-        for i, (user, a, b) in enumerate(parts):
+        for user, a, b in parts:
             row = cached[user]
             if all(row[b2] - row[a2] == width
-                   for j, (_, a2, b2) in enumerate(parts) if j != i):
+                   for other, a2, b2 in parts if other != user):
                 missing[user] -= width - (row[b] - row[a])
                 wrong[user] |= bad
     return [not m and not w for m, w in zip(missing, wrong)]
@@ -540,9 +540,8 @@ def verify_demands(
     while what a user can cancel, the widths, and with them the load, are
     the same for every file.  The template is compiled once, for the
     execution and the decode alike.  A user whose cache holds more than its
-    size times ``F_bits`` bits of all N files fails too: the size is Mhat
-    for users 1..L of the proposed scheme and M for every other user.
-    Per-demand reports are built only when the verdict is iterated.
+    size in ``inst.cache_sizes`` times ``F_bits`` bits of all N files fails
+    too.  Per-demand reports are built only when the verdict is iterated.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
@@ -563,10 +562,8 @@ def verify_demands(
         payloads[t][bit] ^= 1
         log = TransmissionLog(tuple(payloads))
     report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
-    large = inst.L if inst.scheme == "proposed" else 0
-    sizes = [inst.Mhat] * large + [inst.M] * (inst.K - large)
     ok = [ok and caches.user_bits(user) <= size * store.F_bits
-          for user, (ok, size) in enumerate(zip(report.user_ok, sizes), 1)]
+          for user, (ok, size) in enumerate(zip(report.user_ok, inst.cache_sizes), 1)]
     return Verdict(replace(report, user_ok=tuple(ok)), demands)
 
 

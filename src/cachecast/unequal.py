@@ -13,7 +13,8 @@ one XOR per (k+1)-subset of its users.  Stage one keeps the subsets that
 reach a small-cache user; the pool's own ``equal_delivery`` replaces the
 rest.
 
-``build_two_stage`` takes one path: it splits every file at gamma.  The
+``build_two_stage`` takes one path: it splits every file at gamma, and
+``rate_ueq`` sums the rate over that split without building anything.  The
 share [0, gamma) holds stage 1 and the pooled refinement to min(M', N); the
 share [gamma, 1) holds an equal-cache system over the K - L small users,
 which the large users store whole.  When M' would exceed N (scenario 2),
@@ -28,9 +29,9 @@ is.  A build is that pair and nothing else,
 ``TwoStageContext(placement, template)``; ``SchemeInstance.plan`` binds a
 demand to the template (``equal_cache.BoundPlan``) without copying it.
 
-``SchemeInstance`` is one scheme at one parameter point, and the one place
-a scheme name is dispatched on: its ``RateReport`` and, but for scheme 1,
-the placement and plans that ``simulator`` turns into bits.
+``SchemeInstance`` is one scheme at one parameter point, and the library's
+one dispatch on a scheme name: its cache sizes, ``RateReport`` and, but for
+scheme 1, the placement and plans that ``simulator`` turns into bits.
 """
 
 from __future__ import annotations
@@ -97,8 +98,6 @@ class UnequalParams:
     """Derived quantities of the two-stage construction."""
 
     base: EqualCacheParams
-    L: int
-    Mhat: Rational
     Fprime: Rational        # pooled intra-group length per file, units of F
     occupied: Rational      # pool content already cached per large user after stage 1
     Rprime: Rational        # stage-1 load of purely intra-group transmissions
@@ -138,9 +137,8 @@ def unequal_params(cfg: UnequalConfig) -> UnequalParams:
             phi = cfg.M - occupied + N * fprime
             gamma = Fraction(N - cfg.Mhat, N - phi)
     return UnequalParams(
-        base=base, L=L, Mhat=cfg.Mhat, Fprime=fprime, occupied=occupied,
-        Rprime=rprime, Mprime=mprime, scenario=1 if phi is None else 2, Phi=phi,
-        gamma=gamma, pool_empty=fprime == 0,
+        base=base, Fprime=fprime, occupied=occupied, Rprime=rprime, Mprime=mprime,
+        scenario=1 if phi is None else 2, Phi=phi, gamma=gamma, pool_empty=fprime == 0,
     )
 
 
@@ -170,18 +168,15 @@ class RateReport:
 def rate_ueq(cfg: UnequalConfig, params: UnequalParams | None = None) -> RateReport:
     """Worst-case rate of the two-level scheme, with all intermediates.
 
-    ``params`` is ``unequal_params(cfg)`` when the caller has it already.
+    The build's split at gamma: on [0, gamma), stage 1's rate less R' plus F'
+    times the pool's rate at min(M', N), 0 for an empty pool; on [gamma, 1), the
+    small users' rate.  ``params`` is ``unequal_params(cfg)``, if known.
     """
     p = unequal_params(cfg) if params is None else params
-    base_rate = rate_eq(cfg.N, cfg.K, cfg.M)
-    if p.pool_empty:
-        rate = base_rate
-    elif p.scenario == 1:
-        rate = base_rate - p.Rprime + rate_eq(cfg.N, cfg.L, p.Mprime) * p.Fprime
-    else:
-        rate = p.gamma * (base_rate - p.Rprime) + (1 - p.gamma) * rate_eq(
-            cfg.N, cfg.K - cfg.L, cfg.M
-        )
+    pool = p.Fprime and p.Fprime * rate_eq(cfg.N, cfg.L, min(p.Mprime, cfg.N))
+    rate = rate_eq(cfg.N, cfg.K, cfg.M) - p.Rprime + pool
+    if p.gamma is not None:
+        rate = p.gamma * rate + (1 - p.gamma) * rate_eq(cfg.N, cfg.K - cfg.L, cfg.M)
     return RateReport(
         scheme="proposed", N=cfg.N, K=cfg.K, M=cfg.M, rate=rate,
         L=cfg.L, Mhat=cfg.Mhat, t=p.base.t, t_int=p.base.t_int, alpha=p.base.alpha,
@@ -296,6 +291,14 @@ class SchemeInstance:
         return unequal_params(self._config)
 
     @cached_property
+    def cache_sizes(self) -> tuple[Rational, ...]:
+        """Users 1..K's cache sizes: Mhat for 1..L of an unequal scheme, else M."""
+        if self.scheme == "equal":
+            return (self.M,) * self.K
+        cfg = self._config  # checks (N, K, L, Mhat, M)
+        return (cfg.Mhat,) * cfg.L + (cfg.M,) * (cfg.K - cfg.L)
+
+    @cached_property
     def report(self) -> RateReport:
         N, K, M = self.N, self.K, self.M
         if self.scheme == "equal":
@@ -304,8 +307,7 @@ class SchemeInstance:
                               t=p.t, t_int=p.t_int, alpha=p.alpha)
         if self.scheme == "proposed":
             return rate_ueq(self._config, self._params)
-        cfg = self._config  # the proposed scheme's check of (N, K, L, Mhat, M)
-        _, rate = scheme1_optimize(N, K, [cfg.Mhat] * cfg.L + [cfg.M] * (K - cfg.L))
+        _, rate = scheme1_optimize(N, K, self.cache_sizes)
         return RateReport(scheme="scheme1", N=N, K=K, M=M, L=self.L, Mhat=self.Mhat,
                           rate=rate)
 

@@ -58,6 +58,16 @@ def proposed_rate_is_between_the_equal_caches():
         assert rate_eq(N, K, Mhat) <= proposed <= min(rate_eq(N, K, M), scheme1)
 
 
+def proposed_caches_fill_their_sizes():
+    """Each user of the proposed scheme caches exactly its size, the property
+    of tests/test_paper_comparison.py, at the worked example and at a point
+    it drew."""
+    for N, K, L, Mhat, M in [(4, 4, 3, 2, 1), (9, 5, 2, Fraction(27, 8), 2)]:
+        inst = SchemeInstance("proposed", N, K, M, L=L, Mhat=Mhat)
+        loads = tuple(inst.placement.user_load(user) for user in range(1, K + 1))
+        assert loads == inst.cache_sizes, (N, K, L, Mhat, M)
+
+
 def flipped_payload_bit_fails():
     inst = SchemeInstance("equal", 4, 4, 1)
     assert not verify_demands(inst, "distinct", flip_bit=(0, 0)).passed
@@ -150,7 +160,7 @@ def demand_outside_the_library_is_refused():
 
 
 ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
-           flipped_payload_bit_fails,
+           proposed_caches_fill_their_sizes, flipped_payload_bit_fails,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
            user_named_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
@@ -218,6 +228,10 @@ MUTANTS = [
            "gamma = Fraction(N - cfg.Mhat, N - phi)",
            "gamma = 1 - Fraction(N - cfg.Mhat, N - phi)",
            proposed_rate_is_between_the_equal_caches),
+    Mutant("mprime-uses-half-the-extra-cache", "unequal.unequal_params",
+           "mprime = (occupied + cfg.Mhat - cfg.M) / fprime",
+           "mprime = (occupied + (cfg.Mhat - cfg.M) / 2) / fprime",
+           proposed_caches_fill_their_sizes),
 ]
 
 

@@ -1,12 +1,14 @@
 """The integer rate layer against the fraction-by-fraction algorithms it replaced.
 
 ``rate_eq``, ``unequal_params`` and ``scheme1_optimize`` sum integer
-numerators over one common denominator.  The references below are the
-direct forms: the binomial-ratio ``rate_eq``, ``unequal_params`` term by
-term, and the scheme-1 optimiser that evaluates every layer's cost at every
-cut and takes slopes as differences.  They must agree exactly, value and
-type, on random rational points (derandomized) and on the edges: M = 0,
-M = N, integer t, t = K-1, zero cache gaps, and a gap of N.
+numerators over one common denominator, and ``rate_ueq`` is one expression
+split at gamma, as the build is.  The references below are the direct
+forms: the binomial-ratio ``rate_eq``, ``unequal_params`` term by term, the
+paper's two-level rate case by case, and the scheme-1 optimiser that
+evaluates every layer's cost at every cut and takes slopes as differences.
+They must agree exactly, value and type, on random rational points
+(derandomized) and on the edges: M = 0, M = N, integer t, t = K-1, zero
+cache gaps, and a gap of N.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from cachecast.baselines import scheme1_optimize, scheme1_rate_at
 from cachecast.core import binom
 from cachecast.equal_cache import equal_params, rate_eq
-from cachecast.unequal import UnequalConfig, unequal_params
+from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -63,6 +65,18 @@ def ref_unequal_params(cfg):
             phi = cfg.M - occupied + N * fprime
             gamma = Fraction(N - cfg.Mhat, N - phi)
     return fprime, occupied, rprime, mprime, phi, gamma
+
+
+def ref_rate_ueq(cfg):
+    """The paper's rate case by case: an empty pool, scenario 1, scenario 2."""
+    N, K, L, M = cfg.N, cfg.K, cfg.L, cfg.M
+    fprime, _, rprime, mprime, _, gamma = ref_unequal_params(cfg)
+    base = ref_rate_eq(N, K, M)
+    if not fprime:
+        return base
+    if gamma is None:
+        return base - rprime + fprime * ref_rate_eq(N, L, mprime)
+    return gamma * (base - rprime) + (1 - gamma) * ref_rate_eq(N, K - L, M)
 
 
 def ref_layer_cost(N, K, i, gap, b):
@@ -174,6 +188,17 @@ def check_unequal(cfg):
     assert repr(got) == repr(ref_unequal_params(cfg))
 
 
+def check_rate_ueq(cfg):
+    assert repr(rate_ueq(cfg).rate) == repr(ref_rate_ueq(cfg))
+
+
+def edge_configs(point):
+    """Every L, and Mhat at M, halfway to N and N, at an equal-cache edge."""
+    N, K, M = point
+    return [UnequalConfig(N, K, L, Mhat, M)
+            for L in range(1, K) for Mhat in (M, (M + N) / 2, Fraction(N))]
+
+
 def check_scheme1(N, K, caches):
     alloc, rate = scheme1_optimize(N, K, caches)
     beta, ref_rate = ref_scheme1_optimize(N, K, caches)
@@ -194,6 +219,12 @@ def test_unequal_params_matches_term_by_term(cfg):
 
 
 @PROFILE
+@given(configs())
+def test_rate_ueq_matches_case_by_case(cfg):
+    check_rate_ueq(cfg)
+
+
+@PROFILE
 @given(cache_vectors())
 def test_scheme1_matches_cut_by_cut_optimiser(point):
     check_scheme1(*point)
@@ -206,10 +237,14 @@ def test_rate_eq_edges(point):
 
 @pytest.mark.parametrize("point", EQUAL_EDGES, ids=str)
 def test_unequal_params_edges(point):
-    N, K, M = point
-    for L in range(1, K):
-        for Mhat in (M, (M + N) / 2, Fraction(N)):
-            check_unequal(UnequalConfig(N, K, L, Mhat, M))
+    for cfg in edge_configs(point):
+        check_unequal(cfg)
+
+
+@pytest.mark.parametrize("point", EQUAL_EDGES, ids=str)
+def test_rate_ueq_edges(point):
+    for cfg in edge_configs(point):
+        check_rate_ueq(cfg)
 
 
 @pytest.mark.parametrize("point", CACHE_EDGES, ids=str)

@@ -12,6 +12,7 @@ import pytest
 import cachecast
 from cachecast import equal_cache
 from cachecast.simulator import SchemeInstance
+from cachecast.unequal import SCHEMES
 
 PACKAGE = Path(cachecast.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -126,6 +127,36 @@ def test_the_decoder_never_borrows_the_server_s_xor():
     assert _constructors({"_xor"}) == {"_xor": {"execute_delivery"}}
 
 
+def _function(name: str, module: str) -> ast.FunctionDef:
+    path = PACKAGE / module
+    return next(node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_rate_formula_is_one_split_and_builds_nothing():
+    # rate_ueq is the build's split at gamma as one expression, with no case
+    # per scenario or for an empty pool, and it calls nothing from the
+    # construction, so it stays an oracle independent of the build
+    func = _function("rate_ueq", "unequal.py")
+    ifs = [ast.unparse(node.test) for node in ast.walk(func) if isinstance(node, ast.If)]
+    calls = {ast.unparse(node.func) for node in ast.walk(func)
+             if isinstance(node, ast.Call)}
+    assert ifs == ["p.gamma is not None"]
+    assert calls == {"unequal_params", "rate_eq", "min", "RateReport"}
+
+
+def test_the_simulator_names_no_scheme():
+    # a user's cache size is SchemeInstance.cache_sizes, which verify_demands
+    # reads, so the bits layer never dispatches on a scheme name
+    path = PACKAGE / "simulator.py"
+    named = [f"simulator.py:{node.lineno} {node.value!r}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and node.value in SCHEMES]
+    assert named == []
+    assert "cache_sizes" in {node.attr for node in ast.walk(_function(
+        "verify_demands", "simulator.py")) if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize("inst", [
     SchemeInstance("equal", 5, 3, Fraction(7, 4)),
     SchemeInstance("proposed", 6, 4, Fraction(3, 2), L=2, Mhat=Fraction(9, 4)),
@@ -164,13 +195,14 @@ def test_views_and_second_checks_stay_out_of_the_package():
     # that only tests read live in tests/views.py or nowhere; a plan holds
     # integer rows, not an object per part, and a compiled plan each part
     # once; a placement holds integer subfiles in one unit, not segments; a
-    # build is its placement and template, with no copy of the config; a
-    # store keeps no copy of what it delivered
+    # build is its placement and template, with no copy of the config, and
+    # the derived parameters hold none either; a store keeps no copy of what
+    # it delivered
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
             "Part", "Transmission", "Segment", "_total_length"}
     members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
                "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"},
-               "FileStore": {"delivered"}}
+               "FileStore": {"delivered"}, "UnequalParams": {"L", "Mhat"}}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

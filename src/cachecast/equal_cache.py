@@ -31,9 +31,13 @@ each runs once, over one file's layout:
   (``incremental.refine_pool``).  Both emit template rows.
 - ``cut_segments`` is the one interval cutter: one walk over an ordered run
   of (offset, length) pairs against increasing offsets.
-  ``aligned_transmissions`` runs it on each component of one XOR at the
-  union of their pair ends, so each piece is one pair per component, and
-  emits one row per piece; the pooled refinement runs it to cut a kept
+  ``aligned_transmissions`` is the one builder of rows.  An XOR whose
+  components are each one pair, as every stage-1 XOR is, becomes its one
+  row directly, with nothing to cut.  Only an XOR with a multi-pair
+  component, which only the refined pool's content can hold, is cut:
+  ``cut_segments`` runs on each multi-pair component at the union of all
+  components' pair ends, so each piece is one pair per component, and one
+  row is emitted per piece.  The pooled refinement runs it to cut a kept
   share and equal promoted parts.
 
 A template (``DeliveryPlan``) is one unit and integer rows: transmission t
@@ -50,9 +54,13 @@ A placement is one unit and integer subfiles in the same way:
 ``equal_placement`` takes it (by default the coarsest one in which its
 layout is whole, ``window_unit``), the template is made where that unit is
 fixed, nothing rescales a built placement, and every cut is exact, so a
-remainder raises rather than rounds.  Delivery content maps owner sets to
-tuples of (offset, length) pairs in that unit, and a bit-level realization
-only has to scale the integers (``simulator.required_bits``).
+remainder raises rather than rounds.  The layout arithmetic is in integers
+too: a window is (s, w, E), the span [s/E, (s + w)/E) of the file, and a
+memory-sharing level is (t_int, a, D) with alpha = a/D (``sharing_level``),
+so every layer's start and length is a numerator over E*D (``_layers``).
+Delivery content maps owner sets to tuples of (offset, length) pairs in
+that unit, and a bit-level realization only has to scale the integers
+(``simulator.required_bits``).
 """
 
 from __future__ import annotations
@@ -75,6 +83,13 @@ BETA = "beta"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# A memory-sharing level (t_int, a, D): owner sets of size t_int on the
+# first alpha = a/D of a window, of size t_int + 1 on the rest.
+Level = tuple[int, int, int]
+# A window [s/E, (s + w)/E) of the file, as the integers (s, w, E).
+Window = tuple[int, int, int]
+WHOLE: Window = (0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -291,11 +306,22 @@ def aligned_transmissions(
     """Turn equal-length multi-pair components into aligned XOR rows.
 
     Each component is (ordered (offset, length) pairs, target user), all in
-    one unit.  Every component is cut at the union of all components' pair
-    ends (``cut_segments``), so that every resulting transmission XORs
-    exactly one contiguous run per component, and the widths are the gaps
-    between those ends.
+    one unit.  An XOR whose components are each one pair is its one row as
+    it stands: the pairs' common length, and each target with its pair's
+    offset.  Any other XOR is cut at the union of all components' pair ends
+    (``cut_segments``), so that every resulting transmission XORs exactly
+    one contiguous run per component, and the widths are the gaps between
+    those ends.  A zero total sends nothing.
     """
+    if components and len(components[0][0]) == 1:
+        width = components[0][0][0][1]
+        row = []
+        for segs, target in components:  # a loop, not a comprehension: no frame
+            if len(segs) != 1 or segs[0][1] != width:
+                break
+            row.append((target, segs[0][0]))
+        else:
+            return [(width, tuple(row))] if width else []
     ends: set[int] = set()
     totals: set[int] = set()
     for segs, _ in components:
@@ -304,6 +330,7 @@ def aligned_transmissions(
             pos += n
             ends.add(pos)
         totals.add(pos)
+    ends.discard(0)  # a leading zero-length pair ends no interval
     if len(totals) != 1:
         raise ValueError(f"XOR components must have equal total length, got {totals}")
     if not totals.pop():
@@ -324,21 +351,33 @@ def aligned_transmissions(
 # ---------------------------------------------------------------------------
 
 
-def _layers(p: EqualCacheParams, start: Rational, width: Rational):
-    """(layer, t, start, fraction) of each memory-sharing layer of the window
-    [start, start + width); beta is absent when t is an integer."""
-    layers = ((ALPHA, p.t_int, start, width * p.alpha),
-              (BETA, p.t_int + 1, start + width * p.alpha, width * (1 - p.alpha)))
+def sharing_level(N: int, K: int, M) -> Level:
+    """The memory-sharing level (t_int, a, D) of (N, K, M), read off
+    ``_levels``: alpha = a/D."""
+    _, _, D, t_int, a = _levels(N, K, M)
+    return t_int, a, D
+
+
+def _layers(level: Level, window: Window) -> list[tuple[str, int, int, int]]:
+    """(layer, t, start, length) of each memory-sharing layer of the window
+    (s, w, E) at level (t_int, a, D), as numerators over E*D: alpha takes
+    [s*D, s*D + w*a), beta the rest.  Beta is absent when a = D."""
+    t, a, D = level
+    s, w, _ = window
+    layers = ((ALPHA, t, s * D, w * a), (BETA, t + 1, s * D + w * a, w * (D - a)))
     return [layer for layer in layers if layer[3]]
 
 
-def window_unit(p: EqualCacheParams, start: Rational = ZERO, width: Rational = ONE) -> int:
-    """The coarsest unit in which ``equal_placement`` at ``p`` (over p.K
-    users) lays out the window [start, start + width) in whole units: every
-    layer's start, and its share of each of its C(p.K, t) subfiles."""
-    return math.lcm(*chain.from_iterable(
-        (Fraction(layer_start).denominator, Fraction(fraction, binom(p.K, t)).denominator)
-        for _, t, layer_start, fraction in _layers(p, start, width)))
+def window_unit(K: int, level: Level, window: Window = WHOLE) -> int:
+    """The coarsest unit in which ``equal_placement`` at ``level``, over K
+    users, lays out ``window`` in whole units: every layer's start, and its
+    share of each of its C(K, t) subfiles."""
+    den = window[2] * level[2]
+    unit = 1
+    for _, t, start, length in _layers(level, window):
+        share = den * binom(K, t)
+        unit = math.lcm(unit, den // math.gcd(start, den), share // math.gcd(length, share))
+    return unit
 
 
 def equal_placement(
@@ -366,14 +405,18 @@ def equal_placement(
     ``ValueError``.
     """
     ground = users_range(K) if ground is None else ground
-    p = equal_params(N, len(ground), M)
+    level = sharing_level(N, len(ground), M)
+    E = math.lcm(start.denominator, width.denominator)
+    window = (start.numerator * (E // start.denominator),
+              width.numerator * (E // width.denominator), E)
     if unit is None:
-        unit = window_unit(p, start, width)
+        unit = window_unit(len(ground), level, window)
+    den = E * level[2]
     blocks = []
-    for layer, t, layer_start, fraction in _layers(p, start, width):
+    for layer, t, layer_start, length in _layers(level, window):
         subsets = enumerate_subsets(ground, t)
-        a = divide(layer_start.numerator * unit, layer_start.denominator)
-        size = divide(fraction.numerator * unit, fraction.denominator * len(subsets))
+        a = divide(layer_start * unit, den)
+        size = divide(length * unit, den * len(subsets))
         blocks.append(tuple(
             Subfile(layer, T, user_set(T + also) if also else T, a + j * size, size)
             for j, T in enumerate(subsets)

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .core import Rational, UserSet, binom, divide, user_set
-from .equal_cache import ZERO, Placement, Span, Subfile, cut_segments
+from .equal_cache import Placement, Span, Subfile, cut_segments
 
 # A refinement piece: one (offset, length) run, tagged with the stage-1
 # subfile it was cut from.  Its owner set is the key it is filed under in a
@@ -59,9 +59,10 @@ def split_factor(pool_size: int, s0: int, t2_int: int, alpha2: Rational) -> int:
 
 
 def _promote_once(
-    state: State, ground: UserSet, keep_fraction: Rational, promoted: State
+    state: State, ground: UserSet, keep: tuple[int, int], promoted: State
 ) -> State:
-    """Keep ``keep_fraction`` of every owner set's content and promote the rest.
+    """Keep the fraction keep[0]/keep[1] of every owner set's content and
+    promote the rest.
 
     The promoted share of set T is divided into |ground - T| equal parts;
     part r is appended to promoted[T + {j}] for the r-th user j of ground - T
@@ -75,7 +76,7 @@ def _promote_once(
         if total == 0:
             continue
         others = [u for u in ground if u not in T]
-        kept_length = divide(total * keep_fraction.numerator, keep_fraction.denominator)
+        kept_length = divide(total * keep[0], keep[1])
         width = divide(total - kept_length, len(others))
         bounds = [kept_length + width * r for r in range(len(others) + 1)]
         shares = [kept.setdefault(T, [])]
@@ -121,15 +122,19 @@ def refine_pool(
     if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
         raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
 
+    # the pool is at t = t_pool/pool_total and the target at t' = t_target/ad,
+    # compared by cross-multiplying
     pool_total = sum(sf.n for sf in pool_sfs)
     low0 = sum(sf.n for sf in pool_sfs if len(sf.owners) == s0)
-    t_pool = s0 + 1 - Fraction(low0, pool_total)
-    t_target = t2_int + 1 - alpha2
-    if t_target < t_pool:
+    an, ad = alpha2.numerator, alpha2.denominator
+    t_pool = (s0 + 1) * pool_total - low0
+    t_target = (t2_int + 1) * ad - an
+    if t_target * pool_total < t_pool * ad:
         raise ValueError(
-            f"cannot shrink placement: target t'={t_target} below current {t_pool}"
+            f"cannot shrink placement: target t'={Fraction(t_target, ad)} below "
+            f"current {Fraction(t_pool, pool_total)}"
         )
-    if t_target > len(pool):
+    if t_target > len(pool) * ad:
         raise ValueError("nothing to refine: owner sets already cover the pool")
 
     rest = tuple(
@@ -143,14 +148,14 @@ def refine_pool(
         target = low if len(sf.owners) == s0 else high
         target.setdefault(sf.owners, []).append((sf, (sf.a, sf.n)))
     for _ in range(s0, t2_int):
-        _promote_once(low, pool, ZERO, high)
+        _promote_once(low, pool, (0, 1), high)
         low, high = high, {}
     low_length = _pieces_length([pc for pieces in low.values() for pc in pieces])
-    if low_length * alpha2.denominator < alpha2.numerator * pool_total:
+    if low_length * ad < an * pool_total:
         raise ValueError("inconsistent refinement target")  # ruled out by budget
-    if low_length * alpha2.denominator > alpha2.numerator * pool_total:
-        keep = Fraction(alpha2 * pool_total, low_length)  # alpha2 / (low_length/pool_total)
-        low = _promote_once(low, pool, keep, high)
+    if low_length * ad > an * pool_total:
+        # keep alpha2 / (low_length/pool_total) of the level
+        low = _promote_once(low, pool, (an * pool_total, ad * low_length), high)
 
     refined_block: list[Subfile] = []
     content: dict[UserSet, tuple[Span, ...]] = {}

@@ -56,6 +56,7 @@ from .equal_cache import (
     equal_params,
     equal_placement,
     rate_eq,
+    sharing_level,
     window_unit,
     xor_delivery,
 )
@@ -216,18 +217,20 @@ def build_two_stage(cfg: UnequalConfig,
     p = unequal_params(cfg) if params is None else params
     N, K, L = cfg.N, cfg.K, cfg.L
     gamma = ONE if p.gamma is None else p.gamma
-    second = None if p.pool_empty else equal_params(N, L, min(p.Mprime, N))
+    g, G = gamma.numerator, gamma.denominator  # the windows (0, g, G), (g, G - g, G)
     unit = 1
-    if gamma:
-        unit = window_unit(p.base, width=gamma)
-        if second is not None:
-            unit *= split_factor(L, p.base.t_int, second.t_int, second.alpha)
-    if gamma < 1:
-        small = equal_params(N, K - L, cfg.M)
-        unit = math.lcm(unit, window_unit(small, gamma, 1 - gamma))
+    if g:
+        unit = window_unit(K, sharing_level(N, K, cfg.M), (0, g, G))
+        if not p.pool_empty:
+            t2_int, a2, D2 = sharing_level(N, L, min(p.Mprime, N))
+            alpha2 = Fraction(a2, D2)
+            unit *= split_factor(L, p.base.t_int, t2_int, alpha2)
+    if g < G:
+        small = sharing_level(N, K - L, cfg.M)
+        unit = math.lcm(unit, window_unit(K - L, small, (g, G - g, G)))
 
     blocks, txs = (), []
-    if gamma:
+    if g:
         # Stage 1 on [0, gamma): every transmission that serves a small-cache
         # user, i.e. whose (sorted) subset S ends above L.  Those inside the
         # large-cache group are replaced by the pooled refinement's delivery.
@@ -235,12 +238,11 @@ def build_two_stage(cfg: UnequalConfig,
         content = placement.stage1_content
         txs = xor_delivery(content, [S for S in delivery_subsets(content, users_range(K))
                                      if S[-1] > L])
-        if second is not None:
-            placement, pool = refine_pool(placement, cfg.large_users, second.t_int,
-                                          second.alpha)
+        if not p.pool_empty:
+            placement, pool = refine_pool(placement, cfg.large_users, t2_int, alpha2)
             txs.extend(equal_delivery(pool, cfg.large_users))
         blocks = placement.blocks
-    if gamma < 1:  # [gamma, 1): the equal-cache scheme over the small users
+    if g < G:  # [gamma, 1): the equal-cache scheme over the small users
         rest = equal_placement(N, K, cfg.M, cfg.small_users, start=gamma,
                                width=1 - gamma, also=cfg.large_users, unit=unit)
         blocks += rest.blocks

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from cachecast.baselines import scheme1_optimize
 from cachecast.core import users_range
-from cachecast.equal_cache import equal_params, equal_placement, rate_eq, window_unit
+from cachecast.equal_cache import equal_placement, rate_eq, sharing_level, window_unit
 from cachecast.incremental import refine_pool, split_factor
 from cachecast.simulator import SchemeInstance, verify_demands
 from cachecast.unequal import UnequalConfig, build_two_stage, rate_ueq, unequal_params
@@ -119,14 +119,14 @@ def test_criterion_5_incremental_merge_equivalence():
                 totals[key] = totals.get(key, 0) + sf.n
         return {(f, o, Fraction(n, placement.unit)) for (f, o), n in totals.items()}
 
-    # the layout and its refinement do not depend on N, and equal_params
+    # the layout and its refinement do not depend on N, and sharing_level
     # refuses K > N: K <= N still reaches every (K, t) with t < K <= 5
     bad = []
     for N in range(1, 6):
         for K in range(1, N + 1):
             for t in range(0, K):
                 M = Fraction(t * N, K)
-                unit = window_unit(equal_params(N, K, M)) * split_factor(
+                unit = window_unit(K, sharing_level(N, K, M)) * split_factor(
                     K, t, t + 1, Fraction(1))
                 refined, _ = refine_pool(
                     equal_placement(N, K, M, unit=unit), users_range(K), t + 1,

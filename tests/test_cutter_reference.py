@@ -7,10 +7,11 @@ ends, and the pooled refinement
 cuts each owner set's pieces into a kept share and equal promoted parts.
 ``split_segments`` below is the cutter both replaced, kept as the
 reference.  ``cut_segments`` must equal it, piece by piece and tag by tag,
-at arbitrary bounds; the one-pass XOR builder must equal the form that split
-each component at the internal segment ends, on random equal-total
-components (derandomized), including a zero total; and bounds that end
-before or past the content, or unequal totals, are refused.
+at arbitrary bounds; the XOR builder must equal the form that split each
+component at the internal segment ends, on random equal-total components
+(derandomized), drawn to include XORs of single pairs only (which it emits
+as one row without cutting), zero-length pairs and a zero total; and bounds
+that end before or past the content, or unequal totals, are refused.
 """
 
 from itertools import accumulate
@@ -67,6 +68,8 @@ def ref_aligned_transmissions(components):
         raise ValueError(f"XOR components must have equal total length, got {totals}")
     if not totals.pop():
         return []
+    # a zero-length pair holds no content: no piece comes from it
+    components = [([seg for seg in segs if seg[1]], target) for segs, target in components]
     cuts = sorted({
         acc for segs, _ in components for acc in accumulate(n for _, n in segs[:-1])
     })
@@ -98,16 +101,24 @@ def compositions(draw, total, max_parts=5):
 
 @st.composite
 def components(draw):
-    """1-6 components of 1-5 segments each, all of one total (possibly 0),
-    at arbitrary offsets and for arbitrary targets."""
+    """1-6 components, all of one total, at arbitrary offsets and for
+    arbitrary targets.  Each draw is one of four shapes: every component a
+    single pair; 1-5 positive segments each; the same with zero-length
+    pairs put in; or a zero total, of 1-5 zero-length pairs each."""
     count = draw(st.integers(1, 6))
-    total = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["single", "cut", "zero-length", "zero-total"]))
+    total = 0 if shape == "zero-total" else draw(st.integers(1, 12))
     out = []
     for target in draw(st.lists(st.integers(1, 9), min_size=count, max_size=count)):
-        if total:
-            lengths = draw(compositions(total))
-        else:
+        if shape == "single":
+            lengths = [total]
+        elif shape == "zero-total":
             lengths = [0] * draw(st.integers(1, 5))
+        else:
+            lengths = draw(compositions(total))
+            if shape == "zero-length":
+                for _ in range(draw(st.integers(1, 3))):
+                    lengths.insert(draw(st.integers(0, len(lengths))), 0)
         offsets = draw(st.lists(st.integers(0, 40), min_size=len(lengths),
                                 max_size=len(lengths)))
         out.append((_segments(lengths, offsets), target))
@@ -120,14 +131,18 @@ def test_one_pass_matches_the_split_segments_cutter(comps):
     got = aligned_transmissions(comps)
     assert got == ref_aligned_transmissions(comps)
     if got:
-        assert len(got) >= max(len(segs) for segs, _ in comps)
+        assert len(got) >= max(sum(1 for _, n in segs if n) for segs, _ in comps)
+    if all(len(segs) == 1 for segs, _ in comps):
+        assert len(got) == (1 if comps[0][0][0][1] else 0)
 
 
 @PROFILE
-@given(components(), st.integers(1, 5))
-def test_unequal_totals_are_refused(comps, extra):
+@given(components(), st.integers(1, 5), st.booleans())
+def test_unequal_totals_are_refused(comps, extra, one_pair):
+    # the longer component is one pair or the first one's pairs and one more
     segs, target = comps[0]
-    longer = comps + [(segs + [(0, extra)], target)]
+    total = sum(n for _, n in segs)
+    longer = comps + [([(0, total + extra)] if one_pair else segs + [(0, extra)], target)]
     for cutter in (aligned_transmissions, ref_aligned_transmissions):
         with pytest.raises(ValueError, match="equal total length"):
             cutter(longer)

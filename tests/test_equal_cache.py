@@ -10,6 +10,7 @@ from cachecast.equal_cache import (
     equal_params,
     equal_placement,
     rate_eq,
+    sharing_level,
     window_unit,
 )
 from cachecast.incremental import refine_pool, split_factor
@@ -255,7 +256,8 @@ class TestDeliverySubsets:
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
         second = equal_params(6, 2, unequal_params(cfg).Mprime)
         base = equal_params(6, 4, Fraction(3, 2))
-        unit = window_unit(base) * split_factor(2, base.t_int, second.t_int, second.alpha)
+        unit = window_unit(4, sharing_level(6, 4, Fraction(3, 2))) * split_factor(
+            2, base.t_int, second.t_int, second.alpha)
         _, pool = refine_pool(
             equal_placement(6, 4, Fraction(3, 2), unit=unit), (1, 2), second.t_int,
             second.alpha

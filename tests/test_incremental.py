@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from cachecast.core import users_range
-from cachecast.equal_cache import Placement, equal_params, equal_placement, window_unit
+from cachecast.equal_cache import (
+    Placement, equal_params, equal_placement, sharing_level, window_unit,
+)
 from cachecast.incremental import refine_pool, split_factor
 from cachecast.unequal import UnequalConfig, unequal_params
 
@@ -25,7 +27,7 @@ def refinable(N, K, M, pool, t2_int, alpha2):
     fixes for refining ``pool`` to (t2_int, alpha2), stage 1's unit times the
     ``split_factor``: ``refine_pool`` cuts in the unit it is given."""
     p = equal_params(N, K, M)
-    unit = window_unit(p) * split_factor(len(pool), p.t_int, t2_int, alpha2)
+    unit = window_unit(K, sharing_level(N, K, M)) * split_factor(len(pool), p.t_int, t2_int, alpha2)
     return equal_placement(N, K, M, unit=unit)
 
 

@@ -208,6 +208,11 @@ MUTANTS = [
     Mutant("cut-one-unit-short", "equal_cache.cut_segments",
            "yield k, i, (a, bound - pos)", "yield k, i, (a, bound - pos - 1)",
            proposed_scheme_verifies),
+    Mutant("row-drops-the-last-target", "equal_cache.aligned_transmissions",
+           "[(width, tuple(row))]", "[(width, tuple(row[:-1]))]",
+           proposed_scheme_verifies),
+    Mutant("beta-layer-starts-at-the-window", "equal_cache._layers",
+           "s * D + w * a", "s * D", proposed_scheme_verifies),
     Mutant("rate-eq-alpha-swapped", "equal_cache.rate_eq",
            "a * (K - t) * (t + 2) + (D - a) * (K - t - 1) * (t + 1)",
            "(D - a) * (K - t) * (t + 2) + a * (K - t - 1) * (t + 1)",

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import fractions
 import os
 import subprocess
 import sys
@@ -177,6 +178,60 @@ def test_rows_are_built_only_by_aligned_transmissions(monkeypatch, inst):
     rows = inst.plan(tuple(range(1, inst.K + 1))).template.transmissions
     assert made and len(rows) == len(made)
     assert all(row is out for row, out in zip(rows, made))
+
+
+INTEGER_LAYERS = {"_layers": "equal_cache.py", "window_unit": "equal_cache.py",
+                  "equal_placement": "equal_cache.py",
+                  "aligned_transmissions": "equal_cache.py",
+                  "xor_delivery": "equal_cache.py", "_promote_once": "incremental.py"}
+
+
+def _fractions_made(build) -> tuple[set[str], set[str]]:
+    """Run ``build`` under a profiler: (the functions it called, the functions
+    in whose own frames a ``Fraction`` was made, by a call or by arithmetic).
+    A comprehension's frame counts as its caller's."""
+    called: set[str] = set()
+    made: set[str] = set()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename != fractions.__file__:
+            called.add(code.co_name)
+        elif code.co_name in ("__new__", "_from_coprime_ints"):
+            while (frame.f_code.co_filename == fractions.__file__
+                   or frame.f_code.co_name.startswith("<")):
+                frame = frame.f_back
+            made.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return called, made
+
+
+def test_the_construction_layers_compute_in_integers():
+    # the window arithmetic, the placement, the XOR rows and the pool's
+    # promotion make no Fraction and read the level without equal_params:
+    # checked in the source, and while the equal scheme, both scenarios and
+    # an XOR with multi-pair components (at (8,5,2,7/3,5/4)) are built
+    for name, module in INTEGER_LAYERS.items():
+        calls = {node.func.id for node in ast.walk(_function(name, module))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not calls & {"Fraction", "equal_params"}, name
+    insts = [SchemeInstance("equal", 5, 3, Fraction(7, 4)),
+             SchemeInstance("proposed", 6, 4, Fraction(3, 2), L=2, Mhat=Fraction(9, 4)),
+             SchemeInstance("proposed", 5, 4, Fraction(5, 4), L=2, Mhat=Fraction(15, 4)),
+             SchemeInstance("proposed", 8, 5, Fraction(5, 4), L=2, Mhat=Fraction(7, 3))]
+    for inst in insts:
+        inst.report  # the rate path makes Fractions; build only
+    called, made = _fractions_made(lambda: [inst.placement for inst in insts])
+    assert set(INTEGER_LAYERS) <= called
+    assert "build_two_stage" in made  # the recorder sees the split at gamma
+    assert made.isdisjoint(INTEGER_LAYERS)
 
 
 def _names(node: ast.AST) -> str | None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .core import Rational, parse_rational
@@ -123,7 +122,7 @@ def scheme1_optimize(
     return tuple(Fraction(b, W) for b in beta), Fraction(rate, S * W)
 
 
-def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:
+def import_external_rates(path: str) -> dict[CachePoint, Rational]:
     """Load externally computed rates from 'N,K,L,Mhat,M,rate' rows.
 
     Rationals are accepted as 'p/q' or decimals; '#' starts a comment.
@@ -132,7 +131,8 @@ def import_external_rates(path: str | Path) -> dict[CachePoint, Rational]:
     """
     table: dict[CachePoint, Rational] = {}
     lines: dict[CachePoint, int] = {}
-    text = Path(path).read_text()
+    with open(path) as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

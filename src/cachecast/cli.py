@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .baselines import import_external_rates
@@ -63,7 +62,7 @@ REPORT_FIELDS = ("rate", "scheme", "N", "K", "L", "Mhat", "M", "t", "t_int", "al
 
 def _texts(rep: RateReport, **given) -> dict[str, str]:
     """Each report field as printed, ``given`` ones replaced, and the CSV's rate columns."""
-    values = vars(rep) | given
+    values = rep._asdict() | given
     text = {name: _text(values[name], name) for name in REPORT_FIELDS}
     text["rate_rational"], text["rate_decimal"] = text["rate"], _dec(rep.rate)
     return text
@@ -262,6 +261,8 @@ def cmd_sweep(opts: Options) -> int:
     # the pool starts all its workers at once: never more than there is work or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         # a few chunks per worker: one round trip per task costs more than the task
         chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

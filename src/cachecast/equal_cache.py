@@ -66,10 +66,9 @@ that unit, and a bit-level realization only has to scale the integers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Rational, UserSet, binom, divide, enumerate_subsets, user_set, users_range,
@@ -92,8 +91,7 @@ Window = tuple[int, int, int]
 WHOLE: Window = (0, 1, 1)
 
 
-@dataclass(frozen=True)
-class EqualCacheParams:
+class EqualCacheParams(NamedTuple):
     """Derived parameters of the equal-cache scheme for (N, K, M)."""
 
     N: int
@@ -153,8 +151,7 @@ def rate_eq(N: int, K: int, M) -> Rational:
 Span = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Subfile:
+class Subfile(NamedTuple):
     """A placed piece of content, cut alike from every file: ``n`` units
     from offset ``a``, in the unit of its placement.
 
@@ -170,15 +167,19 @@ class Subfile:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
-class FileSubfile(Subfile):
-    """One file's copy of a subfile, as ``Placement.subfiles`` lists it."""
+class FileSubfile(NamedTuple):
+    """One file's copy of a subfile, as ``Placement.subfiles`` lists it:
+    the subfile's fields, then its file."""
 
+    layer: str
+    stage1_set: UserSet
+    owners: UserSet
+    a: int
+    n: int
     file: int
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """N files over K users, laid out alike in one unit: ``blocks`` holds
     one file's subfiles, at integer offsets and lengths in units of
     F/``unit``, in the groups the builders emit (a layer, a refinement's
@@ -198,7 +199,7 @@ class Placement:
     @property
     def subfiles(self) -> tuple[FileSubfile, ...]:
         return tuple(
-            FileSubfile(sf.layer, sf.stage1_set, sf.owners, sf.a, sf.n, file)
+            FileSubfile(*sf, file)
             for block in self.blocks
             for file in range(1, self.N + 1)
             for sf in block
@@ -229,18 +230,26 @@ class Placement:
 Row = tuple[int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
 class DeliveryPlan:
     """A template: one unit and integer rows.  Transmission t is
     (width, ((target, offset), ...)) in units of F/``unit``: the XOR of the
     parts [offset, offset + width), the one for ``target`` read from the file
     it wants, named by no row.  ``compiled`` holds its bit geometry per file
     size, filled by ``simulator`` the first time a plan bound from it is
-    delivered."""
+    delivered, and stays out of ``==``, ``hash`` and ``repr``."""
 
-    unit: int
-    transmissions: tuple[Row, ...]
-    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, unit: int, transmissions: tuple[Row, ...]):
+        self.unit, self.transmissions, self.compiled = unit, transmissions, {}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DeliveryPlan and (
+            (self.unit, self.transmissions) == (other.unit, other.transmissions))
+
+    def __hash__(self) -> int:
+        return hash((self.unit, self.transmissions))
+
+    def __repr__(self) -> str:
+        return f"DeliveryPlan(unit={self.unit!r}, transmissions={self.transmissions!r})"
 
     @property
     def total_load(self) -> Rational:
@@ -248,8 +257,7 @@ class DeliveryPlan:
         return Fraction(sum(width for width, _ in self.transmissions), self.unit)
 
 
-@dataclass(frozen=True)
-class BoundPlan:
+class BoundPlan(NamedTuple):
     """A template bound to a demand: the part for user k reads file d[k-1].
 
     Every file is laid out alike, so binding copies nothing: the load and

@@ -38,10 +38,9 @@ placement, plan, rate and cache sizes it checks come from ``SchemeInstance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,20 +79,23 @@ def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int
     return math.lcm(*(unit // math.gcd(unit, *xs) for unit, xs in runs))
 
 
-@dataclass(frozen=True)
-class FileStore:
+class _FileStore(NamedTuple):
+    bits: np.ndarray
+
+
+class FileStore(_FileStore):
     """N files as rows of a read-only {0,1} uint8 array of width F_bits.
 
     The bits cannot change: a writable array is copied in, never shared.
     """
 
-    bits: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits.flags.writeable:
-            bits = self.bits.copy()
+    def __new__(cls, bits: np.ndarray):
+        if bits.flags.writeable:
+            bits = bits.copy()
             bits.flags.writeable = False
-            object.__setattr__(self, "bits", bits)
+        return _FileStore.__new__(cls, bits)
 
     @property
     def N(self) -> int:
@@ -104,8 +106,13 @@ class FileStore:
         return self.bits.shape[1]
 
 
-@dataclass(frozen=True)
-class CacheImage:
+class _CacheImage(NamedTuple):
+    N: int
+    F_bits: int
+    ranges: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class CacheImage(_CacheImage):
     """Each user's cached bits, one interval list for all N files alike.
 
     ``ranges[k]`` lists user k+1's cached bits of every file as (start,
@@ -114,18 +121,17 @@ class CacheImage:
     ``masks`` builds the (K, F_bits) bool rows on request, for display.
     """
 
-    N: int
-    F_bits: int
-    ranges: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for user, ranges in enumerate(self.ranges, 1):
-            ends = [x for r in ranges for x in r]
-            if ends and not (0 <= ends[0] and ends[-1] <= self.F_bits
+    def __new__(cls, N: int, F_bits: int, ranges):
+        for user, own in enumerate(ranges, 1):
+            ends = [x for r in own for x in r]
+            if ends and not (0 <= ends[0] and ends[-1] <= F_bits
                              and all(x < y for x, y in zip(ends, ends[1:]))):
                 raise ValueError(
-                    f"user {user} caches bits {list(ranges)}: cache ranges must be "
-                    f"non-empty, sorted, merged intervals of [0, {self.F_bits})")
+                    f"user {user} caches bits {list(own)}: cache ranges must be "
+                    f"non-empty, sorted, merged intervals of [0, {F_bits})")
+        return _CacheImage.__new__(cls, N, F_bits, ranges)
 
     @property
     def masks(self) -> np.ndarray:
@@ -208,8 +214,7 @@ def materialize(
     return store, CacheImage(placement.N, F_bits, tuple(map(_merged, owned)))
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledPlan:
+class CompiledPlan(NamedTuple):
     """A template's bit geometry at one file size.
 
     ``edges`` lists the distinct part boundaries in bits, ascending, and
@@ -364,8 +369,7 @@ def _formula_bits(rate: Rational, F_bits: int) -> int:
     return int(scaled)
 
 
-@dataclass(frozen=True)
-class TransmissionLog:
+class TransmissionLog(NamedTuple):
     """Payloads actually sent, aligned with a plan's transmission list."""
 
     payloads: tuple[np.ndarray, ...]
@@ -383,8 +387,7 @@ def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
     return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     demand: tuple[int, ...]
     user_ok: tuple[bool, ...]
     measured_load_bits: int
@@ -521,7 +524,7 @@ class Verdict:
         return self.demands.count
 
     def __iter__(self) -> Iterator[VerificationReport]:
-        return (replace(self.report, demand=d) for d in self.demands)
+        return (self.report._replace(demand=d) for d in self.demands)
 
 
 def verify_demands(
@@ -564,7 +567,7 @@ def verify_demands(
     report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
     ok = [ok and caches.user_bits(user) <= size * store.F_bits
           for user, (ok, size) in enumerate(zip(report.user_ok, inst.cache_sizes), 1)]
-    return Verdict(replace(report, user_ok=tuple(ok)), demands)
+    return Verdict(report._replace(user_ok=tuple(ok)), demands)
 
 
 def report_lines(verdict: Verdict) -> list[str]:

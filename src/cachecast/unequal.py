@@ -37,7 +37,6 @@ scheme 1, the placement and plans that ``simulator`` turns into bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -63,27 +62,31 @@ from .equal_cache import (
 from .incremental import refine_pool, split_factor
 
 
-@dataclass(frozen=True)
-class UnequalConfig:
-    """System shape: users 1..L hold Mhat, users L+1..K hold M (Mhat >= M)."""
-
+class _UnequalConfig(NamedTuple):
     N: int
     K: int
     L: int
     Mhat: Rational
     M: Rational
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "Mhat", Fraction(self.Mhat))
-        object.__setattr__(self, "M", Fraction(self.M))
-        if self.K < 1 or self.N < self.K:
-            raise ValueError(f"need N >= K >= 1, got N={self.N}, K={self.K}")
-        if not 1 <= self.L < self.K:
-            raise ValueError(f"need 1 <= L < K, got L={self.L}, K={self.K}")
-        if self.Mhat < self.M:
-            raise ValueError(f"large cache below small cache: {self.Mhat} < {self.M}")
-        if self.M < 0 or self.Mhat > self.N:
+
+class UnequalConfig(_UnequalConfig):
+    """System shape: users 1..L hold Mhat, users L+1..K hold M (Mhat >= M)."""
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, K: int, L: int, Mhat, M):
+        Mhat = Mhat if isinstance(Mhat, Fraction) else Fraction(Mhat)
+        M = M if isinstance(M, Fraction) else Fraction(M)
+        if K < 1 or N < K:
+            raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
+        if not 1 <= L < K:
+            raise ValueError(f"need 1 <= L < K, got L={L}, K={K}")
+        if Mhat < M:
+            raise ValueError(f"large cache below small cache: {Mhat} < {M}")
+        if M < 0 or Mhat > N:
             raise ValueError("cache sizes must lie in [0, N]")
+        return _UnequalConfig.__new__(cls, N, K, L, Mhat, M)
 
     @property
     def large_users(self) -> UserSet:
@@ -94,8 +97,7 @@ class UnequalConfig:
         return tuple(range(self.L + 1, self.K + 1))
 
 
-@dataclass(frozen=True)
-class UnequalParams:
+class UnequalParams(NamedTuple):
     """Derived quantities of the two-stage construction."""
 
     base: EqualCacheParams
@@ -143,8 +145,7 @@ def unequal_params(cfg: UnequalConfig) -> UnequalParams:
     )
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Achieved rate with every intermediate the CLI and tests care about."""
 
     scheme: str
@@ -257,7 +258,6 @@ def build_two_stage(cfg: UnequalConfig,
 SCHEMES = ("equal", "proposed", "scheme1")
 
 
-@dataclass(frozen=True)
 class SchemeInstance:
     """One (scheme, parameter point): its rate report, placement and plans.
 
@@ -268,19 +268,13 @@ class SchemeInstance:
     raise ``ValueError``.
     """
 
-    scheme: str  # one of SCHEMES
-    N: int
-    K: int
-    M: Rational
-    L: int | None = None
-    Mhat: Rational | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; "
-                             f"expected one of {SCHEMES}")
-        if self.scheme != "equal" and (self.L is None or self.Mhat is None):
-            raise ValueError(f"scheme {self.scheme} needs --L and --Mhat")
+    def __init__(self, scheme: str, N: int, K: int, M: Rational,
+                 L: int | None = None, Mhat: Rational | None = None):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        if scheme != "equal" and (L is None or Mhat is None):
+            raise ValueError(f"scheme {scheme} needs --L and --Mhat")
+        self.scheme, self.N, self.K, self.M, self.L, self.Mhat = scheme, N, K, M, L, Mhat
 
     @cached_property
     def _config(self) -> UnequalConfig:

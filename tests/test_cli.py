@@ -344,7 +344,7 @@ class TestSweep:
                 started[-1]["chunksize"] = chunksize
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         return started
 
     @pytest.mark.parametrize("cpus,workers", [(64, 4), (3, 3), (1, None)])

@@ -10,7 +10,6 @@ large point.
 """
 
 import hashlib
-from dataclasses import fields
 from fractions import Fraction
 
 from cachecast.baselines import scheme1_optimize
@@ -23,7 +22,7 @@ LARGE_POINT = (24, 18, 9, Fraction(12), Fraction(6))  # (N, K, L, Mhat, M)
 GOLDEN_REPORTS = 3286
 GOLDEN_SHA256 = "c54f010d2166042914a5d7f42a9e12d5165769361880eec28b83bd7237c751b8"
 
-FIELDS = [f.name for f in fields(RateReport)]
+FIELDS = list(RateReport._fields)
 
 
 def _points():

@@ -193,7 +193,7 @@ MUTANTS = [
     Mutant("decode-drops-partial-interval", "simulator._decode",
            "below + edge - start if edge > start else below", "below",
            proposed_scheme_verifies),
-    Mutant("cache-accepts-unmerged-ranges", "simulator.CacheImage.__post_init__",
+    Mutant("cache-accepts-unmerged-ranges", "simulator.CacheImage.__new__",
            "if ends and not (", "if False and not (", unmerged_cache_ranges_are_refused),
     Mutant("compile-skips-sent-twice", "simulator.compile_plan",
            "if u == v and a < b:", "if False:", bit_sent_twice_is_refused),

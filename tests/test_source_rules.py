@@ -76,6 +76,45 @@ def test_rate_and_sweep_load_no_numpy():
     assert proc.stdout.splitlines()[-3:] == ["False", "True", "True"]
 
 
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses pulls inspect, ast and tokenize
+    # into every process that imports the package
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+# Run under ``python -S``: a site hook may preload some of these modules and
+# hide a regression.  Only ``sweep --jobs`` above 1 needs multiprocessing.
+IMPORT_BUDGET_PROBE = """
+import sys
+HEAVY = ("dataclasses", "inspect", "pathlib", "multiprocessing", "concurrent.futures")
+import cachecast
+print([name for name in HEAVY if name in sys.modules])
+from cachecast import cli
+assert cli.main(["rate", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4",
+                 "--M", "11/4"]) == 0
+assert cli.main(["sweep", "--N", "4", "--K", "4", "--L", "3", "--sweep-axis", "M",
+                 "--from", "0", "--to", "2", "--step", "1", "--jobs", "1",
+                 "--scheme", "equal,proposed,scheme1"]) == 0
+print([name for name in HEAVY if name in sys.modules])
+"""
+
+
+def test_import_and_serial_commands_stay_in_the_import_budget():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_BUDGET_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()  # the probe's lists, around the commands' output
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
 def _constructors(names: set[str]) -> dict[str, set[str]]:
     """Map each class or function in ``names`` to the functions whose bodies
     call it by name."""
@@ -257,7 +296,8 @@ def test_views_and_second_checks_stay_out_of_the_package():
             "Part", "Transmission", "Segment", "_total_length"}
     members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
                "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"},
-               "FileStore": {"delivered"}, "UnequalParams": {"L", "Mhat"}}
+               "FileStore": {"delivered"}, "_FileStore": {"delivered"},
+               "UnequalParams": {"L", "Mhat"}}
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -198,6 +198,8 @@ def cmd_sweep(opts: Options) -> int:
     K = opts.require("K", cast=int)
     L = opts.require("L", cast=int)
     axis = opts.get("sweep_axis", "M")
+    if axis not in ("M", "Mhat", "both"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
     start = opts.require("from_", cast=parse_rational)
     stop = opts.require("to", cast=parse_rational)
     step = opts.require("step", cast=parse_rational)
@@ -211,6 +213,8 @@ def cmd_sweep(opts: Options) -> int:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     mhat_factor = opts.get("mhat_factor", cast=parse_rational)
     fixed_M = opts.get("M", cast=parse_rational)
+    if axis == "Mhat" and fixed_M is None:
+        raise ValueError("sweeping Mhat needs a fixed --M")
     fixed_Mhat = opts.get("Mhat", cast=parse_rational)
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -239,14 +243,10 @@ def cmd_sweep(opts: Options) -> int:
                 continue
             points.append((mhat, m))
     elif axis == "Mhat":
-        if fixed_M is None:
-            raise ValueError("sweeping Mhat needs a fixed --M")
         points = [(mh, fixed_M) for mh in axis_values if mh >= fixed_M]
         skipped = len(axis_values) - len(points)
-    elif axis == "both":
+    else:  # both
         points = [(mh, m) for m in axis_values for mh in axis_values if mh >= m]
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
     if skipped:
         print(f"note: skipped {skipped} grid points violating M <= Mhat <= N",
               file=sys.stderr)

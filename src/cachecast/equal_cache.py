@@ -16,12 +16,12 @@ This module holds the one builder of each basic step, shared by both schemes;
 each runs once, over one file's layout:
 
 - ``equal_placement`` is the one layered placement builder: it lays out
-  both memory-sharing layers in a window [start, start + width) of the file,
-  the whole file by default, each layer cut into one equal subfile per
-  owner set.  It is the equal-cache scheme, the two-level scheme's stage 1,
-  and over the small users its scenario-2 remainder: there the window is the
-  remainder's share, and the large users, passed as ``also``, own every
-  subfile besides its stage-1 set.
+  both memory-sharing layers in a window (s, w, E) of the file, the span
+  [s/E, (s + w)/E), the whole file by default, each layer cut into one
+  equal subfile per owner set.  It is the equal-cache scheme, the two-level
+  scheme's stage 1, and over the small users its scenario-2 remainder:
+  there the window is the remainder's share, and the large users, passed as
+  ``also``, own every subfile besides its stage-1 set.
 - ``delivery_subsets`` is the one delivery rule.  Content is keyed by owner
   set alone: within one layout, the alpha layer's owner sets have size
   t_int and the beta layer's t_int + 1, so the keys' sizes say what to send,
@@ -56,8 +56,9 @@ layout is whole, ``window_unit``), the template is made where that unit is
 fixed, nothing rescales a built placement, and every cut is exact, so a
 remainder raises rather than rounds.  The layout arithmetic is in integers
 too: a window is (s, w, E), the span [s/E, (s + w)/E) of the file, and a
-memory-sharing level is (t_int, a, D) with alpha = a/D (``sharing_level``),
-so every layer's start and length is a numerator over E*D (``_layers``).
+memory-sharing level is (t_int, a, D) with alpha = a/D in lowest terms
+(``sharing_level``, the one reader of t = K*M/N), so every layer's start
+and length is a numerator over E*D (``_layers``).
 Delivery content maps owner sets to tuples of (offset, length) pairs in
 that unit, and a bit-level realization only has to scale the integers
 (``simulator.required_bits``).
@@ -80,9 +81,6 @@ from .core import (
 ALPHA = "alpha"
 BETA = "beta"
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # A memory-sharing level (t_int, a, D): owner sets of size t_int on the
 # first alpha = a/D of a window, of size t_int + 1 on the rest.
 Level = tuple[int, int, int]
@@ -102,11 +100,13 @@ class EqualCacheParams(NamedTuple):
     alpha: Rational
 
 
-def _levels(N: int, K: int, M) -> tuple[Rational, int, int, int, int]:
-    """Check (N, K, M) and read t = K*M/N in integers: (M, T, D, t_int, a).
+def sharing_level(N: int, K: int, M) -> Level:
+    """Check (N, K, M) and read t = K*M/N as the memory-sharing level
+    (t_int, a, D): t = t_int + 1 - a/D, with a/D in lowest terms and
+    0 < a <= D, so alpha = a/D.
 
-    With M = p/q, t = T/D for T = K*p and D = N*q, t_int = T // D, and
-    a = (t_int + 1)*D - T is alpha*D, so 0 < a <= D.
+    With M = p/q, t = T/(N*q) for T = K*p, t_int = T // (N*q), and
+    alpha*N*q = (t_int + 1)*N*q - T, reduced by its gcd with N*q.
     """
     if K < 1:
         raise ValueError(f"need at least one user, got K={K}")
@@ -119,13 +119,16 @@ def _levels(N: int, K: int, M) -> tuple[Rational, int, int, int, int]:
         raise ValueError(f"cache size must satisfy 0 <= M <= N, got M={M}")
     T, D = K * p, N * q
     t_int = T // D
-    return M, T, D, t_int, (t_int + 1) * D - T
+    a = (t_int + 1) * D - T
+    g = math.gcd(a, D)
+    return t_int, a // g, D // g
 
 
 def equal_params(N: int, K: int, M) -> EqualCacheParams:
     """Compute t = K*M/N, its floor, and the memory-sharing weight alpha."""
-    M, T, D, t_int, a = _levels(N, K, M)
-    return EqualCacheParams(N=N, K=K, M=M, t=Fraction(T, D), t_int=t_int,
+    t_int, a, D = sharing_level(N, K, M)
+    return EqualCacheParams(N=N, K=K, M=M if isinstance(M, Fraction) else Fraction(M),
+                            t=Fraction((t_int + 1) * D - a, D), t_int=t_int,
                             alpha=Fraction(a, D))
 
 
@@ -134,10 +137,10 @@ def rate_eq(N: int, K: int, M) -> Rational:
 
     alpha * C(K, t+1)/C(K, t) + (1-alpha) * C(K, t+2)/C(K, t+1) at t = t_int,
     which reduces to (K-t)/(1+t) at integer t.  As C(K, t+1)/C(K, t) =
-    (K-t)/(t+1), with alpha = a/D (``_levels``) it is the one fraction
+    (K-t)/(t+1), with alpha = a/D (``sharing_level``) it is the one fraction
     (a(K-t)(t+2) + (D-a)(K-t-1)(t+1)) / (D(t+1)(t+2)), summed in integers.
     """
-    _, _, D, t, a = _levels(N, K, M)
+    t, a, D = sharing_level(N, K, M)
     return Fraction(a * (K - t) * (t + 2) + (D - a) * (K - t - 1) * (t + 1),
                     D * (t + 1) * (t + 2))
 
@@ -359,13 +362,6 @@ def aligned_transmissions(
 # ---------------------------------------------------------------------------
 
 
-def sharing_level(N: int, K: int, M) -> Level:
-    """The memory-sharing level (t_int, a, D) of (N, K, M), read off
-    ``_levels``: alpha = a/D."""
-    _, _, D, t_int, a = _levels(N, K, M)
-    return t_int, a, D
-
-
 def _layers(level: Level, window: Window) -> list[tuple[str, int, int, int]]:
     """(layer, t, start, length) of each memory-sharing layer of the window
     (s, w, E) at level (t_int, a, D), as numerators over E*D: alpha takes
@@ -393,8 +389,7 @@ def equal_placement(
     K: int,
     M,
     ground: UserSet | None = None,
-    start: Rational = ZERO,
-    width: Rational = ONE,
+    window: Window = WHOLE,
     also: UserSet = (),
     unit: int | None = None,
 ) -> Placement:
@@ -402,9 +397,9 @@ def equal_placement(
 
     ``ground`` restricts the placement to a subset of the K users (all of
     them by default); the scheme is then the one for |ground| users.  The
-    placement fills the window [start, start + width) of every file (the
-    whole file by default): the alpha layer [start, start + width*alpha), the
-    beta layer the rest.  Each layer, at owner-set size t, is one block of
+    placement fills the window (s, w, E), the span [s/E, (s + w)/E) of every
+    file (the whole file by default): the alpha layer its first alpha share,
+    the beta layer the rest.  Each layer, at owner-set size t, is one block of
     C(|ground|, t) equal subfiles, one per size-t subset T of ``ground`` in
     subset-lexicographic order; the subfile of T is owned by T and by the
     users ``also``, who cache the whole window besides, and its
@@ -414,12 +409,9 @@ def equal_placement(
     """
     ground = users_range(K) if ground is None else ground
     level = sharing_level(N, len(ground), M)
-    E = math.lcm(start.denominator, width.denominator)
-    window = (start.numerator * (E // start.denominator),
-              width.numerator * (E // width.denominator), E)
     if unit is None:
         unit = window_unit(len(ground), level, window)
-    den = E * level[2]
+    den = window[2] * level[2]
     blocks = []
     for layer, t, layer_start, length in _layers(level, window):
         subsets = enumerate_subsets(ground, t)

@@ -5,7 +5,8 @@ split into equal parts, one per user of the pool outside T; handing part j to
 user j yields, after regrouping by T + {j}, the owner-subset placement with
 parameter t+1 while every already-placed bit stays where it was.  Repeating
 the step, and splitting a final level into a kept and a promoted share,
-reaches any memory-sharing target (t2_int, alpha2).  The two-level scheme
+reaches any memory-sharing level (t2_int, a2, D2), alpha = a2/D2, as
+``equal_cache.sharing_level`` reads it.  The two-level scheme
 runs it on the large-cache group; with the pool set to every user it is one
 plain refinement step of an equal-cache placement.  Every file is laid out
 alike, so the refinement runs once, on the one file a ``Placement`` stores.
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Rational, UserSet, binom, divide, user_set
-from .equal_cache import Placement, Span, Subfile, cut_segments
+from .core import UserSet, binom, divide, user_set
+from .equal_cache import Level, Placement, Span, Subfile, cut_segments
 
 # A refinement piece: one (offset, length) run, tagged with the stage-1
 # subfile it was cut from.  Its owner set is the key it is filed under in a
@@ -41,20 +42,20 @@ def _pieces_length(pieces: list[Piece]) -> int:
     return sum(n for _, (_, n) in pieces)
 
 
-def split_factor(pool_size: int, s0: int, t2_int: int, alpha2: Rational) -> int:
-    """What the refinement of a pool of ``pool_size`` users, from level s0 to
-    the target (t2_int, alpha2), divides its pieces' lengths by.
+def split_factor(pool_size: int, s0: int, level: Level) -> int:
+    """What the refinement of a pool of ``pool_size`` users, from owner-set
+    size s0 to the level (t2_int, a2, D2), divides its pieces' lengths by.
 
-    Each whole-level promotion from level s cuts every owner set's content
-    into pool_size - s parts; a final split keeps alpha2 of the pool at
+    Each whole-level promotion from size s cuts every owner set's content
+    into pool_size - s parts; a final split keeps a2/D2 of the pool at
     t2_int, C(pool_size, t2_int) sets, and cuts the rest into
     pool_size - t2_int parts.  A pool whose stage-1 pieces are multiples of
     this factor is refined in whole units.
     """
+    t2_int, a2, D2 = level
     factor = math.prod(pool_size - s for s in range(s0, t2_int))
-    if alpha2 < 1:
-        factor *= (alpha2.denominator * binom(pool_size, t2_int)
-                   * (pool_size - t2_int))
+    if a2 < D2:
+        factor *= D2 * binom(pool_size, t2_int) * (pool_size - t2_int)
     return factor
 
 
@@ -89,14 +90,14 @@ def _promote_once(
 def refine_pool(
     placement: Placement,
     pool_users: UserSet,
-    t2_int: int,
-    alpha2: Rational,
+    level: Level,
 ) -> tuple[Placement, dict[UserSet, tuple[Span, ...]]]:
-    """Refine the intra-pool subfiles toward a memory-sharing target.
+    """Refine the intra-pool subfiles toward the memory-sharing level
+    (t2_int, a2, D2), with alpha = a2/D2 at t2_int.
 
     Subfiles entirely owned inside ``pool_users`` form a pooled file placed
     at one or two consecutive owner-set sizes.  Whole levels are promoted
-    until the lower level reaches t2_int, then a uniform alpha2/p share of
+    until the lower level reaches t2_int, then a uniform share (a2/D2)/p of
     each subfile is kept there and the remainder promoted once more.
     Content never moves; each user in the pool gains exactly the same length.
     Every cut is a whole number of the placement's unit: the caller lays the
@@ -105,9 +106,9 @@ def refine_pool(
 
     Returns the refined placement and the pool as an equal-cache layout over
     the pool users: a map from owner set to the ordered (offset, length)
-    pairs it owns, the same in every file.  Owner sets of size t2_int hold the kept level,
-    those of size t2_int + 1 (present when alpha2 < 1) the promoted one,
-    whatever stage-1 layer the bits came from.
+    pairs it owns, the same in every file.  Owner sets of size t2_int hold
+    the kept level, those of size t2_int + 1 (present when a2 < D2) the
+    promoted one, whatever stage-1 layer the bits came from.
     """
     pool = user_set(pool_users)
     members = set(pool)
@@ -119,22 +120,22 @@ def refine_pool(
     if len(levels) > 2 or (len(levels) == 2 and levels[1] != levels[0] + 1):
         raise ValueError(f"pool is not a memory-sharing placement, levels {levels}")
     s0 = levels[0]
-    if not 0 <= t2_int <= len(pool) or not 0 < alpha2 <= 1:
-        raise ValueError(f"invalid refinement target ({t2_int}, {alpha2})")
+    t2_int, a2, D2 = level
+    if not 0 <= t2_int <= len(pool) or not 0 < a2 <= D2:
+        raise ValueError(f"invalid refinement target ({t2_int}, {a2}, {D2})")
 
-    # the pool is at t = t_pool/pool_total and the target at t' = t_target/ad,
+    # the pool is at t = t_pool/pool_total and the target at t' = t_target/D2,
     # compared by cross-multiplying
     pool_total = sum(sf.n for sf in pool_sfs)
     low0 = sum(sf.n for sf in pool_sfs if len(sf.owners) == s0)
-    an, ad = alpha2.numerator, alpha2.denominator
     t_pool = (s0 + 1) * pool_total - low0
-    t_target = (t2_int + 1) * ad - an
-    if t_target * pool_total < t_pool * ad:
+    t_target = (t2_int + 1) * D2 - a2
+    if t_target * pool_total < t_pool * D2:
         raise ValueError(
-            f"cannot shrink placement: target t'={Fraction(t_target, ad)} below "
+            f"cannot shrink placement: target t'={Fraction(t_target, D2)} below "
             f"current {Fraction(t_pool, pool_total)}"
         )
-    if t_target > len(pool) * ad:
+    if t_target > len(pool) * D2:
         raise ValueError("nothing to refine: owner sets already cover the pool")
 
     rest = tuple(
@@ -151,11 +152,11 @@ def refine_pool(
         _promote_once(low, pool, (0, 1), high)
         low, high = high, {}
     low_length = _pieces_length([pc for pieces in low.values() for pc in pieces])
-    if low_length * ad < an * pool_total:
+    if low_length * D2 < a2 * pool_total:
         raise ValueError("inconsistent refinement target")  # ruled out by budget
-    if low_length * ad > an * pool_total:
-        # keep alpha2 / (low_length/pool_total) of the level
-        low = _promote_once(low, pool, (an * pool_total, ad * low_length), high)
+    if low_length * D2 > a2 * pool_total:
+        # keep (a2/D2) / (low_length/pool_total) of the level
+        low = _promote_once(low, pool, (a2 * pool_total, D2 * low_length), high)
 
     refined_block: list[Subfile] = []
     content: dict[UserSet, tuple[Span, ...]] = {}

@@ -44,7 +44,6 @@ from typing import NamedTuple, Sequence
 from .baselines import scheme1_optimize
 from .core import Rational, UserSet, binom, users_range
 from .equal_cache import (
-    ONE,
     BoundPlan,
     DeliveryPlan,
     EqualCacheParams,
@@ -207,45 +206,46 @@ def build_two_stage(cfg: UnequalConfig,
     """Construct the canonical two-stage placement and its template plan.
 
     ``params`` is ``unequal_params(cfg)`` when the caller has it already.
-    Every file is split at gamma (1 in scenario 1 or with an empty pool):
-    [0, gamma) is stage 1 with its pool refined to the equal-cache layout
-    for min(M', N) over the large users, and [gamma, 1) the equal-cache
-    placement over the small users, which the large users own whole.  The
-    one unit is fixed first: stage 1's over [0, gamma) times the
-    refinement's ``split_factor``, so that no pool piece needs a finer
-    unit, and the small users' over [gamma, 1).
+    Every file is split at gamma = g/G (1 in scenario 1 or with an empty
+    pool) into the windows (0, g, G) and (g, G - g, G): [0, gamma) is stage
+    1 with its pool refined to the equal-cache level of min(M', N) over the
+    large users, and [gamma, 1) the equal-cache placement over the small
+    users, which the large users own whole.  The one unit is fixed first:
+    stage 1's over [0, gamma) times the refinement's ``split_factor``, so
+    that no pool piece needs a finer unit, and the small users' over
+    [gamma, 1).  Each window, and the pool's level, is made once and serves
+    both the unit and the builder.
     """
     p = unequal_params(cfg) if params is None else params
     N, K, L = cfg.N, cfg.K, cfg.L
-    gamma = ONE if p.gamma is None else p.gamma
-    g, G = gamma.numerator, gamma.denominator  # the windows (0, g, G), (g, G - g, G)
+    g, G = (1, 1) if p.gamma is None else (p.gamma.numerator, p.gamma.denominator)
+    first, second = (0, g, G), (g, G - g, G)  # [0, gamma) and [gamma, 1)
     unit = 1
     if g:
-        unit = window_unit(K, sharing_level(N, K, cfg.M), (0, g, G))
+        unit = window_unit(K, sharing_level(N, K, cfg.M), first)
         if not p.pool_empty:
-            t2_int, a2, D2 = sharing_level(N, L, min(p.Mprime, N))
-            alpha2 = Fraction(a2, D2)
-            unit *= split_factor(L, p.base.t_int, t2_int, alpha2)
+            pool_level = sharing_level(N, L, min(p.Mprime, N))
+            unit *= split_factor(L, p.base.t_int, pool_level)
     if g < G:
         small = sharing_level(N, K - L, cfg.M)
-        unit = math.lcm(unit, window_unit(K - L, small, (g, G - g, G)))
+        unit = math.lcm(unit, window_unit(K - L, small, second))
 
     blocks, txs = (), []
     if g:
         # Stage 1 on [0, gamma): every transmission that serves a small-cache
         # user, i.e. whose (sorted) subset S ends above L.  Those inside the
         # large-cache group are replaced by the pooled refinement's delivery.
-        placement = equal_placement(N, K, cfg.M, width=gamma, unit=unit)
+        placement = equal_placement(N, K, cfg.M, window=first, unit=unit)
         content = placement.stage1_content
         txs = xor_delivery(content, [S for S in delivery_subsets(content, users_range(K))
                                      if S[-1] > L])
         if not p.pool_empty:
-            placement, pool = refine_pool(placement, cfg.large_users, t2_int, alpha2)
+            placement, pool = refine_pool(placement, cfg.large_users, pool_level)
             txs.extend(equal_delivery(pool, cfg.large_users))
         blocks = placement.blocks
     if g < G:  # [gamma, 1): the equal-cache scheme over the small users
-        rest = equal_placement(N, K, cfg.M, cfg.small_users, start=gamma,
-                               width=1 - gamma, also=cfg.large_users, unit=unit)
+        rest = equal_placement(N, K, cfg.M, cfg.small_users, window=second,
+                               also=cfg.large_users, unit=unit)
         blocks += rest.blocks
         txs.extend(equal_delivery(rest.stage1_content, cfg.small_users))
     return TwoStageContext(Placement(N, K, unit, blocks), DeliveryPlan(unit, tuple(txs)))

@@ -127,11 +127,9 @@ def test_criterion_5_incremental_merge_equivalence():
             for t in range(0, K):
                 M = Fraction(t * N, K)
                 unit = window_unit(K, sharing_level(N, K, M)) * split_factor(
-                    K, t, t + 1, Fraction(1))
+                    K, t, (t + 1, 1, 1))
                 refined, _ = refine_pool(
-                    equal_placement(N, K, M, unit=unit), users_range(K), t + 1,
-                    Fraction(1)
-                )
+                    equal_placement(N, K, M, unit=unit), users_range(K), (t + 1, 1, 1))
                 direct = equal_placement(N, K, Fraction((t + 1) * N, K))
                 for user in range(1, K + 1):
                     if content_sets(refined, user) != content_sets(direct, user):

@@ -254,6 +254,20 @@ class TestSweep:
         assert out == ""
         assert err == "error: unknown format 'xml'; expected csv or json\n"
 
+    @pytest.mark.parametrize("axis_flags,message", [
+        (("--sweep-axis", "bogus"), "unknown sweep axis 'bogus'"),
+        (("--sweep-axis", "Mhat"), "sweeping Mhat needs a fixed --M"),
+    ], ids=["unknown-axis", "Mhat-without-M"])
+    def test_axis_refused_before_the_grid_is_counted(self, capsys, axis_flags, message):
+        # a grid of 4,000,001 points is over the limit, but the axis is
+        # checked first, whatever the step
+        for step in ("1/1000000", "1"):
+            code, out, err = run(
+                capsys, "sweep", "--N", "4", "--K", "3", "--L", "1", *axis_flags,
+                "--from", "0", "--to", "4", "--step", step,
+            )
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_empty_grid_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--N", "4", "--K", "4", "--L", "2", "--M", "3",

@@ -168,8 +168,7 @@ class TestEqualPlacement:
         # [1/3, 5/6) of every file, with user 1 caching the whole window
         ground, start, width, also = (2, 3, 4), Fraction(1, 3), Fraction(1, 2), (1,)
         whole = equal_placement(6, 4, Fraction(5, 2), ground)
-        pl = equal_placement(6, 4, Fraction(5, 2), ground, start=start, width=width,
-                             also=also)
+        pl = equal_placement(6, 4, Fraction(5, 2), ground, window=(2, 3, 6), also=also)
         assert {sf.layer for sf in pl.layout} == {"alpha", "beta"}
         for sf in pl.layout:
             lo, hi = extent(pl, sf)
@@ -199,8 +198,7 @@ class TestUnits:
         with pytest.raises(ValueError, match="does not divide evenly"):
             equal_placement(4, 4, Fraction(3, 2), unit=8)
         with pytest.raises(ValueError, match="does not divide evenly"):
-            equal_placement(4, 4, 1, start=Fraction(1, 2), width=Fraction(1, 2),
-                            unit=4)
+            equal_placement(4, 4, 1, window=(1, 1, 2), unit=4)
 
 
 class TestManDelivery:
@@ -254,14 +252,11 @@ class TestDeliverySubsets:
         # it holds owner sets of sizes 1 and 2; two users have one 2-subset
         # and no 3-subset
         cfg = UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2))
-        second = equal_params(6, 2, unequal_params(cfg).Mprime)
-        base = equal_params(6, 4, Fraction(3, 2))
-        unit = window_unit(4, sharing_level(6, 4, Fraction(3, 2))) * split_factor(
-            2, base.t_int, second.t_int, second.alpha)
-        _, pool = refine_pool(
-            equal_placement(6, 4, Fraction(3, 2), unit=unit), (1, 2), second.t_int,
-            second.alpha
-        )
+        second = sharing_level(6, 2, unequal_params(cfg).Mprime)
+        base = sharing_level(6, 4, Fraction(3, 2))
+        unit = window_unit(4, base) * split_factor(2, base[0], second)
+        _, pool = refine_pool(equal_placement(6, 4, Fraction(3, 2), unit=unit), (1, 2),
+                              second)
         assert {len(T) for T in pool} == {1, 2}
         assert delivery_subsets(pool, (1, 2)) == [(1, 2)]
 

@@ -62,7 +62,7 @@ def check_window(N, K, M, start, width):
     assert unit == ref_window_unit(p, start, width)
     if not width:
         return
-    blocks = equal_placement(N, K, M, start=start, width=width).blocks
+    blocks = equal_placement(N, K, M, window=window).blocks
     assert len(blocks) == len(expected)
     for block, (layer, t, layer_start, fraction) in zip(blocks, expected):
         size = fraction * unit / binom(K, t)

@@ -222,7 +222,10 @@ def test_rows_are_built_only_by_aligned_transmissions(monkeypatch, inst):
 INTEGER_LAYERS = {"_layers": "equal_cache.py", "window_unit": "equal_cache.py",
                   "equal_placement": "equal_cache.py",
                   "aligned_transmissions": "equal_cache.py",
-                  "xor_delivery": "equal_cache.py", "_promote_once": "incremental.py"}
+                  "xor_delivery": "equal_cache.py", "_promote_once": "incremental.py",
+                  "split_factor": "incremental.py", "build_two_stage": "unequal.py"}
+# checked by the profile alone: its refusal messages may format a Fraction
+PROFILED_LAYERS = set(INTEGER_LAYERS) | {"refine_pool"}
 
 
 def _fractions_made(build) -> tuple[set[str], set[str]]:
@@ -252,11 +255,17 @@ def _fractions_made(build) -> tuple[set[str], set[str]]:
     return called, made
 
 
+def _makes_one_fraction() -> Fraction:
+    """The profile's positive control: a function that makes a Fraction."""
+    return Fraction(1, 3)
+
+
 def test_the_construction_layers_compute_in_integers():
-    # the window arithmetic, the placement, the XOR rows and the pool's
-    # promotion make no Fraction and read the level without equal_params:
-    # checked in the source, and while the equal scheme, both scenarios and
-    # an XOR with multi-pair components (at (8,5,2,7/3,5/4)) are built
+    # the window arithmetic, the placement, the XOR rows, the pool's split
+    # factor, promotion and refinement, and the two-stage build make no
+    # Fraction and read the level without equal_params: checked in the
+    # source, and while the equal scheme, both scenarios and an XOR with
+    # multi-pair components (at (8,5,2,7/3,5/4)) are built
     for name, module in INTEGER_LAYERS.items():
         calls = {node.func.id for node in ast.walk(_function(name, module))
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
@@ -267,10 +276,11 @@ def test_the_construction_layers_compute_in_integers():
              SchemeInstance("proposed", 8, 5, Fraction(5, 4), L=2, Mhat=Fraction(7, 3))]
     for inst in insts:
         inst.report  # the rate path makes Fractions; build only
-    called, made = _fractions_made(lambda: [inst.placement for inst in insts])
-    assert set(INTEGER_LAYERS) <= called
-    assert "build_two_stage" in made  # the recorder sees the split at gamma
-    assert made.isdisjoint(INTEGER_LAYERS)
+    called, made = _fractions_made(
+        lambda: ([inst.placement for inst in insts], _makes_one_fraction()))
+    assert PROFILED_LAYERS <= called
+    assert "_makes_one_fraction" in made  # the recorder sees a Fraction made
+    assert made.isdisjoint(PROFILED_LAYERS)
 
 
 def _names(node: ast.AST) -> str | None:
@@ -291,9 +301,9 @@ def test_views_and_second_checks_stay_out_of_the_package():
     # once; a placement holds integer subfiles in one unit, not segments; a
     # build is its placement and template, with no copy of the config, and
     # the derived parameters hold none either; a store keeps no copy of what
-    # it delivered
+    # it delivered; sharing_level is the one reader of t = K*M/N
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
-            "Part", "Transmission", "Segment", "_total_length"}
+            "Part", "Transmission", "Segment", "_total_length", "_levels"}
     members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
                "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"},
                "FileStore": {"delivered"}, "_FileStore": {"delivered"},

@@ -2,10 +2,11 @@
 
 Exact rate formulas, explicit placements and XOR delivery plans for the
 equal-cache scheme and its two-level extension, a layered memory-sharing
-baseline, and a bit-exact simulator that proves decodability.
+baseline, and a bit-exact simulator that proves decodability, all in the
+standard library.
 
 The simulator's names are resolved on first use (PEP 562), so importing the
-package loads no numpy.
+package, ``rate`` and ``sweep`` never load it.
 """
 
 from .equal_cache import rate_eq

@@ -1,6 +1,8 @@
 """Command-line front end: rate queries, trade-off sweeps, verification runs.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure.
+Exit codes: 0 success, 1 invalid input, 2 verification failure, and 141
+when stdout is closed before the output is written (as under ``| head``):
+128 + SIGPIPE, what a shell reports for a command that SIGPIPE ended.
 Flag values override a JSON config file, which overrides defaults.
 """
 
@@ -22,6 +24,8 @@ from .baselines import import_external_rates
 from .baselines import scheme1_optimize  # noqa: F401
 from .core import MAX_ENUMERATION, excess, format_rational, parse_rational
 from .unequal import SCHEMES, RateReport, SchemeInstance
+
+EXIT_STDOUT_CLOSED = 141
 
 # What a config value must be, by its flag's type; null always means unset.
 KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string or a number"}
@@ -314,7 +318,7 @@ def cmd_sweep(opts: Options) -> int:
 
 
 def cmd_verify(opts: Options) -> int:
-    from .simulator import report_lines, verify_demands  # numpy loads here, for bits
+    from .simulator import report_lines, verify_demands  # bits load for verify alone
 
     N = opts.require("N", cast=int)
     K = opts.require("K", cast=int)
@@ -351,7 +355,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(Options(args))
+        code = args.func(Options(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: no message, and stdout points at devnull so that
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

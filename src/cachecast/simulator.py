@@ -1,38 +1,36 @@
-"""Bit-exact realization of placements and delivery plans.
+"""Bit-exact realization of placements and delivery plans, in the standard
+library alone.
 
-Files become pseudo-random bit arrays whose length puts every integer
+Files become pseudo-random bit strings whose length puts every integer
 offset and length of the placement and the plan, each in its unit of the
 file, on an integer bit, so no rounding ever happens: measured loads are
-compared to formula rates with exact equality.  ``materialize`` draws all
-N files in one step from the generator's raw stream, and the store's bits
-are read-only; it turns each subfile, (offset, length) in the placement's
-unit, into one bit range of every owner's cache, and a cache is that user's
-bit ranges sorted and merged into integer intervals (``CacheImage``).
+compared to formula rates with exact equality.  A file is immutable
+``bytes``, 8 bits to a byte, a run of its bits is read as one int, and a
+payload is one int, so the server's XOR and the decoder's residue are int
+XORs.  ``materialize`` draws the N files from one seeded ``random.Random``
+and turns each subfile, (offset, length) in the placement's unit, into one
+bit range of every owner's cache: a cache is that user's bit ranges sorted
+and merged into integer intervals (``CacheImage``).
 
-``compile_plan`` is the one step that turns a template's integer rows into
-bits, and it runs once per template and file size: every plan bound from
-the template (``equal_cache.BoundPlan``) reuses the result.  It scales each
-distinct part boundary to a bit once, and holds each part once, as a user
-and a run of the cells between those boundaries.
-``execute_delivery`` XORs the parts out of the files, reading the part for
-user k from file d[k-1].  ``decode_all`` decodes the log one transmission
-at a time, as the paper does: it XORs each part, read from the files, out
-of the received payload, and a reader recovers its own part exactly where
-that residue is zero; coverage is counted in one walk of each user's
-intervals below every part boundary.  ``verify_demands`` is these steps at
-the identity demand, with each cache held to its size.  One decode
-speaks for every demand: a demand is bound, never built into the plan, and
-only picks the file rows its parts read, while transmission widths are
-fixed when the template is compiled and caches are one interval list per
-user, since a placement lays out every file alike.  So which parts a user can
-cancel, and whether they complete its file, depend on no demand.
-``verify_demands`` therefore returns one
-``Verdict``: the identity demand's report over a ``DemandSet`` that is
-counted arithmetically, and refused above ``core.MAX_ENUMERATION`` before
-any work, with per-demand reports built only as the verdict is iterated.
-
-This module holds only bits and is the only one that imports numpy; the
-placement, plan, rate and cache sizes it checks come from ``SchemeInstance``.
+``compile_plan`` turns a template's integer rows into bits once per
+template and file size, and every plan bound from the template
+(``equal_cache.BoundPlan``) reuses the result: each distinct part boundary
+is scaled to a bit once, and each part held once, as a user and a run of
+the cells between those boundaries.  ``execute_delivery`` XORs the parts
+out of the files, reading the part for user k from file d[k-1].
+``decode_all`` decodes the log one transmission at a time, as the paper
+does: it XORs each part, read from the files, out of the received payload,
+and a reader recovers its own part exactly where that residue is zero;
+coverage is counted in one walk of each user's intervals below every part
+boundary.  ``verify_demands`` is these steps at the identity demand, with
+each cache held to its fill.  One decode speaks for every demand: a demand
+only picks the files its parts read, while transmission widths are fixed
+when the template is compiled and caches are one interval list per user,
+since a placement lays out every file alike.  So ``verify_demands`` returns
+one ``Verdict``: the identity demand's report over a ``DemandSet`` counted
+arithmetically, and refused above ``core.MAX_ENUMERATION`` before any work.
+The placement, plan, rate and cache fills it checks come from
+``SchemeInstance``.
 """
 
 from __future__ import annotations
@@ -40,9 +38,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
+from random import Random
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .core import (
     MAX_ENUMERATION, Rational, count_text, excess, format_rational, users_range,
@@ -53,9 +50,10 @@ from .unequal import SchemeInstance
 from .unequal import build_two_stage  # noqa: F401
 
 
-# The bound on materialize, counted as (K+N)*F_bits bytes: N*F_bits of files
-# and K*F_bits, a byte per bit of one cache mask row per user.  Caches are
-# held as intervals, so the second term overcounts what materialize allocates.
+# The bound on materialize, counted as (K+N)*F_bits bytes: a byte per bit of
+# every file and of one cache mask row per user.  It overcounts what
+# materialize allocates: the files are packed 8 bits to a byte, and caches
+# are held as intervals, whose (K, F_bits) mask rows are built only on request.
 MAX_MATERIALIZE_BYTES = 2**30
 
 
@@ -80,30 +78,38 @@ def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int
 
 
 class _FileStore(NamedTuple):
-    bits: np.ndarray
+    files: tuple[bytes, ...]
+    F_bits: int
 
 
 class FileStore(_FileStore):
-    """N files as rows of a read-only {0,1} uint8 array of width F_bits.
+    """N files of ``F_bits`` bits each, as immutable ``bytes``.
 
-    The bits cannot change: a writable array is copied in, never shared.
+    Bit i of a file is bit i & 7 of its byte i >> 3, so each file takes
+    ceil(F_bits / 8) bytes, and any other length is refused.  A part, bits
+    [a, b), is read as one int whose lowest bit is bit a (``_read``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, bits: np.ndarray):
-        if bits.flags.writeable:
-            bits = bits.copy()
-            bits.flags.writeable = False
-        return _FileStore.__new__(cls, bits)
+    def __new__(cls, files, F_bits: int):
+        files = tuple(map(bytes, files))
+        size = -(-F_bits // 8)
+        for f, buf in enumerate(files, 1):
+            if len(buf) != size:
+                raise ValueError(f"file {f} holds {len(buf)} bytes, not the {size} "
+                                 f"of {F_bits} bits")
+        return _FileStore.__new__(cls, files, F_bits)
 
     @property
     def N(self) -> int:
-        return self.bits.shape[0]
+        return len(self.files)
 
-    @property
-    def F_bits(self) -> int:
-        return self.bits.shape[1]
+
+def _read(buf: bytes, a: int, b: int) -> int:
+    """Bits [a, b) of a packed file as an int, bit a the lowest."""
+    run = int.from_bytes(buf[a >> 3:(b + 7) >> 3], "little")
+    return (run >> (a & 7)) & ((1 << (b - a)) - 1)
 
 
 class _CacheImage(NamedTuple):
@@ -134,13 +140,15 @@ class CacheImage(_CacheImage):
         return _CacheImage.__new__(cls, N, F_bits, ranges)
 
     @property
-    def masks(self) -> np.ndarray:
-        """The (K, F_bits) bool coverage rows, built on each request."""
-        masks = np.zeros((len(self.ranges), self.F_bits), dtype=bool)
-        for row, ranges in zip(masks, self.ranges):
+    def masks(self) -> memoryview:
+        """The (K, F_bits) bool coverage rows, built on each request, as a
+        read-only view of one byte per bit: ``tolist()`` gives the rows."""
+        F, K = self.F_bits, len(self.ranges)
+        rows = bytearray(K * F)
+        for k, ranges in enumerate(self.ranges):
             for a, b in ranges:
-                row[a:b] = True
-        return masks
+                rows[k * F + a:k * F + b] = b"\1" * (b - a)
+        return memoryview(rows).cast("?", (K, F)).toreadonly()
 
     def user_bits(self, user: int) -> int:
         """Bits ``user`` caches over all N files."""
@@ -168,10 +176,9 @@ def _bit_range(a: int, n: int, unit: int, F_bits: int) -> tuple[int, int]:
     start, rest_a = divmod(a * F_bits, unit)
     length, rest_n = divmod(n * F_bits, unit)
     if rest_a or rest_n:
-        raise ValueError(
-            f"F_bits={F_bits} cannot realize the file segment [{Fraction(a, unit)}, "
-            f"{Fraction(a + n, unit)}): boundaries must be integer bits"
-        )
+        raise ValueError(f"F_bits={F_bits} cannot realize the file segment "
+                         f"[{Fraction(a, unit)}, {Fraction(a + n, unit)}): "
+                         "boundaries must be integer bits")
     return start, start + length
 
 
@@ -183,12 +190,11 @@ def materialize(
 ) -> tuple[FileStore, CacheImage]:
     """Draw file contents from ``seed`` and fill caches per the placement.
 
-    The files are the bits ``np.random.default_rng(seed).integers(0, 2,
-    size=(N, F_bits), dtype=np.uint8)`` returns, drawn in one step: that call
-    takes the top bit of each byte of the generator's raw 64-bit stream, read
-    as little-endian bytes.  Each subfile's bit range is appended to every
+    File f is the f-th ``getrandbits(F_bits)`` of one ``random.Random(seed)``,
+    packed little-endian into ceil(F_bits / 8) bytes, so the bits past
+    ``F_bits`` are zero.  Each subfile's bit range is appended to every
     owner's list, and each list is sorted and merged into that user's cache
-    intervals, so nothing wider than the files is allocated.
+    intervals, so nothing is allocated but the packed files.
     """
     if F_bits is None:
         F_bits = required_bits(placement, *([] if plan is None else [plan]))
@@ -199,13 +205,9 @@ def materialize(
         raise ValueError(
             f"{excess('F_bits', [F_bits], 0)} needs {count_text(nbytes)} bytes "
             f"(limit {MAX_MATERIALIZE_BYTES})")
-    n = placement.N * F_bits
-    raw = np.random.PCG64(seed).random_raw(-(-n // 8))
-    bits = raw.astype("<u8", copy=False).view(np.uint8)
-    bits >>= 7
-    bits = bits[:n].reshape(placement.N, F_bits)
-    bits.flags.writeable = False
-    store = FileStore(bits)
+    rng, size = Random(seed), -(-F_bits // 8)
+    store = FileStore([rng.getrandbits(F_bits).to_bytes(size, "little")
+                       for _ in range(placement.N)], F_bits)
     owned: list[list[tuple[int, int]]] = [[] for _ in range(placement.K)]
     for sf in placement.layout:
         run = _bit_range(sf.a, sf.n, placement.unit, F_bits)
@@ -295,17 +297,17 @@ def _compiled(plan: BoundPlan, F_bits: int) -> CompiledPlan:
     return cache[F_bits]
 
 
-def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> np.ndarray:
-    """Payload bits of every transmission: the XOR of its parts, the part for
-    user k read from row d[k-1] - 1 of the server's store."""
-    rows = [store.bits[f - 1] for f in d]
-    edges = cp.edges
-    sent = np.zeros(cp.total_bits, dtype=np.uint8)
-    for lo, hi, parts in zip(cp.sent, cp.sent[1:], cp.parts):
-        payload = sent[lo:hi]
+def _xor(cp: CompiledPlan, store: FileStore, d: Sequence[int]) -> list[int]:
+    """Payload of every transmission: the XOR of its parts, the part for user
+    k read from file d[k-1] of the server's store."""
+    files, edges = [store.files[f - 1] for f in d], cp.edges
+    payloads = []
+    for parts in cp.parts:
+        payload = 0
         for user, i, j in parts:
-            payload ^= rows[user][edges[i]:edges[j]]
-    return sent
+            payload ^= _read(files[user], edges[i], edges[j])
+        payloads.append(payload)
+    return payloads
 
 
 def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
@@ -317,8 +319,9 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
     A transmission's residue is its received payload XOR each of its parts,
     the part for user k read from file d[k-1] of ``store``: what a reader
     recovers, the payload XOR the other parts, is its own part exactly where
-    the residue is zero, so it reads wrong bits where the residue is not.
-    A user decodes when nothing is missing and nothing it read was wrong.
+    the residue is zero, so it reads wrong bits where the residue is not,
+    or where the payload holds a bit at or past its width.  A user decodes
+    when nothing is missing and nothing it read was wrong.
 
     Coverage is counted in one walk of each user's cache intervals against
     ``cp.edges``: ``cached[u][j]`` is the number of bits user u caches below
@@ -341,14 +344,11 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
             counts.append(below + edge - start if edge > start else below)
         cached.append(counts)
     wrong = [False] * len(missing)
-    edges, wants = cp.edges, [store.bits[f - 1] for f in d]
-    residue = np.concatenate((store.bits[0, :0], *log.payloads))
-    for lo, hi, parts in zip(cp.sent, cp.sent[1:], cp.parts):
-        out = residue[lo:hi]
+    edges, wants = cp.edges, [store.files[f - 1] for f in d]
+    for lo, hi, parts, residue in zip(cp.sent, cp.sent[1:], cp.parts, log.payloads):
         for user, a, b in parts:
-            out ^= wants[user][edges[a]:edges[b]]
-    corrupt = np.logical_or.reduceat(residue, cp.sent[:-1]).tolist()
-    for lo, hi, parts, bad in zip(cp.sent, cp.sent[1:], cp.parts, corrupt):
+            residue ^= _read(wants[user], edges[a], edges[b])
+        bad = residue != 0
         width = hi - lo
         for user, a, b in parts:
             row = cached[user]
@@ -362,29 +362,34 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
 def _formula_bits(rate: Rational, F_bits: int) -> int:
     scaled = rate * F_bits
     if scaled.denominator != 1:
-        raise ValueError(
-            f"F_bits={F_bits} cannot realize the formula rate "
-            f"{format_rational(rate)}: {scaled} bits is not an integer"
-        )
+        raise ValueError(f"F_bits={F_bits} cannot realize the formula rate "
+                         f"{format_rational(rate)}: {scaled} bits is not an integer")
     return int(scaled)
 
 
 class TransmissionLog(NamedTuple):
-    """Payloads actually sent, aligned with a plan's transmission list."""
+    """Payloads actually sent, aligned with a plan's transmission list.
 
-    payloads: tuple[np.ndarray, ...]
+    ``payloads[t]`` is transmission t as one int, its first bit the lowest,
+    and ``widths[t]`` is the number of bits it sends; nothing stops a payload
+    from holding a bit at or past its width, which decoding then refuses.
+    """
+
+    payloads: tuple[int, ...]
+    widths: tuple[int, ...]
 
     @property
     def total_bits(self) -> int:
-        return sum(len(p) for p in self.payloads)
+        return sum(self.widths)
 
 
 def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
     """XOR each transmission's parts out of the server's files, each read
     from the file its target wants under the plan's demand."""
     cp = _compiled(plan, store.F_bits)
-    sent = _xor(cp, store, check_demands(plan.demand, store.N, len(plan.demand)))
-    return TransmissionLog(tuple(sent[lo:hi] for lo, hi in zip(cp.sent, cp.sent[1:])))
+    payloads = _xor(cp, store, check_demands(plan.demand, store.N, len(plan.demand)))
+    return TransmissionLog(tuple(payloads),
+                           tuple(b - a for a, b in zip(cp.sent, cp.sent[1:])))
 
 
 class VerificationReport(NamedTuple):
@@ -442,7 +447,8 @@ def decode_all(
     if tuple(plan.demand) != d:
         raise ValueError(f"plan does not serve demand {d}: it is bound to "
                          f"demand {plan.demand}")
-    if [len(p) for p in log.payloads] != [b - a for a, b in zip(cp.sent, cp.sent[1:])]:
+    widths = [b - a for a, b in zip(cp.sent, cp.sent[1:])]
+    if list(log.widths) != widths or len(log.payloads) != len(widths):
         raise ValueError("transmission log does not match the plan's widths")
     ok = _decode(cp, caches, log, store, d)
     return VerificationReport(
@@ -490,16 +496,13 @@ def enumerate_demands(N: int, K: int, mode: str) -> DemandSet:
         raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
     if mode == "exhaustive":
         if count := excess("N^K", repeat(N, K), MAX_ENUMERATION):
-            raise ValueError(
-                f"{count} demands is too many for exhaustive mode "
-                f"(limit {MAX_ENUMERATION}); use distinct-demand mode"
-            )
+            raise ValueError(f"{count} demands is too many for exhaustive mode "
+                             f"(limit {MAX_ENUMERATION}); use distinct-demand mode")
         return DemandSet(N, K, exhaustive=True)
     if mode == "distinct":
         if count := excess("N!/(N-K)!", range(N, N - K, -1), MAX_ENUMERATION):
-            raise ValueError(
-                f"{count} distinct demands is too many (limit {MAX_ENUMERATION})"
-            )
+            raise ValueError(f"{count} distinct demands is too many "
+                             f"(limit {MAX_ENUMERATION})")
         return DemandSet(N, K, exhaustive=False)
     raise ValueError(f"unknown demand mode {mode!r}")
 
@@ -538,13 +541,10 @@ def verify_demands(
     The demand set is counted first, so an oversized count is refused
     before any work.  Then the identity-demand plan is materialized,
     executed and decoded by ``decode_all``, and that one verdict covers the
-    whole demand set: a demand only chooses which file each part reads (the
-    part for user k reads file d[k-1], as ``equal_cache.BoundPlan`` binds it),
-    while what a user can cancel, the widths, and with them the load, are
-    the same for every file.  The template is compiled once, for the
-    execution and the decode alike.  A user whose cache holds more than its
-    size in ``inst.cache_sizes`` times ``F_bits`` bits of all N files fails
-    too.  Per-demand reports are built only when the verdict is iterated.
+    whole demand set: a demand only chooses which file each part reads,
+    while what a user can cancel, the widths and the load are the same for
+    every file.  A user whose cache holds other than its fill in
+    ``inst.cache_fill`` times ``F_bits`` bits of all N files fails too.
 
     ``flip_bit`` = (transmission index, bit index) corrupts the log before
     decoding, for fault-injection tests of the verifier itself.
@@ -558,15 +558,14 @@ def verify_demands(
         t, bit = flip_bit
         if not log.total_bits:
             raise ValueError("no transmitted bit to flip")
-        if not (0 <= t < len(log.payloads) and 0 <= bit < len(log.payloads[t])):
+        if not (0 <= t < len(log.widths) and 0 <= bit < log.widths[t]):
             raise ValueError(f"transmission {t} has no bit {bit}")
         payloads = list(log.payloads)
-        payloads[t] = payloads[t].copy()
-        payloads[t][bit] ^= 1
-        log = TransmissionLog(tuple(payloads))
+        payloads[t] ^= 1 << bit
+        log = log._replace(payloads=tuple(payloads))
     report = decode_all(caches, log, identity, plan, store, inst.formula_rate)
-    ok = [ok and caches.user_bits(user) <= size * store.F_bits
-          for user, (ok, size) in enumerate(zip(report.user_ok, inst.cache_sizes), 1)]
+    ok = [ok and caches.user_bits(user) == fill * store.F_bits
+          for user, (ok, fill) in enumerate(zip(report.user_ok, inst.cache_fill), 1)]
     return Verdict(report._replace(user_ok=tuple(ok)), demands)
 
 

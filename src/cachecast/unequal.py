@@ -295,6 +295,15 @@ class SchemeInstance:
         return (cfg.Mhat,) * cfg.L + (cfg.M,) * (cfg.K - cfg.L)
 
     @cached_property
+    def cache_fill(self) -> tuple[Rational, ...]:
+        """What users 1..K's caches hold, read from the rate side: their sizes,
+        but M for every user of a proposed build whose pool is empty, since
+        its extra cache has no use."""
+        if self.scheme == "proposed" and self._params.pool_empty:
+            return (self._config.M,) * self.K
+        return self.cache_sizes
+
+    @cached_property
     def report(self) -> RateReport:
         N, K, M = self.N, self.K, self.M
         if self.scheme == "equal":

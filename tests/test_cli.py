@@ -504,7 +504,7 @@ class TestVerify:
         def no_rng(*args, **kwargs):
             raise AssertionError("file contents drawn before the size check")
 
-        monkeypatch.setattr(cachecast.simulator.np.random, "PCG64", no_rng)
+        monkeypatch.setattr(cachecast.simulator, "Random", no_rng)
         code, _, err = run(
             capsys, "verify", "--N", "12", "--K", "5", "--L", "3",
             "--Mhat", "99991/10007", "--M", "1/9973",

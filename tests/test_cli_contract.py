@@ -2,7 +2,9 @@
 
 Whatever the arguments, ``cli.main`` ends with exit code 0, 1 or 2 and lets
 no exception escape; exit 1 (invalid input) prints nothing to stdout and one
-``error:`` message, after the usage text for a parse error, to stderr.
+``error:`` message, after the usage text for a parse error, to stderr.  A
+stdout closed before the output is written ends every command alike: exit
+141 and nothing on stderr.
 
 The grammar keeps every accepted input small (N and K of at most 6, grids
 of a few dozen points) so the derandomized run stays short, and it never
@@ -13,9 +15,13 @@ files leave the ``jobs`` key out.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +126,24 @@ def test_every_invocation_keeps_the_exit_contract(invocation):
     if code == 1:
         assert out == "", (argv, out)
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4", "--M", "11/4"],
+    ["sweep", "--N", "10", "--K", "4", "--L", "2", "--sweep-axis", "M", "--from", "0",
+     "--to", "10", "--step", "1/2000", "--scheme", "equal"],
+], ids=["rate", "sweep"])
+def test_a_closed_stdout_ends_quietly(argv):
+    # the pipe's reader has left before the command writes, as under
+    # `| head` once head has its line: every write to stdout fails
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cachecast.cli", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_STDOUT_CLOSED, b"")

@@ -30,22 +30,20 @@ PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=N
 
 
 def reference_decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
-                     clean: np.ndarray) -> list[bool]:
+                     clean: list[int]) -> list[bool]:
     """Decode outcome per user, transmission by transmission.
 
     A user reads its own part of a transmission only if its cache covers
     every other part, and that part fills the bits its cache lacks there.
-    What it reads is wrong exactly where the received payload differs from
+    What it reads is wrong wherever the received payload differs from
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
     is missing and nothing it read was wrong.
     """
     missing = [masks.shape[1] - np.count_nonzero(row) for row in masks]
     wrong = [False] * len(missing)
-    differs = np.concatenate([np.zeros(0, dtype=np.uint8), *log.payloads]) != clean
     for t, cells in enumerate(cp.parts):
-        lo, hi = cp.sent[t], cp.sent[t + 1]
         parts = [(user, cp.edges[i], cp.edges[j]) for user, i, j in cells]
-        corrupt = bool(differs[lo:hi].any())
+        corrupt = log.payloads[t] != clean[t]
         covered = [masks[:, a:b].all(axis=1).tolist() for _, a, b in parts]
         read = set()
         for i, (user, a, b) in enumerate(parts):
@@ -82,17 +80,17 @@ def test_decoder_matches_reference(point, data):
                                 seed=data.draw(st.integers(0, 2**16)))
     F = store.F_bits
     log = execute_delivery(store, plan)
-    masks = caches.masks.copy()
+    masks = np.array(caches.masks)
     for user, bit in data.draw(st.lists(
             st.tuples(st.integers(0, K - 1), st.integers(0, F - 1)), max_size=3)):
         masks[user, bit] ^= True
     cp = plan.template.compiled[F]
-    payloads = [p.copy() for p in log.payloads]
+    payloads = list(log.payloads)
     if log.total_bits:
         for bit in data.draw(st.lists(st.integers(0, log.total_bits - 1), max_size=2)):
             t = next(t for t in range(len(payloads)) if bit < cp.sent[t + 1])
-            payloads[t][bit - cp.sent[t]] ^= 1
-    log = TransmissionLog(tuple(payloads))
+            payloads[t] ^= 1 << (bit - cp.sent[t])
+    log = log._replace(payloads=tuple(payloads))
     expected = reference_decode(cp, masks, log, simulator._xor(cp, store, d))
     report = decode_all(cache_from_masks(N, masks), log, d, plan, store)
     assert report.user_ok == tuple(expected)

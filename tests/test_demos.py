@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "03_two_level_sweep.py":
         "55a372daa08c376cf0f52afa87af07f54ec59361f3985375600c461383930ee3",
     "04_bit_exact_verification.py":
-        "7559e655ea4dff77fb36a53349aaa88ba3b352c0e277f74e9cf8cfbc2c4eadb0",
+        "65f9432df23dc8abd2b8c72dc013cf4d9b535c22c48678ce5ce7e1e0b04a1ff6",
 }
 
 

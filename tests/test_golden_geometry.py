@@ -92,9 +92,10 @@ def test_cache_intervals_round_trip_through_masks():
         plan = inst.plan(tuple(range(1, inst.K + 1)))
         _, caches = materialize(inst.placement, plan)
         masks = caches.masks
+        assert masks.nbytes == inst.K * caches.F_bits
         assert cache_from_masks(inst.N, masks) == caches
         assert [caches.user_bits(u) for u in range(1, inst.K + 1)] == [
-            inst.N * int(row.sum()) for row in masks]
+            inst.N * sum(row) for row in masks.tolist()]
 
 
 def test_lcm_denominators():

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import cachecast
-from cachecast import baselines, simulator
+from cachecast import baselines, cli, simulator
 from cachecast.equal_cache import BoundPlan, DeliveryPlan, rate_eq
 from cachecast.simulator import (
     CacheImage, SchemeInstance, decode_all, execute_delivery, materialize,
@@ -73,6 +73,38 @@ def flipped_payload_bit_fails():
     assert not verify_demands(inst, "distinct", flip_bit=(0, 0)).passed
 
 
+def cache_under_its_fill_fails_verify():
+    """A user that decodes but caches less than its fill fails: the equal
+    scheme at M = 1 held to a fill of 2 for user 1, as a placement that
+    leaves part of a large cache empty would be."""
+    inst = SchemeInstance("equal", 4, 4, 1)
+    inst.cache_fill = (2, 1, 1, 1)
+    assert simulator.verify_demands(inst).report.user_ok == (False, True, True, True)
+
+
+def refuses(make, message):
+    try:
+        make()
+    except ValueError as exc:
+        assert message in str(exc)
+    else:
+        raise AssertionError(f"took what should fail with {message!r}")
+
+
+def file_of_another_length_is_refused():
+    refuses(lambda: simulator.FileStore([b"\0", b"\0\0"], 8), "file 2 holds 2 bytes")
+
+
+def log_short_of_payloads_is_refused():
+    inst = SchemeInstance("equal", 4, 4, 1)
+    plan = inst.plan((1, 2, 3, 4))
+    store, caches = materialize(inst.placement, plan)
+    log = execute_delivery(store, plan)
+    short = log._replace(payloads=log.payloads[:-1])
+    refuses(lambda: simulator.decode_all(caches, short, (1, 2, 3, 4), plan, store),
+            "does not match the plan's widths")
+
+
 def uncancellable_part_is_not_read():
     """One XOR of two users' uncached files serves neither of them."""
     inst = SchemeInstance("equal", 2, 2, 0)
@@ -85,12 +117,7 @@ def uncancellable_part_is_not_read():
 
 
 def compile_refuses(plan, F_bits, message):
-    try:
-        simulator.compile_plan(plan, F_bits)
-    except ValueError as exc:
-        assert message in str(exc)
-    else:
-        raise AssertionError(f"compiled a plan that should fail with {message!r}")
+    refuses(lambda: simulator.compile_plan(plan, F_bits), message)
 
 
 def bit_sent_twice_is_refused():
@@ -161,6 +188,8 @@ def demand_outside_the_library_is_refused():
 
 ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            proposed_caches_fill_their_sizes, flipped_payload_bit_fails,
+           cache_under_its_fill_fails_verify, file_of_another_length_is_refused,
+           log_short_of_payloads_is_refused,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
            user_named_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
@@ -225,7 +254,14 @@ MUTANTS = [
     Mutant("demands-unchecked-range", "equal_cache.check_demands",
            "if bad:", "if False:", demand_outside_the_library_is_refused),
     Mutant("xor-reads-the-next-file", "simulator._xor",
-           "store.bits[f - 1]", "store.bits[f % store.N]", proposed_scheme_verifies),
+           "store.files[f - 1]", "store.files[f % store.N]", proposed_scheme_verifies),
+    Mutant("verify-holds-caches-only-to-their-sizes", "simulator.verify_demands",
+           "== fill * store.F_bits", "<= fill * store.F_bits",
+           cache_under_its_fill_fails_verify),
+    Mutant("store-takes-a-file-of-any-length", "simulator.FileStore.__new__",
+           "if len(buf) != size:", "if False:", file_of_another_length_is_refused),
+    Mutant("decode-takes-a-log-short-of-payloads", "simulator.decode_all",
+           " or len(log.payloads) != len(widths)", "", log_short_of_payloads_is_refused),
     Mutant("materialize-caches-everything", "simulator.materialize",
            "for owner in sf.owners:", "for owner in range(1, placement.K + 1):",
            proposed_scheme_verifies),
@@ -279,3 +315,13 @@ def test_mutant_is_caught(monkeypatch, mutant):
     install(monkeypatch, mutant)
     with pytest.raises(Exception):
         mutant.oracle()
+
+
+def test_verify_fails_a_pool_filled_by_half(monkeypatch, capsys):
+    # this fault leaves each large cache short of Mhat, yet every user decodes
+    # and the load equals its own formula rate: only the fill check sees it
+    install(monkeypatch, next(m for m in MUTANTS
+                              if m.name == "mprime-uses-half-the-extra-cache"))
+    assert cli.main(["verify", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+                     "--M", "1"]) == 2
+    assert capsys.readouterr().out.startswith("0/24 demands pass")

@@ -9,7 +9,6 @@ examples, with a bounded example count and no per-example deadline.
 import math
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,7 @@ from cachecast.simulator import (
 )
 from cachecast.unequal import UnequalConfig, rate_ueq, unequal_params
 
-from views import bound_parts, lcm_denominators
+from views import bound_parts, lcm_denominators, read_bits
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -122,13 +121,13 @@ def test_payloads_read_each_target_s_file(point, data):
     F = store.F_bits
     txs = bound_parts(plan)
     assert len(log.payloads) == len(txs)
-    for tx, payload in zip(txs, log.payloads):
-        expect = np.zeros(len(payload), dtype=np.uint8)
+    for tx, payload, width in zip(txs, log.payloads, log.widths):
+        expect = 0
         for _, start, length, target in tx:
             a, b = start * F, (start + length) * F
-            assert a.denominator == b.denominator == 1 and b - a == len(payload)
-            expect ^= store.bits[d[target - 1] - 1, int(a):int(b)]
-        assert np.array_equal(payload, expect)
+            assert a.denominator == b.denominator == 1 and b - a == width
+            expect ^= read_bits(store, d[target - 1], int(a), int(b))
+        assert payload == expect
 
 
 @PROFILE

@@ -4,8 +4,8 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from random import Random
 
-import numpy as np
 import pytest
 
 from cachecast import cli, simulator
@@ -25,9 +25,12 @@ from cachecast.simulator import (
 )
 from cachecast.unequal import UnequalConfig, build_two_stage
 
-from views import bound_parts, cache_from_masks
+from views import bound_parts, cache_from_masks, read_bits
 
 WORKED = SchemeInstance("proposed", 4, 4, Fraction(1), L=3, Mhat=Fraction(2))
+# per-user outcomes at the worked example's identity demand, with a bit of
+# transmission t wrong, or t dropped
+DECODE_OUTCOMES = {0: (False, True, True, False), 3: (False, False, False, True)}
 
 
 def worked_system(seed=0):
@@ -41,12 +44,12 @@ class TestMaterialize:
     def test_deterministic_for_fixed_seed(self):
         _, _, store_a, _ = worked_system(seed=42)
         _, _, store_b, _ = worked_system(seed=42)
-        assert np.array_equal(store_a.bits, store_b.bits)
+        assert store_a.files == store_b.files
 
     def test_seed_changes_content(self):
         _, _, store_a, _ = worked_system(seed=1)
         _, _, store_b, _ = worked_system(seed=2)
-        assert not np.array_equal(store_a.bits, store_b.bits)
+        assert store_a.files != store_b.files
 
     def test_worked_example_needs_eight_bits(self):
         ctx, plan, store, _ = worked_system()
@@ -56,7 +59,7 @@ class TestMaterialize:
     def test_zero_cache_empty_image(self):
         placement = equal_placement(3, 3, 0)
         _, caches = materialize(placement)
-        assert caches.masks.sum() == 0
+        assert not any(map(any, caches.masks.tolist()))
 
     def test_rejects_indivisible_bit_width(self):
         placement = equal_placement(4, 4, 1)
@@ -87,23 +90,28 @@ class TestMaterialize:
                                           (4, 13), (10, 2400), (7, 1001)])
     @pytest.mark.parametrize("seed", [0, 1, 2024, 2**31 - 1])
     def test_draw_is_the_generators_integers(self, N, F_bits, seed):
-        # one raw draw gives the bits integers(0, 2) gives, N * F_bits % 8 or not
+        # file f is the generator's f-th F_bits-bit integer, whole bytes or not,
+        # and no bit past F_bits is set
         store, _ = materialize(equal_placement(N, 1, 0), F_bits=F_bits, seed=seed)
-        expect = np.random.default_rng(seed).integers(0, 2, size=(N, F_bits),
-                                                      dtype=np.uint8)
-        assert store.bits.dtype == np.uint8
-        assert np.array_equal(store.bits, expect)
+        rng = Random(seed)
+        expect = [rng.getrandbits(F_bits) for _ in range(N)]
+        assert [int.from_bytes(buf, "little") for buf in store.files] == expect
+        assert {len(buf) for buf in store.files} == {math.ceil(F_bits / 8)}
 
     def test_store_is_read_only(self):
+        # the files are bytes: a bytearray is copied in, never shared
         _, _, store, _ = worked_system()
-        with pytest.raises(ValueError, match="read-only"):
-            store.bits[0, 0] ^= 1
-        bits = np.zeros((2, 4), dtype=np.uint8)
-        copied = simulator.FileStore(bits)
-        bits[0, 0] = 1
-        assert not copied.bits.any()
-        with pytest.raises(ValueError, match="read-only"):
-            copied.bits[0, 0] = 1
+        assert {type(buf) for buf in store.files} == {bytes}
+        buf = bytearray(1)
+        copied = simulator.FileStore([buf], 8)
+        buf[0] = 1
+        assert copied.files == (b"\0",)
+
+    @pytest.mark.parametrize("size", [0, 2])
+    def test_store_refuses_a_file_of_another_length(self, size):
+        with pytest.raises(ValueError, match=rf"^file 2 holds {size} bytes, not the 1 "
+                                             r"of 7 bits$"):
+            simulator.FileStore([b"\0", bytes(size)], 7)
 
     def test_caches_allocate_nothing_K_by_F_bits(self):
         # the draw takes N*F_bits bytes; (K, F_bits) masks would add K*F_bits
@@ -156,7 +164,7 @@ class TestExecuteDelivery:
         ((file, start, length, _),) = bound_parts(plan)[0]
         a = int(start * store.F_bits)
         b = int((start + length) * store.F_bits)
-        assert np.array_equal(log.payloads[0], store.bits[file - 1, a:b])
+        assert log.payloads[0] == read_bits(store, file, a, b)
 
     def test_xor_of_two_parts(self):
         inst = SchemeInstance("equal", 4, 4, 1)
@@ -168,11 +176,9 @@ class TestExecuteDelivery:
         log = execute_delivery(store, plan)
         (f1, a1, n1, _), (f2, a2, n2, _) = bound_parts(plan)[0]  # A2 xor B1
         F = store.F_bits
-        expect = (
-            store.bits[f1 - 1, int(a1 * F): int((a1 + n1) * F)]
-            ^ store.bits[f2 - 1, int(a2 * F): int((a2 + n2) * F)]
-        )
-        assert np.array_equal(log.payloads[0], expect)
+        expect = (read_bits(store, f1, int(a1 * F), int((a1 + n1) * F))
+                  ^ read_bits(store, f2, int(a2 * F), int((a2 + n2) * F)))
+        assert log.payloads[0] == expect
 
     def test_worked_example_log_is_one_file(self):
         _, plan, store, _ = worked_system()
@@ -199,13 +205,7 @@ class TestDecodeAll:
     def test_corrupted_log_fails(self):
         ctx, plan, store, caches = worked_system()
         log = execute_delivery(store, plan)
-        payloads = list(log.payloads)
-        corrupted = payloads[0].copy()
-        corrupted[0] ^= 1
-        payloads[0] = corrupted
-        report = decode_all(
-            caches, TransmissionLog(tuple(payloads)), (1, 2, 3, 4), plan, store
-        )
+        report = decode_all(caches, flipped(log, 0, 0), (1, 2, 3, 4), plan, store)
         assert not report.passed
         assert not all(report.user_ok)
 
@@ -255,10 +255,7 @@ class TestDecodeAll:
                               Mhat=Fraction(33, 4))
         plan = inst.plan((1, 2, 3, 4))
         store, caches = materialize(inst.placement, plan, F_bits=2400)
-        if extra > 0:
-            masks = np.hstack([caches.masks, np.ones((4, extra), dtype=bool)])
-        else:
-            masks = caches.masks[:, :2400 + extra]
+        masks = [row[:2400 + extra] + [True] * extra for row in caches.masks.tolist()]
         log = execute_delivery(store, plan)
         with pytest.raises(ValueError, match=(
                 rf"^cache image of {N} files of {2400 + extra} bits does not fit "
@@ -268,10 +265,29 @@ class TestDecodeAll:
     def test_log_of_other_widths_refused(self):
         _, plan, store, caches = worked_system()
         log = execute_delivery(store, plan)
-        short = TransmissionLog(log.payloads[:-1])
+        short = TransmissionLog(log.payloads[:-1], log.widths[:-1])
         with pytest.raises(ValueError, match="^transmission log does not match "
                                              "the plan's widths$"):
             decode_all(caches, short, (1, 2, 3, 4), plan, store)
+
+    def test_log_short_of_payloads_refused(self):
+        # every width is the plan's, but the last payload is missing
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        with pytest.raises(ValueError, match="^transmission log does not match "
+                                             "the plan's widths$"):
+            decode_all(caches, log._replace(payloads=log.payloads[:-1]), (1, 2, 3, 4),
+                       plan, store)
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_payload_bit_past_its_width_fails(self, t):
+        # the residue reads each part to its width, so a set bit past it shows
+        _, plan, store, caches = worked_system()
+        log = execute_delivery(store, plan)
+        clean = decode_all(caches, log, (1, 2, 3, 4), plan, store).user_ok
+        for bit in (log.widths[t], log.widths[t] + 9):
+            report = decode_all(caches, flipped(log, t, bit), (1, 2, 3, 4), plan, store)
+            assert report.user_ok == DECODE_OUTCOMES[t] != clean
 
     def test_worked_example_exhaustive(self):
         reports = verify_demands(WORKED, mode="exhaustive")
@@ -310,6 +326,11 @@ class TestWorstCaseLoad:
                                              "use distinct-demand mode$"):
             verify_demands(inst, mode="exhaustive")
 
+    def test_a_count_of_exactly_the_limit_is_accepted(self):
+        # 10^6 = MAX_ENUMERATION: counted, never listed
+        assert simulator.MAX_ENUMERATION == 10**6
+        assert enumerate_demands(10, 6, "exhaustive").count == 10**6
+
     def test_distinct_mode_demand_count(self):
         assert len(list(enumerate_demands(4, 3, "distinct"))) == 24
         assert len(list(enumerate_demands(3, 3, "exhaustive"))) == 27
@@ -336,10 +357,10 @@ class TestWorstCaseLoad:
 
 
 def flipped(log, transmission, bit):
-    """``log`` with one transmitted bit flipped."""
-    payloads = [p.copy() for p in log.payloads]
-    payloads[transmission][bit] ^= 1
-    return TransmissionLog(tuple(payloads))
+    """``log`` with one bit of one payload flipped."""
+    payloads = list(log.payloads)
+    payloads[transmission] ^= 1 << bit
+    return log._replace(payloads=tuple(payloads))
 
 
 class TestOneDecode:
@@ -430,14 +451,21 @@ class TestOneDecode:
         with pytest.raises(ValueError, match="transmission 99 has no bit 0"):
             verify_demands(WORKED, flip_bit=(99, 0))
 
+    def test_flip_range_ends_at_the_log(self):
+        # the worked example sends 5 transmissions of 2, 2, 2, 1 and 1 bits
+        widths = (2, 2, 2, 1, 1)
+        _, plan, store, _ = worked_system()
+        assert execute_delivery(store, plan).widths == widths
+        for t, bit in [(len(widths), 0), (0, widths[0]), (3, widths[3])]:
+            with pytest.raises(ValueError, match=f"^transmission {t} has no bit {bit}$"):
+                verify_demands(WORKED, flip_bit=(t, bit))
+        assert not verify_demands(WORKED, flip_bit=(4, widths[4] - 1)).passed
+
 
 class TestDecodeOutcomes:
     """Per-user outcomes at the worked example, identity demand."""
 
-    @pytest.mark.parametrize("t,user_ok", [
-        (0, (False, True, True, False)),
-        (3, (False, False, False, True)),
-    ])
+    @pytest.mark.parametrize("t,user_ok", DECODE_OUTCOMES.items())
     def test_flipped_or_dropped_transmission(self, t, user_ok):
         _, plan, store, caches = worked_system()
         log = execute_delivery(store, plan)
@@ -445,21 +473,14 @@ class TestDecodeOutcomes:
         assert decode_all(caches, flipped(log, t, 0), d, plan, store).user_ok == user_ok
         txs = plan.template.transmissions
         dropped = BoundPlan(DeliveryPlan(plan.template.unit, txs[:t] + txs[t + 1:]), d)
-        dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:])
+        dropped_log = TransmissionLog(log.payloads[:t] + log.payloads[t + 1:],
+                                      log.widths[:t] + log.widths[t + 1:])
         assert decode_all(caches, dropped_log, d, dropped, store).user_ok == user_ok
-
-    def test_log_written_in_place(self):
-        # the payloads kept on the store are a copy, not the log's arrays
-        _, plan, store, caches = worked_system()
-        log = execute_delivery(store, plan)
-        log.payloads[0][0] ^= 1
-        report = decode_all(caches, log, (1, 2, 3, 4), plan, store)
-        assert report.user_ok == (False, True, True, False)
 
     def test_cleared_cache_bit(self):
         _, plan, store, caches = worked_system()
-        masks = caches.masks.copy()
-        masks[3, np.flatnonzero(masks[3])[0]] = False
+        masks = caches.masks.tolist()
+        masks[3][masks[3].index(True)] = False
         report = decode_all(cache_from_masks(caches.N, masks),
                             execute_delivery(store, plan), (1, 2, 3, 4), plan, store)
         assert report.user_ok == (True, True, True, False)
@@ -478,8 +499,8 @@ class TestDecodeOutcomes:
         store, caches = materialize(inst.placement, plan)
         log = execute_delivery(store, plan)
         assert decode_all(caches, log, (1, 2), plan, store).user_ok == (True, True)
-        masks = caches.masks.copy()
-        masks[0] = False
+        masks = caches.masks.tolist()
+        masks[0] = [False] * caches.F_bits
         report = decode_all(cache_from_masks(2, masks), log, (1, 2), plan, store)
         assert report.user_ok == (False, True)
 

@@ -42,15 +42,16 @@ def _imports_numpy(node: ast.AST) -> bool:
     return False
 
 
-def test_only_the_simulator_imports_numpy():
-    # rates and plans are exact rationals; numpy is for bits alone
+def test_no_module_imports_numpy():
+    # rates and plans are exact rationals, and bits are bytes and ints: the
+    # package needs nothing outside the standard library
     found = sorted({
         path.name
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if _imports_numpy(node)
     })
-    assert found == ["simulator.py"]
+    assert found == []
 
 
 NUMPY_PROBE = """
@@ -64,16 +65,20 @@ assert cli.main(["sweep", "--N", "4", "--K", "4", "--L", "3", "--sweep-axis", "M
                  "--scheme", "equal,proposed,scheme1"]) == 0
 print("numpy" in sys.modules)
 print(cachecast.materialize is cachecast.simulator.materialize)
+assert cli.main(["verify", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4",
+                 "--M", "11/4"]) == 0
 print("numpy" in sys.modules)
 """
 
 
 def test_rate_and_sweep_load_no_numpy():
+    # nor does the simulator, which verify runs
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["False", "True", "True"]
+    lines = proc.stdout.splitlines()
+    assert (lines[-4:-2], lines[-1]) == (["False", "True"], "False")
 
 
 def test_no_module_imports_dataclasses():
@@ -90,10 +95,12 @@ def test_no_module_imports_dataclasses():
 
 
 # Run under ``python -S``: a site hook may preload some of these modules and
-# hide a regression.  Only ``sweep --jobs`` above 1 needs multiprocessing.
+# hide a regression.  Only ``sweep --jobs`` above 1 needs multiprocessing, and
+# no command needs numpy.
 IMPORT_BUDGET_PROBE = """
 import sys
-HEAVY = ("dataclasses", "inspect", "pathlib", "multiprocessing", "concurrent.futures")
+HEAVY = ("dataclasses", "inspect", "pathlib", "multiprocessing", "concurrent.futures",
+         "numpy")
 import cachecast
 print([name for name in HEAVY if name in sys.modules])
 from cachecast import cli
@@ -102,6 +109,8 @@ assert cli.main(["rate", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4",
 assert cli.main(["sweep", "--N", "4", "--K", "4", "--L", "3", "--sweep-axis", "M",
                  "--from", "0", "--to", "2", "--step", "1", "--jobs", "1",
                  "--scheme", "equal,proposed,scheme1"]) == 0
+assert cli.main(["verify", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4",
+                 "--M", "11/4"]) == 0
 print([name for name in HEAVY if name in sys.modules])
 """
 
@@ -186,14 +195,14 @@ def test_the_rate_formula_is_one_split_and_builds_nothing():
 
 
 def test_the_simulator_names_no_scheme():
-    # a user's cache size is SchemeInstance.cache_sizes, which verify_demands
-    # reads, so the bits layer never dispatches on a scheme name
+    # what a user's cache holds is SchemeInstance.cache_fill, which
+    # verify_demands reads, so the bits layer never dispatches on a scheme name
     path = PACKAGE / "simulator.py"
     named = [f"simulator.py:{node.lineno} {node.value!r}"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Constant) and node.value in SCHEMES]
     assert named == []
-    assert "cache_sizes" in {node.attr for node in ast.walk(_function(
+    assert "cache_fill" in {node.attr for node in ast.walk(_function(
         "verify_demands", "simulator.py")) if isinstance(node, ast.Attribute)}
 
 

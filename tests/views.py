@@ -3,8 +3,9 @@
 A bound plan names no file in its rows (the part for user k reads file
 d[k-1]), and a placement stores one file's layout for every file alike;
 these helpers list what a reader of one demand or one user's cache wants
-to see.  ``cache_from_masks`` goes the other way, so that a test may edit a
-cache bit by bit and hand the decoder the intervals it stands for.
+to see.  ``read_bits`` reads a file's bits by a route other than the
+simulator's.  ``cache_from_masks`` goes the other way, so that a test may
+edit a cache bit by bit and hand the decoder the intervals it stands for.
 """
 
 import math
@@ -54,9 +55,16 @@ def lcm_denominators(lengths: list[Fraction]) -> int:
     return math.lcm(*(x.denominator for x in lengths))
 
 
+def read_bits(store, file, a, b):
+    """Bits [a, b) of ``file`` (1-based) in ``store`` as an int, bit a the
+    lowest, read from the whole file as one little-endian integer."""
+    return int.from_bytes(store.files[file - 1], "little") >> a & ((1 << (b - a)) - 1)
+
+
 def cache_from_masks(N, masks):
-    """The ``CacheImage`` whose rows are ``masks``, a (K, F_bits) bool array:
-    each row's runs of set bits become that user's (start, end) intervals."""
+    """The ``CacheImage`` whose rows are ``masks``, (K, F_bits) bools in any
+    form numpy reads, ``CacheImage.masks`` or lists of rows among them: each
+    row's runs of set bits become that user's (start, end) intervals."""
     masks = np.asarray(masks, dtype=bool)
     ranges = []
     for row in masks:

@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", help="small cache size (rational, units of F)")
         p.add_argument("--Mhat", help="large cache size (rational, units of F)")
         p.add_argument("--scheme", help="|".join(SCHEMES))
-        p.add_argument("--config", help="JSON file with default flag values")
+        p.add_argument("--config", help="JSON file with default flag values; one "
+                       "file serves every subcommand, so it may hold keys for "
+                       "another subcommand's flags")
 
     p_rate = sub.add_parser("rate", help="rate at a single parameter point")
     add_common(p_rate)

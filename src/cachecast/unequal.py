@@ -29,6 +29,10 @@ is.  A build is that pair and nothing else,
 ``TwoStageContext(placement, template)``; ``SchemeInstance.plan`` binds a
 demand to the template (``equal_cache.BoundPlan``) without copying it.
 
+``unequal_params`` and ``rate_ueq`` compute in integers, as the construction
+does: each reads the numerators and denominators of the values it combines,
+and makes each value it returns one ``Fraction``.
+
 ``SchemeInstance`` is one scheme at one parameter point, and the library's
 one dispatch on a scheme name: its cache sizes, ``RateReport`` and, but for
 scheme 1, the placement and plans that ``simulator`` turns into bits.
@@ -111,36 +115,50 @@ class UnequalParams(NamedTuple):
 
 
 def unequal_params(cfg: UnequalConfig) -> UnequalParams:
-    """Second-level parameters F', M', R' and the scenario split.
+    """Second-level parameters F', M', R' and the scenario split, each made
+    one fraction from integer numerators.
 
     F', the pool content cached per large user and R' are sums of an alpha
     term over C(K, t_int) and, when alpha < 1, a 1-alpha term over
-    C(K, t_int+1); with alpha = a/D each is summed as an integer numerator
-    over D*C(K, t_int)*C(K, t_int+1) and made one fraction, the second term
-    vanishing at a = D.
+    C(K, t_int+1), with binomials of L over t_int, t_int+1 and t_int+2.  As
+    C(n, t+1) = C(n, t)(n-t)/(t+1), each is C(L, t_int)/C(K, t_int) times a
+    small rational: with t_int and alpha = a/D read from ``equal_params``, one
+    integer numerator over D*(K-t_int)*C(K, t_int) times small factors, the
+    1-alpha term and K-t_int dropping out at a = D.  M' =
+    (occupied + Mhat - M)/F', and in scenario 2 Phi = M - occupied + N*F' and
+    gamma = (N - Mhat)/(N - Phi), reuse the fields already made in lowest
+    terms, F' and occupied over the lcm of their denominators.
     """
     base = equal_params(cfg.N, cfg.K, cfg.M)
     N, K, L = cfg.N, cfg.K, cfg.L
     ti, a, D = base.t_int, base.alpha.numerator, base.alpha.denominator
-    c0 = binom(K, ti)
-    c1 = binom(K, ti + 1) if a < D else 1  # alpha = 1: no second term
-    wa, wb = a * c1, (D - a) * c0
-    den = D * c0 * c1
-    fprime = Fraction(wa * binom(L, ti) + wb * binom(L, ti + 1), den)
-    occupied = Fraction(N * (wa * binom(L - 1, ti - 1) + wb * binom(L - 1, ti)), den)
-    rprime = Fraction(wa * binom(L, ti + 1) + wb * binom(L, ti + 2), den)
+    k1 = K - ti if a < D else 1  # alpha = 1: no second term
+    B, den = binom(L, ti), D * k1 * binom(K, ti)
+    b, l1 = D - a, L - ti
+    fprime = Fraction(B * (a * k1 + b * l1), den)
+    occupied = Fraction(N * B * (a * ti * k1 + b * l1 * (ti + 1)), den * L)
+    rprime = Fraction(B * l1 * (a * (ti + 2) * k1 + b * (l1 - 1) * (ti + 1)),
+                      den * (ti + 1) * (ti + 2))
 
     # fprime == 0: t exceeds the pool, no subfile lives entirely inside the
     # large group, so the extra cache is unusable by this construction.
     mprime = phi = gamma = None
-    if fprime:
-        mprime = (occupied + cfg.Mhat - cfg.M) / fprime
-        if mprime > N:
-            phi = cfg.M - occupied + N * fprime
-            gamma = Fraction(N - cfg.Mhat, N - phi)
+    fp, fq = fprime.numerator, fprime.denominator
+    if fp:
+        op, oq = occupied.numerator, occupied.denominator
+        mp, mq = cfg.M.numerator, cfg.M.denominator
+        hp, hq = cfg.Mhat.numerator, cfg.Mhat.denominator
+        g = math.gcd(oq, fq)  # both divide den*L: their lcm keeps sums small
+        xn, xd = hp * mq - mp * hq, hq * mq  # the extra cache Mhat - M
+        mprime = Fraction((op * xd + xn * oq) * (fq // g), oq // g * xd * fp)
+        if mprime.numerator > N * mprime.denominator:
+            lcm = oq * (fq // g)
+            phi = Fraction(mp * lcm + mq * (N * fp * (oq // g) - op * (fq // g)), mq * lcm)
+            pp, pq = phi.numerator, phi.denominator
+            gamma = Fraction((N * hq - hp) * pq, hq * (N * pq - pp))
     return UnequalParams(
         base=base, Fprime=fprime, occupied=occupied, Rprime=rprime, Mprime=mprime,
-        scenario=1 if phi is None else 2, Phi=phi, gamma=gamma, pool_empty=fprime == 0,
+        scenario=1 if phi is None else 2, Phi=phi, gamma=gamma, pool_empty=not fp,
     )
 
 
@@ -171,15 +189,32 @@ def rate_ueq(cfg: UnequalConfig, params: UnequalParams | None = None) -> RateRep
 
     The build's split at gamma: on [0, gamma), stage 1's rate less R' plus F'
     times the pool's rate at min(M', N), 0 for an empty pool; on [gamma, 1), the
-    small users' rate.  ``params`` is ``unequal_params(cfg)``, if known.
+    small users' rate.  Each rate is ``rate_eq``'s, and it and each field are
+    read as a numerator and a denominator and made one fraction.  R' and F' are
+    summed over the lcm of their denominators, and gamma's numerator is
+    cancelled against the [0, gamma) denominator before the split, as
+    ``Fraction``'s own sum and product would: at large K both share thousands
+    of digits.  ``params`` is ``unequal_params(cfg)``, if known.
     """
     p = unequal_params(cfg) if params is None else params
-    pool = p.Fprime and p.Fprime * rate_eq(cfg.N, cfg.L, min(p.Mprime, cfg.N))
-    rate = rate_eq(cfg.N, cfg.K, cfg.M) - p.Rprime + pool
+    N = cfg.N
+    stage1 = rate_eq(N, cfg.K, cfg.M)
+    pool = p.Fprime and rate_eq(N, cfg.L, min(p.Mprime, N))  # empty: F' itself, 0
+    sn, sd = stage1.numerator, stage1.denominator
+    rn, rd = p.Rprime.numerator, p.Rprime.denominator
+    fn, fd = p.Fprime.numerator, p.Fprime.denominator
+    pn, pd = pool.numerator, pool.denominator
+    c = math.gcd(rd, fd)  # both divide D*(K-t_int)*C(K, t_int)*(t_int+1)*(t_int+2)
+    num = (sn * rd - rn * sd) * (fd // c) * pd + fn * pn * sd * (rd // c)
+    den = sd * rd * (fd // c) * pd
     if p.gamma is not None:
-        rate = p.gamma * rate + (1 - p.gamma) * rate_eq(cfg.N, cfg.K - cfg.L, cfg.M)
+        small = rate_eq(N, cfg.K - cfg.L, cfg.M)
+        g, G = p.gamma.numerator, p.gamma.denominator
+        c = math.gcd(g, den)  # at large K gamma's numerator shares most of den
+        num = g // c * num * small.denominator + (G - g) * small.numerator * (den // c)
+        den = den // c * G * small.denominator
     return RateReport(
-        scheme="proposed", N=cfg.N, K=cfg.K, M=cfg.M, rate=rate,
+        scheme="proposed", N=N, K=cfg.K, M=cfg.M, rate=Fraction(num, den),
         L=cfg.L, Mhat=cfg.Mhat, t=p.base.t, t_int=p.base.t_int, alpha=p.base.alpha,
         Fprime=p.Fprime, Mprime=p.Mprime, Rprime=p.Rprime, Phi=p.Phi, gamma=p.gamma,
         scenario=p.scenario, pool_empty=p.pool_empty,

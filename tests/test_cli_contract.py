@@ -147,3 +147,14 @@ def test_a_closed_stdout_ends_quietly(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_STDOUT_CLOSED, b"")
+
+
+def test_a_config_file_may_hold_another_command_s_keys(tmp_path):
+    # one config file serves every subcommand: rate takes a file whose keys
+    # are verify's and sweep's flags, and prints what it prints without it
+    argv = ["rate", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4", "--M", "11/4"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "sweep_axis": "Mhat"}))
+    plain = run_main(argv)
+    assert plain[0] == 0
+    assert run_main(argv + ["--config", str(config)]) == plain

@@ -73,6 +73,16 @@ def flipped_payload_bit_fails():
     assert not verify_demands(inst, "distinct", flip_bit=(0, 0)).passed
 
 
+def payloads_fit_their_widths():
+    """Each payload of a delivery at a proposed point with a refined pool
+    holds no bit at or past its transmission's width."""
+    inst = SchemeInstance("proposed", 6, 4, Fraction(3, 2), L=2, Mhat=Fraction(9, 4))
+    plan = inst.plan((1, 2, 3, 4))
+    store, _ = materialize(inst.placement, plan)
+    log = simulator.execute_delivery(store, plan)
+    assert all(0 <= p < 1 << w for p, w in zip(log.payloads, log.widths))
+
+
 def cache_under_its_fill_fails_verify():
     """A user that decodes but caches less than its fill fails: the equal
     scheme at M = 1 held to a fill of 2 for user 1, as a placement that
@@ -188,6 +198,7 @@ def demand_outside_the_library_is_refused():
 
 ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            proposed_caches_fill_their_sizes, flipped_payload_bit_fails,
+           payloads_fit_their_widths,
            cache_under_its_fill_fails_verify, file_of_another_length_is_refused,
            log_short_of_payloads_is_refused,
            uncancellable_part_is_not_read, bit_sent_twice_is_refused,
@@ -255,6 +266,8 @@ MUTANTS = [
            "if bad:", "if False:", demand_outside_the_library_is_refused),
     Mutant("xor-reads-the-next-file", "simulator._xor",
            "store.files[f - 1]", "store.files[f % store.N]", proposed_scheme_verifies),
+    Mutant("read-keeps-bits-past-the-part", "simulator._read",
+           " & ((1 << (b - a)) - 1)", "", payloads_fit_their_widths),
     Mutant("verify-holds-caches-only-to-their-sizes", "simulator.verify_demands",
            "== fill * store.F_bits", "<= fill * store.F_bits",
            cache_under_its_fill_fails_verify),
@@ -266,12 +279,11 @@ MUTANTS = [
            "for owner in sf.owners:", "for owner in range(1, placement.K + 1):",
            proposed_scheme_verifies),
     Mutant("gamma-complemented", "unequal.unequal_params",
-           "gamma = Fraction(N - cfg.Mhat, N - phi)",
-           "gamma = 1 - Fraction(N - cfg.Mhat, N - phi)",
+           "gamma = Fraction((N * hq - hp) * pq, hq * (N * pq - pp))",
+           "gamma = Fraction(hq * (N * pq - pp) - (N * hq - hp) * pq, hq * (N * pq - pp))",
            proposed_rate_is_between_the_equal_caches),
     Mutant("mprime-uses-half-the-extra-cache", "unequal.unequal_params",
-           "mprime = (occupied + cfg.Mhat - cfg.M) / fprime",
-           "mprime = (occupied + (cfg.Mhat - cfg.M) / 2) / fprime",
+           "xn, xd = hp * mq - mp * hq, hq * mq", "xn, xd = hp * mq - mp * hq, 2 * hq * mq",
            proposed_caches_fill_their_sizes),
 ]
 

@@ -80,6 +80,16 @@ class TestMaterialize:
         for user, m in budgets.items():
             assert caches.user_bits(user) == m * store.F_bits
 
+    def test_a_size_of_exactly_the_limit_is_accepted(self, monkeypatch):
+        # (K + N) * F_bits = 64 bytes counted: taken at a limit of 64, refused
+        # at 63, with the limit patched small so nothing near it is drawn
+        placement = equal_placement(4, 4, 1)
+        monkeypatch.setattr(simulator, "MAX_MATERIALIZE_BYTES", 64)
+        assert materialize(placement, F_bits=8)[0].F_bits == 8
+        monkeypatch.setattr(simulator, "MAX_MATERIALIZE_BYTES", 63)
+        with pytest.raises(ValueError, match=r"^F_bits = 8 needs 64 bytes \(limit 63\)$"):
+            materialize(placement, F_bits=8)
+
     @pytest.mark.parametrize("F_bits", [0, -3])
     def test_refuses_fewer_than_one_bit(self, F_bits):
         placement = equal_placement(4, 4, 1)

@@ -5,6 +5,7 @@ import fractions
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import cachecast
 from cachecast import equal_cache
 from cachecast.simulator import SchemeInstance
-from cachecast.unequal import SCHEMES
+from cachecast.unequal import SCHEMES, UnequalConfig, rate_ueq, unequal_params
 
 PACKAGE = Path(cachecast.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -191,7 +192,7 @@ def test_the_rate_formula_is_one_split_and_builds_nothing():
     calls = {ast.unparse(node.func) for node in ast.walk(func)
              if isinstance(node, ast.Call)}
     assert ifs == ["p.gamma is not None"]
-    assert calls == {"unequal_params", "rate_eq", "min", "RateReport"}
+    assert calls == {"unequal_params", "rate_eq", "min", "math.gcd", "Fraction", "RateReport"}
 
 
 def test_the_simulator_names_no_scheme():
@@ -237,12 +238,12 @@ INTEGER_LAYERS = {"_layers": "equal_cache.py", "window_unit": "equal_cache.py",
 PROFILED_LAYERS = set(INTEGER_LAYERS) | {"refine_pool"}
 
 
-def _fractions_made(build) -> tuple[set[str], set[str]]:
-    """Run ``build`` under a profiler: (the functions it called, the functions
-    in whose own frames a ``Fraction`` was made, by a call or by arithmetic).
-    A comprehension's frame counts as its caller's."""
+def _fractions_made(build) -> tuple[set[str], Counter[str]]:
+    """Run ``build`` under a profiler: (the functions it called, how many
+    ``Fraction``s were made in each function's own frame, by a call or by
+    arithmetic).  A comprehension's frame counts as its caller's."""
     called: set[str] = set()
-    made: set[str] = set()
+    made: Counter[str] = Counter()
 
     def profile(frame, event, arg):
         if event != "call":
@@ -254,7 +255,7 @@ def _fractions_made(build) -> tuple[set[str], set[str]]:
             while (frame.f_code.co_filename == fractions.__file__
                    or frame.f_code.co_name.startswith("<")):
                 frame = frame.f_back
-            made.add(frame.f_code.co_name)
+            made[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
@@ -289,7 +290,25 @@ def test_the_construction_layers_compute_in_integers():
         lambda: ([inst.placement for inst in insts], _makes_one_fraction()))
     assert PROFILED_LAYERS <= called
     assert "_makes_one_fraction" in made  # the recorder sees a Fraction made
-    assert made.isdisjoint(PROFILED_LAYERS)
+    assert made.keys().isdisjoint(PROFILED_LAYERS)
+
+
+@pytest.mark.parametrize("cfg, shape", [
+    (UnequalConfig(5, 3, 1, 4, 4), (True, 1)),
+    (UnequalConfig(6, 4, 2, Fraction(9, 4), Fraction(3, 2)), (False, 1)),
+    (UnequalConfig(5, 4, 2, Fraction(15, 4), Fraction(5, 4)), (False, 2)),
+], ids=["empty-pool", "scenario-1", "scenario-2"])
+def test_the_rate_layer_makes_one_fraction_per_value(cfg, shape):
+    # unequal_params makes each field it sets among F', occupied, R', M', Phi
+    # and gamma as one Fraction from integers, and rate_ueq the rate alone:
+    # Fraction arithmetic in either frame would make more
+    p = unequal_params(cfg)
+    assert (p.pool_empty, p.scenario) == shape
+    fields = (p.Fprime, p.occupied, p.Rprime, p.Mprime, p.Phi, p.gamma)
+    _, made = _fractions_made(lambda: (rate_ueq(cfg), _makes_one_fraction()))
+    assert made["_makes_one_fraction"] == 1  # the recorder counts each one
+    assert made["unequal_params"] == sum(f is not None for f in fields) <= 6
+    assert made["rate_ueq"] == 1
 
 
 def _names(node: ast.AST) -> str | None:

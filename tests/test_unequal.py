@@ -49,6 +49,12 @@ class TestUnequalParams:
         with pytest.raises(ValueError):
             UnequalConfig(3, 4, 2, 2, 1)  # K > N
 
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_one_user_is_refused_for_its_L(self, L):
+        # K = 1 is a valid user count, but no L splits one user in two groups
+        with pytest.raises(ValueError, match=rf"^need 1 <= L < K, got L={L}, K=1$"):
+            UnequalConfig(3, 1, L, 1, 1)
+
     def test_empty_pool_when_t_exceeds_pool(self):
         p = unequal_params(UnequalConfig(4, 4, 1, 4, 3))  # t = 3 > L = 1
         assert p.pool_empty

@@ -138,48 +138,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Options:
-    """Flag values merged over config-file values merged over defaults."""
+    """Flag values merged over config-file values, in one dict by config key;
+    a key in neither reads as its default."""
 
     def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = {}
-        if getattr(args, "config", None):
+        config = {}
+        if args.config:
             with open(args.config) as fh:
-                self._config = json.load(fh)
-            if not isinstance(self._config, dict):
+                config = json.load(fh)
+            if not isinstance(config, dict):
                 raise ValueError(f"config file {args.config} must hold a JSON object")
-            types = build_parser().config_types
-            for key, value in self._config.items():
-                kind = types.get(key)
-                if kind is None:
-                    raise ValueError(f"config key {key!r} names no flag a config file sets")
-                if kind is str and type(value) in (int, float):
-                    self._config[key] = str(value)  # a number is read as its text
-                elif value is not None and type(value) is not kind:
-                    raise ValueError(f"config value {key!r} must be {KIND_NAMES[kind]}, "
-                                     f"got {json.dumps(value)}")
+        types = build_parser().config_types
+        values = {}
+        for key, value in config.items():
+            kind = types.get(key)
+            if kind is None:
+                raise ValueError(f"config key {key!r} names no flag a config file sets")
+            if kind is str and type(value) in (int, float):
+                value = str(value)  # a number is read as its text
+            elif value is None:
+                continue  # null leaves the key unset
+            elif type(value) is not kind:
+                raise ValueError(f"config value {key!r} must be {KIND_NAMES[kind]}, "
+                                 f"got {json.dumps(value)}")
+            values[key] = value
+        # the command line's values, by config key (--from's is "from")
+        self.flags = {dest.rstrip("_"): value for dest, value in vars(args).items()
+                      if value is not None}
+        self._values = values | self.flags
 
     def get(self, name: str, default=None, cast=None):
-        value = getattr(self._args, name, None)
-        if value is None:
-            value = self._config.get(name.rstrip("_"), default)
-        if value is None:
-            return None
-        return cast(value) if cast else value
+        value = self._values.get(name, default)
+        return cast(value) if cast and value is not None else value
 
-    def require(self, name: str, default=None, cast=None):
-        value = self.get(name, default, cast)
-        if value is None:
-            raise ValueError(f"missing required parameter --{name.rstrip('_')}")
-        return value
+    def require(self, name: str, cast=None):
+        if name not in self._values:
+            raise ValueError(f"missing required parameter --{name}")
+        return self.get(name, cast=cast)
 
 
 def cmd_rate(opts: Options) -> int:
-    N = opts.require("N", cast=int)
-    K = opts.require("K", cast=int)
+    N = opts.require("N")
+    K = opts.require("K")
     M = opts.require("M", cast=parse_rational)
     scheme = opts.get("scheme", "proposed")
-    L = opts.get("L", cast=int)
+    L = opts.get("L")
     Mhat = opts.get("Mhat", cast=parse_rational)
     rep = SchemeInstance(scheme, N, K, M, L, Mhat).report
     text = _texts(rep)  # every field is formatted before any line is written
@@ -200,32 +203,39 @@ def _eval_sweep_task(task) -> RateReport:
 
 
 def cmd_sweep(opts: Options) -> int:
-    N = opts.require("N", cast=int)
-    K = opts.require("K", cast=int)
-    L = opts.require("L", cast=int)
+    N = opts.require("N")
+    K = opts.require("K")
+    L = opts.require("L")
     axis = opts.get("sweep_axis", "M")
     if axis not in ("M", "Mhat", "both"):
         raise ValueError(f"unknown sweep axis {axis!r}")
-    start = opts.require("from_", cast=parse_rational)
+    start = opts.require("from", cast=parse_rational)
     stop = opts.require("to", cast=parse_rational)
     step = opts.require("step", cast=parse_rational)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if start < 0 or stop > N:
         raise ValueError(f"sweep range [{start}, {stop}] must lie within [0, {N}]")
-    schemes = [s.strip() for s in str(opts.get("scheme", "proposed")).split(",")]
+    schemes = [s.strip() for s in opts.get("scheme", "proposed").split(",")]
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-    mhat_factor = opts.get("mhat_factor", cast=parse_rational)
-    fixed_M = opts.get("M", cast=parse_rational)
-    if axis == "Mhat" and fixed_M is None:
-        raise ValueError("sweeping Mhat needs a fixed --M")
-    fixed_Mhat = opts.get("Mhat", cast=parse_rational)
+    # each axis reads only the flags that set its other cache size: on axis M,
+    # Mhat is --Mhat-factor times M, else a fixed --Mhat, else M itself
+    factor = fixed = read = None
+    if axis == "M":
+        factor = opts.get("mhat_factor", cast=parse_rational)
+        read = "Mhat" if factor is None else "mhat_factor"
+        if factor is None:
+            fixed = opts.get("Mhat", cast=parse_rational)
+    elif axis == "Mhat":
+        read, fixed = "M", opts.get("M", cast=parse_rational)
+        if fixed is None:
+            raise ValueError("sweeping Mhat needs a fixed --M")
     fmt = opts.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")
-    jobs = opts.get("jobs", 1, int)
+    jobs = opts.get("jobs", 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
@@ -233,37 +243,26 @@ def cmd_sweep(opts: Options) -> int:
     if size := excess("sweep grid", [count] * (2 if axis == "both" else 1),
                       MAX_ENUMERATION):
         raise ValueError(f"{size} points is too many (limit {MAX_ENUMERATION})")
-    axis_values = [start + j * step for j in range(count)]
-    if not axis_values:
-        raise ValueError("empty sweep grid")
+    for key, flag in (("M", "--M"), ("Mhat", "--Mhat"), ("mhat_factor", "--Mhat-factor")):
+        if key in opts.flags and key != read:
+            raise ValueError(f"{flag} is not read when sweeping {axis}")
 
-    points: list[tuple[Fraction, Fraction]] = []  # (Mhat, M)
-    skipped = 0
+    values = [start + j * step for j in range(count)]
     if axis == "M":
-        for m in axis_values:
-            mhat = mhat_factor * m if mhat_factor is not None else (
-                fixed_Mhat if fixed_Mhat is not None else m
-            )
-            if mhat < m or mhat > N:
-                skipped += 1
-                continue
-            points.append((mhat, m))
+        candidates = [(factor * m if factor is not None else
+                       fixed if fixed is not None else m, m) for m in values]
     elif axis == "Mhat":
-        points = [(mh, fixed_M) for mh in axis_values if mh >= fixed_M]
-        skipped = len(axis_values) - len(points)
-    else:  # both
-        points = [(mh, m) for m in axis_values for mh in axis_values if mh >= m]
-    if skipped:
+        candidates = [(mhat, fixed) for mhat in values]
+    else:
+        candidates = [(mhat, m) for m in values for mhat in values]
+    points = [(mhat, m) for mhat, m in candidates if m <= mhat <= N]
+    if skipped := len(candidates) - len(points):
         print(f"note: skipped {skipped} grid points violating M <= Mhat <= N",
               file=sys.stderr)
     if not points:
         raise ValueError("empty sweep grid")
 
-    tasks = [
-        (scheme, N, K, L, mhat, m)
-        for (mhat, m) in points
-        for scheme in schemes
-    ]
+    tasks = [(scheme, N, K, L, mhat, m) for mhat, m in points for scheme in schemes]
     # the pool starts all its workers at once: never more than there is work or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -276,61 +275,52 @@ def cmd_sweep(opts: Options) -> int:
     else:
         reports = [_eval_sweep_task(t) for t in tasks]
     # a row shows its grid point's L and Mhat, which the equal scheme's report omits
-    rows = [_texts(rep, L=l, Mhat=mhat)
-            for rep, (_, _, _, l, mhat, _) in zip(reports, tasks)]
+    texts = [_texts(rep, L=task[3], Mhat=task[4]) for rep, task in zip(reports, tasks)]
+    rows = [[text[c] for c in CSV_COLUMNS] for text in texts]
 
     columns = list(CSV_COLUMNS)
     external_path = opts.get("external_rates")
     if external_path:
         table = import_external_rates(external_path)
         columns += ["external", "ratio_external"]
-        matched = set()
-        worst_ratio = None
-        for task, rep, row in zip(tasks, reports, rows):
-            scheme, n, k, l, mhat, m = task
-            key = (n, k, l, mhat, m)
-            row["external"] = row["ratio_external"] = ""
-            if key in table:
-                matched.add(key)
-                ext = table[key]
-                row["external"] = _text(ext, "external rate")
-                if ext > 0:
-                    ratio = rep.rate / ext
-                    row["ratio_external"] = _dec(ratio)
-                    if scheme == "proposed" and (worst_ratio is None or ratio > worst_ratio):
-                        worst_ratio = ratio
+        externals = [table.get(task[1:]) for task in tasks]
+        ratios = [rep.rate / ext if ext is not None and ext > 0 else None
+                  for rep, ext in zip(reports, externals)]
+        for row, ext, ratio in zip(rows, externals, ratios):
+            row += [_text(ext, "external rate"), "" if ratio is None else _dec(ratio)]
+        grid = {task[1:] for task in tasks}
         for key in table:
-            if key not in matched:
+            if key not in grid:
                 print(f"warning: external rate at {key} matches no grid point; "
                       "row skipped", file=sys.stderr)
-        if worst_ratio is not None:
-            print(f"max proposed/external ratio: {_dec(worst_ratio)}", file=sys.stderr)
+        worst = max((ratio for task, ratio in zip(tasks, ratios)
+                     if task[0] == "proposed" and ratio is not None), default=None)
+        if worst is not None:
+            print(f"max proposed/external ratio: {_dec(worst)}", file=sys.stderr)
 
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n",
-                                extrasaction="ignore")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     else:
-        ordered = [{c: row.get(c, "") for c in columns} for row in rows]
-        print(json.dumps(ordered, indent=2))
+        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
     return 0
 
 
 def cmd_verify(opts: Options) -> int:
     from .simulator import report_lines, verify_demands  # bits load for verify alone
 
-    N = opts.require("N", cast=int)
-    K = opts.require("K", cast=int)
+    N = opts.require("N")
+    K = opts.require("K")
     M = opts.require("M", cast=parse_rational)
     scheme = opts.get("scheme", "proposed")
     if scheme not in ("equal", "proposed"):
         raise ValueError("verification supports the equal and proposed schemes")
-    L = opts.get("L", cast=int)
+    L = opts.get("L")
     Mhat = opts.get("Mhat", cast=parse_rational)
-    seed = opts.get("seed", 0, int)
+    seed = opts.get("seed", 0)
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     mode = "exhaustive" if opts.get("exhaustive") else "distinct"

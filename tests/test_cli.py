@@ -296,6 +296,48 @@ class TestSweep:
         assert "sweep grid >= 10^" in err and "(limit 1000000)" in err
         assert "integer string conversion" not in err
 
+    UNREAD = ("sweep", "--N", "4", "--K", "4", "--L", "2", "--from", "1", "--to", "2",
+              "--step", "1")
+
+    @pytest.mark.parametrize("axis,flags,flag", [
+        ("M", ("--M", "1"), "--M"),
+        ("M", ("--Mhat-factor", "2", "--Mhat", "4"), "--Mhat"),
+        ("Mhat", ("--M", "1", "--Mhat", "3"), "--Mhat"),
+        ("Mhat", ("--M", "1", "--Mhat-factor", "3"), "--Mhat-factor"),
+        ("both", ("--M", "1"), "--M"),
+        ("both", ("--Mhat", "3"), "--Mhat"),
+        ("both", ("--Mhat-factor", "3"), "--Mhat-factor"),
+    ])
+    def test_refuses_a_flag_its_axis_does_not_read(self, capsys, monkeypatch, axis,
+                                                   flags, flag):
+        # each flag was once dropped without a word, and the sweep exited 0
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed before the flags were checked")
+
+        monkeypatch.setattr(cli, "SchemeInstance", no_rows)
+        code, out, err = run(capsys, *self.UNREAD, "--sweep-axis", axis, *flags)
+        assert (code, out, err) == (1, "", f"error: {flag} is not read when sweeping {axis}\n")
+
+    def test_a_config_may_set_what_the_axis_does_not_read(self, capsys, tmp_path):
+        # one config file serves every axis: only the command line is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": "1", "Mhat": "3", "mhat_factor": "2"}))
+        argv = (*self.UNREAD, "--sweep-axis", "both")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--config", str(cfg)) == plain
+
+    def test_both_axes_note_the_points_they_skip(self, capsys):
+        # M and Mhat over {0, 1}: the point M = 1 > Mhat = 0 is skipped
+        code, out, err = run(
+            capsys, "sweep", "--N", "4", "--K", "4", "--L", "2", "--sweep-axis", "both",
+            "--from", "0", "--to", "1", "--step", "1", "--scheme", "equal",
+        )
+        assert code == 0
+        assert [row[3:5] for row in csv.reader(io.StringIO(out))][1:] == [
+            ["0", "0"], ["1", "0"], ["1", "1"]]
+        assert err == "note: skipped 1 grid points violating M <= Mhat <= N\n"
+
     def test_refuses_unprintable_rate(self, capsys):
         # the M = 10^-4299 row has an Rprime too long to print: no row is written
         code, out, err = run(
@@ -588,6 +630,28 @@ class TestConfigFile:
         assert out.splitlines()[0] == "rate 4 (4)"
 
     VERIFY = ("verify", "--N", "4", "--K", "3", "--L", "1", "--Mhat", "3", "--M", "1")
+
+    NULL_RUNS = {
+        "rate": ("rate", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2", "--M", "1"),
+        "sweep": ("sweep", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+                  "--from", "1", "--to", "2", "--step", "1"),
+        "verify": ("verify", "--N", "4", "--K", "4", "--L", "3", "--Mhat", "2", "--M", "1"),
+    }
+
+    @pytest.mark.parametrize("command,key", [
+        ("verify", "seed"), ("verify", "exhaustive"), ("verify", "inject_fault"),
+        ("sweep", "jobs"), ("sweep", "format"), ("sweep", "sweep_axis"),
+        ("sweep", "scheme"), ("rate", "scheme"), ("verify", "scheme"),
+    ])
+    def test_null_leaves_a_key_at_its_default(self, capsys, tmp_path, command, key):
+        # a null was once read as the value None: seed and jobs escaped main as
+        # a TypeError, and a scheme, format or axis of None was refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        argv = self.NULL_RUNS[command]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--config", str(cfg)) == plain
 
     @pytest.mark.parametrize("key,value,expect", [
         ("inject_fault", "no", "true or false"),

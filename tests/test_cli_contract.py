@@ -52,7 +52,10 @@ CONFIG_KEYS = ["N", "K", "L", "M", "Mhat", "scheme", "seed", "sweep_axis", "from
 EXTERNAL_ROWS = ["4,4,3,2,1,1", "4,4,2,2,1,0", "4,4,3,2,1,1e-400", "4,4,3", "x,4,3,2,1,1",
                  "# comment", ""]
 POINT = ["--N", "4", "--K", "4", "--L", "3", "--M", "1", "--Mhat", "2"]
-GRID = ["--from", "0", "--to", "4", "--step", "1/2"]
+# a sweep's start is the same point without --M, which its default axis M
+# does not read, and a grid
+SWEEP = ["--N", "4", "--K", "4", "--L", "3", "--Mhat", "2",
+         "--from", "0", "--to", "4", "--step", "1/2"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from(sum(RATS, [])),
@@ -74,7 +77,7 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
     if draw(st.integers(0, 7)):  # mostly start from a point the commands accept
-        argv += POINT + (GRID if command == "sweep" else [])
+        argv += SWEEP if command == "sweep" else POINT
     files = {}
     flags = FLAGS[command]
     for _ in range(draw(st.integers(0, 4))):

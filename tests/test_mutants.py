@@ -11,11 +11,16 @@ passes on the code as it is.
 
 import __future__
 
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import pkgutil
+import tempfile
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -196,6 +201,27 @@ def demand_outside_the_library_is_refused():
         raise AssertionError("a demand for file 4 of 3 was bound")
 
 
+def config_null_leaves_the_default():
+    """A config value of null leaves its key unset: verify runs at seed 0."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps({"seed": None}))
+        code = cli.main(["verify", "--scheme", "equal", "--N", "4", "--K", "4", "--M", "1",
+                         "--config", str(config)])
+    assert code == 0
+
+
+def sweep_refuses_an_unread_flag():
+    """Sweeping Mhat reads --M alone, so --Mhat-factor is refused (main exits
+    1 on the ValueError).  The sweep is called through the module, where the
+    mutant is bound: the parser is built once and holds the original."""
+    args = cli.build_parser().parse_args([
+        "sweep", "--N", "4", "--K", "4", "--L", "2", "--sweep-axis", "Mhat", "--M", "1",
+        "--Mhat-factor", "3", "--from", "1", "--to", "2", "--step", "1"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        refuses(lambda: cli.cmd_sweep(cli.Options(args)), "--Mhat-factor is not read")
+
+
 ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            proposed_caches_fill_their_sizes, flipped_payload_bit_fails,
            payloads_fit_their_widths,
@@ -205,7 +231,8 @@ ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            user_named_twice_is_refused,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
            subfile_off_the_bits_is_refused, unmerged_cache_ranges_are_refused,
-           scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused]
+           scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused,
+           config_null_leaves_the_default, sweep_refuses_an_unread_flag]
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +312,11 @@ MUTANTS = [
     Mutant("mprime-uses-half-the-extra-cache", "unequal.unequal_params",
            "xn, xd = hp * mq - mp * hq, hq * mq", "xn, xd = hp * mq - mp * hq, 2 * hq * mq",
            proposed_caches_fill_their_sizes),
+    Mutant("config-null-is-a-value", "cli.Options.__init__",
+           "continue  # null leaves the key unset", "pass", config_null_leaves_the_default),
+    Mutant("sweep-reads-every-flag", "cli.cmd_sweep",
+           "if key in opts.flags and key != read:", "if False:",
+           sweep_refuses_an_unread_flag),
 ]
 
 

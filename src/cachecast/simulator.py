@@ -15,9 +15,10 @@ and merged into integer intervals (``CacheImage``).
 ``compile_plan`` turns a template's integer rows into bits once per
 template and file size, and every plan bound from the template
 (``equal_cache.BoundPlan``) reuses the result: each distinct part boundary
-is scaled to a bit once, and each part held once, as a user and a run of
-the cells between those boundaries.  ``execute_delivery`` XORs the parts
-out of the files, reading the part for user k from file d[k-1].
+is scaled to a bit once, each part held once, as a user and a run of the
+cells between those boundaries, and each transmission's width once, in
+one tuple that the log and the decoder read.  ``execute_delivery`` XORs
+the parts out of the files, reading the part for user k from file d[k-1].
 ``decode_all`` decodes the log one transmission at a time, as the paper
 does: it XORs each part, read from the files, out of the received payload,
 and a reader recovers its own part exactly where that residue is zero;
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, permutations, product, repeat
+from itertools import chain, permutations, product
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
@@ -57,23 +58,21 @@ from .unequal import build_two_stage  # noqa: F401
 MAX_MATERIALIZE_BYTES = 2**30
 
 
-def _template(plan: DeliveryPlan | BoundPlan) -> DeliveryPlan:
-    return plan.template if isinstance(plan, BoundPlan) else plan
-
-
-def required_bits(placement: Placement, *plans: DeliveryPlan | BoundPlan) -> int:
+def required_bits(placement: Placement,
+                  plan: DeliveryPlan | BoundPlan | None = None) -> int:
     """Smallest file size in bits realizing every boundary exactly.
 
-    Offsets and lengths are whole units of F/unit, one unit per placement
-    and plan, so each needs its unit divided by the gcd of that unit and
-    its integers, and the file size is the lcm of those.  A bound plan is
-    read through its template.
+    Offsets and lengths are whole units of F/unit, one unit for the
+    placement and one for the plan, so each needs its unit divided by the
+    gcd of that unit and its integers, and the file size is the lcm of
+    those.  A bound plan is read through its template.
     """
     layout = placement.layout
     runs = [(placement.unit, chain.from_iterable((sf.a, sf.n) for sf in layout))]
-    runs += [(plan.unit, chain.from_iterable((width, *(offset for _, offset in row))
-                                             for width, row in plan.transmissions))
-             for plan in map(_template, plans)]
+    if plan is not None:
+        plan = plan.template if isinstance(plan, BoundPlan) else plan
+        runs.append((plan.unit, chain.from_iterable((width, *(offset for _, offset in row))
+                                                    for width, row in plan.transmissions)))
     return math.lcm(*(unit // math.gcd(unit, *xs) for unit, xs in runs))
 
 
@@ -197,7 +196,7 @@ def materialize(
     intervals, so nothing is allocated but the packed files.
     """
     if F_bits is None:
-        F_bits = required_bits(placement, *([] if plan is None else [plan]))
+        F_bits = required_bits(placement, plan)
     if F_bits < 1:
         raise ValueError(f"F_bits must be at least 1, got {F_bits}")
     nbytes = (placement.K + placement.N) * F_bits
@@ -224,32 +223,27 @@ class CompiledPlan(NamedTuple):
     part is a run of whole cells.  ``parts[t]`` lists transmission t's parts
     as (user, first cell, end cell): 0-based user and bits
     edges[first]:edges[end] of the file that user wants.  Transmission t
-    sends payload bits sent[t]:sent[t+1], as wide as each of its parts, so
-    the widths, and with them the load, are fixed here, for every demand.
+    sends ``widths[t]`` bits, as many as each of its parts holds, so the
+    widths, and with them the load, are fixed here, for every demand.
     A transmission names each user once: a user decodes with its own part
     and cancels the others.
     """
 
     parts: list[list[tuple[int, int, int]]]
-    sent: list[int]
+    widths: tuple[int, ...]
     edges: list[int]
 
-    @property
-    def total_bits(self) -> int:
-        return self.sent[-1]
 
-
-def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
+def compile_plan(template: DeliveryPlan, F_bits: int) -> CompiledPlan:
     """Fix a template's bit geometry at ``F_bits``, checking it once.
 
     Every transmission must have parts and a width, every part boundary
     must be an integer bit, no user may be sent a bit twice, in any of its
     parts, so one user's own parts never overlap, and no transmission may
     name a user twice, so each target has one part to read.  This is the only
-    place delivery turns a plan's integer offsets into bits: each distinct
-    boundary is scaled once.  A bound plan is compiled through its template.
+    place delivery turns a plan's integer offsets and widths into bits: each
+    distinct boundary, and each transmission's width, is scaled once.
     """
-    template = _template(plan)
     unit, txs = template.unit, template.transmissions
     ranges, bounds = [], {unit}
     for t, (width, row) in enumerate(txs):
@@ -280,8 +274,7 @@ def compile_plan(plan: DeliveryPlan | BoundPlan, F_bits: int) -> CompiledPlan:
             raise ValueError(f"transmission {t} names user {twice} twice")
     parts = [[(target - 1, cell[offset], cell[offset + width]) for target, offset in row]
              for width, row in txs]
-    sent = list(accumulate((width * F_bits // unit for width, _ in txs), initial=0))
-    return CompiledPlan(parts, sent, edges)
+    return CompiledPlan(parts, tuple(width * F_bits // unit for width, _ in txs), edges)
 
 
 def _compiled(plan: BoundPlan, F_bits: int) -> CompiledPlan:
@@ -345,11 +338,10 @@ def _decode(cp: CompiledPlan, caches: CacheImage, log: TransmissionLog,
         cached.append(counts)
     wrong = [False] * len(missing)
     edges, wants = cp.edges, [store.files[f - 1] for f in d]
-    for lo, hi, parts, residue in zip(cp.sent, cp.sent[1:], cp.parts, log.payloads):
+    for width, parts, residue in zip(cp.widths, cp.parts, log.payloads):
         for user, a, b in parts:
             residue ^= _read(wants[user], edges[a], edges[b])
         bad = residue != 0
-        width = hi - lo
         for user, a, b in parts:
             row = cached[user]
             if all(row[b2] - row[a2] == width
@@ -388,8 +380,7 @@ def execute_delivery(store: FileStore, plan: BoundPlan) -> TransmissionLog:
     from the file its target wants under the plan's demand."""
     cp = _compiled(plan, store.F_bits)
     payloads = _xor(cp, store, check_demands(plan.demand, store.N, len(plan.demand)))
-    return TransmissionLog(tuple(payloads),
-                           tuple(b - a for a, b in zip(cp.sent, cp.sent[1:])))
+    return TransmissionLog(tuple(payloads), cp.widths)
 
 
 class VerificationReport(NamedTuple):
@@ -447,8 +438,7 @@ def decode_all(
     if tuple(plan.demand) != d:
         raise ValueError(f"plan does not serve demand {d}: it is bound to "
                          f"demand {plan.demand}")
-    widths = [b - a for a, b in zip(cp.sent, cp.sent[1:])]
-    if list(log.widths) != widths or len(log.payloads) != len(widths):
+    if tuple(log.widths) != cp.widths or len(log.payloads) != len(cp.widths):
         raise ValueError("transmission log does not match the plan's widths")
     ok = _decode(cp, caches, log, store, d)
     return VerificationReport(
@@ -495,7 +485,7 @@ def enumerate_demands(N: int, K: int, mode: str) -> DemandSet:
     if not 1 <= K <= N:
         raise ValueError(f"need N >= K >= 1, got N={N}, K={K}")
     if mode == "exhaustive":
-        if count := excess("N^K", repeat(N, K), MAX_ENUMERATION):
+        if count := excess("N^K", (N for _ in range(K)), MAX_ENUMERATION):
             raise ValueError(f"{count} demands is too many for exhaustive mode "
                              f"(limit {MAX_ENUMERATION}); use distinct-demand mode")
         return DemandSet(N, K, exhaustive=True)

@@ -439,6 +439,15 @@ class TestVerify:
         assert code == 0
         assert "256/256 demands pass" in out
 
+    def test_exhaustive_count_past_the_index_sized_integer_is_refused(self, capsys):
+        # N^K is counted from K of any size, and stops at the printable bound
+        big = "11111111111111111111"
+        code, out, err = run(capsys, "verify", "--N", big, "--K", big, "--L", "3",
+                             "--M", "1", "--Mhat", "2", "--exhaustive")
+        assert (code, out) == (1, "")
+        assert err == ("error: N^K >= 10^4300 demands is too many for exhaustive mode "
+                       "(limit 1000000); use distinct-demand mode\n")
+
     def test_injected_fault_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--N", "4", "--K", "4", "--L", "3",

@@ -13,6 +13,7 @@ random demands, toggled cache bits and flipped payload bits (derandomized),
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import given, settings
@@ -87,9 +88,10 @@ def test_decoder_matches_reference(point, data):
     cp = plan.template.compiled[F]
     payloads = list(log.payloads)
     if log.total_bits:
+        starts = list(accumulate(cp.widths, initial=0))  # first bit of each payload
         for bit in data.draw(st.lists(st.integers(0, log.total_bits - 1), max_size=2)):
-            t = next(t for t in range(len(payloads)) if bit < cp.sent[t + 1])
-            payloads[t] ^= 1 << (bit - cp.sent[t])
+            t = next(t for t in range(len(payloads)) if bit < starts[t + 1])
+            payloads[t] ^= 1 << (bit - starts[t])
     log = log._replace(payloads=tuple(payloads))
     expected = reference_decode(cp, masks, log, simulator._xor(cp, store, d))
     report = decode_all(cache_from_masks(N, masks), log, d, plan, store)

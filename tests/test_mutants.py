@@ -201,6 +201,15 @@ def demand_outside_the_library_is_refused():
         raise AssertionError("a demand for file 4 of 3 was bound")
 
 
+def demand_count_over_the_limit_is_refused():
+    """Past MAX_ENUMERATION both modes refuse before listing a demand:
+    11^6 = 1,771,561 demands, and 11!/3! = 6,652,800 distinct ones."""
+    refuses(lambda: simulator.enumerate_demands(11, 6, "exhaustive"),
+            "N^K = 1771561 demands is too many")
+    refuses(lambda: simulator.enumerate_demands(11, 8, "distinct"),
+            "N!/(N-K)! = 6652800 distinct demands is too many")
+
+
 def config_null_leaves_the_default():
     """A config value of null leaves its key unset: verify runs at seed 0."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -232,7 +241,8 @@ ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            zero_width_transmission_is_refused, boundary_off_the_bits_is_refused,
            subfile_off_the_bits_is_refused, unmerged_cache_ranges_are_refused,
            scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused,
-           config_null_leaves_the_default, sweep_refuses_an_unread_flag]
+           demand_count_over_the_limit_is_refused, config_null_leaves_the_default,
+           sweep_refuses_an_unread_flag]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,10 @@ MUTANTS = [
     Mutant("store-takes-a-file-of-any-length", "simulator.FileStore.__new__",
            "if len(buf) != size:", "if False:", file_of_another_length_is_refused),
     Mutant("decode-takes-a-log-short-of-payloads", "simulator.decode_all",
-           " or len(log.payloads) != len(widths)", "", log_short_of_payloads_is_refused),
+           " or len(log.payloads) != len(cp.widths)", "", log_short_of_payloads_is_refused),
+    Mutant("enumeration-takes-any-count", "simulator.enumerate_demands",
+           'if count := excess("N^K", (N for _ in range(K)), MAX_ENUMERATION):',
+           "if False:", demand_count_over_the_limit_is_refused),
     Mutant("materialize-caches-everything", "simulator.materialize",
            "for owner in sf.owners:", "for owner in range(1, placement.K + 1):",
            proposed_scheme_verifies),

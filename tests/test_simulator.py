@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -203,6 +204,17 @@ class TestExecuteDelivery:
             for width, _ in plan.template.transmissions
         )
         assert log.total_bits == per_tx
+
+    def test_log_carries_the_compiled_widths(self):
+        # the widths are computed once, when the template is compiled, and
+        # the log holds that same tuple for every demand
+        _, plan, store, _ = worked_system()
+        log = execute_delivery(store, plan)
+        cp = plan.template.compiled[store.F_bits]
+        assert cp._fields == ("parts", "widths", "edges")
+        assert type(cp.widths) is tuple and log.widths is cp.widths
+        other = BoundPlan(plan.template, (4, 4, 1, 2))
+        assert execute_delivery(store, other).widths is cp.widths
 
 
 class TestDecodeAll:
@@ -527,12 +539,22 @@ class TestDecodeOutcomes:
         store, _ = materialize(inst.placement, plan)
         message = "^transmission 0 names user 1 twice$"
         with pytest.raises(ValueError, match=message):
-            simulator.compile_plan(plan, store.F_bits)
+            simulator.compile_plan(plan.template, store.F_bits)
         with pytest.raises(ValueError, match=message):
             execute_delivery(store, plan)
 
 
 class TestCompile:
+    def test_takes_the_template_it_reads(self):
+        # compile_plan reads a template, and required_bits one optional plan
+        params = inspect.signature(simulator.compile_plan).parameters
+        assert [(p.name, p.annotation) for p in params.values()] == [
+            ("template", "DeliveryPlan"), ("F_bits", "int")]
+        params = inspect.signature(required_bits).parameters
+        assert [(p.name, p.kind, p.default) for p in params.values()] == [
+            ("placement", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("plan", inspect.Parameter.POSITIONAL_OR_KEYWORD, None)]
+
     def test_rejects_a_transmission_without_parts(self):
         with pytest.raises(ValueError, match="transmission 0 has no parts"):
             simulator.compile_plan(DeliveryPlan(4, ((1, ()),)), 4)
@@ -549,7 +571,7 @@ class TestCompile:
         with pytest.raises(ValueError, match="^F_bits=4 cannot realize the part "
                                              "boundary 1/8: boundaries must be "
                                              "integer bits$"):
-            simulator.compile_plan(plan, 4)
+            simulator.compile_plan(plan.template, 4)
 
     def test_rejects_bits_sent_twice(self):
         _, plan, store, _ = worked_system()
@@ -571,11 +593,11 @@ class TestCompile:
             simulator.compile_plan(twice, 2)
 
     def test_load_is_fixed_at_compile_time(self):
-        template = WORKED.plan((1, 2, 3, 4))
+        template = WORKED.plan((1, 2, 3, 4)).template
         F = required_bits(WORKED.placement, template)
         cp = simulator.compile_plan(template, F)
-        assert cp.total_bits == WORKED.formula_rate * F
-        assert all(r.measured_load_bits == cp.total_bits
+        assert sum(cp.widths) == WORKED.formula_rate * F
+        assert all(r.measured_load_bits == sum(cp.widths)
                    for r in verify_demands(WORKED, mode="exhaustive"))
 
     def test_one_verify_compiles_once(self, monkeypatch):

@@ -326,13 +326,15 @@ def test_views_and_second_checks_stay_out_of_the_package():
     # the per-demand view, the re-check of scheme 1's shares and the helpers
     # that only tests read live in tests/views.py or nowhere; a plan holds
     # integer rows, not an object per part, and a compiled plan each part
-    # once; a placement holds integer subfiles in one unit, not segments; a
+    # once and each transmission's width, not offsets into one payload
+    # buffer; a placement holds integer subfiles in one unit, not segments; a
     # build is its placement and template, with no copy of the config, and
     # the derived parameters hold none either; a store keeps no copy of what
     # it delivered; sharing_level is the one reader of t = K*M/N
     gone = {"FileSegment", "BetaAllocation", "user_intervals", "lcm_denominators",
             "Part", "Transmission", "Segment", "_total_length", "_levels"}
-    members = {"BoundPlan": {"transmissions"}, "CompiledPlan": {"live"},
+    members = {"BoundPlan": {"transmissions"},
+               "CompiledPlan": {"live", "sent", "total_bits"},
                "Subfile": {"segments", "length"}, "TwoStageContext": {"cfg"},
                "FileStore": {"delivered"}, "_FileStore": {"delivered"},
                "UnequalParams": {"L", "Mhat"}}
@@ -345,3 +347,12 @@ def test_views_and_second_checks_stay_out_of_the_package():
                 found += [f"{path.name}:{item.lineno} {node.name}.{_names(item)}"
                           for item in node.body if _names(item) in members[node.name]]
     assert found == []
+
+
+def test_the_simulator_keeps_widths_not_offsets():
+    # each transmission's width is scaled once, in compile_plan; nothing in
+    # the simulator accumulates widths into payload offsets
+    tree = ast.parse((PACKAGE / "simulator.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "accumulate" not in imported

@@ -131,7 +131,7 @@ def import_external_rates(path: str) -> dict[CachePoint, Rational]:
     """
     table: dict[CachePoint, Rational] = {}
     lines: dict[CachePoint, int] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -114,7 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", help="csv | json")
     p_sweep.add_argument("--external-rates", dest="external_rates",
                          help="table of externally computed rates to attach")
-    p_sweep.add_argument("--jobs", type=int, help="worker processes")
+    # a sweep runs in one process: --jobs stays parseable, out of --help, only
+    # because perfbench's fig5-sweep passes --jobs 1, and cmd_sweep refuses
+    # any other value
+    p_sweep.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="bit-exact decode verification")
@@ -144,7 +147,7 @@ class Options:
     def __init__(self, args: argparse.Namespace):
         config = {}
         if args.config:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError(f"config file {args.config} must hold a JSON object")
@@ -197,11 +200,6 @@ def cmd_rate(opts: Options) -> int:
     return 0
 
 
-def _eval_sweep_task(task) -> RateReport:
-    scheme, N, K, L, Mhat, M = task
-    return SchemeInstance(scheme, N, K, M, L, Mhat).report
-
-
 def cmd_sweep(opts: Options) -> int:
     N = opts.require("N")
     K = opts.require("K")
@@ -236,8 +234,8 @@ def cmd_sweep(opts: Options) -> int:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")
     jobs = opts.get("jobs", 1)
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    if jobs != 1:
+        raise ValueError(f"--jobs must be 1, got {jobs}: a sweep runs in one process")
 
     count = max(0, math.floor((stop - start) / step) + 1)
     if size := excess("sweep grid", [count] * (2 if axis == "both" else 1),
@@ -263,17 +261,8 @@ def cmd_sweep(opts: Options) -> int:
         raise ValueError("empty sweep grid")
 
     tasks = [(scheme, N, K, L, mhat, m) for mhat, m in points for scheme in schemes]
-    # the pool starts all its workers at once: never more than there is work or CPUs
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        # a few chunks per worker: one round trip per task costs more than the task
-        chunksize = math.ceil(len(tasks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_eval_sweep_task, tasks, chunksize=chunksize))
-    else:
-        reports = [_eval_sweep_task(t) for t in tasks]
+    reports = [SchemeInstance(scheme, N, K, m, L, mhat).report
+               for scheme, *_, mhat, m in tasks]
     # a row shows its grid point's L and Mhat, which the equal scheme's report omits
     texts = [_texts(rep, L=task[3], Mhat=task[4]) for rep, task in zip(reports, tasks)]
     rows = [[text[c] for c in CSV_COLUMNS] for text in texts]

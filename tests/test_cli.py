@@ -361,7 +361,8 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--help"])
         assert exc.value.code == 0
-        assert "--step" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--step" in out and "--jobs" not in out
 
     # four tasks: M in {0, 1, 2, 3}, scheme proposed
     SMALL_SWEEP = (
@@ -370,56 +371,31 @@ class TestSweep:
         "--scheme", "proposed",
     )
 
-    def test_jobs_parallel_same_output(self, capsys):
-        _, serial, _ = run(capsys, *self.SMALL_SWEEP)
-        _, parallel, _ = run(capsys, *self.SMALL_SWEEP, "--jobs", "2")
-        assert serial == parallel
-
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_one(self, capsys, jobs):
         code, out, err = run(capsys, *self.SMALL_SWEEP, "--jobs", jobs)
-        assert code == 1 and out == ""
-        assert f"error: --jobs must be at least 1, got {jobs}" in err
+        assert (code, out) == (1, "")
+        assert err == f"error: --jobs must be 1, got {jobs}: a sweep runs in one process\n"
 
-    @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        """Record each pool's worker count and chunksize; start no process."""
-        started = []
+    @pytest.mark.parametrize("jobs", ["2", "100000"])
+    def test_jobs_above_one_exit_one(self, capsys, jobs):
+        # a sweep runs in one process: no value of --jobs starts a worker
+        code, out, err = run(capsys, *self.SMALL_SWEEP, "--jobs", jobs)
+        assert (code, out) == (1, "")
+        assert err == f"error: --jobs must be 1, got {jobs}: a sweep runs in one process\n"
 
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append({"workers": max_workers})
+    def test_config_jobs_above_one_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        code, out, err = run(capsys, *self.SMALL_SWEEP, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: --jobs must be 1, got 2: a sweep runs in one process\n"
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                started[-1]["chunksize"] = chunksize
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        return started
-
-    @pytest.mark.parametrize("cpus,workers", [(64, 4), (3, 3), (1, None)])
-    def test_jobs_bounded_by_tasks_and_cpus(self, capsys, monkeypatch, fake_pool,
-                                            cpus, workers):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        _, serial, _ = run(capsys, *self.SMALL_SWEEP)
-        code, out, _ = run(capsys, *self.SMALL_SWEEP, "--jobs", "100000")
-        assert code == 0 and out == serial
-        assert [p["workers"] for p in fake_pool] == ([] if workers is None else [workers])
-
-    def test_jobs_chunk_many_tasks_per_worker(self, capsys, monkeypatch, fake_pool):
-        # 25 M points: 12.5 tasks per worker go out in chunks of ceil(25/8) = 4
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        sweep = (*self.SMALL_SWEEP[:-4], "--step", "1/8", "--scheme", "proposed")
-        _, serial, _ = run(capsys, *sweep)
-        code, out, _ = run(capsys, *sweep, "--jobs", "2")
-        assert code == 0 and out == serial and len(out.splitlines()) == 26
-        assert fake_pool == [{"workers": 2, "chunksize": 4}]
+    def test_jobs_one_is_the_default(self, capsys):
+        # perfbench's fig5-sweep passes --jobs 1
+        plain = run(capsys, *self.SMALL_SWEEP)
+        assert plain[0] == 0
+        assert run(capsys, *self.SMALL_SWEEP, "--jobs", "1") == plain
 
 
 class TestVerify:

@@ -7,9 +7,9 @@ stdout closed before the output is written ends every command alike: exit
 141 and nothing on stderr.
 
 The grammar keeps every accepted input small (N and K of at most 6, grids
-of a few dozen points) so the derandomized run stays short, and it never
-asks for worker processes: ``--jobs`` takes no value above 1, and config
-files leave the ``jobs`` key out.
+of a few dozen points) so the derandomized run stays short.  A sweep runs in
+one process: ``--jobs`` accepts only 1, so ``--jobs 2`` is drawn as a refused
+value, and a config file may hold any ``jobs``.
 """
 
 import contextlib
@@ -42,13 +42,13 @@ FLAGS = {
     "rate": COMMON,
     "sweep": {**COMMON, "--from": RATS, "--to": RATS, "--step": RATS,
               "--Mhat-factor": RATS, "--sweep-axis": (["M", "Mhat", "both"], ["z"]),
-              "--format": (["csv", "json"], ["xml"]), "--jobs": (["1"], ["0", "-1", "x"])},
+              "--format": (["csv", "json"], ["xml"]), "--jobs": (["1"], ["0", "-1", "2", "x"])},
     "verify": {**COMMON, "--seed": INTS, "--exhaustive": None, "--inject-fault": None},
 }
-# every flag's config key but jobs, plus names no flag has
+# every flag's config key, plus names no flag has
 CONFIG_KEYS = ["N", "K", "L", "M", "Mhat", "scheme", "seed", "sweep_axis", "from",
-               "to", "step", "mhat_factor", "format", "exhaustive", "inject_fault",
-               "from_", "bogus"]
+               "to", "step", "mhat_factor", "format", "jobs", "exhaustive",
+               "inject_fault", "from_", "bogus"]
 EXTERNAL_ROWS = ["4,4,3,2,1,1", "4,4,2,2,1,0", "4,4,3,2,1,1e-400", "4,4,3", "x,4,3,2,1,1",
                  "# comment", ""]
 POINT = ["--N", "4", "--K", "4", "--L", "3", "--M", "1", "--Mhat", "2"]
@@ -131,6 +131,14 @@ def test_every_invocation_keeps_the_exit_contract(invocation):
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
 
 
+def child_env(**extra):
+    """The environment for a ``python -m cachecast.cli`` child, with
+    ``extra`` set in it."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 @pytest.mark.parametrize("argv", [
     ["rate", "--N", "10", "--K", "4", "--L", "2", "--Mhat", "33/4", "--M", "11/4"],
     ["sweep", "--N", "10", "--K", "4", "--L", "2", "--sweep-axis", "M", "--from", "0",
@@ -139,9 +147,7 @@ def test_every_invocation_keeps_the_exit_contract(invocation):
 def test_a_closed_stdout_ends_quietly(argv):
     # the pipe's reader has left before the command writes, as under
     # `| head` once head has its line: every write to stdout fails
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     read, write = os.pipe()
     os.close(read)
     try:
@@ -161,3 +167,21 @@ def test_a_config_file_may_hold_another_command_s_keys(tmp_path):
     plain = run_main(argv)
     assert plain[0] == 0
     assert run_main(argv + ["--config", str(config)]) == plain
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--config", '{"report": "rapport-café.txt"}\n'),
+    ("--external-rates", "# café\n10,4,2,3,1,1/2\n"),
+], ids=["config", "external-rates"])
+def test_input_files_are_read_as_utf8_whatever_the_locale(tmp_path, flag, text):
+    # in the C locale, with neither coercion nor UTF-8 mode, a file opened
+    # with no encoding is read as ASCII, and both files once exited 1 with
+    # "'ascii' codec can't decode byte 0xc3"
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = ["sweep", "--N", "10", "--K", "4", "--L", "2", "--Mhat-factor", "3",
+            "--from", "0", "--to", "1", "--step", "1", flag, str(path)]
+    env = child_env(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-m", "cachecast.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == run_main(argv)[:2], proc.stderr

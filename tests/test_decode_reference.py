@@ -3,8 +3,9 @@
 ``simulator._decode`` walks each user's cache intervals once against the
 compiled plan's part boundaries (``CompiledPlan.edges``), and reads every
 (user, part) count as a difference of two prefix sums.
-``reference_decode`` below is the decoder it replaced, which reduced
-(K, F_bits) cache masks once per part; it is kept as the reference.  Over
+``reference_decode`` below is the decoder it replaced, which reads the
+cache bit by bit, one byte per bit, once per part; it is kept as the
+reference.  Over
 random rational points (K <= 6, N <= 9, cache-size denominators at most 9),
 random demands, toggled cache bits and flipped payload bits (derandomized),
 ``decode_all``, handed the toggled masks as intervals by
@@ -15,7 +16,6 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +30,7 @@ from views import cache_from_masks
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
-def reference_decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
+def reference_decode(cp: CompiledPlan, masks: list[bytearray], log: TransmissionLog,
                      clean: list[int]) -> list[bool]:
     """Decode outcome per user, transmission by transmission.
 
@@ -38,21 +38,22 @@ def reference_decode(cp: CompiledPlan, masks: np.ndarray, log: TransmissionLog,
     every other part, and that part fills the bits its cache lacks there.
     What it reads is wrong wherever the received payload differs from
     ``clean``, the XOR of the server's parts.  A user decodes when nothing
-    is missing and nothing it read was wrong.
+    is missing and nothing it read was wrong.  ``masks`` holds one row per
+    user, one byte per bit: 1 where the user caches the bit, else 0.
     """
-    missing = [masks.shape[1] - np.count_nonzero(row) for row in masks]
+    missing = [len(row) - row.count(1) for row in masks]
     wrong = [False] * len(missing)
     for t, cells in enumerate(cp.parts):
         parts = [(user, cp.edges[i], cp.edges[j]) for user, i, j in cells]
         corrupt = log.payloads[t] != clean[t]
-        covered = [masks[:, a:b].all(axis=1).tolist() for _, a, b in parts]
+        covered = [[0 not in row[a:b] for row in masks] for _, a, b in parts]
         read = set()
         for i, (user, a, b) in enumerate(parts):
             if user in read:
                 continue
             read.add(user)
             if all(c[user] for j, c in enumerate(covered) if j != i):
-                missing[user] -= b - a - np.count_nonzero(masks[user, a:b])
+                missing[user] -= b - a - masks[user].count(1, a, b)
                 wrong[user] |= corrupt
     return [not m and not w for m, w in zip(missing, wrong)]
 
@@ -81,10 +82,10 @@ def test_decoder_matches_reference(point, data):
                                 seed=data.draw(st.integers(0, 2**16)))
     F = store.F_bits
     log = execute_delivery(store, plan)
-    masks = np.array(caches.masks)
+    masks = [bytearray(row) for row in caches.masks.tolist()]
     for user, bit in data.draw(st.lists(
             st.tuples(st.integers(0, K - 1), st.integers(0, F - 1)), max_size=3)):
-        masks[user, bit] ^= True
+        masks[user][bit] ^= 1
     cp = plan.template.compiled[F]
     payloads = list(log.payloads)
     if log.total_bits:

@@ -231,6 +231,15 @@ def sweep_refuses_an_unread_flag():
         refuses(lambda: cli.cmd_sweep(cli.Options(args)), "--Mhat-factor is not read")
 
 
+def sweep_refuses_jobs_above_one():
+    """A sweep runs in one process: --jobs 2 is refused before any row."""
+    args = cli.build_parser().parse_args([
+        "sweep", "--N", "4", "--K", "4", "--L", "2", "--Mhat", "2", "--from", "1",
+        "--to", "2", "--step", "1", "--jobs", "2"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        refuses(lambda: cli.cmd_sweep(cli.Options(args)), "--jobs must be 1, got 2")
+
+
 ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            proposed_caches_fill_their_sizes, flipped_payload_bit_fails,
            payloads_fit_their_widths,
@@ -242,7 +251,7 @@ ORACLES = [proposed_scheme_verifies, proposed_rate_is_between_the_equal_caches,
            subfile_off_the_bits_is_refused, unmerged_cache_ranges_are_refused,
            scheme1_ties_go_to_the_lowest_layer, demand_outside_the_library_is_refused,
            demand_count_over_the_limit_is_refused, config_null_leaves_the_default,
-           sweep_refuses_an_unread_flag]
+           sweep_refuses_an_unread_flag, sweep_refuses_jobs_above_one]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +339,8 @@ MUTANTS = [
     Mutant("sweep-reads-every-flag", "cli.cmd_sweep",
            "if key in opts.flags and key != read:", "if False:",
            sweep_refuses_an_unread_flag),
+    Mutant("sweep-takes-jobs-above-one", "cli.cmd_sweep",
+           "if jobs != 1:", "if jobs < 1:", sweep_refuses_jobs_above_one),
 ]
 
 

@@ -18,6 +18,9 @@ from cachecast.unequal import SCHEMES, UnequalConfig, rate_ueq, unequal_params
 
 PACKAGE = Path(cachecast.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+# the tests and demos, which load no numpy either
+SCRIPTS = sorted(p for d in ("tests", "demos")
+                 for p in Path(__file__).parents[1].joinpath(d).glob("*.py"))
 
 
 def test_sources_found():
@@ -35,24 +38,35 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _imports_numpy(node: ast.AST) -> bool:
-    if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "numpy" for a in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
-    return False
+def _importers(paths, packages: set[str]) -> list[str]:
+    """The files among ``paths`` that import a module of ``packages``."""
+    def imports(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] in packages for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 and (node.module or "").split(".")[0] in packages
+        return False
+
+    return sorted({
+        str(path.relative_to(PACKAGE.parents[1]))
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if imports(node)
+    })
 
 
 def test_no_module_imports_numpy():
     # rates and plans are exact rationals, and bits are bytes and ints: the
-    # package needs nothing outside the standard library
-    found = sorted({
-        path.name
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if _imports_numpy(node)
-    })
-    assert found == []
+    # package needs nothing outside the standard library, and the tests and
+    # demos read masks as bytes and lists
+    assert len(SCRIPTS) > 10
+    assert _importers(SOURCES + SCRIPTS, {"numpy"}) == []
+
+
+def test_no_module_starts_a_process():
+    # every command runs in one process: the sweep's process pool never paid
+    # for its workers (README, "CLI")
+    assert _importers(SOURCES, {"concurrent", "multiprocessing"}) == []
 
 
 NUMPY_PROBE = """
@@ -96,8 +110,8 @@ def test_no_module_imports_dataclasses():
 
 
 # Run under ``python -S``: a site hook may preload some of these modules and
-# hide a regression.  Only ``sweep --jobs`` above 1 needs multiprocessing, and
-# no command needs numpy.
+# hide a regression.  No command needs multiprocessing or numpy; the sweep
+# passes --jobs 1, as perfbench's fig5-sweep does.
 IMPORT_BUDGET_PROBE = """
 import sys
 HEAVY = ("dataclasses", "inspect", "pathlib", "multiprocessing", "concurrent.futures",

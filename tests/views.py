@@ -9,9 +9,8 @@ edit a cache bit by bit and hand the decoder the intervals it stands for.
 """
 
 import math
+import re
 from fractions import Fraction
-
-import numpy as np
 
 from cachecast.simulator import CacheImage
 
@@ -62,12 +61,12 @@ def read_bits(store, file, a, b):
 
 
 def cache_from_masks(N, masks):
-    """The ``CacheImage`` whose rows are ``masks``, (K, F_bits) bools in any
-    form numpy reads, ``CacheImage.masks`` or lists of rows among them: each
-    row's runs of set bits become that user's (start, end) intervals."""
-    masks = np.asarray(masks, dtype=bool)
-    ranges = []
-    for row in masks:
-        ends = np.flatnonzero(np.diff(row, prepend=False, append=False)).tolist()
-        ranges.append(tuple(zip(ends[::2], ends[1::2])))
-    return CacheImage(N, masks.shape[1], tuple(ranges))
+    """The ``CacheImage`` whose rows are ``masks``, (K, F_bits) bools given
+    as ``CacheImage.masks`` or as K rows, each a list of bools or 0/1 bytes:
+    each row's runs of set bits become that user's (start, end) intervals."""
+    rows = [bytes(row) for row in (masks.tolist() if isinstance(masks, memoryview)
+                                   else masks)]
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("mask rows must be one length")
+    ranges = tuple(tuple(m.span() for m in re.finditer(rb"[^\0]+", row)) for row in rows)
+    return CacheImage(N, len(rows[0]), ranges)
